@@ -119,12 +119,11 @@ def full_tracer() -> Tracer:
     ])
 
 
-def stage_tracer(work) -> Tracer | None:
-    """Untraced runs wrap nothing, except on highway_sweep, whose stages
-    share one command: there only the few stage-level calls are wrapped
-    (tens of calls per run), to split its wall time into stages."""
-    if work.name != "highway_sweep":
-        return None
+def stage_tracer(before) -> Tracer:
+    """Untraced runs wrap only the stage-level calls, tens per pipeline:
+    on highway_sweep, whose stages share one command, to split its wall
+    time into stages, and everywhere to run `before` (the reference probe)
+    ahead of each of them."""
     return Tracer([
         (demand, "spawn_schedule", "demand.spawn_schedule", None),
         (incidents, "plan_incidents", "incidents.plan", None),
@@ -135,7 +134,8 @@ def stage_tracer(work) -> Tracer | None:
         (features, "reidentify_travel_times", "features.reidentify", None),
         (features, "build_feature_rows", "features.build_rows", None),
         (features, "concat_tables", "features.concat_tables", None),
-    ])
+        (models, "train_tree_ensemble", "models.train_tree_ensemble", None),
+    ], before=before)
 
 
 def stage_seconds(rec) -> dict:
@@ -232,9 +232,11 @@ def per_layer_metrics(records) -> dict:
     put("metrics.evaluate.s", total("metrics.evaluate"), "s")
     for stage in CLI_STAGES:
         put(f"cli.{stage}.self_s", self_s(f"cli.{stage}"), "s")
-    for stage in ("train", "features"):
+    for stage in ("pipeline", "simulate", "train", "features"):
         put(f"{stage}_s", statistics.median(stage_seconds(r)[stage]
                                             for r in plain), "s")
+    put("ref.probe_s", statistics.median(t for r in records
+                                         for t in r["probe"]), "s")
     put("share.models_of_pipeline", models_s / pipeline, "ratio")
     put("share.observe_of_simulate",
         total("sensors.observe") / simulate if simulate else 0.0, "ratio")

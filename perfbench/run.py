@@ -9,13 +9,15 @@ Run from the root of a checkout:
 
 One process runs one workload: it writes the workload's inputs from the
 seed, then calls the ``trafficlab`` subcommands in-process, checks every
-output, and repeats the whole pipeline until ``--seconds`` have passed (at
-least once).  ``--trace 0`` reports the end-to-end metrics; ``--trace 1``
-runs one untraced pipeline, then traced ones, and reports the per-layer
-metrics and the tracing overhead.  The last line of standard output is one
-JSON object; see README.md for every metric.  The exit status is 0 when
-every operation passed its check, 1 when one failed and 2 on a usage error
-or when the checkout has no ``src/trafficlab``.
+output, and repeats the whole pipeline, each time in a fresh directory, for
+as long as another repetition still ends within ``--seconds`` (at least
+once).  ``--trace 0`` reports the end-to-end metrics, with stage times in
+units of a reference probe timed in between (refprobe.py); ``--trace 1``
+runs traced pipelines the same way, then one untraced pipeline, and
+reports the per-layer metrics and the tracing overhead.  The last line of
+standard output is one JSON object; see README.md for every metric.  The
+exit status is 0 when every operation passed its check, 1 when one failed
+and 2 on a usage error or when the checkout has no ``src/trafficlab``.
 """
 import os
 import sys
@@ -40,7 +42,6 @@ import traceback  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 SETUP_PROBES = 5
-STAGE_REPEATS = 3  # runs of each repeatable stage in an untraced pipeline
 
 
 def parse_args(argv):
@@ -107,20 +108,20 @@ def _run(args, work, scratch) -> int:
             print(f"FAIL native cross-check: {', '.join(bad)} differ "
                   "between the compiled and numpy backends")
 
-    # a traced run times traced pipelines until --seconds have passed, then
-    # one untraced pipeline for the overhead; it runs every stage once
+    # pipelines repeat while another one still ends within --seconds; a
+    # traced run then adds one untraced pipeline for the overhead
     records = []
     start = time.perf_counter()
     while failed == 0:
-        done = records and time.perf_counter() - start >= args.seconds
-        if done and not (args.trace and all(r["traced"] for r in records)):
+        done = bool(records) and (time.perf_counter() - start + min(
+            r["wall"] for r in records) > args.seconds)
+        if done and not (args.trace and records[-1]["traced"]):
             break
         traced = bool(args.trace) and not done
         root = os.path.join(scratch, f"iter_{len(records)}")
-        rec = _iteration(work, root, args.seed, net,
-                         layers.full_tracer() if traced
-                         else layers.stage_tracer(work),
-                         1 if args.trace else STAGE_REPEATS)
+        t0 = time.perf_counter()
+        rec = _iteration(work, root, args.seed, net, traced)
+        rec["wall"] = time.perf_counter() - t0
         rec["traced"] = traced
         attempted += rec["attempted"]
         failed += rec["failed"]
@@ -157,42 +158,46 @@ def _run(args, work, scratch) -> int:
     return 0 if correct else 1
 
 
-def _iteration(work, root, seed, net, tracer, repeats) -> dict:
-    """One whole pipeline in a fresh directory.  A repeatable stage runs
-    `repeats` times and its wall time is the fastest call, since the
-    machine's noise only ever slows a call down; the checks run after every
-    call, outside the timed region and with tracing off."""
+def _iteration(work, root, seed, net, traced) -> dict:
+    """One whole pipeline in a fresh directory, each stage called once.
+    The reference probe runs before every stage and after the last, and
+    in an untraced pipeline also ahead of the stage-level calls inside a
+    stage, with its time taken out of the stage's.  The checks run after
+    every call, outside the timed region and with tracing off."""
     import layers
+    import refprobe
     import workloads
     from trafficlab.cli import main as cli_main
 
     cfg = work.write_inputs(root, seed)
     times: dict = {}
+    probe: list = []
+    tracer = layers.full_tracer() if traced else layers.stage_tracer(
+        lambda: refprobe.sample(probe))
     attempted = failed = 0
     with open(os.path.join(root, "stdout.log"), "w", encoding="utf-8") as log:
-        for group, argv, check, repeatable in work.stages(root, cfg, net):
-            walls = []
-            for _ in range(repeats if repeatable else 1):
-                attempted += 1
-                t0 = time.perf_counter()
-                try:
-                    with tracer or contextlib.nullcontext(), \
-                            contextlib.redirect_stdout(log):
-                        rc = cli_main(argv)
-                    walls.append(time.perf_counter() - t0)
-                    if rc != 0:
-                        raise workloads.CheckFailed(f"exit status {rc}")
-                    check()
-                except Exception as exc:  # a failed operation, reported below
-                    failed += 1
-                    print(f"FAIL {argv[0]}: {exc!r}")
-                    traceback.print_exc(file=sys.stderr)
-                    break
-            if failed:
+        for group, argv, check in work.stages(root, cfg, net):
+            refprobe.sample(probe)
+            attempted += 1
+            probed = tracer.before_s
+            t0 = time.perf_counter()
+            try:
+                with tracer, contextlib.redirect_stdout(log):
+                    rc = cli_main(argv)
+                wall = time.perf_counter() - t0 - (tracer.before_s - probed)
+                if rc != 0:
+                    raise workloads.CheckFailed(f"exit status {rc}")
+                check()
+            except Exception as exc:  # a failed operation, reported below
+                failed += 1
+                print(f"FAIL {argv[0]}: {exc!r}")
+                traceback.print_exc(file=sys.stderr)
                 break
-            times[group] = times.get(group, 0.0) + min(walls)
+            times[group] = times.get(group, 0.0) + wall
+    refprobe.sample(probe)
     rec = {"attempted": attempted, "failed": failed, "times": times,
-           "spans": tracer.snapshot() if tracer is not None else {},
+           "probe": probe,
+           "spans": tracer.snapshot(),
            "digests": {}, "quality": {}}
     if failed:
         return rec
@@ -229,18 +234,23 @@ def _consistent(records) -> bool:
 
 
 def _end_to_end(records, setup_s) -> dict:
+    """Stage times are medians over the run's pipelines, in units of the
+    reference probe's median time over the same run; the seconds they
+    come from are printed too."""
     import layers
 
-    def med(values):
-        return statistics.median(values)
-
     stage = [layers.stage_seconds(r) for r in records]
+    probes = [t for r in records for t in r["probe"]]
+    probe = statistics.median(probes)
+    pipeline = statistics.median(s["pipeline"] for s in stage)
+    simulate = statistics.median(s["simulate"] for s in stage)
+    print(f"seconds pipeline_s={pipeline!r} simulate_s={simulate!r} "
+          f"probe_s={probe!r} ({len(probes)} probes, {len(records)} "
+          "pipelines)")
     return {
         "setup_s": {"value": setup_s, "unit": "s"},
-        "pipeline_s": {"value": med([s["pipeline"] for s in stage]),
-                       "unit": "s"},
-        "simulate_s": {"value": med([s["simulate"] for s in stage]),
-                       "unit": "s"},
+        "pipeline_ref": {"value": pipeline / probe, "unit": "ref"},
+        "simulate_ref": {"value": simulate / probe, "unit": "ref"},
         "peak_rss_mb": {"value": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0, "unit": "MB"},
     }

@@ -7,7 +7,9 @@ apply_effects``) are replaced under every alias, so a call is traced no
 matter which module makes it.  Spans nest: each records its wall time and
 the part of it covered by traced calls made inside it, which gives a
 layer's self time.  Hooks run after a call returns and turn its arguments
-or result into counters.
+or result into counters.  An optional ``before`` callable runs ahead of
+every outermost traced call, outside all spans; its wall time is summed in
+``before_s`` so that a caller can take it out of its own timing.
 """
 from __future__ import annotations
 
@@ -17,11 +19,13 @@ import time
 
 
 class Tracer:
-    def __init__(self, targets):
+    def __init__(self, targets, before=None):
         """targets: (owner, attribute, span name, hook or None).  The span
         name may be a callable of (args, kwargs) to tag calls by argument;
         the hook is called as hook(tracer, result, args, kwargs)."""
         self.targets = list(targets)
+        self.before = before
+        self.before_s = 0.0
         self.total: dict = {}
         self.covered: dict = {}
         self.calls: dict = {}
@@ -65,6 +69,10 @@ class Tracer:
         @functools.wraps(fn)
         def traced(*args, **kwargs):
             span = name(args, kwargs) if callable(name) else name
+            if tracer.before is not None and not tracer._open:
+                t0 = time.perf_counter()
+                tracer.before()
+                tracer.before_s += time.perf_counter() - t0
             tracer._open.append(0.0)
             t0 = time.perf_counter()
             try:

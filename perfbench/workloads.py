@@ -103,26 +103,24 @@ class Workload:
     # -- stages ---------------------------------------------------------------
 
     def stages(self, root: str, cfg: str, net):
-        """(stage group, argv, check, repeatable) per command, in pipeline
-        order.  A check runs after its stage returns 0 and raises
-        CheckFailed.  A repeatable stage only rewrites its own output from
-        unchanged inputs, so it may run several times in a row."""
+        """(stage group, argv, check) per command, in pipeline order.  A
+        check runs after its stage returns 0 and raises CheckFailed."""
         days = os.path.join(root, "days")
         if self.name == "highway_sweep":
             levels = ",".join(str(v) for v in HIGHWAY_LEVELS)
             return [("sweep", ["sweep-sparsity", "--config", cfg,
                                "--sensors", levels],
-                     lambda: self._check_sweep(root, net), False)]
+                     lambda: self._check_sweep(root, net))]
         ids = self.sensor_ids(net)
         sim = ("simulate", ["simulate", "--config", cfg],
-               lambda: self._check_days(days, self.days, ids), False)
+               lambda: self._check_days(days, self.days, ids))
         if self.name == "dense_capture":
             table = os.path.join(root, "features.csv")
             return [sim, ("features",
                           ["extract-features", "--raw", days, "--out", table,
                            "--config", cfg],
                           lambda: self._check_table(table, net, ids,
-                                                    self.days), True)]
+                                                    self.days))]
         evald = os.path.join(root, "eval")
         last = f"day_{self.days - 1:03d}"
         train_csv = os.path.join(root, "train.csv")
@@ -138,25 +136,24 @@ class Workload:
             shutil.move(os.path.join(days, last), os.path.join(evald, last))
 
         return [
-            ("simulate", ["simulate", "--config", cfg], hold_out, False),
+            ("simulate", ["simulate", "--config", cfg], hold_out),
             ("validate", ["validate", "--raw", days, "--counts",
                           os.path.join(root, "counts3.csv"), "--config", cfg],
-             lambda: self._check_validation(days), True),
+             lambda: self._check_validation(days)),
             ("features", ["extract-features", "--raw", days, "--out",
                           train_csv, "--config", cfg],
-             lambda: self._check_table(train_csv, net, ids, self.days - 1),
-             True),
+             lambda: self._check_table(train_csv, net, ids, self.days - 1)),
             ("features", ["extract-features", "--raw", evald, "--out",
                           eval_csv, "--config", cfg],
-             lambda: self._check_table(eval_csv, net, ids, 1), True),
+             lambda: self._check_table(eval_csv, net, ids, 1)),
             ("train", ["train", "--features", train_csv, "--out", model,
                        "--config", cfg],
-             lambda: models.load_model(model), False),
+             lambda: models.load_model(model)),
             ("evaluate", ["evaluate", "--model", model, "--features",
                           eval_csv, "--incidents", log, "--out", report,
                           "--config", cfg],
              lambda: _check_rescore(model, features.read_feature_table(
-                 eval_csv), incidents.read_incident_log(log), report), True),
+                 eval_csv), incidents.read_incident_log(log), report)),
         ]
 
     def report_path(self, root: str) -> str | None:
@@ -236,11 +233,11 @@ class Workload:
 
 WORKLOADS = {
     w.name: w for w in (
-        Workload("desk_gated", "grid4x4", days=3, day_seconds=14400,
+        Workload("desk_gated", "grid4x4", days=2, day_seconds=7200,
                  sensors=DESK_SENSORS),
-        Workload("dense_capture", "grid4x4", days=3, day_seconds=14400,
+        Workload("dense_capture", "grid4x4", days=1, day_seconds=7200,
                  sensors=None),
-        Workload("highway_sweep", "highway8", days=2, day_seconds=10800,
+        Workload("highway_sweep", "highway8", days=2, day_seconds=5400,
                  sensors=None, model={"n_trees": 120, "max_depth": 5},
                  incidents=HIGHWAY_INCIDENTS),
     )
