@@ -272,36 +272,36 @@ def release_vehicles(state, spec: IncidentSpec) -> None:
             hb[slot] = -1
 
 
+_LOG_HEADER = ("id,type,severity,onset_s,duration_s,segment_id,offset_m,"
+               "n_vehicles,radius_m")
+
+
 def write_incident_log(specs, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,type,severity,onset_s,duration_s,segment_id,"
-                 "offset_m,radius_m\n")
+        fh.write(_LOG_HEADER + "\n")
         for s in specs:
             fh.write(f"{s.id},{s.type.value},{s.severity.value},{s.onset},"
                      f"{s.duration},{s.segment_id},{_fmt(s.offset)},"
-                     f"{_fmt(s.radius)}\n")
+                     f"{s.n_vehicles},{_fmt(s.radius)}\n")
 
 
 def read_incident_log(path) -> list:
     specs = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        expect = "id,type,severity,onset_s,duration_s,segment_id,offset_m,radius_m"
-        if header != expect:
+        if header != _LOG_HEADER:
             raise IncidentError(f"{path}: unexpected incident header")
         for raw in fh:
             line = raw.strip()
             if not line:
                 continue
             f = line.split(",")
-            if len(f) != 8:
+            if len(f) != 9:
                 raise IncidentError(f"{path}: malformed incident row {line!r}")
-            itype = IncidentType(f[1])
-            # the log omits n_vehicles; restore the type's minimum
-            n_veh = 1 if itype is IncidentType.STALLED_VEHICLE else 2
-            specs.append(IncidentSpec(int(f[0]), itype, SeverityClass(f[2]),
-                                      int(f[3]), int(f[4]), f[5], float(f[6]),
-                                      n_veh, float(f[7])))
+            specs.append(IncidentSpec(int(f[0]), IncidentType(f[1]),
+                                      SeverityClass(f[2]), int(f[3]),
+                                      int(f[4]), f[5], float(f[6]),
+                                      int(f[7]), float(f[8])))
     return specs
 
 

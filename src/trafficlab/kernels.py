@@ -47,16 +47,20 @@ def follow_speeds_py(pos, speed, leader, head_free, head_lead_speed, limit,
 
 
 def hist_build_py(codes, rows, grad, hess, hist_g, hist_h, hist_n):
-    """Numpy twin of _native.hist_build via per-feature bincount."""
-    n_bins = hist_g.shape[1]
-    sub = codes[rows]
-    g = grad[rows]
-    h = hess[rows]
-    for f in range(codes.shape[1]):
-        c = sub[:, f]
-        hist_g[f] += np.bincount(c, weights=g, minlength=n_bins)
-        hist_h[f] += np.bincount(c, weights=h, minlength=n_bins)
-        hist_n[f] += np.bincount(c, minlength=n_bins).astype(np.float64)
+    """Numpy twin of _native.hist_build: one bincount per histogram over the
+    flat (feature, bin) cell index, visited row by row, so every cell sums
+    its rows in ascending order as the compiled loop does."""
+    n_feat, n_bins = hist_g.shape
+    cell = codes[rows].astype(np.intp)
+    cell += np.arange(n_feat) * n_bins
+    cell = cell.ravel()
+    size = n_feat * n_bins
+    shape = (n_feat, n_bins)
+    hist_g += np.bincount(cell, weights=np.repeat(grad[rows], n_feat),
+                          minlength=size).reshape(shape)
+    hist_h += np.bincount(cell, weights=np.repeat(hess[rows], n_feat),
+                          minlength=size).reshape(shape)
+    hist_n += np.bincount(cell, minlength=size).reshape(shape)
 
 
 def follow_speeds(pos, speed, leader, head_free, head_lead_speed, limit,

@@ -132,8 +132,12 @@ class _Binner:
                 np.searchsorted(cuts, col[mask], side="left") + 1
             ).astype(np.uint8)
 
-    def n_bins(self, f: int) -> int:
-        return len(self.cuts[f]) + 2  # missing + K value bins
+        self.n_cuts = np.array([len(c) for c in self.cuts], dtype=np.intp)
+        self.max_cuts = int(self.n_cuts.max(initial=0))
+        # (feature, 1, cut): cuts past a feature's own count, which split
+        # search pads to max_cuts
+        self.padding = (np.arange(self.max_cuts)
+                        >= self.n_cuts[:, None])[:, None, :]
 
 
 def _leaf_value(g: float, h: float, cfg: TreeEnsembleConfig) -> float:
@@ -143,44 +147,57 @@ def _leaf_value(g: float, h: float, cfg: TreeEnsembleConfig) -> float:
 def _best_split(hist_g, hist_h, hist_n, binner: _Binner,
                 cfg: TreeEnsembleConfig):
     """(gain, feature, cut_index, missing_left) of the best candidate, or
-    None.  Enumeration order for exact ties: feature ascending, cut
-    ascending, missing-right before missing-left; strict improvement only.
+    None.  All candidates are scored in one (feature, missing side, cut)
+    array and the first strict maximum in that order wins: exact ties go to
+    the lower feature, then to missing-right before missing-left, then to
+    the lower cut.  A (feature, missing side) row holding a NaN gain is
+    skipped whole.
     """
+    width = binner.max_cuts
+    if width == 0:
+        return None
     lam = cfg.reg_lambda
     msl = cfg.min_samples_leaf
-    best = None
-    for f in range(len(binner.cuts)):
-        k = len(binner.cuts[f])
-        if k == 0:
-            continue
-        # value codes run 1..k+1; candidate j splits code <= j+1 from above
-        g = hist_g[f]
-        h = hist_h[f]
-        c = hist_n[f]
-        g0, h0, c0 = g[0], h[0], c[0]
-        gl = np.cumsum(g[1:k + 2])
-        hl = np.cumsum(h[1:k + 2])
-        cl = np.cumsum(c[1:k + 2])
-        gtot = gl[-1] + g0
-        htot = hl[-1] + h0
-        ctot = cl[-1] + c0
+    n_feat = len(binner.cuts)
+    hists = (hist_g, hist_h, hist_n)
+    # value codes run 1..k+1; cut j splits code <= j+1 from above.  Prefix
+    # sums run bin by bin, so a feature's sums over its own bins do not
+    # depend on the padding behind them.
+    left = np.empty((3, n_feat, width + 1))
+    for k, hist in enumerate(hists):
+        np.cumsum(hist[:, 1:width + 2], axis=1, out=left[k])
+    miss = np.stack([hist[:, 0] for hist in hists])
+    total = left[:, np.arange(n_feat), binner.n_cuts] + miss
+    # sums[side of the cut, g/h/n, feature, missing side, cut]; missing
+    # side 0 sends missing values right, side 1 sends them left
+    add = np.zeros((3, n_feat, 2, 1))
+    add[:, :, 1, 0] = miss
+    sums = np.empty((2, 3, n_feat, 2, width))
+    np.add(left[:, :, None, :width], add, out=sums[0])
+    np.subtract(total[:, :, None, None], sums[0], out=sums[1])
+    g, h, n = sums[:, 0], sums[:, 1], sums[:, 2]
+    gtot, htot = total[0, :, None, None], total[1, :, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
         parent = gtot * gtot / (htot + lam)
-        glj, hlj, clj = gl[:k], hl[:k], cl[:k]
-        for miss_left, gadd, hadd, cadd in ((False, 0.0, 0.0, 0.0),
-                                            (True, g0, h0, c0)):
-            gL = glj + gadd
-            hL = hlj + hadd
-            cL = clj + cadd
-            gR = gtot - gL
-            hR = htot - hL
-            cR = ctot - cL
-            gains = 0.5 * (gL * gL / (hL + lam) + gR * gR / (hR + lam)
-                           - parent)
-            gains[(cL < msl) | (cR < msl)] = -np.inf
-            j = int(np.argmax(gains))
-            if gains[j] > 0.0 and (best is None or gains[j] > best[0]):
-                best = (float(gains[j]), f, j, miss_left)
-    return best
+        h += lam
+        g *= g
+        g /= h
+        gains = g[0] + g[1]
+        gains -= parent
+        gains *= 0.5
+    masked = n[0] < msl
+    masked |= n[1] < msl
+    masked |= binner.padding
+    np.putmask(gains, masked, -np.inf)
+    i = int(np.argmax(gains))
+    if np.isnan(gains.flat[i]):  # argmax stops at the first NaN
+        gains[np.isnan(gains).any(axis=2)] = -np.inf
+        i = int(np.argmax(gains))
+    best = float(gains.flat[i])
+    if not best > 0.0:
+        return None
+    f, side, j = np.unravel_index(i, gains.shape)
+    return (best, int(f), int(j), bool(side))
 
 
 def _grow_tree(codes, rows, grad, hess, binner: _Binner,
@@ -191,7 +208,7 @@ def _grow_tree(codes, rows, grad, hess, binner: _Binner,
     left: list = []
     right: list = []
     value: list = []
-    max_bins_all = max(binner.n_bins(f) for f in range(codes.shape[1]))
+    max_bins_all = binner.max_cuts + 2  # missing + value bins, widest
     n_feat = codes.shape[1]
 
     def new_node() -> int:

@@ -70,14 +70,15 @@ def test_incident_log_round_trip(tmp_path):
                                           SeverityClass.SEVERE)
     assert (b.onset, b.duration, b.segment_id) == (400, 900, "s2")
     assert (b.offset, b.radius) == (12.5, 100.0)
-    assert b.n_vehicles == 2  # the log keeps no count; minimum restored
+    assert b.n_vehicles == 3
 
     bad = tmp_path / "bad.csv"
     bad.write_text("id,oops\n", encoding="utf-8")
     with pytest.raises(IncidentError, match="header"):
         read_incident_log(bad)
     bad.write_text("id,type,severity,onset_s,duration_s,segment_id,"
-                   "offset_m,radius_m\n1,2,3\n", encoding="utf-8")
+                   "offset_m,n_vehicles,radius_m\n1,2,3\n",
+                   encoding="utf-8")
     with pytest.raises(IncidentError, match="malformed"):
         read_incident_log(bad)
 

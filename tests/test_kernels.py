@@ -3,6 +3,7 @@
 Index:
   backend parity   compiled and pure outputs are bitwise identical
   semantics        vectorized kernels match a scalar re-derivation
+  reference        one-pass histograms equal the per-feature bincount form
   dispatch         explicit backend selection and failure modes
 """
 import os
@@ -107,6 +108,48 @@ def test_hist_build_matches_direct_sums():
                 assert hh[f, b] == pytest.approx(hess[rows][mask].sum(),
                                                  abs=1e-12)
                 assert hn[f, b] == mask.sum()
+
+
+def bincount_hist_build(codes, rows, grad, hess, hist_g, hist_h, hist_n):
+    """Reference histograms: three bincounts per feature."""
+    n_bins = hist_g.shape[1]
+    sub = codes[rows]
+    g = grad[rows]
+    h = hess[rows]
+    for f in range(codes.shape[1]):
+        c = sub[:, f]
+        hist_g[f] += np.bincount(c, weights=g, minlength=n_bins)
+        hist_h[f] += np.bincount(c, weights=h, minlength=n_bins)
+        hist_n[f] += np.bincount(c, minlength=n_bins).astype(np.float64)
+
+
+def test_hist_build_equals_per_feature_bincount():
+    """The one-pass numpy kernel reproduces the per-feature form bit for
+    bit, including columns whose codes use only the first few bins."""
+    for k in range(30):
+        rng = rng_for("hist-reference", k)
+        n = int(rng.integers(1, 400))
+        d = int(rng.integers(1, 12))
+        bins = int(rng.integers(2, 256))
+        # per-feature code ranges narrower than the histogram width leave
+        # padding bins that must stay exactly zero
+        tops = rng.integers(1, bins + 1, size=d)
+        codes = np.column_stack([rng.integers(0, t, size=n)
+                                 for t in tops]).astype(np.uint8)
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                  replace=False)).astype(np.int32)
+        grad = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        hess = rng.uniform(0.0, 1.0, size=n)
+        outs = []
+        for build in (kernels.hist_build_py, bincount_hist_build):
+            hists = tuple(np.zeros((d, bins)) for _ in range(3))
+            build(codes, rows, grad, hess, *hists)
+            outs.append(hists)
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
+        for hist in outs[0]:
+            for f, t in enumerate(tops):
+                assert not hist[f, t:].any()
 
 
 @pytest.mark.skipif(not kernels.HAVE_NATIVE,

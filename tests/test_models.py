@@ -2,7 +2,8 @@
 
 Index:
   config      hyperparameter validation
-  splits      root split against exhaustive enumeration, leaf closed form
+  splits      root split against exhaustive enumeration, leaf closed form,
+              vectorized split search and whole fits against loop references
   predict     tree-walk oracle with missing values, input checks
   training    learnability, loss monotonicity, determinism, base scores
   gating      stacked detector/localizer/severity behavior
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from trafficlab import kernels, models
 from trafficlab.features import FeatureTable
 from trafficlab.models import (EnsembleModel, IncidentPrediction, ModelError,
                                TreeEnsembleConfig, infer, infer_batch,
@@ -21,6 +23,7 @@ from trafficlab.models import (EnsembleModel, IncidentPrediction, ModelError,
                                train_tree_ensemble, training_logloss)
 
 from conftest import rng_for
+from test_kernels import bincount_hist_build
 
 
 def small_cfg(**kw):
@@ -56,18 +59,19 @@ def test_config_validation():
 
 
 def exhaustive_best_split(X, g, h, msl, lam):
-    """Every (feature, midpoint threshold, missing side) candidate scored
+    """Every (feature, missing side, midpoint threshold) candidate scored
     directly from the definition; first strict maximum wins, matching the
-    trainer's enumeration order."""
+    trainer's enumeration order (feature, then missing-right before
+    missing-left, then threshold)."""
     best = None
     n = X.shape[0]
     for f in range(X.shape[1]):
         col = X[:, f]
         nan = np.isnan(col)
         uniq = np.unique(col[~nan])
-        for j in range(uniq.size - 1):
-            thr = (uniq[j] + uniq[j + 1]) / 2.0
-            for miss_left in (False, True):
+        for miss_left in (False, True):
+            for j in range(uniq.size - 1):
+                thr = (uniq[j] + uniq[j + 1]) / 2.0
                 with np.errstate(invalid="ignore"):
                     go_l = np.where(nan, miss_left, col <= thr)
                 cl = int(go_l.sum())
@@ -79,6 +83,46 @@ def exhaustive_best_split(X, g, h, msl, lam):
                               - (gl + gr) ** 2 / (hl + hr + lam))
                 if gain > 0.0 and (best is None or gain > best[0]):
                     best = (gain, f, thr, miss_left, go_l)
+    return best
+
+
+def loop_best_split(hist_g, hist_h, hist_n, binner, cfg):
+    """Reference split search: one cumsum/argmax per (feature, missing
+    side), scanned feature ascending, missing-right before missing-left,
+    cut ascending; strict improvement only."""
+    lam = cfg.reg_lambda
+    msl = cfg.min_samples_leaf
+    best = None
+    for f in range(len(binner.cuts)):
+        k = len(binner.cuts[f])
+        if k == 0:
+            continue
+        g = hist_g[f]
+        h = hist_h[f]
+        c = hist_n[f]
+        g0, h0, c0 = g[0], h[0], c[0]
+        gl = np.cumsum(g[1:k + 2])
+        hl = np.cumsum(h[1:k + 2])
+        cl = np.cumsum(c[1:k + 2])
+        gtot = gl[-1] + g0
+        htot = hl[-1] + h0
+        ctot = cl[-1] + c0
+        parent = gtot * gtot / (htot + lam)
+        glj, hlj, clj = gl[:k], hl[:k], cl[:k]
+        for miss_left, gadd, hadd, cadd in ((False, 0.0, 0.0, 0.0),
+                                            (True, g0, h0, c0)):
+            gL = glj + gadd
+            hL = hlj + hadd
+            cL = clj + cadd
+            gR = gtot - gL
+            hR = htot - hL
+            cR = ctot - cL
+            gains = 0.5 * (gL * gL / (hL + lam) + gR * gR / (hR + lam)
+                           - parent)
+            gains[(cL < msl) | (cR < msl)] = -np.inf
+            j = int(np.argmax(gains))
+            if gains[j] > 0.0 and (best is None or gains[j] > best[0]):
+                best = (float(gains[j]), f, j, miss_left)
     return best
 
 
@@ -120,6 +164,154 @@ def test_root_split_matches_exhaustive_enumeration():
                                                            + lam)
             assert float(tree.value[side]) == pytest.approx(want_v,
                                                             rel=1e-10)
+
+
+def split_case(X, g, h, rows=None, width=None, **cfg_kw):
+    """Both split searches on the histograms of X's rows; width pads the
+    histograms past the widest feature."""
+    binner = models._Binner(X, 256)
+    rows = np.arange(X.shape[0], dtype=np.int32) if rows is None else rows
+    width = binner.max_cuts + 2 if width is None else width
+    hists = tuple(np.zeros((X.shape[1], width)) for _ in range(3))
+    bincount_hist_build(binner.codes, rows, g, h, *hists)
+    cfg = small_cfg(**cfg_kw)
+    got = models._best_split(*hists, binner, cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = loop_best_split(*hists, binner, cfg)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[1:] == want[1:]
+        assert got[0].hex() == want[0].hex()
+        assert [type(v) for v in got] == [float, int, int, bool]
+    return got
+
+
+def test_vectorized_split_equals_loop_on_exact_ties():
+    """Integer gradients make gains tie exactly across features (duplicate
+    columns), missing sides (columns without NaN) and cuts (mirrored
+    targets); the first candidate in loop order must win."""
+    x = np.repeat(np.arange(6.0), 4)
+    g = np.where(np.isin(x, (0.0, 5.0)), 1.0, -1.0)  # cuts 0 and 4 tie
+    h = np.ones_like(g)
+    X = np.column_stack([x, x, x])
+    X[::5, 2] = np.nan  # missing values only in the last copy
+    best = split_case(X, g, h, min_samples_leaf=1)
+    assert best[1:] == (0, 0, False)
+    # missing-left and missing-right tie at every cut when the NaN rows
+    # carry no gradient and no hessian
+    g2 = g.copy()
+    h2 = h.copy()
+    g2[::5] = h2[::5] = 0.0
+    assert split_case(X[:, 2:], g2, h2, min_samples_leaf=1)[3] is False
+    for trial in range(40):
+        rng = rng_for("split-ties", trial)
+        n = int(rng.integers(4, 120))
+        d = int(rng.integers(1, 6))
+        X = rng.integers(0, int(rng.integers(2, 6)), (n, d)).astype(float)
+        X[rng.random((n, d)) < rng.uniform(0.0, 0.4)] = np.nan
+        X = X[:, rng.integers(0, d, d)]  # repeated columns tie whole
+        g = rng.integers(-2, 3, n).astype(float)
+        h = rng.integers(0, 3, n).astype(float)
+        split_case(X, g, h, min_samples_leaf=int(rng.integers(1, 6)),
+                   reg_lambda=float(rng.integers(0, 3)))
+
+
+def test_vectorized_split_equals_loop_on_degenerate_gains():
+    """Without regularization an empty-hessian side scores +inf or NaN; a
+    NaN anywhere in a (feature, missing side) row rules the row out, as the
+    loop's per-row argmax does."""
+    x = np.repeat(np.arange(6.0), 4)
+    rng = rng_for("split-degenerate", 0)
+    X = np.column_stack([x, rng.permutation(x)])
+    g = np.where(x == 0.0, 0.0, np.where(x < 3.0, 1.0, -1.0))
+    h = np.where(x == 0.0, 0.0, 1.0)
+    best = split_case(X, g, h, min_samples_leaf=1, reg_lambda=0.0)
+    assert best[1] == 1  # feature 0 has a 0/0 gain at its first cut
+    g[x == 0.0] = 2.0
+    best = split_case(X, g, h, min_samples_leaf=1, reg_lambda=0.0)
+    assert best[:4] == (math.inf, 0, 0, False)
+
+
+def test_vectorized_split_equals_loop_on_padded_features():
+    """Features with zero cuts (all-NaN, constant) and with fewer cuts than
+    the histogram width, on node subsets and with extra padding columns."""
+    for trial in range(40):
+        rng = rng_for("split-padding", trial)
+        n = int(rng.integers(20, 300))
+        X = np.column_stack([
+            np.full(n, np.nan),
+            rng.normal(0.0, 1.0, n),
+            rng.integers(0, 3, n).astype(float),
+            np.full(n, 7.0),
+            np.round(rng.uniform(0.0, 1.0, n), 1),
+        ])
+        X[rng.random(n) < 0.3, 1] = np.nan
+        X[rng.random(n) < 0.3, 4] = np.nan  # missing rows on a narrow one
+        g = rng.normal(0.0, 1.0, n)
+        h = rng.uniform(0.0, 0.25, n)
+        rows = np.sort(rng.choice(n, int(rng.integers(1, n + 1)),
+                                  replace=False)).astype(np.int32)
+        split_case(X, g, h, rows=rows, min_samples_leaf=int(
+            rng.integers(1, 10)))
+        split_case(X, g, h, width=int(rng.integers(0, 40)) + n + 2)
+    # values-versus-missing is no candidate: a narrow feature whose missing
+    # rows carry all the signal must not split there through its padding
+    rng = rng_for("split-padding", "missing-only")
+    X = np.column_stack([rng.integers(0, 2, 60).astype(float),
+                         rng.normal(0.0, 1.0, 60)])
+    X[:20, 0] = np.nan
+    g = np.where(np.isnan(X[:, 0]), 1.0, -0.5)
+    split_case(X, g, np.ones(60), min_samples_leaf=5)
+    X = np.full((30, 2), np.nan)
+    assert split_case(X, np.ones(30), np.ones(30)) is None
+
+
+def test_vectorized_split_none_when_leaves_too_small():
+    rng = rng_for("split-msl", 0)
+    X = rng.normal(0.0, 1.0, (40, 3))
+    X[::3, 1] = np.nan
+    g = rng.normal(0.0, 1.0, 40)
+    h = np.full(40, 0.25)
+    assert split_case(X, g, h, min_samples_leaf=20) is not None
+    assert split_case(X, g, h, min_samples_leaf=21) is None
+
+
+def test_fit_equals_loop_reference_fit(tmp_path, monkeypatch):
+    """A whole gated fit, binary detector and multiclass localizer, saves
+    the same model text with the vectorized split search and one-pass
+    histograms as with the loop references."""
+    rng = rng_for("fit-reference", 0)
+    n = 360
+    X = np.column_stack([rng.uniform(0.0, 1.0, n),
+                         rng.normal(0.0, 1.0, n),
+                         rng.integers(0, 4, n).astype(float),
+                         np.full(n, np.nan),
+                         rng.normal(0.0, 1.0, n)])
+    X[rng.random(n) < 0.3, 1] = np.nan
+    inc = X[:, 0] > 0.6
+    roads = ["north_rd", "east_rd", "west_rd"]
+    road = [roads[int(X[i, 2]) % 3] if inc[i] else None for i in range(n)]
+    sev = [("severe" if X[i, 4] > 0 else "minor") if inc[i] else None
+           for i in range(n)]
+    table = FeatureTable(names(5), X, np.arange(n) * 30 + 600, inc, road,
+                         sev)
+    cfg = small_cfg(n_trees=12, max_depth=4, subsample=0.8, seed=3)
+    monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "python")
+    texts = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(models, "_best_split", loop_best_split)
+            monkeypatch.setattr(kernels, "hist_build_py",
+                                bincount_hist_build)
+        model = train_incident_ensemble(table, cfg)
+        assert model.localizer is not None
+        assert model.localizer.n_classes == 3
+        path = tmp_path / f"model_{int(patch)}.json"
+        save_model(model, path)
+        texts.append(path.read_text(encoding="utf-8"))
+    assert texts[0] == texts[1]
 
 
 def test_stump_predictions_are_base_plus_leaf():
