@@ -6,8 +6,6 @@ sparse roadside sensor readings, assemble rolling-window feature tables,
 validate synthetic demand against the source counts, and train/evaluate a
 gated boosted-tree detector ensemble.
 """
-from .kernels import ACTIVE_BACKEND, HAVE_NATIVE
-
 __version__ = "0.1.0"
 
-__all__ = ["ACTIVE_BACKEND", "HAVE_NATIVE", "__version__"]
+__all__ = ["__version__"]

@@ -182,10 +182,9 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = (load_config(args.config) if args.config else ExperimentConfig())
-    series = demand.read_counts_csv(args.counts)
-    avg = demand.average_counts(list(series.values()))
-    params = demand.lm_fit(avg, demand.fft_init_params(avg))
+    cfg = (load_config(args.config, {"counts": args.counts}) if args.config
+           else ExperimentConfig(counts=args.counts))
+    params = _demand_params(cfg)
     rows = []
     for dd in _find_day_dirs(args.raw):
         day = int(os.path.basename(dd).split("_")[1])

@@ -1,33 +1,28 @@
-"""Kernel dispatch: compiled extension when available, numpy fallback otherwise.
+"""The two numpy hot loops: the per-step car-following speed update and the
+boosted-tree histogram accumulation.
 
-The two hot loops (per-step car-following update, boosted-tree histogram
-accumulation) exist in both a Cython build (_native) and a vectorized numpy
-form.  Both forms are kept arithmetically identical, expression by
-expression, so a run produces bitwise-equal results on either backend.
-Selection order: TRAFFICLAB_PURE=1 forces the numpy path; otherwise the
-extension is used when the build produced it.
+Callers reach them as ``kernels.follow_speeds`` and ``kernels.hist_build``
+so that a tracer can wrap the module attributes from outside.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    if os.environ.get("TRAFFICLAB_PURE") == "1":
-        raise ImportError("pure-python backend forced by TRAFFICLAB_PURE")
-    from . import _native
-except ImportError:
-    _native = None
-
-HAVE_NATIVE = _native is not None
-ACTIVE_BACKEND = "compiled" if HAVE_NATIVE else "python"
+# the only backend; perfbench/run.py checks it and records it in its env line
+ACTIVE_BACKEND = "python"
 
 
-def follow_speeds_py(pos, speed, leader, head_free, head_lead_speed, limit,
-                     speed_cap, noise, accel, decel, min_gap, vehicle_length,
-                     dt, out):
-    """Numpy twin of _native.follow_speeds (same op order, see _native.pyx)."""
+def follow_speeds(pos, speed, leader, head_free, head_lead_speed, limit,
+                  speed_cap, noise, accel, decel, min_gap, vehicle_length,
+                  dt, out):
+    """Safe speed for every vehicle, written into ``out`` and returned.
+
+    A vehicle with ``leader >= 0`` brakes behind that index's pre-step
+    position and speed; a queue head (``leader == -1``) uses its own free
+    run ``head_free`` and ``head_lead_speed``.  The result is capped by
+    acceleration, the segment ``limit``, the free run per step and
+    ``speed_cap``, minus ``noise``, and clamped at zero.
+    """
     has_leader = leader >= 0
     lead = np.where(has_leader, leader, 0)
     fr = np.where(has_leader,
@@ -44,12 +39,17 @@ def follow_speeds_py(pos, speed, leader, head_free, head_lead_speed, limit,
     vd = vd - noise
     np.maximum(vd, 0.0, out=vd)
     out[:] = vd
+    return out
 
 
-def hist_build_py(codes, rows, grad, hess, hist_g, hist_h, hist_n):
-    """Numpy twin of _native.hist_build: one bincount per histogram over the
-    flat (feature, bin) cell index, visited row by row, so every cell sums
-    its rows in ascending order as the compiled loop does."""
+def hist_build(codes, rows, grad, hess, hist_g, hist_h, hist_n):
+    """Add the gradient sum, hessian sum and row count of ``rows`` to every
+    ``(feature, bin)`` cell of ``hist_g``/``hist_h``/``hist_n``.
+
+    One bincount per histogram over the flat cell index, visited row by
+    row, so every cell sums its rows in ascending order and a tree fit is
+    bitwise reproducible.
+    """
     n_feat, n_bins = hist_g.shape
     cell = codes[rows].astype(np.intp)
     cell += np.arange(n_feat) * n_bins
@@ -61,36 +61,3 @@ def hist_build_py(codes, rows, grad, hess, hist_g, hist_h, hist_n):
     hist_h += np.bincount(cell, weights=np.repeat(hess[rows], n_feat),
                           minlength=size).reshape(shape)
     hist_n += np.bincount(cell, minlength=size).reshape(shape)
-
-
-def follow_speeds(pos, speed, leader, head_free, head_lead_speed, limit,
-                  speed_cap, noise, accel, decel, min_gap, vehicle_length,
-                  dt, out, backend=None):
-    be = _resolve(backend)
-    if be == "compiled":
-        _native.follow_speeds(pos, speed, leader, head_free, head_lead_speed,
-                              limit, speed_cap, noise, accel, decel, min_gap,
-                              vehicle_length, dt, out)
-    else:
-        follow_speeds_py(pos, speed, leader, head_free, head_lead_speed,
-                         limit, speed_cap, noise, accel, decel, min_gap,
-                         vehicle_length, dt, out)
-    return out
-
-
-def hist_build(codes, rows, grad, hess, hist_g, hist_h, hist_n, backend=None):
-    be = _resolve(backend)
-    if be == "compiled":
-        _native.hist_build(codes, rows, grad, hess, hist_g, hist_h, hist_n)
-    else:
-        hist_build_py(codes, rows, grad, hess, hist_g, hist_h, hist_n)
-
-
-def _resolve(backend) -> str:
-    be = backend or ACTIVE_BACKEND
-    if be not in ("compiled", "python"):
-        raise ValueError(f"unknown kernel backend {be!r}")
-    if be == "compiled" and not HAVE_NATIVE:
-        raise RuntimeError(
-            "compiled backend requested but extension is not built")
-    return be

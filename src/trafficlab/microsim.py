@@ -30,39 +30,29 @@ from .roadnet import RoadNetwork, shortest_route
 from .sensors import RawDatasetBuilder, SensorRig
 
 
+DT = 1.0  # s per step; the capture cadence and model are built around 1 Hz
+
+
 class SimError(ValueError):
     pass
 
 
 @dataclass
 class SimConfig:
-    dt: float = 1.0  # the capture cadence and model are built around 1 Hz
     accel: float = 2.6
     decel: float = 4.5
     driver_imperfection: float = 0.1
     min_gap: float = 2.5
     vehicle_length: float = 5.0
     seed: int = 0
-    engine: str = "auto"  # auto | compiled | python
 
     def __post_init__(self):
-        if self.dt != 1.0:
-            raise SimError("the simulator is fixed at dt = 1 s")
         if self.accel <= 0 or self.decel <= 0:
             raise SimError("accel and decel must be positive")
         if not 0.0 <= self.driver_imperfection < 1.0:
             raise SimError("driver imperfection must lie in [0, 1)")
         if self.min_gap < 0 or self.vehicle_length <= 0:
             raise SimError("bad geometry parameters")
-        if self.engine not in ("auto", "compiled", "python"):
-            raise SimError(f"unknown engine {self.engine!r}")
-
-    def resolve_backend(self) -> str:
-        if self.engine == "auto":
-            return "compiled" if kernels.HAVE_NATIVE else "python"
-        if self.engine == "compiled" and not kernels.HAVE_NATIVE:
-            raise SimError("compiled engine requested but extension missing")
-        return self.engine
 
 
 @dataclass
@@ -194,7 +184,6 @@ class Simulation:
         self.network = network
         self.schedule = schedule
         self.cfg = cfg or SimConfig()
-        self.backend = self.cfg.resolve_backend()
         self.tables = _NetTables(network)
         self.horizon = int(schedule.horizon)
         self.incident_plan = sorted(incident_plan or [],
@@ -257,7 +246,7 @@ class Simulation:
         st = self.state
         t = st.time
         while (self._next_event < self.capacity
-               and self.events[self._next_event].time < t + self.cfg.dt):
+               and self.events[self._next_event].time < t + DT):
             ev = self.events[self._next_event]
             st.pending[ev.entry].append(self._next_event)
             self._next_event += 1
@@ -287,9 +276,9 @@ class Simulation:
         tb = self.tables
         st = self.state
         cfg = self.cfg
-        v_next = st.speed[slot] + cfg.accel * cfg.dt
+        v_next = st.speed[slot] + cfg.accel * DT
         # distance beyond which a wall cannot constrain this step's choice
-        need = v_next * cfg.dt + (v_next * v_next) / (2.0 * cfg.decel) \
+        need = v_next * DT + (v_next * v_next) / (2.0 * cfg.decel) \
             + cfg.min_gap + 1.0
         seg = st.cur_seg[slot]
         route = self.routes[slot]
@@ -379,23 +368,23 @@ class Simulation:
             cap_a = (caps_by_slot[order_np] if caps_by_slot is not None
                      else np.full(n, np.inf))
             noise = self.rng.random(n) * (cfg.driver_imperfection
-                                          * cfg.accel * cfg.dt)
+                                          * cfg.accel * DT)
             v_new = np.empty(n)
             kernels.follow_speeds(
                 pos_a, speed_a, np.asarray(leader, dtype=np.int32),
                 np.asarray(head_free), np.asarray(head_lead),
                 limit_a, cap_a, noise, cfg.accel, cfg.decel, cfg.min_gap,
-                cfg.vehicle_length, cfg.dt, v_new, backend=self.backend)
+                cfg.vehicle_length, DT, v_new)
             if audit is not None:
                 # the bound uses the limit of the segment governing the
                 # decision; crossings may land on a slower segment afterwards
                 bad = (v_new < 0) | (v_new > np.minimum(
-                    limit_a, speed_a + cfg.accel * cfg.dt) + 1e-9)
+                    limit_a, speed_a + cfg.accel * DT) + 1e-9)
                 for i in np.nonzero(bad)[0]:
                     audit.flag(t, "speed-bounds",
                                f"vehicle {order[i]} v={v_new[i]}")
             st.speed[order_np] = v_new
-            st.pos[order_np] = pos_a + v_new * cfg.dt
+            st.pos[order_np] = pos_a + v_new * DT
 
             for qi, members in snapshots:
                 self._advance_head(qi, members[0], greens, audit)

@@ -201,7 +201,7 @@ def _best_split(hist_g, hist_h, hist_n, binner: _Binner,
 
 
 def _grow_tree(codes, rows, grad, hess, binner: _Binner,
-               cfg: TreeEnsembleConfig, backend: str) -> _Tree:
+               cfg: TreeEnsembleConfig) -> _Tree:
     feature: list = []
     threshold: list = []
     missing_left: list = []
@@ -230,8 +230,7 @@ def _grow_tree(codes, rows, grad, hess, binner: _Binner,
         hg = np.zeros((n_feat, max_bins_all))
         hh = np.zeros((n_feat, max_bins_all))
         hn = np.zeros((n_feat, max_bins_all))
-        kernels.hist_build(codes, rows_node, grad, hess, hg, hh, hn,
-                           backend=backend)
+        kernels.hist_build(codes, rows_node, grad, hess, hg, hh, hn)
         found = _best_split(hg, hh, hn, binner, cfg)
         if found is None:
             value[node] = _leaf_value(g_sum, h_sum, cfg)
@@ -326,7 +325,6 @@ def train_tree_ensemble(X: np.ndarray, y: np.ndarray,
 
     binner = _Binner(X, cfg.max_bins)
     rng = np.random.default_rng(cfg.seed)
-    backend = kernels.ACTIVE_BACKEND
     n = X.shape[0]
     trees: list = []
 
@@ -342,8 +340,7 @@ def train_tree_ensemble(X: np.ndarray, y: np.ndarray,
             grad = w * (p - yf)
             hess = w * p * (1.0 - p)
             rows = _subsample_rows(rng, n, cfg.subsample)
-            tree = _grow_tree(binner.codes, rows, grad, hess, binner, cfg,
-                              backend)
+            tree = _grow_tree(binner.codes, rows, grad, hess, binner, cfg)
             trees.append(tree)
             margin += _tree_predict(tree, X)
         n_classes = 1
@@ -363,7 +360,7 @@ def train_tree_ensemble(X: np.ndarray, y: np.ndarray,
                 grad = w * (p[:, c] - onehot[:, c])
                 hess = w * p[:, c] * (1.0 - p[:, c])
                 tree = _grow_tree(binner.codes, rows, grad, hess, binner,
-                                  cfg, backend)
+                                  cfg)
                 trees.append(tree)
                 margin[:, c] += _tree_predict(tree, X)
         n_classes = k
@@ -576,6 +573,13 @@ def _ens_to_jsonable(ens: TreeEnsemble | None):
             "trees": [t.to_jsonable() for t in ens.trees]}
 
 
+def _checked_hash(d: dict) -> str:
+    """The stored schema hash, which must match the stored feature names."""
+    if d["schema_hash"] != _schema_hash(d["feature_names"]):
+        raise ModelError("schema_hash does not match feature_names")
+    return d["schema_hash"]
+
+
 def _ens_from_jsonable(d) -> TreeEnsemble | None:
     if d is None:
         return None
@@ -583,7 +587,7 @@ def _ens_from_jsonable(d) -> TreeEnsemble | None:
                         list(d["feature_names"]), int(d["n_classes"]),
                         np.asarray(d["base_score"], dtype=np.float64),
                         [_Tree.from_jsonable(t) for t in d["trees"]],
-                        d["schema_hash"])
+                        _checked_hash(d))
 
 
 def save_model(model: EnsembleModel, path) -> None:
@@ -604,13 +608,18 @@ def save_model(model: EnsembleModel, path) -> None:
 def load_model(path) -> EnsembleModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
-    return EnsembleModel(_ens_from_jsonable(doc["detector"]),
-                         _ens_from_jsonable(doc["localizer"]),
-                         _ens_from_jsonable(doc["severity"]),
-                         list(doc["road_classes"]),
-                         list(doc["severity_classes"]),
-                         float(doc["threshold"]),
-                         list(doc["feature_names"]),
-                         doc["schema_hash"])
+    try:
+        return EnsembleModel(_ens_from_jsonable(doc["detector"]),
+                             _ens_from_jsonable(doc["localizer"]),
+                             _ens_from_jsonable(doc["severity"]),
+                             list(doc["road_classes"]),
+                             list(doc["severity_classes"]),
+                             float(doc["threshold"]),
+                             list(doc["feature_names"]),
+                             _checked_hash(doc))
+    except KeyError as exc:
+        raise ModelError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: malformed model: {exc}") from exc

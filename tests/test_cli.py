@@ -6,6 +6,7 @@ Index:
               train, evaluate, sweep-sparsity, highway
   errors      exit code 2 on module errors, argparse usage failures
 """
+import json
 import math
 import os
 
@@ -36,11 +37,11 @@ def write_yaml(path, doc):
     return str(path)
 
 
-def write_counts_csv(path):
+def write_counts_csv(path, scale=1.0):
     """Two bin-aligned harmonics, exact for the spectral initializer."""
     t = np.arange(N_BINS) * BIN + BIN / 2.0
-    c = (15.0 + 6.0 * np.sin(2 * math.pi / DAY * t + 0.4)
-         + 3.0 * np.sin(4 * math.pi / DAY * t - 1.1))
+    c = scale * (15.0 + 6.0 * np.sin(2 * math.pi / DAY * t + 0.4)
+                 + 3.0 * np.sin(4 * math.pi / DAY * t - 1.1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("road_label,start_time_s,bin_s,count\n")
         for road in ("r1", "r2"):
@@ -79,7 +80,6 @@ def test_empty_config_takes_defaults(tmp_path):
     assert cfg.sensors is None
     assert cfg.window_config().window == 600
     assert cfg.incident_config().p_incident == 1e-4
-    assert cfg.sim_config().dt == 1.0
     assert cfg.model_config().seed == cfg.seed
 
 
@@ -107,6 +107,9 @@ def test_config_rejections(tmp_path):
     bad({"window": {"width_s": 600}}, "unknown keys in 'window'")
     bad({"incidents": {"p_typo": 0.1}}, "unknown keys in 'incidents'")
     bad({"sim": 7}, "must be a mapping")
+    # the simulator has one engine and a fixed 1 s step; neither is a key
+    bad({"sim": {"engine": "compiled"}}, "unknown keys in 'sim'")
+    bad({"sim": {"dt": 1.0}}, "unknown keys in 'sim'")
     bad({"days": 0}, "at least 1")
     bad({"threshold": 1.0}, "lie in")
     bad({"bin_seconds": 7}, "divide day_seconds")
@@ -210,6 +213,30 @@ def test_validate_command(sim_run, capsys):
     assert "day 000: ks=" in text
 
 
+def test_validate_takes_the_configured_demand_curve(sim_run, tmp_path):
+    """With demand_params set, validate checks against that curve and not
+    a refit of --counts."""
+    tmp, cfg_path, out_dir = sim_run
+    counts_a = str(tmp / "counts.csv")
+    counts_b = write_counts_csv(tmp_path / "counts_b.csv", scale=3.0)
+    params = str(tmp_path / "params.csv")
+    assert main(["fit-demand", "--counts", counts_a, "--out", params]) == 0
+    with open(cfg_path, encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    cfg_params = write_yaml(tmp_path / "with_params.yaml",
+                            dict(doc, demand_params=params))
+
+    def report(cfg, counts, name):
+        out = str(tmp_path / name)
+        assert main(["validate", "--raw", out_dir, "--counts", counts,
+                     "--out", out, "--config", cfg]) == 0
+        return open(out, encoding="utf-8").read()
+
+    from_params = report(cfg_params, counts_b, "params.csv.out")
+    assert from_params == report(cfg_path, counts_a, "a.csv.out")
+    assert from_params != report(cfg_path, counts_b, "b.csv.out")
+
+
 def test_train_and_evaluate_commands(tmp_path, capsys):
     table = gated_table(seed=6)
     feat = str(tmp_path / "features.csv")
@@ -237,6 +264,18 @@ def test_train_and_evaluate_commands(tmp_path, capsys):
     rc = main(["evaluate", "--model", model_path, "--features", alien_path,
                "--out", report_path])
     assert rc == 2
+
+    with open(model_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["detector"]["schema_hash"] = "0" * 16
+    tampered = str(tmp_path / "tampered.json")
+    with open(tampered, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", tampered, "--features", feat,
+               "--out", report_path])
+    assert rc == 2
+    assert "schema_hash" in one_error_line(capsys)
 
 
 def test_sweep_sparsity_command(tmp_path, capsys):
@@ -279,6 +318,13 @@ def test_highway_command(tmp_path, capsys):
 # -- errors -------------------------------------------------------------------
 
 
+def one_error_line(capsys) -> str:
+    """The captured stderr, which must be exactly one `error:` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_module_errors_exit_2(tmp_path, capsys):
     rc = main(["fit-demand", "--counts", str(tmp_path / "missing.csv"),
                "--out", str(tmp_path / "p.csv")])
@@ -287,6 +333,11 @@ def test_module_errors_exit_2(tmp_path, capsys):
 
     bad_cfg = write_yaml(tmp_path / "bad.yaml", {"speling": 1})
     assert main(["simulate", "--config", bad_cfg]) == 2
+    capsys.readouterr()
+    removed = write_yaml(tmp_path / "removed.yaml",
+                         {"sim": {"engine": "compiled"}})
+    assert main(["simulate", "--config", removed]) == 2
+    assert "unknown keys in 'sim'" in one_error_line(capsys)
 
     cfg_path = line_experiment(tmp_path)
     assert main(["sweep-sparsity", "--config", cfg_path,

@@ -1,15 +1,9 @@
-"""Kernel twin checks.
+"""Numpy hot-loop checks.
 
 Index:
-  backend parity   compiled and pure outputs are bitwise identical
   semantics        vectorized kernels match a scalar re-derivation
   reference        one-pass histograms equal the per-feature bincount form
-  dispatch         explicit backend selection and failure modes
 """
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -62,20 +56,9 @@ def test_follow_speeds_matches_scalar_oracle():
     for k in range(30):
         rng = rng_for("follow-scalar", k)
         case = _random_follow_case(rng, int(rng.integers(1, 60)))
-        got = kernels.follow_speeds(backend="python", **case)
+        got = kernels.follow_speeds(**case)
         expect = _scalar_follow(case)
         assert np.array_equal(got, expect)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NATIVE,
-                    reason="compiled extension unavailable")
-def test_follow_speeds_backends_bitwise_identical():
-    for k in range(30):
-        rng = rng_for("follow-twin", k)
-        case = _random_follow_case(rng, int(rng.integers(1, 200)))
-        a = kernels.follow_speeds(backend="python", **case)
-        b = kernels.follow_speeds(backend="compiled", **case)
-        assert np.array_equal(a, b)
 
 
 def _random_hist_case(rng, n, d, bins):
@@ -98,8 +81,7 @@ def test_hist_build_matches_direct_sums():
         hg = np.zeros((d, bins))
         hh = np.zeros((d, bins))
         hn = np.zeros((d, bins))
-        kernels.hist_build(codes, rows, grad, hess, hg, hh, hn,
-                           backend="python")
+        kernels.hist_build(codes, rows, grad, hess, hg, hh, hn)
         for f in range(d):
             for b in range(bins):
                 mask = codes[rows, f] == b
@@ -141,7 +123,7 @@ def test_hist_build_equals_per_feature_bincount():
         grad = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
         hess = rng.uniform(0.0, 1.0, size=n)
         outs = []
-        for build in (kernels.hist_build_py, bincount_hist_build):
+        for build in (kernels.hist_build, bincount_hist_build):
             hists = tuple(np.zeros((d, bins)) for _ in range(3))
             build(codes, rows, grad, hess, *hists)
             outs.append(hists)
@@ -151,39 +133,3 @@ def test_hist_build_equals_per_feature_bincount():
             for f, t in enumerate(tops):
                 assert not hist[f, t:].any()
 
-
-@pytest.mark.skipif(not kernels.HAVE_NATIVE,
-                    reason="compiled extension unavailable")
-def test_hist_build_backends_bitwise_identical():
-    for k in range(20):
-        rng = rng_for("hist-twin", k)
-        codes, rows, grad, hess, (d, bins) = _random_hist_case(
-            rng, int(rng.integers(5, 500)), int(rng.integers(1, 10)),
-            int(rng.integers(2, 64)))
-        outs = []
-        for backend in ("python", "compiled"):
-            hg = np.zeros((d, bins))
-            hh = np.zeros((d, bins))
-            hn = np.zeros((d, bins))
-            kernels.hist_build(codes, rows, grad, hess, hg, hh, hn,
-                               backend=backend)
-            outs.append((hg, hh, hn))
-        for a, b in zip(*outs):
-            assert np.array_equal(a, b)
-
-
-def test_unknown_backend_rejected():
-    rng = rng_for("dispatch")
-    case = _random_follow_case(rng, 4)
-    with pytest.raises(ValueError):
-        kernels.follow_speeds(backend="gpu", **case)
-
-
-def test_pure_env_forces_python_backend():
-    """TRAFFICLAB_PURE=1 must import with the python backend active."""
-    env = dict(os.environ, TRAFFICLAB_PURE="1")
-    code = ("import trafficlab.kernels as k; "
-            "print(k.ACTIVE_BACKEND, k.HAVE_NATIVE)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["python", "False"]

@@ -1,7 +1,7 @@
 """Microscopic simulation tests.
 
 Index:
-  config       parameter validation and engine selection
+  config       parameter validation
   trajectory   free-run motion against a closed-form oracle
   signals      red-line holds and per-phase release
   bookkeeping  determinism, conservation, spawn backpressure, audits
@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab import kernels
 from trafficlab.demand import SpawnEvent, SpawnSchedule, spawn_schedule
 from trafficlab.incidents import (IncidentSpec, IncidentType,
                                   SeverityClass, IncidentPlanConfig)
@@ -45,24 +44,12 @@ def linear_trace(result: RunResult, slot: int, seg_length: float):
 
 
 def test_config_validation():
-    with pytest.raises(SimError, match="dt"):
-        SimConfig(dt=0.5)
     with pytest.raises(SimError, match="positive"):
         SimConfig(accel=0.0)
     with pytest.raises(SimError, match="imperfection"):
         SimConfig(driver_imperfection=1.0)
     with pytest.raises(SimError, match="geometry"):
         SimConfig(vehicle_length=0.0)
-    with pytest.raises(SimError, match="engine"):
-        SimConfig(engine="vectorized")
-
-
-def test_engine_resolution(monkeypatch):
-    assert SimConfig(engine="python").resolve_backend() == "python"
-    monkeypatch.setattr(kernels, "HAVE_NATIVE", False)
-    assert SimConfig(engine="auto").resolve_backend() == "python"
-    with pytest.raises(SimError, match="extension missing"):
-        SimConfig(engine="compiled").resolve_backend()
 
 
 # -- trajectory ----------------------------------------------------------------
@@ -170,23 +157,6 @@ def test_run_is_deterministic(flat_params):
 
     c = run(net, sched, placement=placement, cfg=SimConfig(seed=10))
     assert not a.raw.data_equal(c.raw)  # driver noise seed changes speeds
-
-
-@pytest.mark.skipif(not kernels.HAVE_NATIVE,
-                    reason="compiled extension not built")
-def test_engines_produce_identical_runs(flat_params):
-    net = make_line_net()
-    sched = spawn_schedule(flat_params, net, 600.0, seed=6,
-                           bin_duration=100.0)
-    placement = SensorPlacement(("a1",), range_m=60.0)
-    a = run(net, sched, placement=placement,
-            cfg=SimConfig(seed=3, engine="python"), collect_trace=True)
-    b = run(net, sched, placement=placement,
-            cfg=SimConfig(seed=3, engine="compiled"), collect_trace=True)
-    assert a.raw.data_equal(b.raw)
-    for (_, sa, ga, pa, va), (_, sb, gb, pb, vb) in zip(a.trace, b.trace):
-        assert np.array_equal(sa, sb) and np.array_equal(ga, gb)
-        assert np.array_equal(pa, pb) and np.array_equal(va, vb)
 
 
 def test_audits_stay_clean_on_seeded_runs(flat_params, grid_net):

@@ -7,8 +7,10 @@ Index:
   predict     tree-walk oracle with missing values, input checks
   training    learnability, loss monotonicity, determinism, base scores
   gating      stacked detector/localizer/severity behavior
-  io          JSON round trip and format guard
+  io          JSON round trip, format guard, malformed and tampered files
 """
+import copy
+import json
 import math
 
 import numpy as np
@@ -298,13 +300,11 @@ def test_fit_equals_loop_reference_fit(tmp_path, monkeypatch):
     table = FeatureTable(names(5), X, np.arange(n) * 30 + 600, inc, road,
                          sev)
     cfg = small_cfg(n_trees=12, max_depth=4, subsample=0.8, seed=3)
-    monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "python")
     texts = []
     for patch in (False, True):
         if patch:
             monkeypatch.setattr(models, "_best_split", loop_best_split)
-            monkeypatch.setattr(kernels, "hist_build_py",
-                                bincount_hist_build)
+            monkeypatch.setattr(kernels, "hist_build", bincount_hist_build)
         model = train_incident_ensemble(table, cfg)
         assert model.localizer is not None
         assert model.localizer.n_classes == 3
@@ -618,6 +618,45 @@ def test_model_round_trip(tmp_path):
 
 def test_load_rejects_other_files(tmp_path):
     p = tmp_path / "not_model.json"
-    p.write_text('{"format": "something-else"}\n', encoding="utf-8")
-    with pytest.raises(ModelError, match="not a"):
-        load_model(p)
+    for text in ('{"format": "something-else"}\n', "[1, 2]\n"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelError, match="not a"):
+            load_model(p)
+
+
+def _saved_doc(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(train_incident_ensemble(gated_table(seed=5),
+                                       small_cfg(n_trees=4)), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_load_rejects_tampered_schema_hash(tmp_path):
+    path, doc = _saved_doc(tmp_path)
+    for part in (None, "detector", "localizer", "severity"):
+        bad = copy.deepcopy(doc)
+        (bad if part is None else bad[part])["schema_hash"] = "0" * 16
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(ModelError, match="schema_hash"):
+            load_model(path)
+
+
+def test_load_rejects_missing_and_ill_typed_keys(tmp_path):
+    path, doc = _saved_doc(tmp_path)
+    for drop in ("detector", "threshold", "schema_hash", "feature_names"):
+        bad = dict(doc)
+        del bad[drop]
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(ModelError, match=f"missing key '{drop}'"):
+            load_model(path)
+    bad = copy.deepcopy(doc)
+    del bad["detector"]["trees"]
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    with pytest.raises(ModelError, match="missing key 'trees'"):
+        load_model(path)
+    for key, val in (("threshold", "high"), ("detector", [1, 2]),
+                     ("feature_names", 7)):
+        bad = dict(doc, **{key: val})
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(ModelError, match="malformed"):
+            load_model(path)
