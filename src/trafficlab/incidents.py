@@ -4,12 +4,17 @@ An incident halts one or more designated vehicles at a planned point for a
 severity-scaled duration; every other vehicle within the radius of impact
 (path distance along the driving direction, both upstream and downstream)
 is capped to a fraction of its segment's speed limit.
+
+The impact zone is resolved once, when the incident activates, into rows
+of (lane queues, lo, hi, cap); each simulated second then only walks the
+vehicles queued on the zone's segments.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,34 +225,40 @@ def compute_impact_zones(net: RoadNetwork, spec: IncidentSpec) -> list:
     return out
 
 
-def apply_effects(state, active, cfg: IncidentPlanConfig) -> np.ndarray:
-    """Per-vehicle speed caps (indexed by vehicle id/slot, +inf = no cap).
+class ActiveIncident(NamedTuple):
+    spec: IncidentSpec
+    zone: tuple  # rows (lane deques, lo, hi, cap), one per zone interval
 
-    Vehicles designated to an active incident (state.halted_by) are capped at
+
+def activate(state, spec: IncidentSpec,
+             cfg: IncidentPlanConfig) -> ActiveIncident:
+    """Resolve the spec's impact zone against the state's lane queues."""
+    net = state.network
+    zone = tuple(
+        (state.lane_queues[sid], lo, hi,
+         cfg.slowdown_factor * net.segments[sid].speed_limit)
+        for sid, lo, hi in compute_impact_zones(net, spec))
+    return ActiveIncident(spec, zone)
+
+
+def apply_effects(state, active) -> np.ndarray:
+    """Per-vehicle speed caps (indexed by vehicle id/slot, +inf = no cap)
+    for the ActiveIncidents in `active`.
+
+    Vehicles designated to an incident (state.halted_by) are capped at
     exactly 0; any other vehicle positioned inside an active incident's
     impact zone is capped at slowdown_factor times its segment's limit.
+    Designations of ended incidents must already be released.
     """
-    net = state.network
     caps = np.full(state.capacity, np.inf)
-    if not active:
-        return caps
-    zone_map: dict = {}
-    for spec in active:
-        for sid, lo, hi in compute_impact_zones(net, spec):
-            cap = cfg.slowdown_factor * net.segments[sid].speed_limit
-            zone_map.setdefault(sid, []).append((lo, hi, cap))
-    active_ids = {spec.id for spec in active}
-    for slot in state.iter_active_slots():
-        if state.halted_by[slot] in active_ids:
-            caps[slot] = 0.0
-            continue
-        zones = zone_map.get(state.segment_id_of(slot))
-        if not zones:
-            continue
-        pos = state.pos[slot]
-        for lo, hi, cap in zones:
-            if lo <= pos <= hi and cap < caps[slot]:
-                caps[slot] = cap
+    pos = state.pos
+    for inc in active:
+        for lanes, lo, hi, cap in inc.zone:
+            for q in lanes:
+                for slot in q:
+                    if lo <= pos[slot] <= hi and cap < caps[slot]:
+                        caps[slot] = cap
+    caps[state.halted_by >= 0] = 0.0
     return caps
 
 

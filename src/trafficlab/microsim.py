@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .incidents import apply_effects, designate_vehicles, release_vehicles
+from .incidents import (IncidentPlanConfig, activate, apply_effects,
+                        designate_vehicles, release_vehicles)
 from .roadnet import RoadNetwork, shortest_route
 from .sensors import RawDatasetBuilder, SensorRig
 
@@ -81,9 +82,10 @@ class RunResult:
 
 
 class _NetTables:
-    """Flat-array view of the network used by the inner loop."""
+    """Flat-array view of the network used by the inner loop, with the
+    signal state of every second of the horizon precomputed."""
 
-    def __init__(self, net: RoadNetwork):
+    def __init__(self, net: RoadNetwork, horizon: int):
         self.net = net
         self.seg_ids = sorted(net.segments)
         self.seg_index = {sid: i for i, sid in enumerate(self.seg_ids)}
@@ -108,8 +110,8 @@ class _NetTables:
 
         # signal plans resolved to segment indices; segments whose end node
         # has no plan are always permitted
-        self.always_green = np.ones(n, dtype=bool)
-        self.signal_nodes = []
+        always_green = np.ones(n, dtype=bool)
+        signal_nodes = []
         for nid in sorted(net.signal_plans):
             plan = net.signal_plans[nid]
             starts = np.cumsum([0.0] + [p.duration for p in plan])
@@ -117,24 +119,39 @@ class _NetTables:
             for p in plan:
                 idxs = [self.seg_index[s] for s in sorted(p.permitted)]
                 phases.append(np.asarray(idxs, dtype=np.int32))
-                for i in idxs:
-                    self.always_green[i] = False
-            self.signal_nodes.append(
-                (float(starts[-1]), starts[1:-1], phases))
+                always_green[idxs] = False
+            signal_nodes.append((float(starts[-1]), starts[1:-1], phases))
 
-    def greens_at(self, t: float) -> np.ndarray:
-        mask = self.always_green.copy()
-        for cycle, bounds, phases in self.signal_nodes:
-            idx = int(np.searchsorted(bounds, t % cycle, side="right"))
-            mask[phases[idx]] = True
-        return mask
+        # one mask per distinct combination of node phases, and the index of
+        # each second's mask; nodes are folded in one at a time
+        self.green_index = np.zeros(horizon, dtype=np.intp)
+        self.green_masks = [always_green]
+        for cycle, bounds, phases in signal_nodes:
+            # float t % cycle, as a scalar lookup at time t would compute it
+            phase = np.searchsorted(bounds, np.arange(horizon) % cycle,
+                                    side="right")
+            _, first, index = np.unique(
+                self.green_index * len(phases) + phase,
+                return_index=True, return_inverse=True)
+            masks = []
+            for t in first:
+                mask = self.green_masks[self.green_index[t]].copy()
+                mask[phases[phase[t]]] = True
+                masks.append(mask)
+            self.green_index, self.green_masks = index.reshape(-1), masks
+        for mask in self.green_masks:
+            mask.flags.writeable = False
+
+    def greens_at(self, t: int) -> np.ndarray:
+        """Read-only mask of segments whose end may be crossed in second t
+        (0 <= t < horizon)."""
+        return self.green_masks[self.green_index[t]]
 
 
 class SimState:
     """Mutable per-run state; exposes the read access other modules need."""
 
     def __init__(self, sim: "Simulation"):
-        self._sim = sim
         n = sim.capacity
         self.network = sim.network
         self.cfg = sim.cfg
@@ -146,12 +163,18 @@ class SimState:
         self.route_step = np.zeros(n, dtype=np.int32)
         self.queue_of = np.full(n, -1, dtype=np.int32)
         self.halted_by = np.full(n, -1, dtype=np.int64)
-        self.queues = [deque() for _ in range(sim.tables.n_queues)]
+        tb = sim.tables
+        self.queues = [deque() for _ in range(tb.n_queues)]
+        # the same deques grouped by segment id, lanes in order
+        self.lane_queues = {
+            sid: tuple(self.queues[tb.queue_base[i]:
+                                   tb.queue_base[i] + tb.lanes[i]])
+            for i, sid in enumerate(tb.seg_ids)}
         self.pending = {e: deque() for e in sim.network.entry_nodes}
         self.due = 0
         self.spawned = 0
         self.arrived = 0
-        self.active_incidents: list = []
+        self.active_incidents: list = []  # incidents.ActiveIncident
 
     @property
     def active_count(self) -> int:
@@ -166,26 +189,22 @@ class SimState:
             yield from q
 
     def slots_on_segment(self, segment_id: str) -> list:
-        tb = self._sim.tables
-        si = tb.seg_index[segment_id]
-        base = tb.queue_base[si]
         out: list = []
-        for l in range(tb.lanes[si]):
-            out.extend(self.queues[base + l])
+        for q in self.lane_queues[segment_id]:
+            out.extend(q)
         return out
-
-    def segment_id_of(self, slot: int) -> str:
-        return self._sim.tables.seg_ids[self.cur_seg[slot]]
 
 
 class Simulation:
     def __init__(self, network: RoadNetwork, schedule, incident_plan=None,
-                 placement=None, cfg: SimConfig | None = None):
+                 placement=None, cfg: SimConfig | None = None,
+                 incident_cfg: IncidentPlanConfig | None = None):
         self.network = network
         self.schedule = schedule
         self.cfg = cfg or SimConfig()
-        self.tables = _NetTables(network)
+        self.incident_cfg = incident_cfg or IncidentPlanConfig()
         self.horizon = int(schedule.horizon)
+        self.tables = _NetTables(network, self.horizon)
         self.incident_plan = sorted(incident_plan or [],
                                     key=lambda s: (s.onset, s.id))
         for spec in self.incident_plan:
@@ -220,7 +239,6 @@ class Simulation:
         self.state = SimState(self)
         self._next_event = 0
         self._next_incident = 0
-        self._incident_cfg = None  # set by run() for apply_effects
 
     # -- spawn / crossing helpers -------------------------------------------
 
@@ -233,7 +251,7 @@ class Simulation:
         tb = self.tables
         st = self.state
         base = tb.queue_base[seg_idx]
-        best_q, best_space = -1, -1.0
+        best_q, best_space = -1, -np.inf
         for l in range(tb.lanes[seg_idx]):
             q = st.queues[base + l]
             space = (tb.length[seg_idx] if not q
@@ -317,14 +335,15 @@ class Simulation:
                and self.incident_plan[self._next_incident].onset <= t):
             spec = self.incident_plan[self._next_incident]
             designate_vehicles(st, spec)
-            st.active_incidents.append(spec)
+            st.active_incidents.append(
+                activate(st, spec, self.incident_cfg))
             self._next_incident += 1
         still = []
-        for spec in st.active_incidents:
-            if spec.end <= t:
-                release_vehicles(st, spec)
+        for inc in st.active_incidents:
+            if inc.spec.end <= t:
+                release_vehicles(st, inc.spec)
             else:
-                still.append(spec)
+                still.append(inc)
         st.active_incidents = still
 
         self._insert_spawns()
@@ -332,8 +351,7 @@ class Simulation:
         greens = tb.greens_at(t)
         caps_by_slot = None
         if st.active_incidents:
-            caps_by_slot = apply_effects(st, st.active_incidents,
-                                         self._incident_cfg)
+            caps_by_slot = apply_effects(st, st.active_incidents)
 
         # canonical order: queues ascending, front to back
         order: list = []
@@ -459,6 +477,11 @@ class Simulation:
             seg = tb.queue_seg[qi]
             prev = None
             for slot in q:
+                if st.queue_of[slot] != qi or st.cur_seg[slot] != seg:
+                    audit.flag(t, "queue-membership",
+                               f"vehicle {slot} in queue {qi} has queue_of "
+                               f"{st.queue_of[slot]}, cur_seg "
+                               f"{st.cur_seg[slot]}")
                 pos = st.pos[slot]
                 if not 0.0 <= pos <= tb.length[seg] + 1e-9:
                     audit.flag(t, "offset-bounds",
@@ -484,10 +507,8 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
     the optional trace/audit artifacts.  Fully deterministic in
     (schedule, incident_plan, cfg.seed, placement).
     """
-    from .incidents import IncidentPlanConfig
-
-    sim = Simulation(network, schedule, incident_plan, placement, cfg)
-    sim._incident_cfg = incident_cfg or IncidentPlanConfig()
+    sim = Simulation(network, schedule, incident_plan, placement, cfg,
+                     incident_cfg)
     report = AuditReport() if audit else None
     builder = (RawDatasetBuilder(sim.rig.sensor_ids, sim.rig.range_m)
                if sim.rig else RawDatasetBuilder((), 0.0))

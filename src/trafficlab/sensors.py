@@ -4,7 +4,9 @@ A sensor at a node observes every vehicle whose along-road distance to the
 node is at most the capture range, on any segment incident to that node
 (approaching vehicles by distance-to-go, departing ones by distance-from).
 Each (sensor, second) yields exactly one reading, zero-count seconds
-included.
+included.  Capture reads the state's lane queues (`lane_queues[seg_id]`,
+one deque of vehicle slots per lane) of the watched segments directly and
+scans every vehicle on them.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ class SensorRig:
         self.placement = placement
         self.sensor_ids = placement.sensor_ids
         self.range_m = placement.range_m
-        # per sensor: [(segment_id, approaching?)] and total monitored length
+        # per sensor: [(segment_id, approaching?, length)] and total
+        # monitored length
         self.watch: dict = {}
         self.monitored: dict = {}
         for sid in self.sensor_ids:
@@ -46,11 +49,11 @@ class SensorRig:
             total = 0.0
             for seg_id in network.incoming(sid):
                 seg = network.segments[seg_id]
-                segs.append((seg_id, True))
+                segs.append((seg_id, True, seg.length))
                 total += min(self.range_m, seg.length) * seg.lanes
             for seg_id in network.outgoing(sid):
                 seg = network.segments[seg_id]
-                segs.append((seg_id, False))
+                segs.append((seg_id, False, seg.length))
                 total += min(self.range_m, seg.length) * seg.lanes
             if total <= 0:
                 raise SensorError(f"sensor {sid!r} monitors no road length")
@@ -61,15 +64,22 @@ class SensorRig:
         """One SensorReading per sensor for the state's current second."""
         readings = []
         vlen = state.cfg.vehicle_length
+        range_m = self.range_m
+        pos = state.pos
         for sid in self.sensor_ids:
             seen: list = []
-            for seg_id, approaching in self.watch[sid]:
-                seg_len = self.network.segments[seg_id].length
-                for slot in state.slots_on_segment(seg_id):
-                    pos = state.pos[slot]
-                    dist = seg_len - pos if approaching else pos
-                    if dist <= self.range_m:
-                        seen.append(slot)
+            for seg_id, approaching, seg_len in self.watch[sid]:
+                for q in state.lane_queues[seg_id]:
+                    if not q:
+                        continue
+                    if approaching:
+                        for slot in q:
+                            if seg_len - pos[slot] <= range_m:
+                                seen.append(slot)
+                    else:
+                        for slot in q:
+                            if pos[slot] <= range_m:
+                                seen.append(slot)
             seen.sort()
             count = len(seen)
             mean_speed = (float(np.mean(state.speed[seen])) if seen else 0.0)

@@ -6,17 +6,26 @@ Index:
   signals      red-line holds and per-phase release
   bookkeeping  determinism, conservation, spawn backpressure, audits
   incidents    designated halts and impact-zone speed caps in motion
+  tables       signal table, lane-queue capture and once-per-incident
+               zones against the per-second loops they replace
 """
 import math
 
 import numpy as np
 import pytest
 
-from trafficlab.demand import SpawnEvent, SpawnSchedule, spawn_schedule
+from trafficlab import microsim
+from trafficlab.demand import (FlowModelParams, SpawnEvent, SpawnSchedule,
+                               spawn_schedule)
 from trafficlab.incidents import (IncidentSpec, IncidentType,
-                                  SeverityClass, IncidentPlanConfig)
-from trafficlab.microsim import RunResult, SimConfig, SimError, run
+                                  SeverityClass, IncidentPlanConfig,
+                                  activate, apply_effects,
+                                  compute_impact_zones, designate_vehicles,
+                                  plan_incidents)
+from trafficlab.microsim import (AuditReport, RunResult, SimConfig, SimError,
+                                 Simulation, run)
 from trafficlab.roadnet import SensorPlacement
+from trafficlab.sensors import SensorReading
 
 from conftest import make_line_net, make_signal_line_net
 
@@ -176,6 +185,70 @@ def test_audits_stay_clean_on_seeded_runs(flat_params, grid_net):
     assert res.spawned == res.arrived + res.active_at_end
 
 
+def place(sim, slot, seg, pos, speed):
+    """Put vehicle `slot` on lane 0 of segment index `seg`, as though it
+    had spawned and driven there; its spawn event counts as consumed."""
+    st = sim.state
+    qi = int(sim.tables.queue_base[seg])
+    st.pos[slot] = pos
+    st.speed[slot] = speed
+    st.cur_seg[slot] = seg
+    st.route_step[slot] = sim.routes[slot].index(seg)
+    st.queue_of[slot] = qi
+    st.queues[qi].append(slot)
+    st.due += 1
+    st.spawned += 1
+    sim._next_event = max(sim._next_event, slot + 1)
+
+
+def test_crossing_head_waits_behind_a_tail_near_the_segment_start():
+    net = make_line_net()  # s0 -> s1 -> s2, one lane each: queues 0, 1, 2
+    sched = SpawnSchedule((SpawnEvent(0.0, "a0", "a3"),
+                           SpawnEvent(0.0, "a0", "a3")), 60.0)
+    # keeps vehicle 1 standing 2 m into s1: its lane's entry space is 2 - 5
+    # = -3 m, so there is no room to cross into s1
+    halt = stall(onset=0, duration=50, seg="s1", offset=2.0, radius=0.0)
+    sim = Simulation(net, sched, [halt], cfg=SimConfig(**NO_NOISE))
+    place(sim, 1, seg=1, pos=2.0, speed=0.0)
+    place(sim, 0, seg=0, pos=199.0, speed=0.0)
+    st = sim.state
+    report = AuditReport()
+    for _ in range(halt.end - 1):
+        sim.step(report)
+        assert st.halted_by[1] == halt.id
+        assert list(st.queues[0]) == [0] and list(st.queues[1]) == [1]
+        assert not st.queues[2]
+        assert st.queue_of[0] == 0 and st.cur_seg[0] == 0
+        assert st.pos[0] == 199.0 and st.speed[0] == 0.0
+    assert report.ok, report.violations[:5]
+
+
+def test_audit_flags_queue_membership():
+    net = make_line_net()
+    sim = Simulation(net, one_spawn(0, "a0", "a3", 100),
+                     cfg=SimConfig(**NO_NOISE))
+    report = AuditReport()
+    for _ in range(3):
+        sim.step(report)
+    assert report.ok
+    st = sim.state
+    assert list(st.queues[0]) == [0]
+
+    st.queue_of[0] = 2  # listed in queue 0, claims the queue of s2
+    sim.step(report)
+    assert [(k, d) for _t, k, d in report.violations] == [
+        ("queue-membership",
+         "vehicle 0 in queue 0 has queue_of 2, cur_seg 0")]
+
+    st.queue_of[0] = 0
+    st.cur_seg[0] = 1  # right queue, segment of another one
+    wrong_seg = AuditReport()
+    sim._audit_step(st.time, wrong_seg)
+    assert [(k, d) for _t, k, d in wrong_seg.violations] == [
+        ("queue-membership",
+         "vehicle 0 in queue 0 has queue_of 0, cur_seg 1")]
+
+
 def test_oversaturated_entry_defers_spawns():
     net = make_line_net()
     # two vehicles per second into a single-lane entry cannot all fit
@@ -267,3 +340,147 @@ def test_incident_plan_validation():
     with pytest.raises(SimError, match="unknown segment"):
         run(net, one_spawn(0, "a0", "a3", 100),
             incident_plan=[stall(10, 20, "s9", 10.0, 50.0)])
+
+
+# -- tables ----------------------------------------------------------------------
+
+
+def loop_greens_at(net, seg_index, t):
+    """Reference: the per-second signal lookup the table replaces."""
+    mask = np.ones(len(seg_index), dtype=bool)
+    for plan in net.signal_plans.values():
+        for phase in plan:
+            for sid in phase.permitted:
+                mask[seg_index[sid]] = False
+    for nid in sorted(net.signal_plans):
+        plan = net.signal_plans[nid]
+        starts = np.cumsum([0.0] + [p.duration for p in plan])
+        idx = int(np.searchsorted(starts[1:-1], t % float(starts[-1]),
+                                  side="right"))
+        for sid in plan[idx].permitted:
+            mask[seg_index[sid]] = True
+    return mask
+
+
+def loop_observe(rig, state, t):
+    """Reference: capture through slots_on_segment, one vehicle at a
+    time."""
+    net = rig.network
+    readings = []
+    for sid in rig.sensor_ids:
+        seen = []
+        watch = ([(s, True) for s in net.incoming(sid)]
+                 + [(s, False) for s in net.outgoing(sid)])
+        for seg_id, approaching in watch:
+            seg_len = net.segments[seg_id].length
+            for slot in state.slots_on_segment(seg_id):
+                pos = state.pos[slot]
+                dist = seg_len - pos if approaching else pos
+                if dist <= rig.range_m:
+                    seen.append(slot)
+        seen.sort()
+        count = len(seen)
+        mean_speed = float(np.mean(state.speed[seen])) if seen else 0.0
+        occupancy = count * state.cfg.vehicle_length / rig.monitored[sid]
+        readings.append(SensorReading(sid, int(t), tuple(seen), count,
+                                      mean_speed, occupancy))
+    return readings
+
+
+def loop_apply_effects(state, specs, cfg, seg_ids):
+    """Reference: zones recomputed for every incident on every call, then
+    one pass over every active vehicle, found by its cur_seg."""
+    net = state.network
+    caps = np.full(state.capacity, np.inf)
+    zone_map = {}
+    for spec in specs:
+        for sid, lo, hi in compute_impact_zones(net, spec):
+            cap = cfg.slowdown_factor * net.segments[sid].speed_limit
+            zone_map.setdefault(sid, []).append((lo, hi, cap))
+    active_ids = {spec.id for spec in specs}
+    for slot in state.iter_active_slots():
+        if state.halted_by[slot] in active_ids:
+            caps[slot] = 0.0
+            continue
+        pos = state.pos[slot]
+        for lo, hi, cap in zone_map.get(seg_ids[state.cur_seg[slot]], ()):
+            if lo <= pos <= hi and cap < caps[slot]:
+                caps[slot] = cap
+    return caps
+
+
+def test_signal_table_matches_per_second_lookup(grid_net):
+    # non-integer durations: phase edges fall between whole seconds
+    line = make_signal_line_net(green_s=17.3, red_s=12.9)
+    for net, horizon in ((line, 700), (grid_net, 2000)):
+        sim = Simulation(net, SpawnSchedule((), float(horizon)))
+        tb = sim.tables
+        assert len(tb.green_masks) > 1
+        for t in range(horizon):
+            assert np.array_equal(tb.greens_at(t),
+                                  loop_greens_at(net, tb.seg_index, t)), t
+
+
+def test_zone_caps_include_interval_edges():
+    net = make_line_net()  # s0 -> s1 -> s2, limit 10
+    spec = stall(onset=0, duration=50, seg="s1", offset=100.0, radius=40.0)
+    icfg = IncidentPlanConfig(slowdown_factor=0.5)
+    sched = SpawnSchedule(tuple(SpawnEvent(0.0, "a0", "a3")
+                                for _ in range(5)), 60.0)
+    sim = Simulation(net, sched, [spec], incident_cfg=icfg)
+    for slot, pos in enumerate((150.0, 140.0, 100.0, 60.0, 50.0)):
+        place(sim, slot, seg=1, pos=pos, speed=5.0)
+    st = sim.state
+    assert designate_vehicles(st, spec) == [2]
+    active = [activate(st, spec, icfg)]
+    assert [(lo, hi, cap) for _lanes, lo, hi, cap in active[0].zone] == [
+        (60.0, 140.0, 5.0)]
+    caps = apply_effects(st, active)
+    # both interval ends are inside; the designated vehicle stops
+    assert caps.tolist() == [np.inf, 5.0, 0.0, 5.0, np.inf]
+    assert np.array_equal(caps, loop_apply_effects(st, [spec], icfg,
+                                                   sim.tables.seg_ids))
+
+
+def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
+    sites = tuple(sorted(n for n, node in grid_net.nodes.items()
+                         if node.sensor_site))
+    assert len(sites) == 16
+    busy = FlowModelParams(a1=0.0, b1=1.0, c1=0.0, a2=0.0, b2=2.0, c2=0.0,
+                           d=20.0, alpha_sigma=0.0)
+    sched = spawn_schedule(busy, grid_net, 1500.0, seed=4,
+                           bin_duration=100.0)
+    icfg = IncidentPlanConfig(p_incident=0.03, p_severe=0.5,
+                              minor_duration_s=(200.0, 400.0),
+                              severe_duration_s=(400.0, 800.0),
+                              base_radius_m=150.0, slowdown_factor=0.2)
+    plan = plan_incidents(sched, icfg, grid_net, seed=4)
+    assert len(plan) >= 3
+    sim = Simulation(grid_net, sched, plan, SensorPlacement(sites, 60.0),
+                     SimConfig(seed=4), icfg)
+
+    seen = {"calls": 0, "capped": 0, "halted": 0}
+
+    def checked_apply_effects(state, active):
+        caps = apply_effects(state, active)
+        want = loop_apply_effects(state, [a.spec for a in active], icfg,
+                                  sim.tables.seg_ids)
+        slots = np.fromiter(state.iter_active_slots(), dtype=np.intp,
+                            count=state.active_count)
+        assert np.array_equal(caps[slots], want[slots]), state.time
+        seen["calls"] += 1
+        seen["capped"] += int(np.sum((want[slots] > 0)
+                                     & np.isfinite(want[slots])))
+        seen["halted"] += int(np.sum(want[slots] == 0.0))
+        return caps
+
+    monkeypatch.setattr(microsim, "apply_effects", checked_apply_effects)
+    sightings = 0
+    for t in range(sim.horizon):
+        sim.step()
+        got = sim.rig.observe(sim.state, t)
+        assert got == loop_observe(sim.rig, sim.state, t), t
+        sightings += sum(r.count for r in got)
+    assert seen["calls"] > 300
+    assert seen["capped"] > 100 and seen["halted"] > 100
+    assert sightings > 1000

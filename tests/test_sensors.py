@@ -6,6 +6,8 @@ Index:
   io         emit/load round trip and parse errors
   subsetting column removal as counterfactual deployment
 """
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from test_incidents import spec_of
 
 
 class StubState:
-    """Positions/speeds on named segments, plus the config surface the
-    rig reads."""
+    """Positions/speeds on named segments, one lane queue each (unlisted
+    segments are empty), plus the config surface the rig reads."""
 
     class _Cfg:
         vehicle_length = 5.0
@@ -30,7 +32,7 @@ class StubState:
     cfg = _Cfg()
 
     def __init__(self, by_segment):
-        self._by_segment = {}
+        self.lane_queues = defaultdict(lambda: (deque(),))
         self.pos = []
         self.speed = []
         slot = 0
@@ -41,12 +43,9 @@ class StubState:
                 self.speed.append(speed)
                 slots.append(slot)
                 slot += 1
-            self._by_segment[seg] = slots
+            self.lane_queues[seg] = (deque(slots),)
         self.pos = np.asarray(self.pos, dtype=float)
         self.speed = np.asarray(self.speed, dtype=float)
-
-    def slots_on_segment(self, seg_id):
-        return list(self._by_segment.get(seg_id, []))
 
 
 # -- geometry ----------------------------------------------------------------
@@ -71,6 +70,15 @@ def test_rig_reads_only_vehicles_in_range():
     assert r.mean_speed == pytest.approx((8.0 + 4.0 + 6.0) / 3.0)
     # 60 m watched on each side, one lane each
     assert r.occupancy == pytest.approx(3 * 5.0 / 120.0)
+
+
+def test_rig_counts_both_sides_exactly_at_range():
+    net = make_line_net()
+    rig = SensorRig(net, SensorPlacement(("a1",), range_m=60.0))
+    st = StubState({"s0": [(140.0, 4.0)],   # 60 m before the junction
+                    "s1": [(60.0, 6.0)]})   # 60 m past it
+    (r,) = rig.observe(st, 0)
+    assert r.vehicle_ids == (0, 1)
 
 
 def test_rig_empty_view_and_monitored_clipping():
