@@ -9,6 +9,7 @@ window) stay missing; the tree learner routes them natively.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +62,17 @@ def reidentify_travel_times(raw: RawDataset, pairs,
     a's range before that.  Matches older than the staleness horizon are
     dropped as implausible re-identifications.
     """
-    sightings: dict = {}
-    for i in range(raw.n_rows):
-        t = int(raw.time[i])
-        s = int(raw.sensor_idx[i])
-        for v in raw.vehicle_ids[i]:
-            sightings.setdefault(int(v), {}).setdefault(s, []).append(t)
+    # per sensor: vehicle id -> the seconds it was in range, ascending
+    seen_at: list = [{} for _ in raw.sensor_ids]
+    for t, s, ids in zip(raw.time.tolist(), raw.sensor_idx.tolist(),
+                         raw.vehicle_ids):
+        seen = seen_at[s]
+        for v in ids:
+            times = seen.get(v)
+            if times is None:
+                seen[v] = [t]
+            else:
+                times.append(t)
 
     sensor_pos = {sid: k for k, sid in enumerate(raw.sensor_ids)}
     records = []
@@ -74,18 +80,21 @@ def reidentify_travel_times(raw: RawDataset, pairs,
         ia, ib = sensor_pos.get(a), sensor_pos.get(b)
         if ia is None or ib is None:
             raise FeatureError(f"pair ({a}, {b}) not covered by this dataset")
-        for v in sorted(sightings):
-            obs = sightings[v]
-            if ia not in obs or ib not in obs:
+        at_a = seen_at[ia]
+        for v, times_b in seen_at[ib].items():
+            times_a = at_a.get(v)
+            if times_a is None:
                 continue
-            arrive = obs[ib][0]
-            before = [t for t in obs[ia] if t < arrive]
-            if not before:
+            arrive = times_b[0]
+            k = bisect_left(times_a, arrive)
+            if k == 0:
                 continue
-            depart = before[-1]
+            depart = times_a[k - 1]
             if arrive - depart > staleness:
                 continue
-            records.append(TravelTimeRecord((a, b), v, depart, arrive))
+            records.append(TravelTimeRecord((a, b), int(v), depart, arrive))
+    # (pair, arrive, vehicle) is unique per record, so the order the
+    # vehicles were visited in does not show
     records.sort(key=lambda r: (r.pair, r.arrive, r.vehicle_id))
     return records
 

@@ -6,11 +6,19 @@ node is at most the capture range, on any segment incident to that node
 Each (sensor, second) yields exactly one reading, zero-count seconds
 included.  Capture reads the state's lane queues (`lane_queues[seg_id]`,
 one deque of vehicle slots per lane) of the watched segments directly and
-scans every vehicle on them.
+scans every vehicle on them, reading positions and speeds as Python floats.
+A reading's mean speed is `exact_mean` of the seen vehicles' speeds in slot
+order, which equals `float(np.mean(...))` bit for bit.
+
+The raw table holds one row per (second, sensor), time-major with sensors
+in sorted id order; `load_raw` rejects a file whose rows are duplicated or
+out of that order, or whose count differs from its number of vehicle ids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,14 +29,51 @@ class SensorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class SensorReading(NamedTuple):
     sensor_id: str
     time: int
     vehicle_ids: tuple
     count: int
     mean_speed: float
     occupancy: float
+
+
+def _pairwise_sum(xs: list, lo: int, n: int) -> float:
+    """Sum of xs[lo:lo + n] in numpy's float64 pairwise order: one running
+    sum below 8 values, eight interleaved partial sums up to 128, and above
+    that a split at n // 2 rounded down to a multiple of 8."""
+    if n < 8:
+        s = 0.0
+        for i in range(lo, lo + n):
+            s += xs[i]
+        return s
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+            r4 += xs[i + 4]
+            r5 += xs[i + 5]
+            r6 += xs[i + 6]
+            r7 += xs[i + 7]
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            s += xs[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half,
+                                                       n - half)
+
+
+def exact_mean(xs: list) -> float:
+    """`float(np.mean(np.asarray(xs)))` for a non-empty list of floats,
+    bit for bit, without building an array: numpy's add.reduce starts from
+    +0.0 (so an all -0.0 input sums to 0.0) and adds the pairwise sum."""
+    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
 
 
 class SensorRig:
@@ -63,9 +108,12 @@ class SensorRig:
     def observe(self, state, t: int) -> list:
         """One SensorReading per sensor for the state's current second."""
         readings = []
+        t = int(t)
         vlen = state.cfg.vehicle_length
         range_m = self.range_m
-        pos = state.pos
+        # indexing a memoryview of a float64 array yields Python floats
+        pos = memoryview(state.pos)
+        speed = memoryview(state.speed)
         for sid in self.sensor_ids:
             seen: list = []
             for seg_id, approaching, seg_len in self.watch[sid]:
@@ -82,9 +130,10 @@ class SensorRig:
                                 seen.append(slot)
             seen.sort()
             count = len(seen)
-            mean_speed = (float(np.mean(state.speed[seen])) if seen else 0.0)
+            mean_speed = (exact_mean([speed[slot] for slot in seen])
+                          if seen else 0.0)
             occupancy = count * vlen / self.monitored[sid]
-            readings.append(SensorReading(sid, int(t), tuple(seen), count,
+            readings.append(SensorReading(sid, t, tuple(seen), count,
                                           mean_speed, occupancy))
         return readings
 
@@ -156,13 +205,13 @@ class RawDatasetBuilder:
         self.vehicle_ids: list = []
 
     def add_step(self, readings) -> None:
-        for r in readings:
-            self.time.append(r.time)
-            self.sensor_idx.append(self.index[r.sensor_id])
-            self.count.append(r.count)
-            self.mean_speed.append(r.mean_speed)
-            self.occupancy.append(r.occupancy)
-            self.vehicle_ids.append(r.vehicle_ids)
+        for sid, t, ids, count, speed, occupancy in readings:
+            self.time.append(t)
+            self.sensor_idx.append(self.index[sid])
+            self.count.append(count)
+            self.mean_speed.append(speed)
+            self.occupancy.append(occupancy)
+            self.vehicle_ids.append(ids)
 
     def build(self, horizon: int) -> RawDataset:
         return RawDataset(horizon, self.sensor_ids, self.range_m,
@@ -175,28 +224,34 @@ class RawDatasetBuilder:
 
 
 RAW_HEADER = "time_s,sensor_id,count,mean_speed_mps,occupancy,vehicle_ids"
+_WRITE_ROWS = 4096  # rows formatted per write, to bound the text held
 
 
 def emit_raw(dataset: RawDataset, incident_log, raw_path,
              incidents_path=None) -> None:
-    """Write the raw table (and, when a path is given, the incident log)."""
+    """Write the raw table (and, when a path is given, the incident log).
+    Floats are written as their shortest round-trip `repr`."""
     from .incidents import write_incident_log
 
+    names = dataset.sensor_ids
+    rows = zip(dataset.time.tolist(), dataset.sensor_idx.tolist(),
+               dataset.count.tolist(), dataset.mean_speed.tolist(),
+               dataset.occupancy.tolist(), dataset.vehicle_ids)
     with open(raw_path, "w", encoding="utf-8") as fh:
         fh.write(RAW_HEADER + "\n")
-        for i in range(dataset.n_rows):
-            vids = ";".join(str(v) for v in dataset.vehicle_ids[i])
-            fh.write(f"{dataset.time[i]},"
-                     f"{dataset.sensor_ids[dataset.sensor_idx[i]]},"
-                     f"{dataset.count[i]},{float(dataset.mean_speed[i])!r},"
-                     f"{float(dataset.occupancy[i])!r},{vids}\n")
+        while chunk := "".join([
+                f"{t},{names[k]},{c},{m!r},{o!r},{';'.join(map(str, v))}\n"
+                for t, k, c, m, o, v in islice(rows, _WRITE_ROWS)]):
+            fh.write(chunk)
     if incidents_path is not None:
         write_incident_log(incident_log, incidents_path)
 
 
 def load_raw(path) -> RawDataset:
     """Load a raw table; capture range is not stored in the file and comes
-    back as None."""
+    back as None.  Rows must hold every sensor once per second, in
+    (time, sensor_id) order, and each count must equal the number of
+    vehicle ids on its row; anything else raises SensorError."""
     times: list = []
     sensors: list = []
     counts: list = []
@@ -207,25 +262,48 @@ def load_raw(path) -> RawDataset:
         header = fh.readline().strip()
         if header != RAW_HEADER:
             raise SensorError(f"{path}: unexpected raw header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split(",")
             if len(parts) != 6:
+                if not line.strip():
+                    continue
                 raise SensorError(f"{path}:{lineno}: expected 6 fields")
-            times.append(int(parts[0]))
-            sensors.append(parts[1])
-            counts.append(int(parts[2]))
-            speeds.append(float(parts[3]))
-            occs.append(float(parts[4]))
-            vids.append(tuple(int(v) for v in parts[5].split(";") if v))
+            t, sensor, count, speed, occ, ids = parts
+            ids = ids.rstrip()
+            try:
+                t, count = int(t), int(count)
+                speed, occ = float(speed), float(occ)
+                row_ids = tuple(map(int, ids.split(";"))) if ids else ()
+            except ValueError as exc:
+                raise SensorError(f"{path}:{lineno}: {exc}") from None
+            if count != len(row_ids):
+                raise SensorError(
+                    f"{path}:{lineno}: count {count} but {len(row_ids)} "
+                    f"vehicle ids")
+            times.append(t)
+            sensors.append(sensor)
+            counts.append(count)
+            speeds.append(speed)
+            occs.append(occ)
+            vids.append(row_ids)
     sensor_ids = tuple(sorted(set(sensors)))
     index = {s: i for i, s in enumerate(sensor_ids)}
-    horizon = (max(times) + 1) if times else 0
-    return RawDataset(horizon, sensor_ids, None,
-                      np.asarray(times, dtype=np.int64),
-                      np.asarray([index[s] for s in sensors], dtype=np.int32),
+    time = np.asarray(times, dtype=np.int64)
+    sensor_idx = np.asarray([index[s] for s in sensors], dtype=np.int32)
+    if sensor_ids:
+        row = np.arange(len(times))
+        bad = np.flatnonzero((time != row // len(sensor_ids))
+                             | (sensor_idx != row % len(sensor_ids)))
+        if bad.size:
+            i = int(bad[0])
+            raise SensorError(
+                f"{path}: data row {i + 1} is (time {times[i]}, sensor "
+                f"{sensors[i]!r}), expected (time {i // len(sensor_ids)}, "
+                f"sensor {sensor_ids[i % len(sensor_ids)]!r}): rows must "
+                f"hold every sensor once per second, in (time, sensor_id) "
+                f"order")
+    horizon = times[-1] + 1 if times else 0
+    return RawDataset(horizon, sensor_ids, None, time, sensor_idx,
                       np.asarray(counts, dtype=np.int32),
                       np.asarray(speeds, dtype=np.float64),
                       np.asarray(occs, dtype=np.float64), vids)

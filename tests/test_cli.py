@@ -9,6 +9,7 @@ Index:
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -346,6 +347,35 @@ def test_module_errors_exit_2(tmp_path, capsys):
 
     assert main(["extract-features", "--raw", str(tmp_path / "empty"),
                  "--out", str(tmp_path / "f.csv")]) == 2
+
+
+def test_extract_features_rejects_misordered_raw(sim_run, tmp_path,
+                                                 capsys):
+    tmp, cfg_path, out_dir = sim_run
+    day = tmp_path / "bad" / "day_000"
+    shutil.copytree(os.path.join(out_dir, "day_000"), day)
+    raw_path = day / "raw.csv"
+    good = raw_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert good[1].startswith("0,a1,") and good[2].startswith("0,a2,")
+    args = ["extract-features", "--raw", str(tmp_path / "bad"),
+            "--out", str(tmp_path / "f.csv"), "--config", cfg_path]
+
+    # the two sensors of second 0 swapped: same row count, wrong order
+    raw_path.write_text("".join([good[0], good[2], good[1]] + good[3:]),
+                        encoding="utf-8")
+    assert main(args) == 2
+    assert "(time, sensor_id) order" in one_error_line(capsys)
+
+    # a count that disagrees with the row's vehicle ids
+    row = next(i for i, line in enumerate(good)
+               if i and line.rstrip().split(",")[5])
+    fields = good[row].rstrip("\n").split(",")
+    fields[2] = str(int(fields[2]) + 1)
+    raw_path.write_text("".join(good[:row] + [",".join(fields) + "\n"]
+                                + good[row + 1:]), encoding="utf-8")
+    assert main(args) == 2
+    assert f"raw.csv:{row + 1}: count" in one_error_line(capsys)
+    assert not os.path.exists(tmp_path / "f.csv")
 
 
 def test_usage_errors_raise_system_exit():

@@ -1,7 +1,8 @@
 """Feature extraction tests.
 
 Index:
-  reidentify  travel-time records from sightings and from a real run
+  reidentify  travel-time records from sightings, from a real run and
+              against the replaced per-row loop
   windows     rolling means bitwise-equal to slice means, tt averaging
   labels      interval overlap in both labeling modes, tie-breaking
   io          table round trip, schema sidecar, concatenation
@@ -18,10 +19,12 @@ from trafficlab.features import (FeatureError, FeatureTable,
                                  incident_label_at, read_feature_table,
                                  reidentify_travel_times,
                                  write_feature_table)
-from trafficlab.incidents import IncidentSpec, IncidentType, SeverityClass
+from trafficlab.incidents import (IncidentPlanConfig, IncidentSpec,
+                                  IncidentType, SeverityClass,
+                                  plan_incidents)
 from trafficlab.microsim import SimConfig, run
 from trafficlab.roadnet import SensorPlacement, contiguous_sensor_pairs
-from trafficlab.sensors import RawDataset
+from trafficlab.sensors import RawDataset, emit_raw, load_raw
 
 from conftest import make_line_net, rng_for
 from test_incidents import spec_of
@@ -116,6 +119,65 @@ def test_reidentify_matches_trajectory_replay():
             want.append((slot, max(before), arrive))
     got = sorted((r.vehicle_id, r.depart, r.arrive) for r in recs)
     assert got == sorted(want)
+
+
+def loop_reidentify(raw, pairs, staleness=1800):
+    """The per-row, per-pair loop reidentify_travel_times replaced, kept as
+    its reference."""
+    sightings = {}
+    for i in range(raw.n_rows):
+        t = int(raw.time[i])
+        s = int(raw.sensor_idx[i])
+        for v in raw.vehicle_ids[i]:
+            sightings.setdefault(int(v), {}).setdefault(s, []).append(t)
+    sensor_pos = {sid: k for k, sid in enumerate(raw.sensor_ids)}
+    records = []
+    for a, b in pairs:
+        ia, ib = sensor_pos[a], sensor_pos[b]
+        for v in sorted(sightings):
+            obs = sightings[v]
+            if ia not in obs or ib not in obs:
+                continue
+            arrive = obs[ib][0]
+            before = [t for t in obs[ia] if t < arrive]
+            if not before:
+                continue
+            depart = before[-1]
+            if arrive - depart > staleness:
+                continue
+            records.append(TravelTimeRecord((a, b), v, depart, arrive))
+    records.sort(key=lambda r: (r.pair, r.arrive, r.vehicle_id))
+    return records
+
+
+def test_reidentify_matches_reference_loop_on_grid(grid_net, tmp_path):
+    sites = tuple(sorted(n for n, node in grid_net.nodes.items()
+                         if node.sensor_site))
+    busy = FlowModelParams(a1=0.0, b1=1.0, c1=0.0, a2=0.0, b2=2.0, c2=0.0,
+                           d=20.0, alpha_sigma=0.0)
+    sched = spawn_schedule(busy, grid_net, 1500.0, seed=6,
+                           bin_duration=100.0)
+    icfg = IncidentPlanConfig(p_incident=0.03, p_severe=0.5,
+                              minor_duration_s=(200.0, 400.0),
+                              severe_duration_s=(400.0, 800.0),
+                              base_radius_m=150.0, slowdown_factor=0.2)
+    placement = SensorPlacement(sites, 60.0)
+    res = run(grid_net, sched, plan_incidents(sched, icfg, grid_net, seed=6),
+              placement, SimConfig(seed=6), incident_cfg=icfg)
+    pairs = contiguous_sensor_pairs(grid_net, placement)
+    emit_raw(res.raw, [], tmp_path / "raw.csv")
+    back = load_raw(tmp_path / "raw.csv")
+    kept = []
+    for staleness in (1800, 40):
+        want = loop_reidentify(res.raw, pairs, staleness)
+        assert reidentify_travel_times(res.raw, pairs, staleness) == want
+        assert reidentify_travel_times(back, pairs, staleness) == want
+        kept.append(len(want))
+    assert kept[0] > kept[1] > 100  # the short horizon drops some
+    # a repeated pair yields its records twice, as the loop does
+    twice = pairs[:1] * 2
+    assert (reidentify_travel_times(res.raw, twice)
+            == loop_reidentify(res.raw, twice))
 
 
 # -- windows -----------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Index:
   geometry   range gating, aggregation math on a stubbed state
+  mean       exact_mean bitwise against np.mean
   dataset    row ordering, dense views, construction invariants
-  io         emit/load round trip and parse errors
+  io         emit/load round trip, the per-row reference writer, parse,
+             order and count errors
   subsetting column removal as counterfactual deployment
 """
 from collections import defaultdict, deque
@@ -15,10 +17,11 @@ from trafficlab.demand import FlowModelParams, spawn_schedule
 from trafficlab.incidents import read_incident_log
 from trafficlab.microsim import SimConfig, run
 from trafficlab.roadnet import NetworkError, SensorPlacement
-from trafficlab.sensors import (RawDataset, SensorError, SensorRig, capture,
-                                load_raw, emit_raw, subset_sensors)
+from trafficlab.sensors import (RAW_HEADER, RawDataset, SensorError,
+                                SensorRig, capture, exact_mean, load_raw,
+                                emit_raw, subset_sensors)
 
-from conftest import make_line_net
+from conftest import make_line_net, rng_for
 from test_incidents import spec_of
 
 
@@ -106,6 +109,33 @@ def test_capture_matches_rig_and_placement_is_validated():
         capture(st, SensorPlacement(("a0",), 60.0), net, 3)  # not a site
 
 
+# -- mean ----------------------------------------------------------------------
+
+
+def mean_cases(n, rng):
+    speeds = rng.uniform(0.0, 30.0, n)
+    speeds[rng.random(n) < 0.25] = 0.0
+    yield speeds
+    yield np.repeat(rng.uniform(0.0, 30.0, n // 4 + 1), 4)[:n]
+    yield np.full(n, 0.1)
+    yield np.zeros(n)
+    yield np.full(n, -0.0)
+    # magnitudes 1e-8..1e8: the summation order shows in the last bits
+    yield rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+
+
+def test_exact_mean_matches_numpy_bitwise():
+    # below 8 values one running sum, up to 128 eight partial sums, above
+    # that a recursive split: lengths 1-300 cover all three
+    rng = rng_for("exact-mean")
+    for n in range(1, 301):
+        for arr in mean_cases(n, rng):
+            want = float(np.mean(arr))
+            got = exact_mean(arr.tolist())
+            assert type(got) is float
+            assert got.hex() == want.hex(), (n, arr[:4])
+
+
 # -- dataset -------------------------------------------------------------------
 
 
@@ -156,14 +186,111 @@ def test_emit_load_round_trip(tmp_path):
     assert "np.float64" not in body
 
 
+def reference_emit_raw(dataset, raw_path):
+    """The per-row writer emit_raw replaced, kept as its byte reference."""
+    with open(raw_path, "w", encoding="utf-8") as fh:
+        fh.write(RAW_HEADER + "\n")
+        for i in range(dataset.n_rows):
+            vids = ";".join(str(v) for v in dataset.vehicle_ids[i])
+            fh.write(f"{dataset.time[i]},"
+                     f"{dataset.sensor_ids[dataset.sensor_idx[i]]},"
+                     f"{dataset.count[i]},{float(dataset.mean_speed[i])!r},"
+                     f"{float(dataset.occupancy[i])!r},{vids}\n")
+
+
+def awkward_dataset(horizon=2100):
+    """Two sensors, more rows than one write chunk: empty id tuples, long
+    id lists, speeds that need 17 significant digits, zero occupancy."""
+    rng = rng_for("awkward-raw")
+    sensor_ids = ("a1", "b2")
+    n = horizon * len(sensor_ids)
+    vids = []
+    for i in range(n):
+        k = int(rng.integers(0, 4))
+        size = (0, 1, 3, 40)[k]
+        vids.append(tuple(int(v) for v in rng.integers(0, 100000, size)))
+    count = np.asarray([len(v) for v in vids], dtype=np.int32)
+    speed = rng.uniform(0.0, 30.0, n)
+    speed[0] = 0.1 + 0.2          # 0.30000000000000004
+    speed[1] = 1.0 / 3.0
+    speed[2] = 2.0 ** -40
+    speed[count == 0] = 0.0
+    occupancy = count * 5.0 / 120.0
+    occupancy[3] = 0.0
+    return RawDataset(horizon, sensor_ids, 60.0,
+                      np.repeat(np.arange(horizon, dtype=np.int64), 2),
+                      np.tile(np.arange(2, dtype=np.int32), horizon),
+                      count, speed, occupancy, vids)
+
+
+def test_emit_raw_matches_reference_writer(tmp_path):
+    data = awkward_dataset()
+    assert data.n_rows > 4096
+    assert () in data.vehicle_ids
+    assert max(len(v) for v in data.vehicle_ids) == 40
+    assert len(repr(float(data.mean_speed[0]))) == 19  # 17 digits
+    assert np.any(data.occupancy == 0.0) and np.any(data.occupancy > 0.0)
+    emit_raw(data, [], tmp_path / "raw.csv")
+    reference_emit_raw(data, tmp_path / "ref.csv")
+    got = (tmp_path / "raw.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert load_raw(tmp_path / "raw.csv").data_equal(data)
+
+
+def raw_text(*rows):
+    return RAW_HEADER + "\n" + "".join(row + "\n" for row in rows)
+
+
 def test_load_raw_rejects_malformed(tmp_path):
     p = tmp_path / "raw.csv"
     p.write_text("time,stuff\n", encoding="utf-8")
     with pytest.raises(SensorError, match="header"):
         load_raw(p)
-    p.write_text("time_s,sensor_id,count,mean_speed_mps,occupancy,"
-                 "vehicle_ids\n0,a1,1,2.0\n", encoding="utf-8")
+    p.write_text(raw_text("0,a1,1,2.0"), encoding="utf-8")
     with pytest.raises(SensorError, match="expected 6 fields"):
+        load_raw(p)
+    p.write_text(raw_text("0,a1,1,2.0,0.1,7", "x,a1,0,0.0,0.0,"),
+                 encoding="utf-8")
+    with pytest.raises(SensorError, match=r"raw\.csv:3: invalid literal"):
+        load_raw(p)
+
+
+def test_load_raw_rejects_rows_out_of_order(tmp_path):
+    p = tmp_path / "raw.csv"
+    good = ["0,a,1,2.0,0.1,7", "0,b,0,0.0,0.0,", "1,a,0,0.0,0.0,",
+            "1,b,2,3.5,0.2,7;9"]
+    p.write_text(raw_text(*good), encoding="utf-8")
+    raw = load_raw(p)
+    assert raw.sensor_matrix("count").tolist() == [[1, 0], [0, 2]]
+    assert raw.vehicle_ids == [(7,), (), (), (7, 9)]
+    # same row count as horizon x sensors, but b and a swapped in second 0:
+    # the dense view would report b's count under a
+    swapped = [good[1], good[0], good[2], good[3]]
+    p.write_text(raw_text(*swapped), encoding="utf-8")
+    with pytest.raises(SensorError, match="data row 1 is .time 0, sensor "
+                                          "'b'.*order"):
+        load_raw(p)
+    duplicated = [good[0], good[0], good[2], good[3]]
+    p.write_text(raw_text(*duplicated), encoding="utf-8")
+    with pytest.raises(SensorError, match="data row 2 .*expected .time 0, "
+                                          "sensor 'b'"):
+        load_raw(p)
+    later = [good[0], good[1], good[3], good[2]]
+    p.write_text(raw_text(*later), encoding="utf-8")
+    with pytest.raises(SensorError, match="data row 3"):
+        load_raw(p)
+
+
+def test_load_raw_rejects_count_that_differs_from_ids(tmp_path):
+    p = tmp_path / "raw.csv"
+    p.write_text(raw_text("0,a,2,2.0,0.1,7", "0,b,0,0.0,0.0,"),
+                 encoding="utf-8")
+    with pytest.raises(SensorError, match=r"raw\.csv:2: count 2 but 1 "
+                                          r"vehicle ids"):
+        load_raw(p)
+    p.write_text(raw_text("0,a,1,2.0,0.1,7", "0,b,1,0.0,0.0,"),
+                 encoding="utf-8")
+    with pytest.raises(SensorError, match=r"raw\.csv:3: count 1 but 0"):
         load_raw(p)
 
 
