@@ -6,6 +6,12 @@ canned highway scenario.  Every run is reproducible from config plus seed;
 the resolved config is echoed into each output directory.  Day-level
 randomness derives from (seed, day index) so days are independent and a
 later day does not shift an earlier one.
+
+One day-runner, `_simulate_days`, simulates and writes the days of
+simulate, sweep-sparsity and highway.  One fit-and-score step,
+`_fit_and_report`, trains on the first cfg.days days and scores the day
+after them, from tables built in memory: once per level in sweep-sparsity,
+once over every sensor site in highway.
 """
 from __future__ import annotations
 
@@ -20,24 +26,32 @@ import numpy as np
 from . import demand, features, incidents, metrics, models, sensors, validate
 from .expconfig import ConfigError, ExperimentConfig, echo_config, load_config
 from .microsim import run
-from .roadnet import (NetworkError, SensorPlacement, contiguous_sensor_pairs,
-                      load_network, validate_network, validate_placement)
+from .roadnet import (SensorPlacement, contiguous_sensor_pairs, load_network,
+                      validate_placement)
 
 
 _ERRORS = (ValueError, OSError)  # module errors all subclass ValueError
 
 
-def _load_net(path: str):
-    net = load_network(path)
-    validate_network(net)
-    return net
+def _config(args, overrides=None) -> ExperimentConfig:
+    """--config, or the defaults when it is not given, with the command's
+    overrides applied; an override of None leaves the value as it is."""
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    if args.config:
+        return load_config(args.config, overrides)
+    return ExperimentConfig(**overrides)
+
+
+def _sensor_ids(cfg: ExperimentConfig, net) -> list:
+    """The configured sensors, or every sensor site of the network."""
+    if cfg.sensors is not None:
+        return list(cfg.sensors)
+    return sorted(n.id for n in net.nodes.values() if n.sensor_site)
 
 
 def _placement(cfg: ExperimentConfig, net, ids=None) -> SensorPlacement:
     if ids is None:
-        ids = cfg.sensors
-    if ids is None:
-        ids = sorted(n.id for n in net.nodes.values() if n.sensor_site)
+        ids = _sensor_ids(cfg, net)
     placement = SensorPlacement(tuple(ids), cfg.sensor_range_m)
     validate_placement(net, placement)
     return placement
@@ -58,29 +72,33 @@ def _day_seeds(seed: int, day: int):
     return tuple(int(s) for s in state)
 
 
-def _day_dir(root: str, day: int) -> str:
-    return os.path.join(root, f"day_{day:03d}")
-
-
-def _simulate_day(cfg: ExperimentConfig, net, placement, params, root: str,
-                  day: int):
-    spawn_seed, inc_seed, sim_seed = _day_seeds(cfg.seed, day)
+def _simulate_days(cfg: ExperimentConfig, net, placement, params, root: str,
+                   n_days: int):
+    """Simulate days 0..n_days-1, write each one's raw.csv, incidents.csv
+    and spawns.csv under root/day_NNN, print its day line, and yield its
+    (raw table, incident log).  Day cfg.days, when simulated, is the
+    held-out evaluation day."""
     inc_cfg = cfg.incident_config()
-    schedule = demand.spawn_schedule(
-        params, net, cfg.day_seconds, seed=spawn_seed,
-        bin_duration=cfg.bin_seconds,
-        entry_weights=cfg.entry_weights or None,
-        exit_weights=cfg.exit_weights or None)
-    plan = incidents.plan_incidents(schedule, inc_cfg, net, seed=inc_seed)
-    result = run(net, schedule, plan, placement, cfg.sim_config(sim_seed),
-                 incident_cfg=inc_cfg)
-    out = _day_dir(root, day)
-    os.makedirs(out, exist_ok=True)
-    sensors.emit_raw(result.raw, result.incident_log,
-                     os.path.join(out, "raw.csv"),
-                     os.path.join(out, "incidents.csv"))
-    demand.write_schedule(schedule, os.path.join(out, "spawns.csv"))
-    return result, plan
+    for day in range(n_days):
+        spawn_seed, inc_seed, sim_seed = _day_seeds(cfg.seed, day)
+        schedule = demand.spawn_schedule(
+            params, net, cfg.day_seconds, seed=spawn_seed,
+            bin_duration=cfg.bin_seconds,
+            entry_weights=cfg.entry_weights or None,
+            exit_weights=cfg.exit_weights or None)
+        plan = incidents.plan_incidents(schedule, inc_cfg, net, seed=inc_seed)
+        result = run(net, schedule, plan, placement,
+                     cfg.sim_config(sim_seed), incident_cfg=inc_cfg)
+        out = os.path.join(root, f"day_{day:03d}")
+        os.makedirs(out, exist_ok=True)
+        sensors.emit_raw(result.raw, result.incident_log,
+                         os.path.join(out, "raw.csv"),
+                         os.path.join(out, "incidents.csv"))
+        demand.write_schedule(schedule, os.path.join(out, "spawns.csv"))
+        print(f"day {day:03d}: spawned={result.spawned} "
+              f"arrived={result.arrived} incidents={len(plan)}"
+              + (" [eval]" if day == cfg.days else ""))
+        yield result.raw, result.incident_log
 
 
 def _find_day_dirs(root: str) -> list:
@@ -90,34 +108,14 @@ def _find_day_dirs(root: str) -> list:
     return dirs
 
 
-def _extract_table(cfg: ExperimentConfig, net, placement,
-                   day_dirs) -> features.FeatureTable:
-    pairs = contiguous_sensor_pairs(net, placement)
-    wcfg = cfg.window_config()
-    tables = []
-    for dd in day_dirs:
-        raw = sensors.load_raw(os.path.join(dd, "raw.csv"))
-        log = incidents.read_incident_log(os.path.join(dd, "incidents.csv"))
-        recs = features.reidentify_travel_times(raw, pairs,
-                                                staleness=cfg.staleness_s)
-        tables.append(features.build_feature_rows(raw, recs, wcfg, log, net,
-                                                  pairs=pairs))
-    return features.concat_tables(tables)
-
-
-def _table_from_raw(cfg: ExperimentConfig, net, placement,
-                    raw: sensors.RawDataset, log) -> features.FeatureTable:
+def _table(cfg: ExperimentConfig, net, placement, raw: sensors.RawDataset,
+           log) -> features.FeatureTable:
+    """One day's labeled window table."""
     pairs = contiguous_sensor_pairs(net, placement)
     recs = features.reidentify_travel_times(raw, pairs,
                                             staleness=cfg.staleness_s)
     return features.build_feature_rows(raw, recs, cfg.window_config(), log,
                                        net, pairs=pairs)
-
-
-def _train_model(cfg: ExperimentConfig,
-                 table: features.FeatureTable) -> models.EnsembleModel:
-    return models.train_incident_ensemble(table, cfg.model_config(),
-                                          threshold=cfg.threshold)
 
 
 def _evaluate(cfg: ExperimentConfig, model, table, incident_log=None):
@@ -127,6 +125,27 @@ def _evaluate(cfg: ExperimentConfig, model, table, incident_log=None):
     grace = cfg.window_config().window
     return metrics.evaluate_predictions(table, preds, incident_log,
                                         grace_s=grace)
+
+
+def _fit_and_report(cfg: ExperimentConfig, net, placement, days,
+                    out_dir: str):
+    """Train on days[:cfg.days], score the held-out days[cfg.days], and
+    write model.json and report.txt under out_dir.  days holds each day's
+    (raw table, incident log).  Returns the training table and the
+    report."""
+    # tables are built into a list before concat_tables sees them, so no
+    # table is built inside that call
+    table = features.concat_tables([_table(cfg, net, placement, raw, log)
+                                    for raw, log in days[:cfg.days]])
+    model = models.train_incident_ensemble(table, cfg.model_config(),
+                                           threshold=cfg.threshold)
+    eval_raw, eval_log = days[cfg.days]
+    rep = _evaluate(cfg, model,
+                    _table(cfg, net, placement, eval_raw, eval_log), eval_log)
+    os.makedirs(out_dir, exist_ok=True)
+    metrics.write_report(rep, os.path.join(out_dir, "report.txt"))
+    models.save_model(model, os.path.join(out_dir, "model.json"))
+    return table, rep
 
 
 def _print_report(rep: metrics.EvalReport) -> None:
@@ -151,29 +170,30 @@ def cmd_fit_demand(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, {"days": args.days,
-                                    "out_dir": args.out_dir})
-    net = _load_net(cfg.network_path())
+    cfg = _config(args, {"days": args.days, "out_dir": args.out_dir})
+    net = load_network(cfg.network_path())
     placement = _placement(cfg, net)
     params = _demand_params(cfg)
     echo_config(cfg, cfg.out_dir)
     t0 = time.perf_counter()
-    for day in range(cfg.days):
-        result, plan = _simulate_day(cfg, net, placement, params,
-                                     cfg.out_dir, day)
-        print(f"day {day:03d}: spawned={result.spawned} "
-              f"arrived={result.arrived} incidents={len(plan)}")
+    for _day in _simulate_days(cfg, net, placement, params, cfg.out_dir,
+                               cfg.days):
+        pass  # the days are on disk; nothing is kept in memory
     print(f"simulated {cfg.days} day(s) in "
           f"{time.perf_counter() - t0:.1f}s -> {cfg.out_dir}")
     return 0
 
 
 def cmd_extract_features(args) -> int:
-    cfg = (load_config(args.config) if args.config else ExperimentConfig())
-    net = _load_net(args.network if args.network else cfg.network_path())
+    cfg = _config(args)
+    net = load_network(cfg.network_path())
     day_dirs = _find_day_dirs(args.raw)
     placement = _placement(cfg, net)
-    table = _extract_table(cfg, net, placement, day_dirs)
+    table = features.concat_tables([
+        _table(cfg, net, placement,
+               sensors.load_raw(os.path.join(dd, "raw.csv")),
+               incidents.read_incident_log(os.path.join(dd, "incidents.csv")))
+        for dd in day_dirs])
     features.write_feature_table(table, args.out)
     n_pos = int(table.label_incident.sum())
     print(f"{table.n_rows} windows ({n_pos} incident-labeled) from "
@@ -182,8 +202,7 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = (load_config(args.config, {"counts": args.counts}) if args.config
-           else ExperimentConfig(counts=args.counts))
+    cfg = _config(args, {"counts": args.counts})
     params = _demand_params(cfg)
     rows = []
     for dd in _find_day_dirs(args.raw):
@@ -213,9 +232,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = (load_config(args.config) if args.config else ExperimentConfig())
+    cfg = _config(args)
     table = features.read_feature_table(args.features)
-    model = _train_model(cfg, table)
+    model = models.train_incident_ensemble(table, cfg.model_config(),
+                                           threshold=cfg.threshold)
     models.save_model(model, args.out)
     n_pos = int(table.label_incident.sum())
     print(f"trained on {table.n_rows} windows ({n_pos} positive); "
@@ -226,7 +246,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = (load_config(args.config) if args.config else ExperimentConfig())
+    cfg = _config(args)
     table = features.read_feature_table(args.features)
     model = models.load_model(args.model)
     log = (incidents.read_incident_log(args.incidents)
@@ -239,13 +259,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_sparsity(args) -> int:
-    cfg = load_config(args.config, {"out_dir": args.out_dir})
+    cfg = _config(args, {"out_dir": args.out_dir})
     levels = [int(v) for v in args.sensors.split(",") if v.strip()]
     if not levels or any(v < 1 for v in levels):
         raise ConfigError("sensor counts must be positive integers")
-    net = _load_net(cfg.network_path())
-    full = cfg.sensors or sorted(n.id for n in net.nodes.values()
-                                 if n.sensor_site)
+    net = load_network(cfg.network_path())
+    full = _sensor_ids(cfg, net)
     if max(levels) > len(full):
         raise ConfigError(f"level {max(levels)} exceeds the {len(full)} "
                           "available sensor sites")
@@ -255,39 +274,15 @@ def cmd_sweep_sparsity(args) -> int:
 
     # one simulation pass at the widest level serves every subset level:
     # capture is passive, so narrower deployments are column filters
-    placement_full = _placement(cfg, net, full[:max(levels)])
-    n_days = cfg.days + 1  # final day index is the held-out evaluation day
-    day_raw: list = []
-    day_log: list = []
-    for day in range(n_days):
-        result, _plan = _simulate_day(cfg, net, placement_full, params,
-                                      root, day)
-        day_raw.append(result.raw)
-        day_log.append(result.incident_log)
-        print(f"day {day:03d}: spawned={result.spawned} "
-              f"incidents={len(result.incident_log)}"
-              + (" [eval]" if day == cfg.days else ""))
-
-    header = metrics.report_csv_header(("n_sensors",))
-    lines = [header]
+    widest = _placement(cfg, net, full[:max(levels)])
+    days = list(_simulate_days(cfg, net, widest, params, root, cfg.days + 1))
+    lines = [metrics.report_csv_header(("n_sensors",))]
     for level in levels:
         ids = full[:level]
-        placement = SensorPlacement(tuple(ids), cfg.sensor_range_m)
-        train_tables = []
-        for day in range(cfg.days):
-            raw = sensors.subset_sensors(day_raw[day], ids)
-            train_tables.append(_table_from_raw(cfg, net, placement, raw,
-                                                day_log[day]))
-        table = features.concat_tables(train_tables)
-        model = _train_model(cfg, table)
-        eval_raw = sensors.subset_sensors(day_raw[cfg.days], ids)
-        eval_table = _table_from_raw(cfg, net, placement, eval_raw,
-                                     day_log[cfg.days])
-        rep = _evaluate(cfg, model, eval_table, day_log[cfg.days])
-        level_dir = os.path.join(root, f"level_{level:02d}")
-        os.makedirs(level_dir, exist_ok=True)
-        metrics.write_report(rep, os.path.join(level_dir, "report.txt"))
-        models.save_model(model, os.path.join(level_dir, "model.json"))
+        _, rep = _fit_and_report(
+            cfg, net, _placement(cfg, net, ids),
+            [(sensors.subset_sensors(raw, ids), log) for raw, log in days],
+            os.path.join(root, f"level_{level:02d}"))
         lines.append(metrics.report_csv_row(rep, (level,)))
         print(f"level {level}: "
               f"event_dr={metrics.format_metric(rep.event_detection_rate)} "
@@ -301,31 +296,18 @@ def cmd_sweep_sparsity(args) -> int:
 
 
 def cmd_highway(args) -> int:
-    cfg = load_config(args.config, {"out_dir": args.out_dir})
-    net = _load_net(cfg.network_path())
+    cfg = _config(args, {"out_dir": args.out_dir})
+    net = load_network(cfg.network_path())
     # ramp-metered deployment: take every sensor-capable node, which on the
     # bundled highway fixture is exactly the ramp-adjacent mainline nodes
     placement = _placement(cfg, net)
     params = _demand_params(cfg)
     root = cfg.out_dir
     echo_config(cfg, root)
-    n_days = cfg.days + 1
-    day_dirs = []
-    logs = []
-    for day in range(n_days):
-        result, _plan = _simulate_day(cfg, net, placement, params, root, day)
-        day_dirs.append(_day_dir(root, day))
-        logs.append(result.incident_log)
-        print(f"day {day:03d}: spawned={result.spawned} "
-              f"incidents={len(result.incident_log)}"
-              + (" [eval]" if day == cfg.days else ""))
-    table = _extract_table(cfg, net, placement, day_dirs[:cfg.days])
+    days = list(_simulate_days(cfg, net, placement, params, root,
+                               cfg.days + 1))
+    table, rep = _fit_and_report(cfg, net, placement, days, root)
     features.write_feature_table(table, os.path.join(root, "features.csv"))
-    model = _train_model(cfg, table)
-    models.save_model(model, os.path.join(root, "model.json"))
-    eval_table = _extract_table(cfg, net, placement, day_dirs[cfg.days:])
-    rep = _evaluate(cfg, model, eval_table, logs[cfg.days])
-    metrics.write_report(rep, os.path.join(root, "report.txt"))
     _print_report(rep)
     print(f"highway scenario complete -> {root}")
     return 0
@@ -357,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the labeled feature table")
     q.add_argument("--raw", required=True,
                    help="directory holding day_NNN subdirectories")
-    q.add_argument("--network", default=None)
     q.add_argument("--out", required=True)
     q.add_argument("--config", default=None)
     q.set_defaults(func=cmd_extract_features)

@@ -221,12 +221,9 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
     return FeatureTable(feature_names, X, ends, lab_inc, lab_road, lab_sev)
 
 
-def write_feature_table(table: FeatureTable, path,
-                        schema_path=None) -> None:
+def write_feature_table(table: FeatureTable, path) -> None:
     """CSV with an empty field as the missing marker, plus a sidecar schema
-    file listing the column order (defaults to <path>.schema)."""
-    if schema_path is None:
-        schema_path = str(path) + ".schema"
+    file, <path>.schema, listing the column order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table.columns) + "\n")
         for i in range(table.n_rows):
@@ -238,7 +235,7 @@ def write_feature_table(table: FeatureTable, path,
             vals.append(table.label_road[i] or "")
             vals.append(table.label_severity[i] or "")
             fh.write(",".join(vals) + "\n")
-    with open(schema_path, "w", encoding="utf-8") as fh:
+    with open(str(path) + ".schema", "w", encoding="utf-8") as fh:
         fh.write("\n".join(table.columns) + "\n")
 
 
@@ -263,9 +260,15 @@ def read_feature_table(path) -> FeatureTable:
             parts = line.split(",")
             if len(parts) != len(cols):
                 raise FeatureError(f"{path}:{lineno}: field count mismatch")
-            we.append(int(parts[0]))
-            rows.append([float(p) if p else np.nan
-                         for p in parts[1:-3]])
+            try:
+                we.append(int(parts[0]))
+                rows.append([float(p) if p else np.nan
+                             for p in parts[1:-3]])
+            except ValueError as exc:
+                raise FeatureError(f"{path}:{lineno}: {exc}") from None
+            if parts[-3] not in ("0", "1"):
+                raise FeatureError(f"{path}:{lineno}: label_incident "
+                                   f"{parts[-3]!r} is not 0 or 1")
             lab_i.append(parts[-3] == "1")
             lab_r.append(parts[-2] or None)
             lab_s.append(parts[-1] or None)

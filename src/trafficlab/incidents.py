@@ -288,12 +288,14 @@ _LOG_HEADER = ("id,type,severity,onset_s,duration_s,segment_id,offset_m,"
 
 
 def write_incident_log(specs, path) -> None:
+    """Offsets and radii are written as their shortest round-trip `repr`,
+    so the log reads back to equal specs."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_LOG_HEADER + "\n")
         for s in specs:
             fh.write(f"{s.id},{s.type.value},{s.severity.value},{s.onset},"
-                     f"{s.duration},{s.segment_id},{_fmt(s.offset)},"
-                     f"{s.n_vehicles},{_fmt(s.radius)}\n")
+                     f"{s.duration},{s.segment_id},{float(s.offset)!r},"
+                     f"{s.n_vehicles},{float(s.radius)!r}\n")
 
 
 def read_incident_log(path) -> list:
@@ -302,19 +304,19 @@ def read_incident_log(path) -> list:
         header = fh.readline().strip()
         if header != _LOG_HEADER:
             raise IncidentError(f"{path}: unexpected incident header")
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
                 continue
             f = line.split(",")
             if len(f) != 9:
-                raise IncidentError(f"{path}: malformed incident row {line!r}")
-            specs.append(IncidentSpec(int(f[0]), IncidentType(f[1]),
-                                      SeverityClass(f[2]), int(f[3]),
-                                      int(f[4]), f[5], float(f[6]),
-                                      int(f[7]), float(f[8])))
+                raise IncidentError(
+                    f"{path}:{lineno}: malformed incident row {line!r}")
+            try:
+                specs.append(IncidentSpec(int(f[0]), IncidentType(f[1]),
+                                          SeverityClass(f[2]), int(f[3]),
+                                          int(f[4]), f[5], float(f[6]),
+                                          int(f[7]), float(f[8])))
+            except ValueError as exc:
+                raise IncidentError(f"{path}:{lineno}: {exc}") from None
     return specs
-
-
-def _fmt(x: float) -> str:
-    return repr(round(float(x), 6))

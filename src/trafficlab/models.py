@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,33 +263,18 @@ def _grow_tree(codes, rows, grad, hess, binner: _Binner,
 
 
 def _tree_predict(tree: _Tree, X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    out = np.zeros(n)
-    idx = np.zeros(n, dtype=np.int32)
-    alive = np.ones(n, dtype=bool)
-    while alive.any():
-        cur = idx[alive]
-        feat = tree.feature[cur]
-        leaf = feat < 0
-        if leaf.any():
-            alive_idx = np.nonzero(alive)[0]
-            done = alive_idx[leaf]
-            out[done] = tree.value[cur[leaf]]
-            alive[done] = False
-            alive_idx = alive_idx[~leaf]
-            cur = cur[~leaf]
-            feat = feat[~leaf]
-        else:
-            alive_idx = np.nonzero(alive)[0]
-        if alive_idx.size == 0:
-            break
-        x = X[alive_idx, feat]
-        is_nan = np.isnan(x)
-        with np.errstate(invalid="ignore"):
-            go_left = np.where(is_nan, tree.missing_left[cur],
-                               x <= tree.threshold[cur])
-        idx[alive_idx] = np.where(go_left, tree.left[cur], tree.right[cur])
-    return out
+    """Leaf value of every row: the rows still at internal nodes move down
+    one level per step."""
+    node = np.zeros(X.shape[0], dtype=np.int32)
+    rows = np.flatnonzero(tree.feature[node] >= 0)
+    while rows.size:
+        cur = node[rows]
+        x = X[rows, tree.feature[cur]]
+        go_left = np.where(np.isnan(x), tree.missing_left[cur],
+                           x <= tree.threshold[cur])
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+        rows = rows[tree.feature[node[rows]] >= 0]
+    return tree.value[node]
 
 
 def _sigmoid(z):
@@ -323,47 +308,39 @@ def train_tree_ensemble(X: np.ndarray, y: np.ndarray,
     w = (np.ones(X.shape[0]) if sample_weight is None
          else np.asarray(sample_weight, dtype=np.float64))
 
-    binner = _Binner(X, cfg.max_bins)
-    rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
-    trees: list = []
-
     if cfg.objective == "binary":
         if not np.array_equal(classes, [0, 1]):
             raise ModelError("binary objective expects 0/1 targets")
-        yf = y.astype(np.float64)
-        p0 = float(np.clip((w * yf).sum() / w.sum(), 1e-6, 1 - 1e-6))
+        target = y.astype(np.float64)[:, None]
+        p0 = float(np.clip((w * target[:, 0]).sum() / w.sum(), 1e-6,
+                           1 - 1e-6))
         base = np.array([math.log(p0 / (1.0 - p0))])
-        margin = np.full(n, base[0])
-        for _ in range(cfg.n_trees):
-            p = _sigmoid(margin)
-            grad = w * (p - yf)
-            hess = w * p * (1.0 - p)
-            rows = _subsample_rows(rng, n, cfg.subsample)
-            tree = _grow_tree(binner.codes, rows, grad, hess, binner, cfg)
-            trees.append(tree)
-            margin += _tree_predict(tree, X)
-        n_classes = 1
+        link = _sigmoid
     else:
         k = int(classes.size)
         if not np.array_equal(classes, np.arange(k)):
             raise ModelError("multiclass targets must be 0..K-1")
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y.astype(int)] = 1.0
-        prior = np.clip(onehot.mean(axis=0), 1e-6, None)
+        target = np.zeros((n, k))
+        target[np.arange(n), y.astype(int)] = 1.0
+        prior = np.clip(target.mean(axis=0), 1e-6, None)
         base = np.log(prior / prior.sum())
-        margin = np.tile(base, (n, 1))
-        for _ in range(cfg.n_trees):
-            p = _softmax(margin)
-            rows = _subsample_rows(rng, n, cfg.subsample)
-            for c in range(k):
-                grad = w * (p[:, c] - onehot[:, c])
-                hess = w * p[:, c] * (1.0 - p[:, c])
-                tree = _grow_tree(binner.codes, rows, grad, hess, binner,
-                                  cfg)
-                trees.append(tree)
-                margin[:, c] += _tree_predict(tree, X)
-        n_classes = k
+        link = _softmax
+
+    binner = _Binner(X, cfg.max_bins)
+    rng = np.random.default_rng(cfg.seed)
+    n_classes = len(base)
+    margin = np.tile(base, (n, 1))
+    trees: list = []
+    for _ in range(cfg.n_trees):
+        p = link(margin)
+        rows = _subsample_rows(rng, n, cfg.subsample)
+        for c in range(n_classes):
+            grad = w * (p[:, c] - target[:, c])
+            hess = w * p[:, c] * (1.0 - p[:, c])
+            tree = _grow_tree(binner.codes, rows, grad, hess, binner, cfg)
+            trees.append(tree)
+            margin[:, c] += _tree_predict(tree, X)
 
     return TreeEnsemble(cfg, list(feature_names), n_classes, base, trees)
 
@@ -377,6 +354,17 @@ def _subsample_rows(rng, n: int, fraction: float) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int32)
 
 
+def _margins(ens: TreeEnsemble, X: np.ndarray, n_rounds=None) -> np.ndarray:
+    """(n, K) raw scores from the first n_rounds boosting rounds (all of
+    them by default); a round holds one tree per class."""
+    k = ens.n_classes
+    trees = ens.trees if n_rounds is None else ens.trees[:n_rounds * k]
+    out = np.tile(ens.base_score, (X.shape[0], 1))
+    for i, tree in enumerate(trees):
+        out[:, i % k] += _tree_predict(tree, X)
+    return out
+
+
 def predict_margin(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     """Raw additive scores: (n,) for binary, (n, K) for multiclass."""
     X = np.asarray(X, dtype=np.float64)
@@ -384,15 +372,8 @@ def predict_margin(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"expected {len(ens.feature_names)} feature columns, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-2d'}")
-    if ens.n_classes == 1:
-        out = np.full(X.shape[0], ens.base_score[0])
-        for tree in ens.trees:
-            out += _tree_predict(tree, X)
-        return out
-    out = np.tile(ens.base_score, (X.shape[0], 1))
-    for i, tree in enumerate(ens.trees):
-        out[:, i % ens.n_classes] += _tree_predict(tree, X)
-    return out
+    m = _margins(ens, X)
+    return m[:, 0] if ens.n_classes == 1 else m
 
 
 def predict_proba(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
@@ -408,20 +389,12 @@ def training_logloss(ens: TreeEnsemble, X, y, n_trees=None,
     y = np.asarray(y)
     w = (np.ones(X.shape[0]) if sample_weight is None
          else np.asarray(sample_weight, dtype=np.float64))
+    m = _margins(ens, X, n_trees)
     if ens.n_classes == 1:
-        use = len(ens.trees) if n_trees is None else n_trees
-        m = np.full(X.shape[0], ens.base_score[0])
-        for tree in ens.trees[:use]:
-            m += _tree_predict(tree, X)
-        p = np.clip(_sigmoid(m), 1e-12, 1 - 1e-12)
+        p = np.clip(_sigmoid(m[:, 0]), 1e-12, 1 - 1e-12)
         yf = y.astype(np.float64)
         ll = -(yf * np.log(p) + (1 - yf) * np.log(1 - p))
     else:
-        k = ens.n_classes
-        rounds = len(ens.trees) // k if n_trees is None else n_trees
-        m = np.tile(ens.base_score, (X.shape[0], 1))
-        for i, tree in enumerate(ens.trees[:rounds * k]):
-            m[:, i % k] += _tree_predict(tree, X)
         p = np.clip(_softmax(m), 1e-12, None)
         ll = -np.log(p[np.arange(X.shape[0]), y.astype(int)])
     return float((w * ll).sum() / w.sum())
@@ -479,7 +452,7 @@ def train_incident_ensemble(table, cfg: TreeEnsembleConfig,
         raise ModelError("no negative rows to train on")
     X = table.X
     weight = np.where(y == 1, n_neg / n_pos, 1.0)
-    det_cfg = _with(cfg, objective="binary")
+    det_cfg = replace(cfg, objective="binary")
     detector = train_tree_ensemble(X, y, det_cfg, table.feature_names,
                                    sample_weight=weight)
 
@@ -492,7 +465,7 @@ def train_incident_ensemble(table, cfg: TreeEnsembleConfig,
     if len(road_classes) > 1:
         enc = {c: i for i, c in enumerate(road_classes)}
         y_road = np.asarray([enc[r] for r in roads])
-        loc_cfg = _with(cfg, objective="multiclass")
+        loc_cfg = replace(cfg, objective="multiclass")
         localizer = train_tree_ensemble(X[pos], y_road, loc_cfg,
                                         table.feature_names)
 
@@ -505,18 +478,12 @@ def train_incident_ensemble(table, cfg: TreeEnsembleConfig,
         if len(severity_classes) != 2:
             raise ModelError("severity is a binary classification")
         y_sev = np.asarray([severity_classes.index(s) for s in sevs])
-        sev_cfg = _with(cfg, objective="binary")
+        sev_cfg = replace(cfg, objective="binary")
         severity = train_tree_ensemble(X[pos], y_sev, sev_cfg,
                                        table.feature_names)
 
     return EnsembleModel(detector, localizer, severity, road_classes,
                          severity_classes, threshold, list(table.feature_names))
-
-
-def _with(cfg: TreeEnsembleConfig, **kw) -> TreeEnsembleConfig:
-    d = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    d.update(kw)
-    return TreeEnsembleConfig(**d)
 
 
 def infer_batch(model: EnsembleModel, X: np.ndarray, window_end=None) -> list:

@@ -90,19 +90,6 @@ class RoadNetwork:
     def incoming(self, node_id: str) -> list:
         return self.in_segments[node_id]
 
-    def cycle_length(self, node_id: str) -> float:
-        return sum(p.duration for p in self.signal_plans[node_id])
-
-    def phase_index_at(self, node_id: str, t: float) -> int:
-        plan = self.signal_plans[node_id]
-        tt = t % self.cycle_length(node_id)
-        acc = 0.0
-        for i, phase in enumerate(plan):
-            acc += phase.duration
-            if tt < acc:
-                return i
-        return len(plan) - 1
-
 
 def _parse_bool(token: str, where: str) -> bool:
     t = token.strip().lower()
@@ -428,7 +415,3 @@ def shortest_route(net: RoadNetwork, origin: str, destination: str) -> tuple:
                 heapq.heappush(
                     heap, (cost + seg.free_flow_time, route + (sid,), seg.to_node))
     raise NetworkError(f"no route from {origin!r} to {destination!r}")
-
-
-def route_length(net: RoadNetwork, route) -> float:
-    return sum(net.segments[sid].length for sid in route)

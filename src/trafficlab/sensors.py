@@ -138,12 +138,6 @@ class SensorRig:
         return readings
 
 
-def capture(state, placement: SensorPlacement, network: RoadNetwork,
-            t: int) -> list:
-    """Single-shot capture; long runs should hold one SensorRig instead."""
-    return SensorRig(network, placement).observe(state, t)
-
-
 @dataclass
 class RawDataset:
     """Columnar per-second sensor table, rows ordered by (time, sensor_id)."""
@@ -167,13 +161,6 @@ class RawDataset:
     @property
     def n_rows(self) -> int:
         return len(self.time)
-
-    def iter_readings(self):
-        for i in range(self.n_rows):
-            yield SensorReading(self.sensor_ids[self.sensor_idx[i]],
-                                int(self.time[i]), self.vehicle_ids[i],
-                                int(self.count[i]), float(self.mean_speed[i]),
-                                float(self.occupancy[i]))
 
     def sensor_matrix(self, field: str) -> np.ndarray:
         """Dense (horizon, n_sensors) view of one numeric column; relies on
@@ -303,6 +290,10 @@ def load_raw(path) -> RawDataset:
                 f"hold every sensor once per second, in (time, sensor_id) "
                 f"order")
     horizon = times[-1] + 1 if times else 0
+    if len(times) != horizon * len(sensor_ids):
+        raise SensorError(
+            f"{path}: {len(times)} data rows, expected {horizon} seconds x "
+            f"{len(sensor_ids)} sensors = {horizon * len(sensor_ids)}")
     return RawDataset(horizon, sensor_ids, None, time, sensor_idx,
                       np.asarray(counts, dtype=np.int32),
                       np.asarray(speeds, dtype=np.float64),

@@ -6,6 +6,8 @@ Index:
               train, evaluate, sweep-sparsity, highway
   errors      exit code 2 on module errors, argparse usage failures
 """
+import contextlib
+import io
 import json
 import math
 import os
@@ -296,24 +298,59 @@ def test_sweep_sparsity_command(tmp_path, capsys):
     assert "level 1: event_dr=" in capsys.readouterr().out
 
 
-def test_highway_command(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def highway_run(tmp_path_factory):
+    """One highway scenario run: a training day and the held-out day."""
+    tmp = tmp_path_factory.mktemp("highway")
     cfg_path = line_experiment(
-        tmp_path, network="highway8", sensors=None, sensor_range_m=80.0,
-        out_dir=str(tmp_path / "hwy"),
+        tmp, network="highway8", sensors=None, sensor_range_m=80.0,
+        out_dir=str(tmp / "hwy"),
         incidents={"p_incident": 0.03, "p_crash_given_incident": 0.3,
                    "p_severe": 0.3, "minor_duration_s": [300, 600],
                    "severe_duration_s": [600, 900],
                    "base_radius_m": 150.0, "slowdown_factor": 0.2})
-    rc = main(["highway", "--config", cfg_path])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["highway", "--config", cfg_path])
     assert rc == 0
-    root = str(tmp_path / "hwy")
+    return cfg_path, str(tmp / "hwy"), stdout.getvalue().splitlines()
+
+
+def test_highway_command(highway_run):
+    _cfg_path, root, out = highway_run
     for name in ("features.csv", "model.json", "report.txt",
                  "config_used.yaml"):
         assert os.path.exists(os.path.join(root, name))
     rep = read_report(os.path.join(root, "report.txt"))
     assert rep["windows"] == 29      # the held-out day only
     assert rep["n_events"] >= 1
-    assert "highway scenario complete" in capsys.readouterr().out
+    assert out[0].startswith("day 000: spawned=")
+    assert " arrived=" in out[0] and " incidents=" in out[0]
+    assert not out[0].endswith("[eval]")
+    assert out[1].startswith("day 001: ") and out[1].endswith(" [eval]")
+    assert out[-1].startswith("highway scenario complete")
+
+
+def test_highway_shares_the_extract_and_sweep_paths(highway_run, tmp_path):
+    """The training table highway builds in memory equals extract-features
+    over the written training day, and a sweep level holding every site
+    fits and scores exactly as highway does."""
+    cfg_path, root, _out = highway_run
+    shutil.copytree(os.path.join(root, "day_000"),
+                    tmp_path / "train" / "day_000")
+    out = str(tmp_path / "features.csv")
+    assert main(["extract-features", "--raw", str(tmp_path / "train"),
+                 "--out", out, "--config", cfg_path]) == 0
+    with open(out, "rb") as a, \
+            open(os.path.join(root, "features.csv"), "rb") as b:
+        assert a.read() == b.read()
+
+    assert main(["sweep-sparsity", "--config", cfg_path, "--sensors", "7",
+                 "--out-dir", str(tmp_path / "sw")]) == 0
+    level = tmp_path / "sw" / "sweep" / "level_07"
+    for name in ("model.json", "report.txt"):
+        with open(os.path.join(root, name), "rb") as fh:
+            assert (level / name).read_bytes() == fh.read()
 
 
 # -- errors -------------------------------------------------------------------
@@ -375,6 +412,22 @@ def test_extract_features_rejects_misordered_raw(sim_run, tmp_path,
                                 + good[row + 1:]), encoding="utf-8")
     assert main(args) == 2
     assert f"raw.csv:{row + 1}: count" in one_error_line(capsys)
+    assert not os.path.exists(tmp_path / "f.csv")
+
+
+def test_extract_features_names_a_raw_file_short_by_whole_rows(
+        sim_run, tmp_path, capsys):
+    tmp, cfg_path, out_dir = sim_run
+    day = tmp_path / "short" / "day_000"
+    shutil.copytree(os.path.join(out_dir, "day_000"), day)
+    raw_path = day / "raw.csv"
+    lines = raw_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    raw_path.write_text("".join(lines[:4]), encoding="utf-8")  # 3 rows
+    assert main(["extract-features", "--raw", str(tmp_path / "short"),
+                 "--out", str(tmp_path / "f.csv"),
+                 "--config", cfg_path]) == 2
+    err = one_error_line(capsys)
+    assert f"{raw_path}: 3 data rows, expected 2 seconds x 2 sensors" in err
     assert not os.path.exists(tmp_path / "f.csv")
 
 

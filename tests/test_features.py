@@ -325,6 +325,14 @@ def test_table_read_rejects_malformed(tmp_path):
                  "600,1.0,0\n", encoding="utf-8")
     with pytest.raises(FeatureError, match="field count"):
         read_feature_table(p)
+    header = "window_end_s,f1,label_incident,label_road,label_severity\n"
+    for row, match in (("6x0,1.0,0,,", "invalid literal"),
+                       ("600,zz,0,,", "could not convert"),
+                       ("600,1.0,yes,,", "label_incident 'yes'")):
+        p.write_text(header + "570,1.0,0,,\n" + row + "\n",
+                     encoding="utf-8")
+        with pytest.raises(FeatureError, match=rf"bad\.csv:3: {match}"):
+            read_feature_table(p)
 
 
 def test_concat_tables_stacks_days():

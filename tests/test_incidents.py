@@ -18,6 +18,8 @@ from trafficlab.incidents import (IncidentError, IncidentPlanConfig,
                                   compute_impact_zones, designate_vehicles,
                                   plan_incidents, read_incident_log,
                                   release_vehicles, write_incident_log)
+from trafficlab.netgen import bundled_path
+from trafficlab.roadnet import load_network
 
 from conftest import make_line_net, rng_for
 
@@ -81,6 +83,40 @@ def test_incident_log_round_trip(tmp_path):
                    encoding="utf-8")
     with pytest.raises(IncidentError, match="malformed"):
         read_incident_log(bad)
+
+
+def test_highway_plan_log_round_trips_exactly(tmp_path, flat_params):
+    """Highway offsets are not on a grid; the log keeps every digit."""
+    net = load_network(str(bundled_path("highway8.net")))
+    sched = spawn_schedule(flat_params, net, 7200.0, seed=3,
+                           bin_duration=100.0)
+    plan = plan_incidents(sched, IncidentPlanConfig(p_incident=0.01), net,
+                          seed=5)
+    assert sum(round(s.offset, 6) != s.offset for s in plan) >= 2
+    path = tmp_path / "incidents.csv"
+    write_incident_log(plan, path)
+    assert read_incident_log(path) == plan
+
+
+def test_incident_log_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "incidents.csv"
+    good = "0,stalled_vehicle,minor,30,120,s1,100.0,1,50.0"
+    for row, match in (
+            ("abc,stalled_vehicle,minor,30,120,s1,100.0,1,50.0",
+             "invalid literal"),
+            ("1,parked_car,minor,30,120,s1,100.0,1,50.0", "IncidentType"),
+            ("1,stalled_vehicle,mild,30,120,s1,100.0,1,50.0",
+             "SeverityClass"),
+            ("1,stalled_vehicle,minor,30,120,s1,zz,1,50.0", "could not"),
+            ("1,stalled_vehicle,minor,30,0,s1,100.0,1,50.0", "duration"),
+            ("1,multi_vehicle_crash,minor,30,120,s1,100.0,1,50.0",
+             "at least two")):
+        path.write_text("id,type,severity,onset_s,duration_s,segment_id,"
+                        f"offset_m,n_vehicles,radius_m\n{good}\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(IncidentError,
+                           match=rf"incidents\.csv:3: .*{match}"):
+            read_incident_log(path)
 
 
 # -- planning ----------------------------------------------------------------

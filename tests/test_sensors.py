@@ -18,7 +18,7 @@ from trafficlab.incidents import read_incident_log
 from trafficlab.microsim import SimConfig, run
 from trafficlab.roadnet import NetworkError, SensorPlacement
 from trafficlab.sensors import (RAW_HEADER, RawDataset, SensorError,
-                                SensorRig, capture, exact_mean, load_raw,
+                                SensorRig, exact_mean, load_raw,
                                 emit_raw, subset_sensors)
 
 from conftest import make_line_net, rng_for
@@ -102,11 +102,11 @@ def test_rig_empty_view_and_monitored_clipping():
 def test_capture_matches_rig_and_placement_is_validated():
     net = make_line_net(sensor_sites=["a1", "a2"])
     st = StubState({"s0": [(180.0, 7.0)]})
-    got = capture(st, SensorPlacement(("a1",), 60.0), net, 3)
-    rig = SensorRig(net, SensorPlacement(("a1",), 60.0))
-    assert got == rig.observe(st, 3)
+    got = SensorRig(net, SensorPlacement(("a1",), 60.0)).observe(st, 3)
+    assert [(r.sensor_id, r.time, r.vehicle_ids) for r in got] == [
+        ("a1", 3, (0,))]
     with pytest.raises(NetworkError):
-        capture(st, SensorPlacement(("a0",), 60.0), net, 3)  # not a site
+        SensorRig(net, SensorPlacement(("a0",), 60.0))  # not a site
 
 
 # -- mean ----------------------------------------------------------------------
