@@ -184,6 +184,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _load_placed_raw(path: str, placement) -> sensors.RawDataset:
+    """A day's raw table, which must hold exactly the placed sensors."""
+    raw = sensors.load_raw(path)
+    if raw.sensor_ids != placement.sensor_ids:
+        raise ConfigError(
+            f"{path}: holds sensors {list(raw.sensor_ids)}, but the config "
+            f"places {list(placement.sensor_ids)}")
+    return raw
+
+
 def cmd_extract_features(args) -> int:
     cfg = _config(args)
     net = load_network(cfg.network_path())
@@ -191,7 +201,7 @@ def cmd_extract_features(args) -> int:
     placement = _placement(cfg, net)
     table = features.concat_tables([
         _table(cfg, net, placement,
-               sensors.load_raw(os.path.join(dd, "raw.csv")),
+               _load_placed_raw(os.path.join(dd, "raw.csv"), placement),
                incidents.read_incident_log(os.path.join(dd, "incidents.csv")))
         for dd in day_dirs])
     features.write_feature_table(table, args.out)

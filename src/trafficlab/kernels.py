@@ -42,22 +42,19 @@ def follow_speeds(pos, speed, leader, head_free, head_lead_speed, limit,
     return out
 
 
-def hist_build(codes, rows, grad, hess, hist_g, hist_h, hist_n):
-    """Add the gradient sum, hessian sum and row count of ``rows`` to every
-    ``(feature, bin)`` cell of ``hist_g``/``hist_h``/``hist_n``.
+def hist_build(cells, rows, grad, hess, size):
+    """Gradient sum, hessian sum and row count of ``rows`` in each of
+    ``size`` histogram cells, returned as three flat arrays.
 
-    One bincount per histogram over the flat cell index, visited row by
-    row, so every cell sums its rows in ascending order and a tree fit is
-    bitwise reproducible.
+    ``cells[i, f]`` is row i's cell for feature f: its bin code plus f
+    times the bins per feature.  One bincount per histogram over the flat
+    cells of ``rows``, visited row by row, so every cell sums its rows in
+    ascending order and a tree fit is bitwise reproducible.
     """
-    n_feat, n_bins = hist_g.shape
-    cell = codes[rows].astype(np.intp)
-    cell += np.arange(n_feat) * n_bins
-    cell = cell.ravel()
-    size = n_feat * n_bins
-    shape = (n_feat, n_bins)
-    hist_g += np.bincount(cell, weights=np.repeat(grad[rows], n_feat),
-                          minlength=size).reshape(shape)
-    hist_h += np.bincount(cell, weights=np.repeat(hess[rows], n_feat),
-                          minlength=size).reshape(shape)
-    hist_n += np.bincount(cell, minlength=size).reshape(shape)
+    cell = cells[rows].ravel()
+    n_feat = cells.shape[1]
+    return (np.bincount(cell, weights=np.repeat(grad[rows], n_feat),
+                        minlength=size),
+            np.bincount(cell, weights=np.repeat(hess[rows], n_feat),
+                        minlength=size),
+            np.bincount(cell, minlength=size))

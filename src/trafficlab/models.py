@@ -3,10 +3,10 @@
 The learner is histogram-based second-order boosting: features are binned
 once (exact unique-value bins while they fit, quantile bins beyond), each
 node accumulates gradient/hessian/count histograms (a hot kernel), and the
-best split maximizes the standard regularized gain with both missing-value
-routings tried at every cut.  Missing values (NaN) get a learned default
-direction per split, which is how sparse travel-time columns stay usable
-without imputation.
+best split maximizes the standard regularized gain, with both missing-value
+routings tried at every cut of a feature that has missing values.  Missing
+values (NaN) get a learned default direction per split, which is how sparse
+travel-time columns stay usable without imputation.
 
 The incident ensemble stacks three of these: a binary detector over all
 rows, and a road localizer and severity classifier trained on positive rows
@@ -101,15 +101,26 @@ class TreeEnsemble:
 
 
 class _Binner:
-    """Per-feature discretization: code 0 is missing, codes 1..K ascend in
-    value; cut j is the split threshold between codes j and j+1 (exact
-    midpoints when unique values fit in the bin budget)."""
+    """Per-feature discretization, and what the split search of every node
+    of a fit reuses.
+
+    Code 0 is missing and codes 1..K ascend in value.  Cut j sends codes
+    1..j+1 left, so ``code <= j + 1`` is exactly ``x <= cuts[j]`` (exact
+    midpoints when the unique values fit in the bin budget, quantiles
+    beyond).  ``cells`` holds each row's histogram cell per feature, its
+    code plus the feature times ``width``.  The split candidates are flat
+    arrays in (feature, missing side, cut) order, each feature with its own
+    cuts only.  A feature gets missing-left candidates only when it has a
+    NaN in X: without one, missing-left ties missing-right, which comes
+    first, so it can never win.
+    """
 
     def __init__(self, X: np.ndarray, max_bins: int):
         self.cuts: list = []
         n_levels = max_bins - 1  # code 0 reserved for missing
+        n_feat = X.shape[1]
         self.codes = np.zeros(X.shape, dtype=np.uint8)
-        for f in range(X.shape[1]):
+        for f in range(n_feat):
             col = X[:, f]
             finite = col[~np.isnan(col)]
             if finite.size == 0:
@@ -117,13 +128,11 @@ class _Binner:
                 continue
             uniq = np.unique(finite)
             if uniq.size <= n_levels:
-                levels = uniq
-                cuts = (levels[:-1] + levels[1:]) / 2.0
+                cuts = (uniq[:-1] + uniq[1:]) / 2.0
             else:
                 qs = np.quantile(finite,
                                  np.linspace(0.0, 1.0, n_levels + 1))
                 cuts = np.unique(qs[1:-1])
-                levels = None
             self.cuts.append(cuts)
             mask = ~np.isnan(col)
             # side="left" keeps x == cut in the left group, matching the
@@ -134,10 +143,38 @@ class _Binner:
 
         self.n_cuts = np.array([len(c) for c in self.cuts], dtype=np.intp)
         self.max_cuts = int(self.n_cuts.max(initial=0))
-        # (feature, 1, cut): cuts past a feature's own count, which split
-        # search pads to max_cuts
-        self.padding = (np.arange(self.max_cuts)
-                        >= self.n_cuts[:, None])[:, None, :]
+        self.width = self.max_cuts + 2  # missing + value bins, widest
+        self.cells = self.codes + np.arange(n_feat) * self.width
+
+        # candidate runs, one per (feature, missing side) with cuts
+        nan_cols = np.isnan(X).any(axis=0)
+        runs = []
+        for f in np.flatnonzero(self.n_cuts):
+            runs.append((f, False))
+            if nan_cols[f]:
+                runs.append((f, True))
+        sizes = np.array([self.n_cuts[f] for f, _ in runs], dtype=np.intp)
+        self.run_sizes = sizes
+        self.run_starts = np.cumsum(sizes) - sizes
+        feat = np.repeat([f for f, _ in runs], sizes).astype(np.intp)
+        self.cand_feature = feat
+        self.cand_missing_left = np.repeat([s for _, s in runs],
+                                           sizes).astype(bool)
+        self.cand_cut = (np.arange(feat.size)
+                         - np.repeat(self.run_starts, sizes))
+        # gather indices into the (g/h/n, feature, cut) prefix sums, and
+        # into the missing sums, whose last column is the zero a
+        # missing-right candidate adds
+        stride = self.max_cuts + 1
+        self.cand_prefix = feat * stride + self.cand_cut
+        self.cand_missing = np.where(self.cand_missing_left, feat, n_feat)
+        self.total_at = np.arange(n_feat) * stride + self.n_cuts
+        # scratch the split search fills in place at every node
+        self.prefix = np.empty((3, n_feat, stride))
+        self.missing = np.zeros((3, n_feat + 1))
+        self.sums = np.empty((2, 3, feat.size))
+        self.added = np.empty((3, feat.size))
+        self.gains = np.empty(feat.size)
 
 
 def _leaf_value(g: float, h: float, cfg: TreeEnsembleConfig) -> float:
@@ -147,69 +184,84 @@ def _leaf_value(g: float, h: float, cfg: TreeEnsembleConfig) -> float:
 def _best_split(hist_g, hist_h, hist_n, binner: _Binner,
                 cfg: TreeEnsembleConfig):
     """(gain, feature, cut_index, missing_left) of the best candidate, or
-    None.  All candidates are scored in one (feature, missing side, cut)
-    array and the first strict maximum in that order wins: exact ties go to
-    the lower feature, then to missing-right before missing-left, then to
-    the lower cut.  A (feature, missing side) row holding a NaN gain is
-    skipped whole.
+    None.
+
+    The histograms are (feature, bin), flat or 2-d, at least
+    ``binner.width`` bins per feature; bins past a feature's own are never
+    gathered.  Prefix sums run over each feature's value bins, the binner's
+    candidates are gathered from them, and all are scored in one flat
+    array.  The first strict maximum in (feature, missing side, cut) order
+    wins: exact ties go to the lower feature, then to missing-right before
+    missing-left, then to the lower cut.  A (feature, missing side) run
+    holding a NaN gain is skipped whole.
     """
-    width = binner.max_cuts
-    if width == 0:
+    if binner.cand_feature.size == 0:
         return None
     lam = cfg.reg_lambda
     msl = cfg.min_samples_leaf
-    n_feat = len(binner.cuts)
-    hists = (hist_g, hist_h, hist_n)
+    n_feat = binner.n_cuts.size
+    prefix, miss, sums = binner.prefix, binner.missing, binner.sums
     # value codes run 1..k+1; cut j splits code <= j+1 from above.  Prefix
     # sums run bin by bin, so a feature's sums over its own bins do not
-    # depend on the padding behind them.
-    left = np.empty((3, n_feat, width + 1))
-    for k, hist in enumerate(hists):
-        np.cumsum(hist[:, 1:width + 2], axis=1, out=left[k])
-    miss = np.stack([hist[:, 0] for hist in hists])
-    total = left[:, np.arange(n_feat), binner.n_cuts] + miss
-    # sums[side of the cut, g/h/n, feature, missing side, cut]; missing
-    # side 0 sends missing values right, side 1 sends them left
-    add = np.zeros((3, n_feat, 2, 1))
-    add[:, :, 1, 0] = miss
-    sums = np.empty((2, 3, n_feat, 2, width))
-    np.add(left[:, :, None, :width], add, out=sums[0])
-    np.subtract(total[:, :, None, None], sums[0], out=sums[1])
+    # depend on the bins behind them.
+    for k, hist in enumerate((hist_g, hist_h, hist_n)):
+        hist = hist.reshape(n_feat, -1)
+        np.cumsum(hist[:, 1:binner.max_cuts + 2], axis=1, out=prefix[k])
+        miss[k, :n_feat] = hist[:, 0]
+    flat = prefix.reshape(3, -1)
+    total = flat.take(binner.total_at, axis=1)
+    total += miss[:, :n_feat]
+    # sums[side of the cut, g/h/n, candidate]
+    np.take(flat, binner.cand_prefix, axis=1, out=sums[0])
+    np.take(miss, binner.cand_missing, axis=1, out=binner.added)
+    sums[0] += binner.added
+    np.take(total, binner.cand_feature, axis=1, out=sums[1])
+    sums[1] -= sums[0]
     g, h, n = sums[:, 0], sums[:, 1], sums[:, 2]
-    gtot, htot = total[0, :, None, None], total[1, :, None, None]
+    gains = binner.gains
     with np.errstate(divide="ignore", invalid="ignore"):
-        parent = gtot * gtot / (htot + lam)
+        parent = total[0] * total[0] / (total[1] + lam)
         h += lam
         g *= g
         g /= h
-        gains = g[0] + g[1]
-        gains -= parent
+        np.add(g[0], g[1], out=gains)
+        gains -= parent.take(binner.cand_feature)
         gains *= 0.5
     masked = n[0] < msl
     masked |= n[1] < msl
-    masked |= binner.padding
     np.putmask(gains, masked, -np.inf)
     i = int(np.argmax(gains))
-    if np.isnan(gains.flat[i]):  # argmax stops at the first NaN
-        gains[np.isnan(gains).any(axis=2)] = -np.inf
+    if np.isnan(gains[i]):  # argmax stops at the first NaN
+        bad = np.logical_or.reduceat(np.isnan(gains), binner.run_starts)
+        gains[np.repeat(bad, binner.run_sizes)] = -np.inf
         i = int(np.argmax(gains))
-    best = float(gains.flat[i])
+    best = float(gains[i])
     if not best > 0.0:
         return None
-    f, side, j = np.unravel_index(i, gains.shape)
-    return (best, int(f), int(j), bool(side))
+    return (best, int(binner.cand_feature[i]), int(binner.cand_cut[i]),
+            bool(binner.cand_missing_left[i]))
 
 
-def _grow_tree(codes, rows, grad, hess, binner: _Binner,
-               cfg: TreeEnsembleConfig) -> _Tree:
+def _grow_tree(binner: _Binner, rows, grad, hess,
+               cfg: TreeEnsembleConfig):
+    """Grow one tree on the in-bag ``rows``; return it with the margin step
+    of every training row.
+
+    In-bag rows reach their leaf through the partition; the out-of-bag
+    rows are routed down the same splits on their codes, which is exactly
+    the float routing of ``_tree_predict``.
+    """
+    codes = binner.codes
+    size = codes.shape[1] * binner.width
+    leaf_of = np.empty(codes.shape[0], dtype=np.intp)
+    outside = np.ones(codes.shape[0], dtype=bool)
+    outside[rows] = False
     feature: list = []
     threshold: list = []
     missing_left: list = []
     left: list = []
     right: list = []
     value: list = []
-    max_bins_all = binner.max_cuts + 2  # missing + value bins, widest
-    n_feat = codes.shape[1]
 
     def new_node() -> int:
         feature.append(-1)
@@ -220,46 +272,47 @@ def _grow_tree(codes, rows, grad, hess, binner: _Binner,
         value.append(0.0)
         return len(feature) - 1
 
-    def build(rows_node: np.ndarray, depth: int, node: int):
-        g_sum = float(grad[rows_node].sum())
-        h_sum = float(hess[rows_node].sum())
-        if depth >= cfg.max_depth \
-                or rows_node.size < 2 * cfg.min_samples_leaf:
-            value[node] = _leaf_value(g_sum, h_sum, cfg)
-            return
-        hg = np.zeros((n_feat, max_bins_all))
-        hh = np.zeros((n_feat, max_bins_all))
-        hn = np.zeros((n_feat, max_bins_all))
-        kernels.hist_build(codes, rows_node, grad, hess, hg, hh, hn)
-        found = _best_split(hg, hh, hn, binner, cfg)
+    def split(rows_part, f, j, miss_left):
+        code_col = codes[rows_part, f]
+        go_left = code_col <= j + 1
+        if not miss_left:
+            go_left &= code_col != 0
+        return rows_part[go_left], rows_part[~go_left]
+
+    def build(rows_node, oob_node, depth: int, node: int):
+        found = None
+        if depth < cfg.max_depth \
+                and rows_node.size >= 2 * cfg.min_samples_leaf:
+            hists = kernels.hist_build(binner.cells, rows_node, grad, hess,
+                                       size)
+            found = _best_split(*hists, binner, cfg)
         if found is None:
-            value[node] = _leaf_value(g_sum, h_sum, cfg)
+            value[node] = _leaf_value(float(grad[rows_node].sum()),
+                                      float(hess[rows_node].sum()), cfg)
+            leaf_of[rows_node] = node
+            leaf_of[oob_node] = node
             return
         _gain, f, j, miss_left = found
         feature[node] = f
         threshold[node] = float(binner.cuts[f][j])
         missing_left[node] = miss_left
-        code_col = codes[rows_node, f]
-        go_left = (code_col >= 1) & (code_col <= j + 1)
-        if miss_left:
-            go_left |= code_col == 0
-        rows_l = rows_node[go_left]
-        rows_r = rows_node[~go_left]
+        rows_l, rows_r = split(rows_node, f, j, miss_left)
+        oob_l, oob_r = split(oob_node, f, j, miss_left)
         nl = new_node()
         nr = new_node()
         left[node] = nl
         right[node] = nr
-        build(rows_l, depth + 1, nl)
-        build(rows_r, depth + 1, nr)
+        build(rows_l, oob_l, depth + 1, nl)
+        build(rows_r, oob_r, depth + 1, nr)
 
-    root = new_node()
-    build(rows, 0, root)
-    return _Tree(np.asarray(feature, dtype=np.int32),
+    build(rows, np.flatnonzero(outside), 0, new_node())
+    tree = _Tree(np.asarray(feature, dtype=np.int32),
                  np.asarray(threshold),
                  np.asarray(missing_left, dtype=bool),
                  np.asarray(left, dtype=np.int32),
                  np.asarray(right, dtype=np.int32),
                  np.asarray(value))
+    return tree, tree.value[leaf_of]
 
 
 def _tree_predict(tree: _Tree, X: np.ndarray) -> np.ndarray:
@@ -338,9 +391,9 @@ def train_tree_ensemble(X: np.ndarray, y: np.ndarray,
         for c in range(n_classes):
             grad = w * (p[:, c] - target[:, c])
             hess = w * p[:, c] * (1.0 - p[:, c])
-            tree = _grow_tree(binner.codes, rows, grad, hess, binner, cfg)
+            tree, step = _grow_tree(binner, rows, grad, hess, cfg)
             trees.append(tree)
-            margin[:, c] += _tree_predict(tree, X)
+            margin[:, c] += step
 
     return TreeEnsemble(cfg, list(feature_names), n_classes, base, trees)
 
@@ -567,9 +620,10 @@ def save_model(model: EnsembleModel, path) -> None:
            "detector": _ens_to_jsonable(model.detector),
            "localizer": _ens_to_jsonable(model.localizer),
            "severity": _ens_to_jsonable(model.severity)}
+    # json.dumps runs the C encoder; json.dump streams through the pure-
+    # Python one, about 3x slower for the same text
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path) -> EnsembleModel:

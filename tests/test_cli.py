@@ -431,6 +431,34 @@ def test_extract_features_names_a_raw_file_short_by_whole_rows(
     assert not os.path.exists(tmp_path / "f.csv")
 
 
+def test_extract_features_rejects_raw_with_other_sensors(sim_run, tmp_path,
+                                                        capsys):
+    """A raw file must hold exactly the sensors the config places: fewer,
+    more or none all exit 2 with one line naming the file and both lists."""
+    tmp, cfg_path, out_dir = sim_run
+    day = tmp_path / "other" / "day_000"
+    shutil.copytree(os.path.join(out_dir, "day_000"), day)
+    raw_path = day / "raw.csv"
+    good = raw_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    subset = [good[0]] + [line for line in good[1:]
+                          if line.split(",")[1] == "a1"]
+    superset = [good[0]]
+    for line in good[1:]:
+        superset.append(line)
+        if line.split(",")[1] == "a2":
+            superset.append(line.replace(",a2,", ",a3,", 1))
+    for lines, held in ((subset, "['a1']"), (superset, "['a1', 'a2', 'a3']"),
+                        (good[:1], "[]")):
+        raw_path.write_text("".join(lines), encoding="utf-8")
+        assert main(["extract-features", "--raw", str(tmp_path / "other"),
+                     "--out", str(tmp_path / "f.csv"),
+                     "--config", cfg_path]) == 2
+        err = one_error_line(capsys)
+        assert (f"{raw_path}: holds sensors {held}, but the config places "
+                f"['a1', 'a2']") in err
+        assert not os.path.exists(tmp_path / "f.csv")
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit):
         main([])

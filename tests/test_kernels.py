@@ -2,7 +2,8 @@
 
 Index:
   semantics        vectorized kernels match a scalar re-derivation
-  reference        one-pass histograms equal the per-feature bincount form
+  reference        flat-cell histograms equal the per-feature bincount form
+                   and the zero-filled one-pass form they replaced
 """
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def _random_hist_case(rng, n, d, bins):
     return codes, rows, grad, hess, shape
 
 
+def flat_cells(codes, bins):
+    """Each row's histogram cell per feature: code plus feature x bins."""
+    return codes + np.arange(codes.shape[1]) * bins
+
+
+def hist_build_2d(codes, rows, grad, hess, bins):
+    """The kernel's three flat histograms as (feature, bin) arrays."""
+    d = codes.shape[1]
+    return tuple(h.reshape(d, bins) for h in kernels.hist_build(
+        flat_cells(codes, bins), rows, grad, hess, d * bins))
+
+
 def test_hist_build_matches_direct_sums():
     """Histogram accumulation equals per-bin masked sums."""
     for k in range(20):
@@ -78,10 +91,7 @@ def test_hist_build_matches_direct_sums():
         codes, rows, grad, hess, (d, bins) = _random_hist_case(
             rng, int(rng.integers(5, 300)), int(rng.integers(1, 8)),
             int(rng.integers(2, 32)))
-        hg = np.zeros((d, bins))
-        hh = np.zeros((d, bins))
-        hn = np.zeros((d, bins))
-        kernels.hist_build(codes, rows, grad, hess, hg, hh, hn)
+        hg, hh, hn = hist_build_2d(codes, rows, grad, hess, bins)
         for f in range(d):
             for b in range(bins):
                 mask = codes[rows, f] == b
@@ -105,9 +115,27 @@ def bincount_hist_build(codes, rows, grad, hess, hist_g, hist_h, hist_n):
         hist_n[f] += np.bincount(c, minlength=n_bins).astype(np.float64)
 
 
+def zero_fill_hist_build(codes, rows, grad, hess, hist_g, hist_h, hist_n):
+    """Reference histograms: the one-pass kernel that added its bincounts
+    into zero-filled (feature, bin) arrays, before the cell matrix was
+    built once per fit."""
+    n_feat, n_bins = hist_g.shape
+    cell = codes[rows].astype(np.intp)
+    cell += np.arange(n_feat) * n_bins
+    cell = cell.ravel()
+    size = n_feat * n_bins
+    shape = (n_feat, n_bins)
+    hist_g += np.bincount(cell, weights=np.repeat(grad[rows], n_feat),
+                          minlength=size).reshape(shape)
+    hist_h += np.bincount(cell, weights=np.repeat(hess[rows], n_feat),
+                          minlength=size).reshape(shape)
+    hist_n += np.bincount(cell, minlength=size).reshape(shape)
+
+
 def test_hist_build_equals_per_feature_bincount():
-    """The one-pass numpy kernel reproduces the per-feature form bit for
-    bit, including columns whose codes use only the first few bins."""
+    """The flat-cell kernel reproduces the per-feature form and the
+    zero-filled one-pass form bit for bit, including columns whose codes
+    use only the first few bins."""
     for k in range(30):
         rng = rng_for("hist-reference", k)
         n = int(rng.integers(1, 400))
@@ -122,14 +150,14 @@ def test_hist_build_equals_per_feature_bincount():
                                   replace=False)).astype(np.int32)
         grad = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
         hess = rng.uniform(0.0, 1.0, size=n)
-        outs = []
-        for build in (kernels.hist_build, bincount_hist_build):
+        outs = [hist_build_2d(codes, rows, grad, hess, bins)]
+        for build in (bincount_hist_build, zero_fill_hist_build):
             hists = tuple(np.zeros((d, bins)) for _ in range(3))
             build(codes, rows, grad, hess, *hists)
             outs.append(hists)
-        for a, b in zip(*outs):
-            assert np.array_equal(a, b)
+        for got, *refs in zip(*outs):
+            for ref in refs:
+                assert got.tobytes() == ref.astype(got.dtype).tobytes()
         for hist in outs[0]:
             for f, t in enumerate(tops):
                 assert not hist[f, t:].any()
-

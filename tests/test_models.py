@@ -3,13 +3,17 @@
 Index:
   config      hyperparameter validation
   splits      root split against exhaustive enumeration, leaf closed form,
-              vectorized split search and whole fits against loop references
+              split search over the real candidates and whole fits against
+              loop and padded references, code routing, the hist_build
+              call contract
   predict     tree-walk oracle with missing values, input checks
   training    learnability, loss monotonicity, determinism, base scores
   gating      stacked detector/localizer/severity behavior
-  io          JSON round trip, format guard, malformed and tampered files
+  io          JSON round trip, encoder output, format guard, malformed and
+              tampered files
 """
 import copy
+import io
 import json
 import math
 
@@ -25,7 +29,7 @@ from trafficlab.models import (EnsembleModel, IncidentPrediction, ModelError,
                                train_tree_ensemble, training_logloss)
 
 from conftest import rng_for
-from test_kernels import bincount_hist_build
+from test_kernels import bincount_hist_build, zero_fill_hist_build
 
 
 def small_cfg(**kw):
@@ -128,6 +132,68 @@ def loop_best_split(hist_g, hist_h, hist_n, binner, cfg):
     return best
 
 
+def padded_best_split(hist_g, hist_h, hist_n, binner, cfg):
+    """Reference split search: every (feature, missing side, cut) of the
+    padded (feature, 2, widest cut count) grid scored in one array, cuts
+    past a feature's own count masked out; the search the flat candidate
+    list replaced."""
+    width = binner.max_cuts
+    if width == 0:
+        return None
+    lam = cfg.reg_lambda
+    msl = cfg.min_samples_leaf
+    n_feat = len(binner.cuts)
+    padding = (np.arange(width) >= binner.n_cuts[:, None])[:, None, :]
+    hists = (hist_g, hist_h, hist_n)
+    left = np.empty((3, n_feat, width + 1))
+    for k, hist in enumerate(hists):
+        np.cumsum(hist[:, 1:width + 2], axis=1, out=left[k])
+    miss = np.stack([hist[:, 0] for hist in hists])
+    total = left[:, np.arange(n_feat), binner.n_cuts] + miss
+    add = np.zeros((3, n_feat, 2, 1))
+    add[:, :, 1, 0] = miss
+    sums = np.empty((2, 3, n_feat, 2, width))
+    np.add(left[:, :, None, :width], add, out=sums[0])
+    np.subtract(total[:, :, None, None], sums[0], out=sums[1])
+    g, h, n = sums[:, 0], sums[:, 1], sums[:, 2]
+    gtot, htot = total[0, :, None, None], total[1, :, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = gtot * gtot / (htot + lam)
+        h += lam
+        g *= g
+        g /= h
+        gains = g[0] + g[1]
+        gains -= parent
+        gains *= 0.5
+    masked = n[0] < msl
+    masked |= n[1] < msl
+    masked |= padding
+    np.putmask(gains, masked, -np.inf)
+    i = int(np.argmax(gains))
+    if np.isnan(gains.flat[i]):
+        gains[np.isnan(gains).any(axis=2)] = -np.inf
+        i = int(np.argmax(gains))
+    best = float(gains.flat[i])
+    if not best > 0.0:
+        return None
+    f, side, j = np.unravel_index(i, gains.shape)
+    return (best, int(f), int(j), bool(side))
+
+
+def as_hist_build(build_2d):
+    """A (feature, bin) reference histogram builder behind the kernel's
+    signature: the codes are recovered from the flat cells and the
+    reference fills zeroed 2-d histograms."""
+    def hist_build(cells, rows, grad, hess, size):
+        n_feat = cells.shape[1]
+        width = size // n_feat
+        codes = (cells - np.arange(n_feat) * width).astype(np.uint8)
+        hists = tuple(np.zeros((n_feat, width)) for _ in range(3))
+        build_2d(codes, rows, grad, hess, *hists)
+        return hists
+    return hist_build
+
+
 def stump_data(trial):
     rng = rng_for("stump", trial)
     n = 60
@@ -179,14 +245,16 @@ def split_case(X, g, h, rows=None, width=None, **cfg_kw):
     cfg = small_cfg(**cfg_kw)
     got = models._best_split(*hists, binner, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        want = loop_best_split(*hists, binner, cfg)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert got[1:] == want[1:]
-        assert got[0].hex() == want[0].hex()
-        assert [type(v) for v in got] == [float, int, int, bool]
+        wants = [loop_best_split(*hists, binner, cfg),
+                 padded_best_split(*hists, binner, cfg)]
+    for want in wants:
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got[1:] == want[1:]
+            assert got[0].hex() == want[0].hex()
+            assert [type(v) for v in got] == [float, int, int, bool]
     return got
 
 
@@ -304,7 +372,8 @@ def test_fit_equals_loop_reference_fit(tmp_path, monkeypatch):
     for patch in (False, True):
         if patch:
             monkeypatch.setattr(models, "_best_split", loop_best_split)
-            monkeypatch.setattr(kernels, "hist_build", bincount_hist_build)
+            monkeypatch.setattr(kernels, "hist_build",
+                                as_hist_build(bincount_hist_build))
         model = train_incident_ensemble(table, cfg)
         assert model.localizer is not None
         assert model.localizer.n_classes == 3
@@ -312,6 +381,143 @@ def test_fit_equals_loop_reference_fit(tmp_path, monkeypatch):
         save_model(model, path)
         texts.append(path.read_text(encoding="utf-8"))
     assert texts[0] == texts[1]
+
+
+class _BinnerKeepingX(models._Binner):
+    """The binner, remembering the X it was built from."""
+
+    def __init__(self, X, max_bins):
+        super().__init__(X, max_bins)
+        self.X = X
+
+
+def test_quantile_multiclass_fit_equals_padded_reference(tmp_path,
+                                                         monkeypatch):
+    """A quantile-binned fit with a multiclass localizer and subsampling
+    saves the same model text as the references the flat candidate search
+    replaced: the padded split search, zero-filled histograms, and margins
+    updated by walking every tree over the float X."""
+    rng = rng_for("fit-reference", "quantile")
+    n = 420
+    X = np.column_stack([rng.uniform(0.0, 1.0, n),
+                         rng.normal(0.0, 1.0, n),
+                         rng.integers(0, 5, n).astype(float),
+                         rng.exponential(1.0, n),
+                         np.round(rng.normal(0.0, 1.0, n), 1)])
+    X[rng.random(n) < 0.3, 1] = np.nan
+    X[rng.random(n) < 0.1, 3] = np.nan
+    inc = X[:, 0] > 0.5
+    roads = ["north_rd", "east_rd", "west_rd", "south_rd"]
+    road = [roads[int(X[i, 2]) % 4] if inc[i] else None for i in range(n)]
+    sev = [("severe" if X[i, 4] > 0 else "minor") if inc[i] else None
+           for i in range(n)]
+    table = FeatureTable(names(5), X, np.arange(n) * 30 + 600, inc, road,
+                         sev)
+    cfg = small_cfg(n_trees=10, max_depth=4, subsample=0.8, seed=5,
+                    max_bins=24, min_samples_leaf=3)
+    binner = models._Binner(X[inc], cfg.max_bins)
+    assert (binner.n_cuts == cfg.max_bins - 2).sum() >= 2  # quantile bins
+
+    real_grow = models._grow_tree
+
+    def grow_then_walk(binner, rows, grad, hess, cfg):
+        tree, _step = real_grow(binner, rows, grad, hess, cfg)
+        return tree, models._tree_predict(tree, binner.X)
+
+    texts = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(models, "_best_split", padded_best_split)
+            monkeypatch.setattr(kernels, "hist_build",
+                                as_hist_build(zero_fill_hist_build))
+            monkeypatch.setattr(models, "_Binner", _BinnerKeepingX)
+            monkeypatch.setattr(models, "_grow_tree", grow_then_walk)
+        model = train_incident_ensemble(table, cfg)
+        assert model.localizer.n_classes == 4
+        path = tmp_path / f"model_{int(patch)}.json"
+        save_model(model, path)
+        texts.append(path.read_text(encoding="utf-8"))
+    assert texts[0] == texts[1]
+
+
+def test_code_routing_equals_float_routing():
+    """On the training rows, code <= j + 1 (code 0 being missing) routes
+    exactly as x <= cuts[j] does at every cut, for exact and quantile
+    bins, NaNs, values equal to a cut and adjacent floats whose midpoint
+    rounds onto one of them."""
+    rng = rng_for("code-routing", 0)
+    n = 900
+    tiny = np.nextafter(1.0, 2.0)
+    X = np.column_stack([
+        rng.normal(0.0, 1.0, n),                        # quantile, >255
+        np.repeat(np.arange(300.0), 3),                 # quantile on values
+        rng.integers(0, 7, n).astype(float),            # exact
+        rng.choice([1.0, tiny, np.nextafter(tiny, 2.0)], n),
+        np.round(rng.normal(0.0, 3.0, n), 2),
+    ])
+    X[rng.random((n, X.shape[1])) < 0.15] = np.nan
+    binner = models._Binner(X, 256)
+    assert binner.n_cuts[0] == binner.n_cuts[1] == 254
+    on_cut = 0
+    for f, cuts in enumerate(binner.cuts):
+        col = X[:, f]
+        code = binner.codes[:, f]
+        assert np.array_equal(code == 0, np.isnan(col))
+        on_cut += int(np.isin(col, cuts).sum())
+        with np.errstate(invalid="ignore"):
+            for j, cut in enumerate(cuts):
+                want = col <= cut
+                assert np.array_equal((code <= j + 1) & (code != 0), want)
+    assert on_cut > 0
+
+
+def test_hist_build_called_once_per_searched_node(monkeypatch):
+    """Each node that reaches split search makes one hist_build call, with
+    that node's in-bag rows, ascending, as its second positional argument;
+    perfbench counts calls and rows through that argument."""
+    rng = rng_for("hist-contract", 0)
+    n = 300
+    X = rng.normal(0.0, 1.0, (n, 4))
+    X[rng.random((n, 4)) < 0.2] = np.nan
+    y = np.digitize(np.nansum(X[:, :2], axis=1), [-0.5, 0.5])
+    cfg = small_cfg(n_trees=4, max_depth=4, min_samples_leaf=8,
+                    subsample=0.7, seed=2, objective="multiclass")
+    calls = []
+    real = kernels.hist_build
+
+    def recording(*args, **kw):
+        assert not kw and len(args) == 5
+        calls.append(np.array(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "hist_build", recording)
+    ens = train_tree_ensemble(X, y, cfg, names(4))
+
+    want = []
+
+    def searched(tree, node, rows, depth):
+        if depth < cfg.max_depth and rows.size >= 2 * cfg.min_samples_leaf:
+            want.append(rows)
+        f = int(tree.feature[node])
+        if f < 0:
+            return
+        x = X[rows, f]
+        go_l = np.where(np.isnan(x), tree.missing_left[node],
+                        x <= tree.threshold[node])
+        searched(tree, int(tree.left[node]), rows[go_l], depth + 1)
+        searched(tree, int(tree.right[node]), rows[~go_l], depth + 1)
+
+    sub = np.random.default_rng(cfg.seed)
+    for r in range(cfg.n_trees):
+        rows = models._subsample_rows(sub, n, cfg.subsample)
+        for c in range(ens.n_classes):
+            searched(ens.trees[r * ens.n_classes + c], 0, rows, 0)
+    internal = sum(int((t.feature >= 0).sum()) for t in ens.trees)
+    assert internal < len(want)  # some searches found no split
+    assert len(calls) == len(want)
+    for got, rows in zip(calls, want):
+        assert np.array_equal(got, rows)
+        assert np.all(np.diff(got) > 0)
 
 
 def test_stump_predictions_are_base_plus_leaf():
@@ -667,6 +873,28 @@ def test_model_round_trip(tmp_path):
     save_model(degen, path)
     again = load_model(path)
     assert again.localizer is None and again.severity is None
+
+
+def test_saved_text_equals_pure_python_encoder(tmp_path):
+    """save_model writes with the C encoder; the text equals what the
+    pure-Python encoder behind json.dump writes for the same document."""
+    rng = rng_for("encoder", 0)
+    X = rng.normal(0.0, 1.0, (200, 3))
+    X[rng.random((200, 3)) < 0.2] = np.nan
+    y = np.digitize(X[:, 0], [-0.5, 0.5])
+    ens = train_tree_ensemble(X, y, small_cfg(n_trees=6,
+                                              objective="multiclass"),
+                              names(3))
+    det = train_tree_ensemble(X, (y > 0).astype(int), small_cfg(), names(3))
+    model = EnsembleModel(det, ens, None, ["a_rd", "b_rd", "c_rd"],
+                          ["minor"], 0.5, names(3))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    buf = io.StringIO()
+    json.dump(json.loads(text), buf)
+    buf.write("\n")
+    assert text == buf.getvalue()
 
 
 def test_load_rejects_other_files(tmp_path):
