@@ -217,12 +217,9 @@ def cmd_validate(args) -> int:
     rows = []
     for dd in _find_day_dirs(args.raw):
         day = int(os.path.basename(dd).split("_")[1])
-        spawns = os.path.join(dd, "spawns.csv")
-        if os.path.exists(spawns):
-            source = demand.read_schedule(spawns, horizon=cfg.day_seconds)
-        else:
-            source = sensors.load_raw(os.path.join(dd, "raw.csv"))
-        observed = validate.aggregate_bins(source, cfg.bin_seconds)
+        schedule = demand.read_schedule(os.path.join(dd, "spawns.csv"),
+                                        horizon=cfg.day_seconds)
+        observed = validate.aggregate_bins(schedule, cfg.bin_seconds)
         # per-second spawning integrates the curve over each bin, which the
         # bin-center value approximates far better than the bin start
         centers = observed.times() + cfg.bin_seconds / 2.0

@@ -145,8 +145,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     allowed = set(ExperimentConfig.__dataclass_fields__)
     _check_keys(doc, allowed, "config")
-    if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
+    doc.update(overrides or {})
     try:
         return ExperimentConfig(**doc)
     except (TypeError, ValueError) as exc:

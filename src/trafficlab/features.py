@@ -1,7 +1,8 @@
 """Raw sensor table to learning table.
 
 Three transforms: (1) re-identify vehicles across contiguous sensor pairs to
-get travel times, (2) trailing-window means of every per-sensor per-second
+get travel times, taking each raw row's (second, sensor) from its position
+in the table, (2) trailing-window means of every per-sensor per-second
 series and of per-pair travel times, recomputed every stride, (3) incident
 labels from ground truth.  Missing values (a pair with no traversal in the
 window) stay missing; the tree learner routes them natively.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -62,10 +64,12 @@ def reidentify_travel_times(raw: RawDataset, pairs,
     a's range before that.  Matches older than the staleness horizon are
     dropped as implausible re-identifications.
     """
-    # per sensor: vehicle id -> the seconds it was in range, ascending
+    # per sensor: vehicle id -> the seconds it was in range, ascending;
+    # row i of the table is (second, sensor) = divmod(i, n)
     seen_at: list = [{} for _ in raw.sensor_ids]
-    for t, s, ids in zip(raw.time.tolist(), raw.sensor_idx.tolist(),
-                         raw.vehicle_ids):
+    for (t, s), ids in zip(product(range(raw.horizon),
+                                   range(len(raw.sensor_ids))),
+                           raw.vehicle_ids):
         seen = seen_at[s]
         for v in ids:
             times = seen.get(v)

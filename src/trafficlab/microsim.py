@@ -502,28 +502,28 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
         collect_trace: bool = False, audit: bool = False) -> RunResult:
     """Simulate the full horizon, capturing sensor readings each second.
 
-    Returns the per-second raw dataset (empty sensors tuple when placement is
-    None) and the ground-truth incident log, plus bookkeeping counters and
-    the optional trace/audit artifacts.  Fully deterministic in
+    Returns the per-second raw dataset (None when placement is None) and
+    the ground-truth incident log, plus bookkeeping counters and the
+    optional trace/audit artifacts.  Fully deterministic in
     (schedule, incident_plan, cfg.seed, placement).
     """
     sim = Simulation(network, schedule, incident_plan, placement, cfg,
                      incident_cfg)
     report = AuditReport() if audit else None
-    builder = (RawDatasetBuilder(sim.rig.sensor_ids, sim.rig.range_m)
-               if sim.rig else RawDatasetBuilder((), 0.0))
+    builder = (None if sim.rig is None
+               else RawDatasetBuilder(sim.rig.sensor_ids))
     trace: list | None = [] if collect_trace else None
     st = sim.state
     for t in range(sim.horizon):
         sim.step(report)
-        if sim.rig is not None:
+        if builder is not None:
             builder.add_step(sim.rig.observe(st, t))
         if trace is not None:
             slots = np.fromiter(st.iter_active_slots(), dtype=np.intp,
                                 count=st.active_count)
             trace.append((t, slots, st.cur_seg[slots].copy(),
                           st.pos[slots].copy(), st.speed[slots].copy()))
-    raw = builder.build(sim.horizon) if sim.rig else None
+    raw = None if builder is None else builder.build(sim.horizon)
     return RunResult(raw=raw, incident_log=list(sim.incident_plan),
                      spawned=st.spawned, arrived=st.arrived,
                      active_at_end=st.active_count,

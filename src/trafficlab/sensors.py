@@ -11,13 +11,15 @@ A reading's mean speed is `exact_mean` of the seen vehicles' speeds in slot
 order, which equals `float(np.mean(...))` bit for bit.
 
 The raw table holds one row per (second, sensor), time-major with sensors
-in sorted id order; `load_raw` rejects a file whose rows are duplicated or
-out of that order, or whose count differs from its number of vehicle ids.
+in sorted id order, and that row order is its only index: row i is second
+i // n at the i % n-th sensor, in memory as in raw.csv.  `load_raw` rejects
+a file whose rows are duplicated or out of that order, or whose count
+differs from its number of vehicle ids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -140,39 +142,37 @@ class SensorRig:
 
 @dataclass
 class RawDataset:
-    """Columnar per-second sensor table, rows ordered by (time, sensor_id)."""
+    """Columnar per-second sensor table.  Row i holds second i // n at
+    sensor sensor_ids[i % n], n = len(sensor_ids): the row order is the
+    table's only index, as it is raw.csv's."""
     horizon: int
     sensor_ids: tuple
-    range_m: float | None
-    time: np.ndarray
-    sensor_idx: np.ndarray
     count: np.ndarray
     mean_speed: np.ndarray
     occupancy: np.ndarray
     vehicle_ids: list
 
     def __post_init__(self):
-        n = len(self.time)
-        if n != self.horizon * len(self.sensor_ids):
-            raise SensorError(
-                f"raw table has {n} rows, expected horizon*sensors = "
-                f"{self.horizon * len(self.sensor_ids)}")
+        n = self.horizon * len(self.sensor_ids)
+        for name in ("count", "mean_speed", "occupancy", "vehicle_ids"):
+            got = len(getattr(self, name))
+            if got != n:
+                raise SensorError(
+                    f"raw table has {got} {name} entries, expected "
+                    f"horizon*sensors = {n}")
 
     @property
     def n_rows(self) -> int:
-        return len(self.time)
+        return self.horizon * len(self.sensor_ids)
 
     def sensor_matrix(self, field: str) -> np.ndarray:
-        """Dense (horizon, n_sensors) view of one numeric column; relies on
-        the one-reading-per-(sensor, second) invariant and row ordering."""
+        """Dense (horizon, n_sensors) view of one numeric column."""
         col = getattr(self, field)
         return col.reshape(self.horizon, len(self.sensor_ids))
 
     def data_equal(self, other: "RawDataset") -> bool:
         return (self.sensor_ids == other.sensor_ids
                 and self.horizon == other.horizon
-                and np.array_equal(self.time, other.time)
-                and np.array_equal(self.sensor_idx, other.sensor_idx)
                 and np.array_equal(self.count, other.count)
                 and np.array_equal(self.mean_speed, other.mean_speed)
                 and np.array_equal(self.occupancy, other.occupancy)
@@ -180,30 +180,25 @@ class RawDataset:
 
 
 class RawDatasetBuilder:
-    def __init__(self, sensor_ids: tuple, range_m: float):
+    """Collects one step's readings at a time; each step must hold one
+    reading per sensor, in sensor_ids order, as SensorRig.observe gives."""
+
+    def __init__(self, sensor_ids: tuple):
         self.sensor_ids = tuple(sensor_ids)
-        self.index = {s: i for i, s in enumerate(self.sensor_ids)}
-        self.range_m = range_m
-        self.time: list = []
-        self.sensor_idx: list = []
         self.count: list = []
         self.mean_speed: list = []
         self.occupancy: list = []
         self.vehicle_ids: list = []
 
     def add_step(self, readings) -> None:
-        for sid, t, ids, count, speed, occupancy in readings:
-            self.time.append(t)
-            self.sensor_idx.append(self.index[sid])
+        for _sid, _t, ids, count, speed, occupancy in readings:
             self.count.append(count)
             self.mean_speed.append(speed)
             self.occupancy.append(occupancy)
             self.vehicle_ids.append(ids)
 
     def build(self, horizon: int) -> RawDataset:
-        return RawDataset(horizon, self.sensor_ids, self.range_m,
-                          np.asarray(self.time, dtype=np.int64),
-                          np.asarray(self.sensor_idx, dtype=np.int32),
+        return RawDataset(horizon, self.sensor_ids,
                           np.asarray(self.count, dtype=np.int32),
                           np.asarray(self.mean_speed, dtype=np.float64),
                           np.asarray(self.occupancy, dtype=np.float64),
@@ -220,23 +215,21 @@ def emit_raw(dataset: RawDataset, incident_log, raw_path,
     Floats are written as their shortest round-trip `repr`."""
     from .incidents import write_incident_log
 
-    names = dataset.sensor_ids
-    rows = zip(dataset.time.tolist(), dataset.sensor_idx.tolist(),
+    rows = zip(product(range(dataset.horizon), dataset.sensor_ids),
                dataset.count.tolist(), dataset.mean_speed.tolist(),
                dataset.occupancy.tolist(), dataset.vehicle_ids)
     with open(raw_path, "w", encoding="utf-8") as fh:
         fh.write(RAW_HEADER + "\n")
         while chunk := "".join([
-                f"{t},{names[k]},{c},{m!r},{o!r},{';'.join(map(str, v))}\n"
-                for t, k, c, m, o, v in islice(rows, _WRITE_ROWS)]):
+                f"{t},{s},{c},{m!r},{o!r},{';'.join(map(str, v))}\n"
+                for (t, s), c, m, o, v in islice(rows, _WRITE_ROWS)]):
             fh.write(chunk)
     if incidents_path is not None:
         write_incident_log(incident_log, incidents_path)
 
 
 def load_raw(path) -> RawDataset:
-    """Load a raw table; capture range is not stored in the file and comes
-    back as None.  Rows must hold every sensor once per second, in
+    """Load a raw table.  Rows must hold every sensor once per second, in
     (time, sensor_id) order, and each count must equal the number of
     vehicle ids on its row; anything else raises SensorError."""
     times: list = []
@@ -274,27 +267,29 @@ def load_raw(path) -> RawDataset:
             occs.append(occ)
             vids.append(row_ids)
     sensor_ids = tuple(sorted(set(sensors)))
-    index = {s: i for i, s in enumerate(sensor_ids)}
-    time = np.asarray(times, dtype=np.int64)
-    sensor_idx = np.asarray([index[s] for s in sensors], dtype=np.int32)
-    if sensor_ids:
-        row = np.arange(len(times))
-        bad = np.flatnonzero((time != row // len(sensor_ids))
-                             | (sensor_idx != row % len(sensor_ids)))
-        if bad.size:
-            i = int(bad[0])
-            raise SensorError(
-                f"{path}: data row {i + 1} is (time {times[i]}, sensor "
-                f"{sensors[i]!r}), expected (time {i // len(sensor_ids)}, "
-                f"sensor {sensor_ids[i % len(sensor_ids)]!r}): rows must "
-                f"hold every sensor once per second, in (time, sensor_id) "
-                f"order")
+    n = len(sensor_ids)
+    if n:
+        # row i must be (second i // n, sensor sensor_ids[i % n]); compare
+        # whole lists, and walk the rows only to name the first bad one
+        m = len(times)
+        seconds = -(-m // n)
+        want_times = [t for t in range(seconds) for _ in sensor_ids][:m]
+        want_sensors = (list(sensor_ids) * seconds)[:m]
+        if times != want_times or sensors != want_sensors:
+            for i, (t, sensor) in enumerate(zip(times, sensors)):
+                if t != want_times[i] or sensor != want_sensors[i]:
+                    raise SensorError(
+                        f"{path}: data row {i + 1} is (time {t}, sensor "
+                        f"{sensor!r}), expected (time {want_times[i]}, "
+                        f"sensor {want_sensors[i]!r}): rows must hold "
+                        f"every sensor once per second, in (time, "
+                        f"sensor_id) order")
     horizon = times[-1] + 1 if times else 0
-    if len(times) != horizon * len(sensor_ids):
+    if len(times) != horizon * n:
         raise SensorError(
             f"{path}: {len(times)} data rows, expected {horizon} seconds x "
-            f"{len(sensor_ids)} sensors = {horizon * len(sensor_ids)}")
-    return RawDataset(horizon, sensor_ids, None, time, sensor_idx,
+            f"{n} sensors = {horizon * n}")
+    return RawDataset(horizon, sensor_ids,
                       np.asarray(counts, dtype=np.int32),
                       np.asarray(speeds, dtype=np.float64),
                       np.asarray(occs, dtype=np.float64), vids)
@@ -308,15 +303,12 @@ def subset_sensors(dataset: RawDataset, sensor_ids) -> RawDataset:
     missing = set(keep) - set(dataset.sensor_ids)
     if missing:
         raise SensorError(f"unknown sensors: {', '.join(sorted(missing))}")
-    keep_old = np.asarray([dataset.sensor_ids.index(s) for s in keep],
-                          dtype=np.int32)
-    mask = np.isin(dataset.sensor_idx, keep_old)
-    remap = {int(old): new for new, old in enumerate(keep_old)}
-    new_idx = np.asarray([remap[int(i)] for i in dataset.sensor_idx[mask]],
-                         dtype=np.int32)
-    rows = np.nonzero(mask)[0]
-    return RawDataset(dataset.horizon, keep, dataset.range_m,
-                      dataset.time[mask], new_idx,
-                      dataset.count[mask], dataset.mean_speed[mask],
-                      dataset.occupancy[mask],
-                      [dataset.vehicle_ids[i] for i in rows])
+    cols = np.asarray([dataset.sensor_ids.index(s) for s in keep],
+                      dtype=np.int64)
+    # row t * n + col holds second t at column col
+    rows = (np.arange(dataset.horizon, dtype=np.int64)[:, None]
+            * len(dataset.sensor_ids) + cols).ravel()
+    vids = dataset.vehicle_ids
+    return RawDataset(dataset.horizon, keep, dataset.count[rows],
+                      dataset.mean_speed[rows], dataset.occupancy[rows],
+                      [vids[i] for i in rows.tolist()])

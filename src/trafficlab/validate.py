@@ -2,9 +2,10 @@
 
 The statistic is the exact sup-difference of the two empirical CDFs; the
 p-value uses the asymptotic Kolmogorov distribution at effective size
-n*m/(n+m), with a permutation fallback when either sample is small.  A day
-of synthetic data passes when its per-bin entry counts are statistically
-indistinguishable from the fitted curve's binned values at the 0.05 level.
+n*m/(n+m), or a seeded permutation null when either sample is small.  A day
+of synthetic data passes when its per-bin entry counts, taken from the
+day's spawn schedule, are statistically indistinguishable from the fitted
+curve's binned values at the 0.05 level.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import MacroCountSeries
+from .demand import MacroCountSeries, SpawnSchedule
 
 PASS_LEVEL = 0.05
 _SMALL_SAMPLE = 30
@@ -58,13 +59,12 @@ def _kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, total))
 
 
-def ks_two_sample(a, b, permutation_fallback: bool = True,
-                  seed: int = 0) -> KsResult:
+def ks_two_sample(a, b) -> KsResult:
     """Two-sample KS test.
 
     Asymptotic p-value for comfortably sized samples; when min(n, m) is
-    below 30 (and the fallback is enabled) the p-value comes from a seeded
-    permutation null instead, since the asymptotic form is unreliable there.
+    below 30 the p-value comes from a permutation null with a fixed seed
+    instead, since the asymptotic form is unreliable there.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -72,8 +72,8 @@ def ks_two_sample(a, b, permutation_fallback: bool = True,
         raise ValidationError("KS test needs at least 5 samples per side")
     d = _ks_statistic(a, b)
     n, m = a.size, b.size
-    if min(n, m) < _SMALL_SAMPLE and permutation_fallback:
-        rng = np.random.default_rng(seed)
+    if min(n, m) < _SMALL_SAMPLE:
+        rng = np.random.default_rng(0)
         pooled = np.concatenate([a, b])
         hits = 0
         for _ in range(_PERMUTATIONS):
@@ -87,33 +87,20 @@ def ks_two_sample(a, b, permutation_fallback: bool = True,
     return KsResult(d, p, n, m)
 
 
-def aggregate_bins(source, bin_s: float) -> MacroCountSeries:
-    """Per-bin counts of vehicles entering the network.
-
-    Accepts a SpawnSchedule (bucket spawn times) or a RawDataset (bucket
-    each vehicle's first sighting, the observable proxy for its entry).
-    """
+def aggregate_bins(schedule: SpawnSchedule, bin_s: float) -> MacroCountSeries:
+    """Per-bin counts of vehicles entering the network: the schedule's
+    spawn times, bucketed."""
     if bin_s <= 0:
         raise ValidationError("bin duration must be positive")
-    horizon = float(getattr(source, "horizon"))
+    horizon = float(schedule.horizon)
     n_bins = horizon / bin_s
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise ValidationError(
             f"bin {bin_s} does not divide horizon {horizon}")
     n_bins = int(round(n_bins))
     counts = np.zeros(n_bins)
-    if hasattr(source, "events"):  # SpawnSchedule
-        for ev in source.events:
-            counts[int(ev.time // bin_s)] += 1
-    else:  # RawDataset: first sighting per vehicle id
-        first: dict = {}
-        for i in range(source.n_rows):
-            t = int(source.time[i])
-            for v in source.vehicle_ids[i]:
-                if v not in first or t < first[v]:
-                    first[v] = t
-        for t in first.values():
-            counts[int(t // bin_s)] += 1
+    for ev in schedule.events:
+        counts[int(ev.time // bin_s)] += 1
     return MacroCountSeries(bin_s, counts, 0.0)
 
 

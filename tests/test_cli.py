@@ -459,6 +459,21 @@ def test_extract_features_rejects_raw_with_other_sensors(sim_run, tmp_path,
         assert not os.path.exists(tmp_path / "f.csv")
 
 
+def test_validate_requires_each_days_spawns(sim_run, tmp_path, capsys):
+    """validate compares spawned counts with the curve, so a day without
+    spawns.csv exits 2 naming that file rather than counting sightings."""
+    tmp, cfg_path, out_dir = sim_run
+    day = tmp_path / "nospawns" / "day_000"
+    shutil.copytree(os.path.join(out_dir, "day_000"), day)
+    os.remove(day / "spawns.csv")
+    out = tmp_path / "validation.csv"
+    assert main(["validate", "--raw", str(tmp_path / "nospawns"),
+                 "--counts", str(tmp / "counts.csv"), "--out", str(out),
+                 "--config", cfg_path]) == 2
+    assert str(day / "spawns.csv") in one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit):
         main([])

@@ -37,22 +37,17 @@ def raw_from_sightings(sensor_ids, horizon, seen, counts=None, speeds=None,
     numeric columns either given as (sensor -> per-second array) or drawn
     from a deterministic generator."""
     rng = rng_for(seed, 0)
-    n = len(sensor_ids)
-    time, sidx, cnt, spd, occ, vids = [], [], [], [], [], []
+    cnt, spd, occ, vids = [], [], [], []
     for t in range(horizon):
-        for k, s in enumerate(sensor_ids):
+        for s in sensor_ids:
             ids = tuple(seen.get((s, t), ()))
-            time.append(t)
-            sidx.append(k)
             cnt.append(counts[s][t] if counts else len(ids))
             spd.append(speeds[s][t] if speeds
                        else float(rng.uniform(0.0, 12.0)))
             occ.append(occupancy[s][t] if occupancy
                        else float(rng.uniform(0.0, 0.4)))
             vids.append(ids)
-    return RawDataset(horizon, tuple(sensor_ids), 60.0,
-                      np.asarray(time, dtype=np.int64),
-                      np.asarray(sidx, dtype=np.int32),
+    return RawDataset(horizon, tuple(sensor_ids),
                       np.asarray(cnt, dtype=np.int32),
                       np.asarray(spd, dtype=np.float64),
                       np.asarray(occ, dtype=np.float64), vids)
@@ -126,8 +121,7 @@ def loop_reidentify(raw, pairs, staleness=1800):
     its reference."""
     sightings = {}
     for i in range(raw.n_rows):
-        t = int(raw.time[i])
-        s = int(raw.sensor_idx[i])
+        t, s = divmod(i, len(raw.sensor_ids))
         for v in raw.vehicle_ids[i]:
             sightings.setdefault(int(v), {}).setdefault(s, []).append(t)
     sensor_pos = {sid: k for k, sid in enumerate(raw.sensor_ids)}

@@ -154,9 +154,6 @@ def test_dataset_rows_are_time_major():
     raw = res.raw
     n = len(raw.sensor_ids)
     assert raw.n_rows == raw.horizon * n
-    assert np.array_equal(raw.time, np.repeat(np.arange(raw.horizon), n))
-    assert np.array_equal(raw.sensor_idx,
-                          np.tile(np.arange(n), raw.horizon))
     counts = raw.sensor_matrix("count")
     assert counts.shape == (raw.horizon, n)
     assert counts.sum() == raw.count.sum() > 0
@@ -164,9 +161,19 @@ def test_dataset_rows_are_time_major():
 
 def test_dataset_row_count_is_enforced():
     with pytest.raises(SensorError, match="expected horizon"):
-        RawDataset(10, ("a", "b"), 50.0, np.zeros(3, dtype=np.int64),
-                   np.zeros(3, dtype=np.int32), np.zeros(3, dtype=np.int32),
+        RawDataset(10, ("a", "b"), np.zeros(3, dtype=np.int32),
                    np.zeros(3), np.zeros(3), [(), (), ()])
+    # every column is checked: one short vehicle_ids list would otherwise
+    # make emit_raw's zip write one row fewer
+    cols = dict(count=np.zeros(4, dtype=np.int32), mean_speed=np.zeros(4),
+                occupancy=np.zeros(4), vehicle_ids=[()] * 4)
+    RawDataset(2, ("a", "b"), **cols)
+    for name in cols:
+        short = dict(cols, **{name: cols[name][:3]})
+        with pytest.raises(SensorError,
+                           match=f"has 3 {name} entries, expected "
+                                 f"horizon.sensors = 4"):
+            RawDataset(2, ("a", "b"), **short)
 
 
 # -- io --------------------------------------------------------------------------
@@ -179,7 +186,6 @@ def test_emit_load_round_trip(tmp_path):
     emit_raw(res.raw, res.incident_log, raw_path, inc_path)
     back = load_raw(raw_path)
     assert back.data_equal(res.raw)
-    assert back.range_m is None  # not stored in the file
     assert read_incident_log(inc_path) == res.incident_log
     # floats must be written as plain repr digits, not array scalar text
     body = raw_path.read_text(encoding="utf-8")
@@ -191,9 +197,10 @@ def reference_emit_raw(dataset, raw_path):
     with open(raw_path, "w", encoding="utf-8") as fh:
         fh.write(RAW_HEADER + "\n")
         for i in range(dataset.n_rows):
+            t, k = divmod(i, len(dataset.sensor_ids))
             vids = ";".join(str(v) for v in dataset.vehicle_ids[i])
-            fh.write(f"{dataset.time[i]},"
-                     f"{dataset.sensor_ids[dataset.sensor_idx[i]]},"
+            fh.write(f"{t},"
+                     f"{dataset.sensor_ids[k]},"
                      f"{dataset.count[i]},{float(dataset.mean_speed[i])!r},"
                      f"{float(dataset.occupancy[i])!r},{vids}\n")
 
@@ -217,10 +224,7 @@ def awkward_dataset(horizon=2100):
     speed[count == 0] = 0.0
     occupancy = count * 5.0 / 120.0
     occupancy[3] = 0.0
-    return RawDataset(horizon, sensor_ids, 60.0,
-                      np.repeat(np.arange(horizon, dtype=np.int64), 2),
-                      np.tile(np.arange(2, dtype=np.int32), horizon),
-                      count, speed, occupancy, vids)
+    return RawDataset(horizon, sensor_ids, count, speed, occupancy, vids)
 
 
 def test_emit_raw_matches_reference_writer(tmp_path):
@@ -298,11 +302,16 @@ def test_load_raw_rejects_count_that_differs_from_ids(tmp_path):
 
 
 def test_subset_matches_counterfactual_deployment():
-    wide = line_run(sensors=("a1", "a2"))
-    narrow = line_run(sensors=("a2",))
-    cut = subset_sensors(wide.raw, ("a2",))
-    assert cut.sensor_ids == ("a2",)
-    assert cut.data_equal(narrow.raw)
+    # one of two columns, and two columns that are not adjacent, asked
+    # for out of order
+    for deployed, keep, kept in ((("a1", "a2"), ("a2",), ("a2",)),
+                                 (("a0", "a1", "a2", "a3"), ("a3", "a1"),
+                                  ("a1", "a3"))):
+        wide = line_run(sensors=deployed)
+        narrow = line_run(sensors=kept)
+        cut = subset_sensors(wide.raw, keep)
+        assert cut.sensor_ids == kept
+        assert cut.data_equal(narrow.raw)
 
 
 def test_subset_keeps_column_data_and_validates():

@@ -4,7 +4,7 @@ Index:
   statistic   exact sup-CDF-difference against a brute-force oracle
   p-values    asymptotic series anchors and the permutation fallback
   behavior    pass rates under same/different generating processes
-  binning     entry-count aggregation from schedules and raw tables
+  binning     entry-count aggregation from spawn schedules
   report      per-day summary formatting
 """
 import math
@@ -14,11 +14,11 @@ import pytest
 
 from trafficlab.demand import SpawnEvent, SpawnSchedule
 from trafficlab.validate import (DayValidation, KsResult, PASS_LEVEL,
-                                 ValidationError, aggregate_bins,
-                                 ks_two_sample, write_validation_report)
+                                 ValidationError, _kolmogorov_sf,
+                                 aggregate_bins, ks_two_sample,
+                                 write_validation_report)
 
 from conftest import rng_for
-from test_features import raw_from_sightings
 
 
 def brute_force_ks(a, b):
@@ -106,20 +106,20 @@ def test_permutation_fallback_is_seeded_and_sane():
     rng = rng_for("ks-perm", 0)
     a = rng.normal(0.0, 1.0, 12)
     b = rng.normal(0.0, 1.0, 18)
-    r1 = ks_two_sample(a, b, seed=7)
-    r2 = ks_two_sample(a, b, seed=7)
+    r1 = ks_two_sample(a, b)
+    r2 = ks_two_sample(a, b)
     assert r1 == r2
     assert r1.statistic == brute_force_ks(a, b)
     assert 1.0 / 2001.0 <= r1.p_value <= 1.0
 
-    far = ks_two_sample(a, b + 50.0, seed=7)
+    far = ks_two_sample(a, b + 50.0)
     assert far.statistic == 1.0
     assert far.p_value == pytest.approx(1.0 / 2001.0)
 
-    # the fallback can be disabled to force the asymptotic form
-    asym = ks_two_sample(a, b, permutation_fallback=False)
-    lam = math.sqrt(12 * 18 / 30.0) * asym.statistic
-    assert asym.p_value == pytest.approx(kolmogorov_series(lam), abs=1e-9)
+    # the asymptotic form the fallback stands in for, at the same statistic
+    lam = math.sqrt(12 * 18 / 30.0) * r1.statistic
+    assert _kolmogorov_sf(lam) == pytest.approx(kolmogorov_series(lam),
+                                                abs=1e-9)
 
 
 # -- behavior ----------------------------------------------------------------
@@ -154,16 +154,6 @@ def test_aggregate_bins_from_schedule():
     series = aggregate_bins(SpawnSchedule(events, 1000.0), 100.0)
     assert series.bin_duration == 100.0
     assert series.counts.tolist() == [3, 1, 3, 0, 0, 0, 0, 0, 0, 1]
-
-
-def test_aggregate_bins_from_raw_first_sightings():
-    # vehicle 1 appears at t=5 on q but already at t=3 on p; vehicle 2
-    # only later; vehicle 3's repeat sighting must not count twice
-    seen = {("p", 3): (1,), ("q", 5): (1, 2), ("p", 10): (3,),
-            ("q", 12): (3,), ("p", 79): (4,)}
-    raw = raw_from_sightings(("p", "q"), 80, seen)
-    series = aggregate_bins(raw, 10.0)
-    assert series.counts.tolist() == [2, 1, 0, 0, 0, 0, 0, 1]
 
 
 def test_aggregate_bins_validation():
