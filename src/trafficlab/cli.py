@@ -72,12 +72,18 @@ def _day_seeds(seed: int, day: int):
     return tuple(int(s) for s in state)
 
 
+class AuditFailed(Exception):
+    """An audited day broke a simulator invariant."""
+
+
 def _simulate_days(cfg: ExperimentConfig, net, placement, params, root: str,
-                   n_days: int):
+                   n_days: int, audit: bool = False):
     """Simulate days 0..n_days-1, write each one's raw.csv, incidents.csv
     and spawns.csv under root/day_NNN, print its day line, and yield its
     (raw table, incident log).  Day cfg.days, when simulated, is the
-    held-out evaluation day."""
+    held-out evaluation day.  With audit, every step is audited, the day
+    line gives the audit's counts, and a day with a violation raises
+    AuditFailed naming the first one once its files are written."""
     inc_cfg = cfg.incident_config()
     for day in range(n_days):
         spawn_seed, inc_seed, sim_seed = _day_seeds(cfg.seed, day)
@@ -88,16 +94,24 @@ def _simulate_days(cfg: ExperimentConfig, net, placement, params, root: str,
             exit_weights=cfg.exit_weights or None)
         plan = incidents.plan_incidents(schedule, inc_cfg, net, seed=inc_seed)
         result = run(net, schedule, plan, placement,
-                     cfg.sim_config(sim_seed), incident_cfg=inc_cfg)
+                     cfg.sim_config(sim_seed), incident_cfg=inc_cfg,
+                     audit=audit)
         out = os.path.join(root, f"day_{day:03d}")
         os.makedirs(out, exist_ok=True)
         sensors.emit_raw(result.raw, result.incident_log,
                          os.path.join(out, "raw.csv"),
                          os.path.join(out, "incidents.csv"))
         demand.write_schedule(schedule, os.path.join(out, "spawns.csv"))
+        report = result.audit
         print(f"day {day:03d}: spawned={result.spawned} "
               f"arrived={result.arrived} incidents={len(plan)}"
-              + (" [eval]" if day == cfg.days else ""))
+              + (" [eval]" if day == cfg.days else "")
+              + (f" audit: checked_steps={report.checked_steps} "
+                 f"violations={len(report.violations)}" if audit else ""))
+        if audit and report.violations:
+            t, kind, detail = report.violations[0]
+            raise AuditFailed(f"day {day:03d}: first audit violation at "
+                              f"t={t}: {kind}: {detail}")
         yield result.raw, result.incident_log
 
 
@@ -176,9 +190,13 @@ def cmd_simulate(args) -> int:
     params = _demand_params(cfg)
     echo_config(cfg, cfg.out_dir)
     t0 = time.perf_counter()
-    for _day in _simulate_days(cfg, net, placement, params, cfg.out_dir,
-                               cfg.days):
-        pass  # the days are on disk; nothing is kept in memory
+    try:
+        for _day in _simulate_days(cfg, net, placement, params, cfg.out_dir,
+                                   cfg.days, audit=args.audit):
+            pass  # the days are on disk; nothing is kept in memory
+    except AuditFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"simulated {cfg.days} day(s) in "
           f"{time.perf_counter() - t0:.1f}s -> {cfg.out_dir}")
     return 0
@@ -340,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--config", required=True)
     q.add_argument("--days", type=int, default=None)
     q.add_argument("--out-dir", default=None)
+    q.add_argument("--audit", action="store_true",
+                   help="audit every step; exit 1 on the first violation")
     q.set_defaults(func=cmd_simulate)
 
     q = sub.add_parser("extract-features",

@@ -251,13 +251,15 @@ def apply_effects(state, active) -> np.ndarray:
     Designations of ended incidents must already be released.
     """
     caps = np.full(state.capacity, np.inf)
-    pos = state.pos
+    # the zone walk reads and writes Python floats through memoryviews
+    pos = memoryview(state.pos)
+    slot_cap = memoryview(caps)
     for inc in active:
         for lanes, lo, hi, cap in inc.zone:
             for q in lanes:
                 for slot in q:
-                    if lo <= pos[slot] <= hi and cap < caps[slot]:
-                        caps[slot] = cap
+                    if lo <= pos[slot] <= hi and cap < slot_cap[slot]:
+                        slot_cap[slot] = cap
     caps[state.halted_by >= 0] = 0.0
     return caps
 

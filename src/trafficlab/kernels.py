@@ -1,10 +1,14 @@
-"""The two numpy hot loops: the per-step car-following speed update and the
+"""The two hot loops: the per-step car-following move and the
 boosted-tree histogram accumulation.
 
-Callers reach them as ``kernels.follow_speeds`` and ``kernels.hist_build``
-so that a tracer can wrap the module attributes from outside.
+`follow_speeds` walks the lane queues on Python floats, one vehicle at a
+time; `hist_build` is three numpy bincounts.  Callers reach them as
+``kernels.follow_speeds`` and ``kernels.hist_build`` so that a tracer can
+wrap the module attributes from outside.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -12,34 +16,61 @@ import numpy as np
 ACTIVE_BACKEND = "python"
 
 
-def follow_speeds(pos, speed, leader, head_free, head_lead_speed, limit,
-                  speed_cap, noise, accel, decel, min_gap, vehicle_length,
-                  dt, out):
-    """Safe speed for every vehicle, written into ``out`` and returned.
+def follow_speeds(noise, lanes, speed_cap, pos, speed, accel, decel,
+                  min_gap, vehicle_length, dt):
+    """Move every queued vehicle one step: safe speed, then position.
 
-    A vehicle with ``leader >= 0`` brakes behind that index's pre-step
-    position and speed; a queue head (``leader == -1``) uses its own free
-    run ``head_free`` and ``head_lead_speed``.  The result is capped by
-    acceleration, the segment ``limit``, the free run per step and
-    ``speed_cap``, minus ``noise``, and clamped at zero.
+    ``lanes`` holds one ``(queue, head_free, head_lead_speed, limit)`` per
+    lane queue to move: the queue's vehicle slots front to back, its
+    head's free run and effective leader speed, and its segment's speed
+    limit.  ``noise`` holds one term per vehicle, in the same order.
+    Every follower brakes behind its leader's pre-step position and
+    speed.  The speed is capped by acceleration, the limit, the free run
+    per step and ``speed_cap[slot]`` (None: no caps), minus the noise, and
+    clamped at zero; ``speed[slot]`` and ``pos[slot]`` are written in
+    place.
+
+    Every comparison takes the second operand on a tie, as numpy's
+    minimum and maximum do, so signed zeros come out as the vectorized
+    form gives them.
     """
-    has_leader = leader >= 0
-    lead = np.where(has_leader, leader, 0)
-    fr = np.where(has_leader,
-                  pos[lead] - vehicle_length - pos - min_gap,
-                  head_free)
-    vl = np.where(has_leader, speed[lead], head_lead_speed)
-    np.maximum(fr, 0.0, out=fr)
+    sqrt = math.sqrt
+    adt = accel * dt
     bt = decel * dt
-    vs = -bt + np.sqrt(bt * bt + vl * vl + 2.0 * decel * fr)
-    vd = np.minimum(speed + accel * dt, limit)
-    np.minimum(vd, vs, out=vd)
-    np.minimum(vd, fr / dt, out=vd)
-    np.minimum(vd, speed_cap, out=vd)
-    vd = vd - noise
-    np.maximum(vd, 0.0, out=vd)
-    out[:] = vd
-    return out
+    neg_bt = -bt
+    bt2 = bt * bt
+    two_b = 2.0 * decel
+    k = 0
+    for q, fr, vl, lim in lanes:
+        back = None  # the leader's pre-step rear bumper
+        for slot in q:
+            p = pos[slot]
+            v = speed[slot]
+            if back is not None:
+                fr = back - p - min_gap
+            if fr <= 0.0:
+                fr = 0.0
+            vn = v + adt
+            if lim <= vn:
+                vn = lim
+            x = neg_bt + sqrt(bt2 + vl * vl + two_b * fr)
+            if x <= vn:
+                vn = x
+            x = fr / dt
+            if x <= vn:
+                vn = x
+            if speed_cap is not None:
+                x = speed_cap[slot]
+                if x <= vn:
+                    vn = x
+            vn = vn - noise[k]
+            k += 1
+            if vn <= 0.0:
+                vn = 0.0
+            speed[slot] = vn
+            pos[slot] = p + vn * dt
+            back = p - vehicle_length
+            vl = v
 
 
 def hist_build(cells, rows, grad, hess, size):

@@ -16,9 +16,17 @@ every step boundary.  Queue heads are capped the same way against the best
 target lane's tail (or the stop line), and entry positions are re-clamped
 against the live tail position at crossing time, so cross-segment moves
 preserve the invariant too.
+
+The step runs on Python floats and ints: it reads and writes vehicle
+state through memoryviews of the state arrays and the network tables as
+lists.  Every head's lookahead is taken first, on the pre-step state;
+then `kernels.follow_speeds` walks each lane queue once, front to back,
+and heads cross in queue order.  Driver noise is one draw per step in that
+canonical order.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -82,31 +90,28 @@ class RunResult:
 
 
 class _NetTables:
-    """Flat-array view of the network used by the inner loop, with the
-    signal state of every second of the horizon precomputed."""
+    """Per-segment and per-queue tables of the network, held as lists
+    because the step reads them one value at a time, with the signal
+    state of every second of the horizon precomputed."""
 
     def __init__(self, net: RoadNetwork, horizon: int):
         self.net = net
         self.seg_ids = sorted(net.segments)
         self.seg_index = {sid: i for i, sid in enumerate(self.seg_ids)}
         n = len(self.seg_ids)
-        self.length = np.empty(n)
-        self.limit = np.empty(n)
-        self.lanes = np.empty(n, dtype=np.int32)
-        self.queue_base = np.empty(n, dtype=np.int32)
-        qb = 0
+        self.length: list = []
+        self.limit: list = []
+        self.lanes: list = []
+        self.queue_base: list = []
+        self.queue_seg: list = []
         for i, sid in enumerate(self.seg_ids):
             seg = net.segments[sid]
-            self.length[i] = seg.length
-            self.limit[i] = seg.speed_limit
-            self.lanes[i] = seg.lanes
-            self.queue_base[i] = qb
-            qb += seg.lanes
-        self.n_queues = qb
-        self.queue_seg = np.empty(qb, dtype=np.int32)
-        for i in range(n):
-            for l in range(self.lanes[i]):
-                self.queue_seg[self.queue_base[i] + l] = i
+            self.length.append(float(seg.length))
+            self.limit.append(float(seg.speed_limit))
+            self.lanes.append(seg.lanes)
+            self.queue_base.append(len(self.queue_seg))
+            self.queue_seg.extend([i] * seg.lanes)
+        self.n_queues = len(self.queue_seg)
 
         # signal plans resolved to segment indices; segments whose end node
         # has no plan are always permitted
@@ -139,12 +144,11 @@ class _NetTables:
                 mask[phases[phase[t]]] = True
                 masks.append(mask)
             self.green_index, self.green_masks = index.reshape(-1), masks
-        for mask in self.green_masks:
-            mask.flags.writeable = False
+        self.green_masks = [tuple(mask.tolist()) for mask in self.green_masks]
 
-    def greens_at(self, t: int) -> np.ndarray:
-        """Read-only mask of segments whose end may be crossed in second t
-        (0 <= t < horizon)."""
+    def greens_at(self, t: int) -> tuple:
+        """Per-segment flags (a tuple of bools) for the segments whose end
+        may be crossed in second t (0 <= t < horizon)."""
         return self.green_masks[self.green_index[t]]
 
 
@@ -237,6 +241,12 @@ class Simulation:
 
         self.rng = np.random.default_rng(self.cfg.seed)
         self.state = SimState(self)
+        # the step reads and writes vehicle state through these, one Python
+        # value at a time
+        self._pos = memoryview(self.state.pos)
+        self._speed = memoryview(self.state.speed)
+        self._cur_seg = memoryview(self.state.cur_seg)
+        self._route_step = memoryview(self.state.route_step)
         self._next_event = 0
         self._next_incident = 0
 
@@ -249,15 +259,16 @@ class Simulation:
         bumper (full length when empty).  Ties go to the lowest lane.
         """
         tb = self.tables
-        st = self.state
+        queues = self.state.queues
+        pos = self._pos
         base = tb.queue_base[seg_idx]
-        best_q, best_space = -1, -np.inf
-        for l in range(tb.lanes[seg_idx]):
-            q = st.queues[base + l]
+        best_q, best_space = -1, -math.inf
+        for qi in range(base, base + tb.lanes[seg_idx]):
+            q = queues[qi]
             space = (tb.length[seg_idx] if not q
-                     else st.pos[q[-1]] - self.cfg.vehicle_length)
+                     else pos[q[-1]] - self.cfg.vehicle_length)
             if space > best_space:
-                best_q, best_space = base + l, space
+                best_q, best_space = qi, space
         return best_q, best_space
 
     def _insert_spawns(self):
@@ -280,51 +291,54 @@ class Simulation:
                 if space < need:
                     break  # strict FIFO per entry: head blocked, all wait
                 queue.popleft()
-                st.pos[slot] = vlen
-                st.speed[slot] = 0.0
-                st.cur_seg[slot] = first_seg
-                st.route_step[slot] = 0
+                self._pos[slot] = vlen
+                self._speed[slot] = 0.0
+                self._cur_seg[slot] = first_seg
+                self._route_step[slot] = 0
                 st.queue_of[slot] = qi
                 st.queues[qi].append(slot)
                 st.spawned += 1
 
-    def _head_lookahead(self, slot: int, greens: np.ndarray):
+    def _head_lookahead(self, slot: int, greens: tuple):
         """Free run (m the front may advance) and effective leader speed for
         a queue head, walking its route until a blocker or far enough."""
         tb = self.tables
-        st = self.state
         cfg = self.cfg
-        v_next = st.speed[slot] + cfg.accel * DT
+        pos = self._pos
+        v_next = self._speed[slot] + cfg.accel * DT
         # distance beyond which a wall cannot constrain this step's choice
         need = v_next * DT + (v_next * v_next) / (2.0 * cfg.decel) \
             + cfg.min_gap + 1.0
-        seg = st.cur_seg[slot]
+        seg = self._cur_seg[slot]
+        dist = tb.length[seg] - pos[slot]
+        if dist >= need:
+            return dist, 0.0
         route = self.routes[slot]
-        step = st.route_step[slot]
-        dist = tb.length[seg] - st.pos[slot]
+        step = self._route_step[slot]
         while True:
-            if dist >= need:
-                return dist, 0.0
             if not greens[seg]:
                 return dist, 0.0  # red stop line at this segment's end
             if step + 1 >= len(route):
-                return np.inf, 0.0  # arrival: nothing beyond the last node
+                return math.inf, 0.0  # arrival: nothing beyond the last node
             nxt = route[step + 1]
             qi, space = self._best_entry_queue(nxt)
-            q = st.queues[qi]
+            q = self.state.queues[qi]
             if q:
                 tail = q[-1]
-                return (dist + st.pos[tail] - cfg.vehicle_length
-                        - cfg.min_gap, st.speed[tail])
+                return (dist + pos[tail] - cfg.vehicle_length
+                        - cfg.min_gap, self._speed[tail])
             dist += tb.length[nxt]
+            if dist >= need:
+                return dist, 0.0
             seg = nxt
             step += 1
 
     # -- the step ------------------------------------------------------------
 
     def step(self, audit: AuditReport | None = None):
-        """Advance one dt: incident activation, spawning, the speed decision
-        kernel, position advance with segment crossings, arrivals."""
+        """Advance one dt: incident activation, spawning, one move of every
+        queued vehicle (kernels.follow_speeds), segment crossings and
+        arrivals."""
         st = self.state
         tb = self.tables
         cfg = self.cfg
@@ -349,88 +363,64 @@ class Simulation:
         self._insert_spawns()
 
         greens = tb.greens_at(t)
-        caps_by_slot = None
+        caps = None
         if st.active_incidents:
-            caps_by_slot = apply_effects(st, st.active_incidents)
+            caps = memoryview(apply_effects(st, st.active_incidents))
 
-        # canonical order: queues ascending, front to back
-        order: list = []
-        leader: list = []
-        head_free: list = []
-        head_lead: list = []
-        snapshots: list = []
-        for qi in range(tb.n_queues):
-            q = st.queues[qi]
-            if not q:
-                continue
-            members = list(q)
-            snapshots.append((qi, members))
-            for j, slot in enumerate(members):
-                if j == 0:
-                    fr, vl = self._head_lookahead(slot, greens)
-                    leader.append(-1)
-                    head_free.append(fr)
-                    head_lead.append(vl)
-                else:
-                    leader.append(len(order) - 1)
-                    head_free.append(0.0)
-                    head_lead.append(0.0)
-                order.append(slot)
+        # canonical order: queues ascending, front to back; every head's
+        # lookahead reads the pre-step state, before any vehicle moves
+        lanes: list = []  # (queue, head free run, head leader speed, limit)
+        heads: list = []  # (queue index, head slot)
+        n = 0
+        for qi, q in enumerate(st.queues):
+            if q:
+                head = q[0]
+                fr, vl = self._head_lookahead(head, greens)
+                lanes.append((q, fr, vl, tb.limit[tb.queue_seg[qi]]))
+                heads.append((qi, head))
+                n += len(q)
 
-        n = len(order)
         if n:
-            order_np = np.asarray(order, dtype=np.intp)
-            pos_a = st.pos[order_np]
-            speed_a = st.speed[order_np]
-            limit_a = tb.limit[st.cur_seg[order_np]]
-            cap_a = (caps_by_slot[order_np] if caps_by_slot is not None
-                     else np.full(n, np.inf))
-            noise = self.rng.random(n) * (cfg.driver_imperfection
-                                          * cfg.accel * DT)
-            v_new = np.empty(n)
+            noise = (self.rng.random(n)
+                     * (cfg.driver_imperfection * cfg.accel * DT)).tolist()
+            before = st.speed.copy() if audit is not None else None
             kernels.follow_speeds(
-                pos_a, speed_a, np.asarray(leader, dtype=np.int32),
-                np.asarray(head_free), np.asarray(head_lead),
-                limit_a, cap_a, noise, cfg.accel, cfg.decel, cfg.min_gap,
-                cfg.vehicle_length, DT, v_new)
+                noise, lanes, caps, self._pos, self._speed, cfg.accel,
+                cfg.decel, cfg.min_gap, cfg.vehicle_length, DT)
             if audit is not None:
-                # the bound uses the limit of the segment governing the
-                # decision; crossings may land on a slower segment afterwards
-                bad = (v_new < 0) | (v_new > np.minimum(
-                    limit_a, speed_a + cfg.accel * DT) + 1e-9)
-                for i in np.nonzero(bad)[0]:
-                    audit.flag(t, "speed-bounds",
-                               f"vehicle {order[i]} v={v_new[i]}")
-            st.speed[order_np] = v_new
-            st.pos[order_np] = pos_a + v_new * DT
-
-            for qi, members in snapshots:
-                self._advance_head(qi, members[0], greens, audit)
+                self._audit_speeds(t, lanes, before, audit)
+            # heads cross in queue order; one still inside its segment
+            # has nothing to resolve
+            pos = self._pos
+            cur_seg = self._cur_seg
+            for qi, head in heads:
+                if pos[head] > tb.length[cur_seg[head]]:
+                    self._advance_head(qi, head, greens, audit)
 
         st.time = t + 1
         if audit is not None:
             self._audit_step(t, audit)
 
-    def _advance_head(self, qi: int, slot: int, greens: np.ndarray,
+    def _advance_head(self, qi: int, slot: int, greens: tuple,
                       audit: AuditReport | None):
         """Resolve segment crossings for one queue head after the position
         update; followers can never reach their segment end (their step is
         capped by the head's pre-step position)."""
         st = self.state
         tb = self.tables
-        cfg = self.cfg
-        seg = st.cur_seg[slot]
-        hpos = st.pos[slot]
+        queues = st.queues
+        seg = self._cur_seg[slot]
+        hpos = self._pos[slot]
         route = self.routes[slot]
         while hpos > tb.length[seg]:
-            step = st.route_step[slot]
+            step = self._route_step[slot]
             if step + 1 >= len(route):
-                q = st.queues[qi]
+                q = queues[qi]
                 assert q[0] == slot
                 q.popleft()
                 st.queue_of[slot] = -1
-                st.cur_seg[slot] = -1
-                st.pos[slot] = 0.0
+                self._cur_seg[slot] = -1
+                self._pos[slot] = 0.0
                 st.arrived += 1
                 return
             if not greens[seg]:
@@ -441,25 +431,39 @@ class Simulation:
                 break
             nxt = route[step + 1]
             tqi, space = self._best_entry_queue(nxt)
-            entry_cap = (tb.length[nxt] if not st.queues[tqi]
-                         else space - cfg.min_gap)
+            entry_cap = (tb.length[nxt] if not queues[tqi]
+                         else space - self.cfg.min_gap)
             over = hpos - tb.length[seg]
             if entry_cap < 0.0:
                 hpos = tb.length[seg]
                 break
-            q = st.queues[qi]
+            q = queues[qi]
             assert q[0] == slot
             q.popleft()
-            st.queues[tqi].append(slot)
+            queues[tqi].append(slot)
             st.queue_of[slot] = tqi
-            st.cur_seg[slot] = nxt
-            st.route_step[slot] = step + 1
+            self._cur_seg[slot] = nxt
+            self._route_step[slot] = step + 1
             hpos = min(over, entry_cap)
             seg = nxt
             qi = tqi
             if hpos < over:
                 break  # clamped by the new lane's tail
-        st.pos[slot] = hpos
+        self._pos[slot] = hpos
+
+    def _audit_speeds(self, t: int, lanes, before, audit: AuditReport):
+        """Flag every new speed below zero or above the lesser of its
+        segment limit and the pre-step speed plus one step of
+        acceleration."""
+        # the bound uses the limit of the segment governing the decision;
+        # crossings may land on a slower segment afterwards
+        gain = self.cfg.accel * DT
+        speed = self._speed
+        for q, _fr, _vl, lim in lanes:
+            for slot in q:
+                v = speed[slot]
+                if v < 0 or v > min(lim, before[slot] + gain) + 1e-9:
+                    audit.flag(t, "speed-bounds", f"vehicle {slot} v={v}")
 
     def _audit_step(self, t: int, audit: AuditReport):
         st = self.state

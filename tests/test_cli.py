@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from trafficlab import demand, features
+from trafficlab import demand, features, microsim
 from trafficlab.cli import main
 from trafficlab.expconfig import (ConfigError, ExperimentConfig, echo_config,
                                   load_config)
@@ -186,6 +186,42 @@ def test_simulate_layout_and_determinism(sim_run, tmp_path, capsys):
         b = open(os.path.join(tmp_path, "again", day, "raw.csv")).read()
         assert a == b
     assert "day 001: spawned=" in capsys.readouterr().out
+
+
+def test_simulate_audit_reports_counts_and_fails_on_a_violation(
+        sim_run, tmp_path, capsys, monkeypatch):
+    """--audit prints the audit's counts on each day line and changes no
+    output; a violation ends the run with exit 1 and one error line that
+    names the first violation."""
+    tmp, cfg_path, out_dir = sim_run
+    audited = tmp_path / "audited"
+    assert main(["simulate", "--config", cfg_path, "--days", "2",
+                 "--out-dir", str(audited), "--audit"]) == 0
+    out = capsys.readouterr().out
+    for day in ("day_000", "day_001"):
+        assert f"{day[4:]}: spawned=" in out
+        for name in ("raw.csv", "incidents.csv", "spawns.csv"):
+            with open(os.path.join(out_dir, day, name), "rb") as fa, \
+                    open(audited / day / name, "rb") as fb:
+                assert fa.read() == fb.read(), (day, name)
+    assert out.count(f"audit: checked_steps={DAY} violations=0") == 2
+
+    real = microsim.Simulation._audit_step
+
+    def one_collision(sim, t, report):
+        real(sim, t, report)
+        if t in (7, 9):
+            report.flag(t, "collision", f"3 and 4 gap -{t}.0")
+
+    monkeypatch.setattr(microsim.Simulation, "_audit_step", one_collision)
+    assert main(["simulate", "--config", cfg_path, "--days", "2",
+                 "--out-dir", str(tmp_path / "broken"), "--audit"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: day 000: first audit violation at t=7: "
+                            "collision: 3 and 4 gap -7.0\n")
+    assert f"audit: checked_steps={DAY} violations=2" in captured.out
+    assert "day 001" not in captured.out
+    assert (tmp_path / "broken" / "day_000" / "raw.csv").exists()
 
 
 def test_extract_features_command(sim_run, capsys):

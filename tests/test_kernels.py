@@ -1,10 +1,14 @@
-"""Numpy hot-loop checks.
+"""Hot-loop checks.
 
 Index:
-  semantics        vectorized kernels match a scalar re-derivation
+  semantics        the per-vehicle move matches a scalar re-derivation and
+                   the vectorized numpy form it replaced, bit for bit,
+                   signed zeros included; histograms match direct sums
   reference        flat-cell histograms equal the per-feature bincount form
                    and the zero-filled one-pass form they replaced
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -12,54 +16,168 @@ from trafficlab import kernels
 
 from conftest import rng_for
 
+PARAMS = dict(accel=2.6, decel=4.5, min_gap=2.5, vehicle_length=5.0, dt=1.0)
 
-def _random_follow_case(rng, n):
-    pos = np.sort(rng.uniform(0, 500, n))[::-1].copy()
-    speed = rng.uniform(0, 15, n)
-    leader = np.arange(-1, n - 1, dtype=np.int32)  # chain, head first
-    head_free = rng.uniform(0, 400, n)
-    head_lead_speed = rng.uniform(0, 15, n)
-    limit = rng.uniform(5, 20, n)
-    speed_cap = np.where(rng.random(n) < 0.2, rng.uniform(0, 5, n), np.inf)
-    noise = rng.uniform(0, 0.26, n)
-    out = np.empty(n)
-    return dict(pos=pos, speed=speed, leader=leader, head_free=head_free,
-                head_lead_speed=head_lead_speed, limit=limit,
-                speed_cap=speed_cap, noise=noise, accel=2.6, decel=4.5,
-                min_gap=2.5, vehicle_length=5.0, dt=1.0, out=out)
+
+def vector_follow_speeds(pos, speed, leader, head_free, head_lead_speed,
+                         limit, speed_cap, noise, accel, decel, min_gap,
+                         vehicle_length, dt, out):
+    """Reference: the vectorized speed update over vehicles in canonical
+    order, a follower's ``leader`` being the index of the vehicle ahead
+    and a head's -1."""
+    has_leader = leader >= 0
+    lead = np.where(has_leader, leader, 0)
+    fr = np.where(has_leader,
+                  pos[lead] - vehicle_length - pos - min_gap,
+                  head_free)
+    vl = np.where(has_leader, speed[lead], head_lead_speed)
+    np.maximum(fr, 0.0, out=fr)
+    bt = decel * dt
+    vs = -bt + np.sqrt(bt * bt + vl * vl + 2.0 * decel * fr)
+    vd = np.minimum(speed + accel * dt, limit)
+    np.minimum(vd, vs, out=vd)
+    np.minimum(vd, fr / dt, out=vd)
+    np.minimum(vd, speed_cap, out=vd)
+    vd = vd - noise
+    np.maximum(vd, 0.0, out=vd)
+    out[:] = vd
+    return out
+
+
+def _random_follow_case(rng, n_slots):
+    """Lane queues over a random permutation of n_slots vehicle slots,
+    each queue front to back; one lookahead and limit per queue."""
+    slots = rng.permutation(n_slots).tolist()
+    cuts = np.sort(rng.choice(np.arange(1, n_slots),
+                              size=min(n_slots - 1, int(rng.integers(0, 8))),
+                              replace=False)).tolist() if n_slots > 1 else []
+    queues = [slots[a:b] for a, b in zip([0] + cuts, cuts + [n_slots])]
+    pos = np.zeros(n_slots)
+    for q in queues:
+        pos[q] = np.sort(rng.uniform(0, 500, len(q)))[::-1]
+    lanes = [(q, float(rng.uniform(-5, 400)), float(rng.uniform(0, 15)),
+              float(rng.uniform(5, 20))) for q in queues]
+    caps = np.where(rng.random(n_slots) < 0.2, rng.uniform(0, 5, n_slots),
+                    np.inf)
+    return dict(lanes=lanes, pos=pos, speed=rng.uniform(0, 15, n_slots),
+                speed_cap=caps, noise=rng.uniform(0, 0.26, n_slots).tolist())
+
+
+def run_kernel(case):
+    """(speed, pos) after kernels.follow_speeds, which writes them through
+    memoryviews as the simulator does."""
+    pos, speed = case["pos"].copy(), case["speed"].copy()
+    caps = case["speed_cap"]
+    kernels.follow_speeds(case["noise"], case["lanes"],
+                          None if caps is None else memoryview(caps),
+                          memoryview(pos), memoryview(speed), **PARAMS)
+    return speed, pos
+
+
+def run_vector(case):
+    """(speed, pos) from the vectorized form, gathered in canonical order
+    and scattered back by slot."""
+    order, leader, head_free, head_lead, limit = [], [], [], [], []
+    for q, fr, vl, lim in case["lanes"]:
+        for j, slot in enumerate(q):
+            leader.append(-1 if j == 0 else len(order) - 1)
+            head_free.append(fr if j == 0 else 0.0)
+            head_lead.append(vl if j == 0 else 0.0)
+            limit.append(lim)
+            order.append(slot)
+    order = np.asarray(order, dtype=np.intp)
+    n = len(order)
+    caps = case["speed_cap"]
+    pos, speed = case["pos"].copy(), case["speed"].copy()
+    pos_a, speed_a = pos[order], speed[order]
+    v_new = np.empty(n)
+    vector_follow_speeds(
+        pos_a, speed_a, np.asarray(leader, dtype=np.int32),
+        np.asarray(head_free), np.asarray(head_lead), np.asarray(limit),
+        np.full(n, np.inf) if caps is None else caps[order],
+        np.asarray(case["noise"]), out=v_new, **PARAMS)
+    speed[order] = v_new
+    pos[order] = pos_a + v_new * PARAMS["dt"]
+    return speed, pos
 
 
 def _scalar_follow(case):
-    """Independent per-vehicle re-derivation of the speed update."""
-    n = len(case["pos"])
-    expect = np.empty(n)
-    b, dt = case["decel"], case["dt"]
-    for i in range(n):
-        li = case["leader"][i]
-        if li >= 0:
-            fr = (case["pos"][li] - case["vehicle_length"] - case["pos"][i]
-                  - case["min_gap"])
-            vl = case["speed"][li]
-        else:
-            fr = case["head_free"][i]
-            vl = case["head_lead_speed"][i]
-        fr = max(fr, 0.0)
-        bt = b * dt
-        vsafe = -bt + np.sqrt(bt * bt + vl * vl + 2.0 * b * fr)
-        vdes = min(case["speed"][i] + case["accel"] * dt, case["limit"][i],
-                   vsafe, fr / dt, case["speed_cap"][i])
-        expect[i] = max(vdes - case["noise"][i], 0.0)
+    """Independent per-vehicle re-derivation of the speed update: the
+    expected new speed of every slot."""
+    expect = case["speed"].copy()
+    b, dt = PARAMS["decel"], PARAMS["dt"]
+    k = 0
+    for q, head_free, head_lead, limit in case["lanes"]:
+        for j, slot in enumerate(q):
+            if j:
+                ahead = q[j - 1]
+                fr = (case["pos"][ahead] - PARAMS["vehicle_length"]
+                      - case["pos"][slot] - PARAMS["min_gap"])
+                vl = case["speed"][ahead]
+            else:
+                fr, vl = head_free, head_lead
+            fr = max(fr, 0.0)
+            bt = b * dt
+            vsafe = -bt + math.sqrt(bt * bt + vl * vl + 2.0 * b * fr)
+            cap = (math.inf if case["speed_cap"] is None
+                   else case["speed_cap"][slot])
+            vdes = min(case["speed"][slot] + PARAMS["accel"] * dt, limit,
+                       vsafe, fr / dt, cap)
+            expect[slot] = max(vdes - case["noise"][k], 0.0)
+            k += 1
     return expect
 
 
 def test_follow_speeds_matches_scalar_oracle():
-    """Vectorized speed update equals the scalar formula exactly."""
-    for k in range(30):
+    """The walk over lane queues equals the scalar formula, and equals the
+    vectorized form bit for bit, speeds and positions."""
+    for k in range(40):
         rng = rng_for("follow-scalar", k)
         case = _random_follow_case(rng, int(rng.integers(1, 60)))
-        got = kernels.follow_speeds(**case)
-        expect = _scalar_follow(case)
-        assert np.array_equal(got, expect)
+        if k % 4 == 0:
+            case["speed_cap"] = None
+        got_speed, got_pos = run_kernel(case)
+        assert np.array_equal(got_speed, _scalar_follow(case))
+        want_speed, want_pos = run_vector(case)
+        assert got_speed.tobytes() == want_speed.tobytes()
+        assert got_pos.tobytes() == want_pos.tobytes()
+
+
+def test_follow_speeds_pins_numpy_edge_semantics():
+    """Edge values the simulator can produce, plus signed zeros, give the
+    vectorized form's exact bits: numpy's minimum and maximum return the
+    second operand when both are zeros, so max(-0.0, 0.0) is +0.0."""
+    inf = math.inf
+    # slot 0 and 1: a head and its follower standing exactly min_gap
+    # behind it (free run exactly +0.0); slots 2-3: a head with a free run
+    # of -0.0; slot 4: an arriving head (infinite free run); slot 5: a
+    # halted vehicle (cap 0.0) on a lane whose head was slot 4; slot 6: a
+    # head with negative free run; slots 7-8: signed-zero limit and cap
+    pos = np.array([107.5, 100.0, 50.0, 40.0, 190.0, 20.0, 60.0, 10.0,
+                    0.0])
+    speed = np.array([0.0, 3.0, 0.0, -0.0, 12.0, 4.0, 1.0, 0.0, -0.0])
+    caps = np.full(9, inf)
+    caps[5] = 0.0
+    caps[8] = -0.0
+    lanes = [([0, 1], 0.0, 0.0, 10.0), ([2, 3], -0.0, 0.0, 10.0),
+             ([4, 5], inf, 0.0, 14.0), ([6], -3.0, 0.0, 10.0),
+             ([7], 0.0, 0.0, -0.0), ([8], 5.0, 0.0, 10.0)]
+    for noise in ([0.0] * 9, [0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]):
+        for cap_arr in (caps, None):
+            case = dict(lanes=lanes, pos=pos, speed=speed,
+                        speed_cap=cap_arr, noise=noise)
+            got_speed, got_pos = run_kernel(case)
+            want_speed, want_pos = run_vector(case)
+            assert got_speed.tobytes() == want_speed.tobytes(), (
+                got_speed, want_speed)
+            assert got_pos.tobytes() == want_pos.tobytes()
+            assert not np.signbit(got_speed).any()
+            # the arriving head is free: accelerate to the limit at most
+            assert got_speed[4] == min(12.0 + 2.6, 14.0) - noise[4]
+            if cap_arr is not None:
+                assert got_speed[5] == 0.0 and got_pos[5] == 20.0
+            # exactly min_gap behind a leader: no free run, no move
+            assert got_speed[1] == 0.0 and got_pos[1] == 100.0
 
 
 def _random_hist_case(rng, n, d, bins):

@@ -8,6 +8,8 @@ Index:
   incidents    designated halts and impact-zone speed caps in motion
   tables       signal table, lane-queue capture and once-per-incident
                zones against the per-second loops they replace
+  step         the fused per-queue step against the vectorized step it
+               replaced, state bitwise equal after every second
 """
 import math
 
@@ -21,13 +23,15 @@ from trafficlab.incidents import (IncidentSpec, IncidentType,
                                   SeverityClass, IncidentPlanConfig,
                                   activate, apply_effects,
                                   compute_impact_zones, designate_vehicles,
-                                  plan_incidents)
+                                  plan_incidents, release_vehicles)
 from trafficlab.microsim import (AuditReport, RunResult, SimConfig, SimError,
                                  Simulation, run)
-from trafficlab.roadnet import SensorPlacement
+from trafficlab.netgen import bundled_path
+from trafficlab.roadnet import SensorPlacement, load_network
 from trafficlab.sensors import SensorReading
 
 from conftest import make_line_net, make_signal_line_net
+from test_kernels import vector_follow_speeds
 
 NO_NOISE = dict(driver_imperfection=0.0)
 
@@ -484,3 +488,247 @@ def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
     assert seen["calls"] > 300
     assert seen["capped"] > 100 and seen["halted"] > 100
     assert sightings > 1000
+
+
+# -- step --------------------------------------------------------------------------
+
+
+def vector_best_entry_queue(sim, seg_idx):
+    """Reference: the lane with the most entry space, read from the state
+    arrays one numpy scalar at a time."""
+    tb, st = sim.tables, sim.state
+    base = tb.queue_base[seg_idx]
+    best_q, best_space = -1, -np.inf
+    for lane in range(tb.lanes[seg_idx]):
+        q = st.queues[base + lane]
+        space = (tb.length[seg_idx] if not q
+                 else st.pos[q[-1]] - sim.cfg.vehicle_length)
+        if space > best_space:
+            best_q, best_space = base + lane, space
+    return best_q, best_space
+
+
+def vector_insert_spawns(sim):
+    st = sim.state
+    while (sim._next_event < sim.capacity
+           and sim.events[sim._next_event].time < st.time + microsim.DT):
+        st.pending[sim.events[sim._next_event].entry].append(sim._next_event)
+        sim._next_event += 1
+        st.due += 1
+    vlen = sim.cfg.vehicle_length
+    for entry in sim.network.entry_nodes:
+        queue = st.pending[entry]
+        while queue:
+            slot = queue[0]
+            first_seg = sim.routes[slot][0]
+            qi, space = vector_best_entry_queue(sim, first_seg)
+            if space < vlen + sim.cfg.min_gap:
+                break
+            queue.popleft()
+            st.pos[slot] = vlen
+            st.speed[slot] = 0.0
+            st.cur_seg[slot] = first_seg
+            st.route_step[slot] = 0
+            st.queue_of[slot] = qi
+            st.queues[qi].append(slot)
+            st.spawned += 1
+
+
+def vector_head_lookahead(sim, slot, greens):
+    tb, st, cfg = sim.tables, sim.state, sim.cfg
+    v_next = st.speed[slot] + cfg.accel * microsim.DT
+    need = v_next * microsim.DT + (v_next * v_next) / (2.0 * cfg.decel) \
+        + cfg.min_gap + 1.0
+    seg = st.cur_seg[slot]
+    route = sim.routes[slot]
+    step = st.route_step[slot]
+    dist = tb.length[seg] - st.pos[slot]
+    while True:
+        if dist >= need or not greens[seg]:
+            return dist, 0.0
+        if step + 1 >= len(route):
+            return np.inf, 0.0
+        nxt = route[step + 1]
+        q = st.queues[vector_best_entry_queue(sim, nxt)[0]]
+        if q:
+            tail = q[-1]
+            return (dist + st.pos[tail] - cfg.vehicle_length - cfg.min_gap,
+                    st.speed[tail])
+        dist += tb.length[nxt]
+        seg = nxt
+        step += 1
+
+
+def vector_advance_head(sim, qi, slot, greens, audit):
+    tb, st = sim.tables, sim.state
+    seg = st.cur_seg[slot]
+    hpos = st.pos[slot]
+    route = sim.routes[slot]
+    while hpos > tb.length[seg]:
+        step = st.route_step[slot]
+        if step + 1 >= len(route):
+            st.queues[qi].popleft()
+            st.queue_of[slot] = -1
+            st.cur_seg[slot] = -1
+            st.pos[slot] = 0.0
+            st.arrived += 1
+            return
+        if not greens[seg]:
+            audit.flag(st.time, "red-cross-attempt", f"vehicle {slot}")
+            hpos = tb.length[seg]
+            break
+        nxt = route[step + 1]
+        tqi, space = vector_best_entry_queue(sim, nxt)
+        entry_cap = (tb.length[nxt] if not st.queues[tqi]
+                     else space - sim.cfg.min_gap)
+        over = hpos - tb.length[seg]
+        if entry_cap < 0.0:
+            hpos = tb.length[seg]
+            break
+        st.queues[qi].popleft()
+        st.queues[tqi].append(slot)
+        st.queue_of[slot] = tqi
+        st.cur_seg[slot] = nxt
+        st.route_step[slot] = step + 1
+        hpos = min(over, entry_cap)
+        seg = nxt
+        qi = tqi
+        if hpos < over:
+            break
+    st.pos[slot] = hpos
+
+
+def vector_step(sim, audit):
+    """Reference: the step as it was before the per-queue walk.  Vehicles
+    are listed in canonical order with order/leader lists, gathered into
+    arrays, moved by the vectorized speed rule and scattered back; caps
+    come from loop_apply_effects."""
+    st, tb, cfg = sim.state, sim.tables, sim.cfg
+    dt = microsim.DT
+    t = st.time
+    while (sim._next_incident < len(sim.incident_plan)
+           and sim.incident_plan[sim._next_incident].onset <= t):
+        spec = sim.incident_plan[sim._next_incident]
+        designate_vehicles(st, spec)
+        st.active_incidents.append(activate(st, spec, sim.incident_cfg))
+        sim._next_incident += 1
+    still = []
+    for inc in st.active_incidents:
+        if inc.spec.end <= t:
+            release_vehicles(st, inc.spec)
+        else:
+            still.append(inc)
+    st.active_incidents = still
+    vector_insert_spawns(sim)
+
+    greens = tb.greens_at(t)
+    caps = None
+    if st.active_incidents:
+        caps = loop_apply_effects(st, [a.spec for a in st.active_incidents],
+                                  sim.incident_cfg, tb.seg_ids)
+    order, leader, head_free, head_lead, snapshots = [], [], [], [], []
+    for qi in range(tb.n_queues):
+        members = list(st.queues[qi])
+        if not members:
+            continue
+        snapshots.append((qi, members))
+        for j, slot in enumerate(members):
+            if j == 0:
+                fr, vl = vector_head_lookahead(sim, slot, greens)
+                leader.append(-1)
+                head_free.append(fr)
+                head_lead.append(vl)
+            else:
+                leader.append(len(order) - 1)
+                head_free.append(0.0)
+                head_lead.append(0.0)
+            order.append(slot)
+    n = len(order)
+    if n:
+        order_np = np.asarray(order, dtype=np.intp)
+        pos_a = st.pos[order_np]
+        speed_a = st.speed[order_np]
+        limit_a = np.asarray(tb.limit)[st.cur_seg[order_np]]
+        cap_a = caps[order_np] if caps is not None else np.full(n, np.inf)
+        noise = sim.rng.random(n) * (cfg.driver_imperfection * cfg.accel
+                                     * dt)
+        v_new = np.empty(n)
+        vector_follow_speeds(
+            pos_a, speed_a, np.asarray(leader, dtype=np.int32),
+            np.asarray(head_free), np.asarray(head_lead), limit_a, cap_a,
+            noise, cfg.accel, cfg.decel, cfg.min_gap, cfg.vehicle_length,
+            dt, v_new)
+        bad = (v_new < 0) | (v_new > np.minimum(
+            limit_a, speed_a + cfg.accel * dt) + 1e-9)
+        for i in np.nonzero(bad)[0]:
+            audit.flag(t, "speed-bounds", f"vehicle {order[i]} v={v_new[i]}")
+        st.speed[order_np] = v_new
+        st.pos[order_np] = pos_a + v_new * dt
+        for qi, members in snapshots:
+            vector_advance_head(sim, qi, members[0], greens, audit)
+    st.time = t + 1
+    sim._audit_step(t, audit)
+
+
+STATE_ARRAYS = ("pos", "speed", "cur_seg", "route_step", "queue_of",
+                "halted_by")
+
+
+def assert_steps_match_vector_step(make_sim):
+    """Step two identical simulations, one with Simulation.step and one
+    with vector_step, both audited, and compare their state bitwise after
+    every second."""
+    fused, ref = make_sim(), make_sim()
+    audits = (AuditReport(), AuditReport())
+    moved = halted = 0
+    for t in range(fused.horizon):
+        fused.step(audits[0])
+        vector_step(ref, audits[1])
+        a, b = fused.state, ref.state
+        for name in STATE_ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (
+                name, t)
+        assert [list(q) for q in a.queues] == [list(q) for q in b.queues], t
+        assert (a.spawned, a.arrived, a.due) == (b.spawned, b.arrived, b.due)
+        moved += a.active_count
+        halted += int(np.sum(a.halted_by >= 0))
+    for report in audits:
+        assert report.checked_steps == fused.horizon
+        assert report.ok, report.violations[:5]
+    return fused, moved, halted
+
+
+def test_step_matches_vector_step_on_grid_with_incidents(grid_net):
+    """The seeded 16-sensor grid run of the capture check: busy demand,
+    signals, and incidents that halt and cap vehicles."""
+    busy = FlowModelParams(a1=0.0, b1=1.0, c1=0.0, a2=0.0, b2=2.0, c2=0.0,
+                           d=20.0, alpha_sigma=0.0)
+    sched = spawn_schedule(busy, grid_net, 1500.0, seed=4,
+                           bin_duration=100.0)
+    icfg = IncidentPlanConfig(p_incident=0.03, p_severe=0.5,
+                              minor_duration_s=(200.0, 400.0),
+                              severe_duration_s=(400.0, 800.0),
+                              base_radius_m=150.0, slowdown_factor=0.2)
+    plan = plan_incidents(sched, icfg, grid_net, seed=4)
+    assert len(plan) >= 3
+    sim, moved, halted = assert_steps_match_vector_step(lambda: Simulation(
+        grid_net, sched, plan, None, SimConfig(seed=4), icfg))
+    assert moved > 20000 and halted > 100 and sim.state.arrived > 100
+
+
+def test_step_matches_vector_step_on_a_highway_day():
+    """One highway8 day of the benchmark's length (5400 s): ramp entries,
+    several lanes, incidents, no signals."""
+    net = load_network(str(bundled_path("highway8.net")))
+    params = FlowModelParams(a1=0.0, b1=1.0, c1=0.0, a2=0.0, b2=2.0, c2=0.0,
+                             d=80.0, alpha_sigma=0.0)
+    sched = spawn_schedule(params, net, 5400.0, seed=7, bin_duration=300.0)
+    icfg = IncidentPlanConfig(p_incident=0.01, p_crash_given_incident=0.3,
+                              minor_duration_s=(300.0, 600.0),
+                              severe_duration_s=(600.0, 900.0),
+                              base_radius_m=150.0, slowdown_factor=0.2)
+    plan = plan_incidents(sched, icfg, net, seed=7)
+    assert len(plan) >= 5
+    sim, moved, halted = assert_steps_match_vector_step(lambda: Simulation(
+        net, sched, plan, None, SimConfig(seed=7), icfg))
+    assert moved > 100000 and halted > 1000 and sim.state.arrived > 1000
