@@ -57,12 +57,17 @@ def _placement(cfg: ExperimentConfig, net, ids=None) -> SensorPlacement:
     return placement
 
 
+def _fit_counts(path: str):
+    """(per-road series, their average, the flow curve fitted to it)."""
+    series = demand.read_counts_csv(path)
+    avg = demand.average_counts(list(series.values()))
+    return series, avg, demand.lm_fit(avg, demand.fft_init_params(avg))
+
+
 def _demand_params(cfg: ExperimentConfig) -> demand.FlowModelParams:
     if cfg.demand_params:
         return demand.read_params(cfg.demand_params)
-    series = demand.read_counts_csv(cfg.counts_path())
-    avg = demand.average_counts(list(series.values()))
-    return demand.lm_fit(avg, demand.fft_init_params(avg))
+    return _fit_counts(cfg.counts_path())[2]
 
 
 def _day_seeds(seed: int, day: int):
@@ -171,10 +176,7 @@ def _print_report(rep: metrics.EvalReport) -> None:
 
 
 def cmd_fit_demand(args) -> int:
-    series = demand.read_counts_csv(args.counts)
-    avg = demand.average_counts(list(series.values()))
-    init = demand.fft_init_params(avg)
-    params = demand.lm_fit(avg, init)
+    series, avg, params = _fit_counts(args.counts)
     demand.write_params(params, args.out)
     print(f"fit {len(series)} roads x {len(avg.counts)} bins "
           f"(bin={avg.bin_duration:g}s)")

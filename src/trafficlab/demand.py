@@ -57,17 +57,11 @@ class FlowModelParams:
                          self.a2, self.b2, self.c2, self.d])
 
 
-@dataclass
-class LmConfig:
-    damping: float = 0.01  # fixed; no adaptive schedule
-    max_iters: int = 200
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.damping <= 0:
-            raise DemandError("damping must be positive")
-        if self.max_iters < 1:
-            raise DemandError("max_iters must be at least 1")
+# Gauss-Newton refinement: fixed damping (no adaptive schedule), an
+# iteration cap, and the relative RMSE change that ends the iteration
+LM_DAMPING = 0.01
+LM_MAX_ITERS = 200
+LM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,8 @@ def fft_init_params(series: MacroCountSeries) -> FlowModelParams:
                            fit_rmse=_rmse(theta, series.times(), y))
 
 
-def lm_fit(series: MacroCountSeries, init: FlowModelParams,
-           cfg: LmConfig | None = None) -> FlowModelParams:
+def lm_fit(series: MacroCountSeries,
+           init: FlowModelParams) -> FlowModelParams:
     """Damped Gauss-Newton refinement with a fixed damping factor.
 
     Every iteration solves (J'J + damping*I) delta = J'(y - f) with the
@@ -206,7 +200,6 @@ def lm_fit(series: MacroCountSeries, init: FlowModelParams,
     init.fit_rmse.  Ten consecutive worsening steps raise a divergence
     error; a singular normal-equations system is reported, not patched.
     """
-    cfg = cfg or LmConfig()
     if init.b1 <= 0 or init.b2 <= 0:
         raise DemandError("initial angular frequencies must be positive")
     theta = init.as_vector()
@@ -220,7 +213,7 @@ def lm_fit(series: MacroCountSeries, init: FlowModelParams,
     best_rmse = _rmse(theta, t, y)
     prev_rmse = best_rmse
     worsening = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(LM_MAX_ITERS):
         a1, b1, c1, a2, b2, c2, _d = theta
         s1 = np.sin(b1 * t + c1)
         s2 = np.sin(b2 * t + c2)
@@ -232,7 +225,7 @@ def lm_fit(series: MacroCountSeries, init: FlowModelParams,
         with np.errstate(over="ignore", invalid="ignore"):
             resid = y - _model(theta, t)
             try:
-                delta = np.linalg.solve(jac.T @ jac + cfg.damping * eye,
+                delta = np.linalg.solve(jac.T @ jac + LM_DAMPING * eye,
                                         jac.T @ resid)
             except np.linalg.LinAlgError as exc:
                 raise DemandError(f"singular normal equations: {exc}") from exc
@@ -249,7 +242,7 @@ def lm_fit(series: MacroCountSeries, init: FlowModelParams,
                 raise DemandError("fit diverged: RMSE grew for 10 iterations")
         else:
             worsening = 0
-        if abs(prev_rmse - rmse) <= cfg.tol * max(prev_rmse, 1e-12):
+        if abs(prev_rmse - rmse) <= LM_TOL * max(prev_rmse, 1e-12):
             break
         prev_rmse = rmse
 
@@ -275,15 +268,10 @@ def _normalize_components(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_flow(params: FlowModelParams, t, rng=None):
-    """Expected per-bin count at time t (clamped at zero), with an optional
-    Normal(0, alpha_sigma) deviation when a generator is supplied."""
-    t_arr = np.asarray(t, dtype=np.float64)
-    base = _model(params.as_vector(), t_arr)
-    if rng is not None:
-        base = base + rng.normal(0.0, params.alpha_sigma, size=t_arr.shape)
-    clamped = np.maximum(base, 0.0)
-    return float(clamped) if np.isscalar(t) else clamped
+def eval_flow(params: FlowModelParams, t) -> np.ndarray:
+    """Expected per-bin counts at the times t, clamped at zero."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.maximum(_model(params.as_vector(), t), 0.0)
 
 
 def spawn_schedule(params: FlowModelParams, network, horizon: float, seed,
@@ -375,14 +363,18 @@ def write_params(params: FlowModelParams, path) -> None:
 def read_params(path) -> FlowModelParams:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise DemandError(f"{path}: malformed params line {line!r}")
+                raise DemandError(
+                    f"{path}:{lineno}: malformed params line {line!r}")
             key, val = line.split("=", 1)
-            values[key.strip()] = float(val)
+            try:
+                values[key.strip()] = float(val)
+            except ValueError as exc:
+                raise DemandError(f"{path}:{lineno}: {exc}") from None
     try:
         return FlowModelParams(**values)
     except TypeError as exc:
@@ -396,21 +388,27 @@ def write_schedule(schedule: SpawnSchedule, path) -> None:
             fh.write(f"{_fmt_time(ev.time)},{ev.entry},{ev.exit}\n")
 
 
-def read_schedule(path, horizon: float | None = None) -> SpawnSchedule:
+def read_schedule(path, horizon: float) -> SpawnSchedule:
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time_s,entry,exit":
             raise DemandError(f"{path}: unexpected schedule header {header!r}")
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
                 continue
-            t_s, entry, exit_ = line.split(",")
-            events.append(SpawnEvent(float(t_s), entry, exit_))
-    if horizon is None:
-        horizon = math.floor(events[-1].time) + 1.0 if events else 1.0
-    return SpawnSchedule(tuple(events), horizon)
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DemandError(f"{path}:{lineno}: expected 3 fields")
+            try:
+                events.append(SpawnEvent(float(parts[0]), parts[1], parts[2]))
+            except ValueError as exc:
+                raise DemandError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return SpawnSchedule(tuple(events), horizon)
+    except DemandError as exc:
+        raise DemandError(f"{path}: {exc}") from None
 
 
 def _fmt_time(t: float) -> str:

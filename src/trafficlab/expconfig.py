@@ -25,6 +25,10 @@ class ConfigError(ValueError):
 
 _WINDOW_KEYS = {"window_s": "window", "stride_s": "stride",
                 "label_mode": "label_mode"}
+# the simulator seed comes from each day's (seed, day) stream, and the
+# learner's objective from the sub-model being trained; neither is a key
+_SIM_KEYS = set(SimConfig.__dataclass_fields__) - {"seed"}
+_MODEL_KEYS = set(TreeEnsembleConfig.__dataclass_fields__) - {"objective"}
 
 
 @dataclass
@@ -60,13 +64,12 @@ class ExperimentConfig:
         _check_keys(self.window, set(_WINDOW_KEYS), "window")
         _check_keys(self.incidents,
                     set(IncidentPlanConfig.__dataclass_fields__), "incidents")
-        _check_keys(self.sim, set(SimConfig.__dataclass_fields__), "sim")
-        _check_keys(self.model,
-                    set(TreeEnsembleConfig.__dataclass_fields__), "model")
+        _check_keys(self.sim, _SIM_KEYS, "sim")
+        _check_keys(self.model, _MODEL_KEYS, "model")
         # constructing each config validates the override values early
         self.window_config()
         self.incident_config()
-        self.sim_config()
+        self.sim_config(0)
         self.model_config()
 
     def window_config(self) -> WindowConfig:
@@ -80,11 +83,8 @@ class ExperimentConfig:
                 kw[key] = tuple(kw[key])
         return IncidentPlanConfig(**kw)
 
-    def sim_config(self, seed: int | None = None) -> SimConfig:
-        kw = dict(self.sim)
-        if seed is not None:
-            kw["seed"] = seed
-        return SimConfig(**kw)
+    def sim_config(self, seed: int) -> SimConfig:
+        return SimConfig(seed=seed, **self.sim)
 
     def model_config(self) -> TreeEnsembleConfig:
         kw = dict(self.model)
@@ -109,10 +109,10 @@ class ExperimentConfig:
                             for k, v in
                             ((f, getattr(inc, f))
                              for f in inc.__dataclass_fields__)}
-        sim = self.sim_config()
-        doc["sim"] = {f: getattr(sim, f) for f in sim.__dataclass_fields__}
+        sim = self.sim_config(0)
+        doc["sim"] = {f: getattr(sim, f) for f in _SIM_KEYS}
         mdl = self.model_config()
-        doc["model"] = {f: getattr(mdl, f) for f in mdl.__dataclass_fields__}
+        doc["model"] = {f: getattr(mdl, f) for f in _MODEL_KEYS}
         return doc
 
 
@@ -140,7 +140,13 @@ def _resolve_input(name: str, suffix: str) -> str:
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+        try:
+            doc = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f"{path}:{mark.line + 1}" if mark else str(path)
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{where}: {problem}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     allowed = set(ExperimentConfig.__dataclass_fields__)

@@ -137,13 +137,12 @@ def _window_means_exact(series_2d: np.ndarray, window: int,
                         starts: np.ndarray) -> np.ndarray:
     """Trailing-window means, each bitwise equal to np.mean of the slice.
 
-    series_2d is (n_series, horizon) C-contiguous, so every window is a
-    contiguous slice and the strided view reduces it with the same pairwise
-    summation np.mean uses on the slice directly.
+    series_2d is (n_series, horizon) C-contiguous, so each window is a
+    contiguous row slice, reduced with the same pairwise summation np.mean
+    uses on the slice directly; no (series x windows x window) copy is made.
     """
-    view = np.lib.stride_tricks.sliding_window_view(series_2d, window,
-                                                    axis=1)
-    return view[:, starts, :].mean(axis=-1)
+    return np.stack([series_2d[:, s:s + window].mean(axis=1)
+                     for s in starts.tolist()], axis=1)
 
 
 def incident_label_at(incident_log, network: RoadNetwork, we: int,
@@ -163,19 +162,18 @@ def incident_label_at(incident_log, network: RoadNetwork, we: int,
 
 def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
                        incident_log, network: RoadNetwork,
-                       pairs=None) -> FeatureTable:
+                       pairs) -> FeatureTable:
     """Assemble the labeled rolling-window table.
 
     Rows sit at window_end = window, window + stride, ... <= horizon; the
-    window covers seconds [window_end - window, window_end).  Travel-time
-    features average the records whose arrival falls in the window.  The
+    window covers seconds [window_end - window, window_end).  Each of pairs,
+    in order, gets a travel-time column averaging its records whose arrival
+    falls in the window, whether or not any record has that pair.  The
     label interval is the last stride (default) or the whole window,
     depending on cfg.label_mode.
     """
     if raw.horizon < cfg.window:
         raise FeatureError("horizon shorter than one window")
-    if pairs is None:
-        pairs = sorted({r.pair for r in records})
     ends = np.arange(cfg.window, raw.horizon + 1, cfg.stride, dtype=np.int64)
     starts = ends - cfg.window
     n = len(ends)

@@ -539,13 +539,11 @@ def train_incident_ensemble(table, cfg: TreeEnsembleConfig,
                          severity_classes, threshold, list(table.feature_names))
 
 
-def infer_batch(model: EnsembleModel, X: np.ndarray, window_end=None) -> list:
-    """Gated predictions: localization and severity are produced only for
-    rows the detector flags."""
+def infer_batch(model: EnsembleModel, X: np.ndarray, window_end) -> list:
+    """Gated predictions, one per row of X at its window_end: localization
+    and severity are produced only for rows the detector flags."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if window_end is None:
-        window_end = np.arange(n)
     scores = predict_proba(model.detector, X)
     detected = scores >= model.threshold
     roads: list = [None] * n
@@ -570,12 +568,6 @@ def infer_batch(model: EnsembleModel, X: np.ndarray, window_end=None) -> list:
     return [IncidentPrediction(int(window_end[i]), bool(detected[i]),
                                float(scores[i]), roads[i], sevs[i])
             for i in range(n)]
-
-
-def infer(model: EnsembleModel, row: np.ndarray,
-          window_end: int = 0) -> IncidentPrediction:
-    return infer_batch(model, np.asarray(row, dtype=np.float64)[None, :],
-                       [window_end])[0]
 
 
 MODEL_FORMAT = "trafficlab-model/1"
@@ -628,7 +620,10 @@ def save_model(model: EnsembleModel, path) -> None:
 
 def load_model(path) -> EnsembleModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
     try:

@@ -1,6 +1,6 @@
 """Built-in network and count fixtures.
 
-Generators for the two bundled scenarios (a signalized n-by-n urban grid and
+Generators for the two bundled scenarios (a signalized 4-by-4 urban grid and
 a linear highway with on/off ramps) plus a 12-road macroscopic count file
 shaped like a municipal 15-minute export.  The committed files under
 trafficlab/data/ are produced by `python -m trafficlab.netgen <outdir>`.
@@ -22,10 +22,8 @@ def bundled_path(name: str):
     return resources.files("trafficlab").joinpath("data").joinpath(name)
 
 
-def make_grid_network(n: int = 4, spacing: float = 250.0, lanes: int = 1,
-                      speed_limit: float = 13.9,
-                      phase_s: float = 30.0) -> RoadNetwork:
-    """n-by-n signalized grid; every intersection is a candidate sensor site.
+def make_grid_network() -> RoadNetwork:
+    """4-by-4 signalized grid; every intersection is a candidate sensor site.
 
     Bidirectional segments between orthogonal neighbors; horizontal segments
     share a per-row road label, vertical a per-column one (these labels are
@@ -33,6 +31,8 @@ def make_grid_network(n: int = 4, spacing: float = 250.0, lanes: int = 1,
     first, vertical second, phase_s seconds each.  All boundary nodes act as
     both entries and exits.
     """
+    n, spacing, lanes = 4, 250.0, 1
+    speed_limit, phase_s = 13.9, 30.0
     nodes = {}
     for r in range(n):
         for c in range(n):
@@ -80,11 +80,11 @@ def make_grid_network(n: int = 4, spacing: float = 250.0, lanes: int = 1,
     return net
 
 
-def make_highway_network(n_sections: int = 8, section_m: float = 800.0,
-                         lanes: int = 2, speed_limit: float = 29.0,
-                         ramp_speed: float = 15.0) -> RoadNetwork:
+def make_highway_network() -> RoadNetwork:
     """Linear mainline of n_sections segments with an on- and off-ramp at
     every interior junction; sensor sites sit at the ramp junctions."""
+    n_sections, section_m, lanes = 8, 800.0, 2
+    speed_limit, ramp_speed = 29.0, 15.0
     nodes = {}
     segments = {}
     signal_plans: dict = {}
@@ -123,11 +123,11 @@ CITY_CURVE = dict(a1=25.0, b1=2.0 * math.pi / 86400.0, c1=-2.4,
                   a2=12.0, b2=2.0 * math.pi / 43200.0, c2=0.6, d=55.0)
 
 
-def make_city_counts(path, n_roads: int = 12, n_bins: int = 96,
-                     bin_s: int = 900, seed: int = 7) -> None:
-    """Write a 15-minute count export: n_roads roads, one day each, sharing
+def make_city_counts(path) -> None:
+    """Write a 15-minute count export: 12 roads, one day each, sharing
     the CITY_CURVE shape with per-road scale and integer observation noise."""
-    rng = np.random.default_rng(seed)
+    n_roads, n_bins, bin_s = 12, 96, 900
+    rng = np.random.default_rng(7)
     p = CITY_CURVE
     t = np.arange(n_bins) * bin_s
     base = (p["a1"] * np.sin(p["b1"] * t + p["c1"])

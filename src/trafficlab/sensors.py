@@ -210,9 +210,9 @@ _WRITE_ROWS = 4096  # rows formatted per write, to bound the text held
 
 
 def emit_raw(dataset: RawDataset, incident_log, raw_path,
-             incidents_path=None) -> None:
-    """Write the raw table (and, when a path is given, the incident log).
-    Floats are written as their shortest round-trip `repr`."""
+             incidents_path) -> None:
+    """Write the raw table and the incident log.  Floats are written as
+    their shortest round-trip `repr`."""
     from .incidents import write_incident_log
 
     rows = zip(product(range(dataset.horizon), dataset.sensor_ids),
@@ -224,8 +224,7 @@ def emit_raw(dataset: RawDataset, incident_log, raw_path,
                 f"{t},{s},{c},{m!r},{o!r},{';'.join(map(str, v))}\n"
                 for (t, s), c, m, o, v in islice(rows, _WRITE_ROWS)]):
             fh.write(chunk)
-    if incidents_path is not None:
-        write_incident_log(incident_log, incidents_path)
+    write_incident_log(incident_log, incidents_path)
 
 
 def load_raw(path) -> RawDataset:

@@ -510,7 +510,7 @@ def test_criterion_10_gating_property(desk_run):
     rng = rng_for("accept-gating", 0)
     X = rng.uniform(-2.0, 3.0, (2000, 3))
     X[rng.random((2000, 3)) < 0.2] = np.nan
-    out = infer_batch(gated, X)
+    out = infer_batch(gated, X, np.arange(len(X)))
     assert sum((p.detected != (p.road_label is not None))
                or (p.detected != (p.severity is not None))
                for p in out) == 0

@@ -138,12 +138,30 @@ def test_input_resolution(tmp_path):
         ExperimentConfig(network="no_such_net").network_path()
 
 
+def assert_echo_reloads(path):
+    """An echoed config holds only keys that take effect, and reloads to
+    the document it was written from."""
+    with open(path, encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    assert "seed" not in doc["sim"] and "objective" not in doc["model"]
+    assert load_config(path).resolved_dict() == doc
+
+
 def test_echo_round_trip(tmp_path):
-    cfg = load_config(line_experiment(tmp_path, seed=3, threshold=0.4))
+    # every section set, so the echo never writes a key load_config rejects
+    cfg = load_config(line_experiment(
+        tmp_path, seed=3, threshold=0.4, staleness_s=900.0,
+        demand_params=str(tmp_path / "params.txt"),
+        sim={"accel": 2.0, "decel": 4.0, "driver_imperfection": 0.2,
+             "min_gap": 2.0, "vehicle_length": 4.5},
+        model={"n_trees": 30, "max_depth": 3, "learning_rate": 0.2,
+               "min_samples_leaf": 5, "subsample": 0.9, "reg_lambda": 2.0,
+               "max_bins": 64, "seed": 4},
+        entry_weights={"a0": 2.0}, exit_weights={"a3": 1.0}))
     echo = echo_config(cfg, tmp_path / "out")
     assert os.path.basename(echo) == "config_used.yaml"
-    again = load_config(echo)
-    assert again.resolved_dict() == cfg.resolved_dict()
+    assert_echo_reloads(echo)
+    assert load_config(echo).resolved_dict() == cfg.resolved_dict()
 
 
 # -- commands -----------------------------------------------------------------
@@ -172,7 +190,7 @@ def sim_run(tmp_path_factory):
 
 def test_simulate_layout_and_determinism(sim_run, tmp_path, capsys):
     tmp, cfg_path, out_dir = sim_run
-    assert os.path.exists(os.path.join(out_dir, "config_used.yaml"))
+    assert_echo_reloads(os.path.join(out_dir, "config_used.yaml"))
     for day in ("day_000", "day_001"):
         for name in ("raw.csv", "incidents.csv", "spawns.csv"):
             assert os.path.exists(os.path.join(out_dir, day, name))
@@ -331,6 +349,7 @@ def test_sweep_sparsity_command(tmp_path, capsys):
         assert os.path.exists(os.path.join(root, level, "model.json"))
     # a training day plus the held-out evaluation day
     assert os.path.exists(os.path.join(root, "day_001", "raw.csv"))
+    assert_echo_reloads(os.path.join(root, "config_used.yaml"))
     assert "level 1: event_dr=" in capsys.readouterr().out
 
 
@@ -354,9 +373,9 @@ def highway_run(tmp_path_factory):
 
 def test_highway_command(highway_run):
     _cfg_path, root, out = highway_run
-    for name in ("features.csv", "model.json", "report.txt",
-                 "config_used.yaml"):
+    for name in ("features.csv", "model.json", "report.txt"):
         assert os.path.exists(os.path.join(root, name))
+    assert_echo_reloads(os.path.join(root, "config_used.yaml"))
     rep = read_report(os.path.join(root, "report.txt"))
     assert rep["windows"] == 29      # the held-out day only
     assert rep["n_events"] >= 1
@@ -420,6 +439,25 @@ def test_module_errors_exit_2(tmp_path, capsys):
 
     assert main(["extract-features", "--raw", str(tmp_path / "empty"),
                  "--out", str(tmp_path / "f.csv")]) == 2
+
+
+def test_config_keys_that_take_no_effect_exit_2(tmp_path, capsys):
+    """Each day's simulator seed comes from the (seed, day) streams and
+    each sub-model sets its own objective, so neither is a config key."""
+    for section, key, val in (("sim", "seed", 3),
+                              ("model", "objective", "multiclass")):
+        path = line_experiment(tmp_path, **{section: {key: val}})
+        assert main(["simulate", "--config", path]) == 2
+        assert (f"unknown keys in '{section}': {key}"
+                in one_error_line(capsys))
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("days: [1, 2\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert one_error_line(capsys).startswith(f"error: {bad}:2: ")
 
 
 def test_extract_features_rejects_misordered_raw(sim_run, tmp_path,

@@ -4,7 +4,7 @@ Index:
   series      count-series container and CSV ingest
   spectral    FFT initialization against constructed sinusoids
   refinement  damped least-squares fit quality and failure modes
-  flow        curve evaluation with clamping and deviation noise
+  flow        curve evaluation with clamping
   schedule    Poisson spawn generation, OD draws, io round trips
 """
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab.demand import (DemandError, FlowModelParams, LmConfig,
+from trafficlab.demand import (DemandError, FlowModelParams,
                                MacroCountSeries, SpawnEvent, SpawnSchedule,
                                average_counts, eval_flow, fft_init_params,
                                lm_fit, read_counts_csv, read_params,
@@ -245,8 +245,8 @@ def test_lm_fit_never_worsens_the_initialization():
     series = series_from(aligned_params(4, 9, 8.0, 3.0, 0.7, -1.9, 30.0),
                          noise_sigma=2.0, seed=77)
     init = fft_init_params(series)
-    # a single damped step cannot beat 200, but must never lose ground
-    fit = lm_fit(series, init, LmConfig(max_iters=1))
+    # the best-seen parameters are returned, so a fit never loses ground
+    fit = lm_fit(series, init)
     assert fit.fit_rmse <= init.fit_rmse
 
 
@@ -257,10 +257,6 @@ def test_lm_fit_rejects_bad_initializations():
         lm_fit(series, FlowModelParams(1, -1.0, 0, 1, 1.0, 0, 10))
     with pytest.raises(DemandError, match="finite"):
         lm_fit(series, FlowModelParams(math.nan, 1.0, 0, 1, 1.0, 0, 10))
-    with pytest.raises(DemandError, match="damping"):
-        lm_fit(series, good, LmConfig(damping=0.0))
-    with pytest.raises(DemandError, match="max_iters"):
-        lm_fit(series, good, LmConfig(max_iters=0))
 
 
 def test_lm_fit_diverges_loudly_on_overflow_scale_parameters():
@@ -269,7 +265,7 @@ def test_lm_fit_diverges_loudly_on_overflow_scale_parameters():
     series = MacroCountSeries(BIN, y)
     init = FlowModelParams(1e200, 1.0, 0.0, 1e200, 2.0, 1.0, 0.0)
     with pytest.raises(DemandError, match="diverged"):
-        lm_fit(series, init, LmConfig(max_iters=50))
+        lm_fit(series, init)
 
 
 # -- flow --------------------------------------------------------------------
@@ -279,31 +275,12 @@ def test_eval_flow_matches_reference_curve():
     p = aligned_params(4, 9, 8.0, 3.0, 0.7, -1.9, 30.0)
     t = np.linspace(0.0, 86400.0, 200)
     np.testing.assert_allclose(eval_flow(p, t), curve(p, t), rtol=1e-12)
-    one = eval_flow(p, 1234.5)
-    assert isinstance(one, float)
-    assert one == pytest.approx(float(curve(p, 1234.5)), rel=1e-12)
 
 
 def test_eval_flow_clamps_at_zero():
     p = FlowModelParams(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, -3.0)
-    assert eval_flow(p, 500.0) == 0.0
     t = np.arange(5.0)
     assert np.array_equal(eval_flow(p, t), np.zeros(5))
-
-
-def test_eval_flow_noise_matches_seeded_generator():
-    p = FlowModelParams(2.0, 1e-3, 0.0, 1.0, 2e-3, 0.5, 15.0,
-                        alpha_sigma=2.0)
-    t = np.arange(12.0) * 300.0
-    got = eval_flow(p, t, rng=np.random.default_rng(5))
-    want = np.maximum(curve(p, t)
-                      + np.random.default_rng(5).normal(0.0, 2.0, t.shape),
-                      0.0)
-    np.testing.assert_array_equal(got, want)
-    # zero-sigma noise must be a no-op even with a generator supplied
-    q = FlowModelParams(2.0, 1e-3, 0.0, 1.0, 2e-3, 0.5, 15.0)
-    np.testing.assert_array_equal(eval_flow(q, t, np.random.default_rng(5)),
-                                  eval_flow(q, t))
 
 
 # -- schedule ----------------------------------------------------------------
@@ -413,7 +390,10 @@ def test_params_io_round_trip(tmp_path):
 def test_params_io_rejects_malformed(tmp_path):
     path = tmp_path / "params.txt"
     path.write_text("a1 nonsense\n", encoding="utf-8")
-    with pytest.raises(DemandError):
+    with pytest.raises(DemandError, match=r"params\.txt:1: malformed"):
+        read_params(path)
+    path.write_text("# fit\nb1=2.0\na1=x\n", encoding="utf-8")
+    with pytest.raises(DemandError, match=r"params\.txt:3: could not convert"):
         read_params(path)
 
 
@@ -426,10 +406,18 @@ def test_schedule_io_round_trip(tmp_path, flat_params):
     back = read_schedule(path, horizon=1500.0)
     assert back.events == sched.events
     assert back.horizon == 1500.0
-    # without an explicit horizon the reader infers a covering one
-    inferred = read_schedule(path)
-    assert inferred.horizon == math.floor(sched.events[-1].time) + 1.0
     with pytest.raises(DemandError, match="header"):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,entry,exit\n", encoding="utf-8")
-        read_schedule(bad)
+        read_schedule(bad, horizon=1500.0)
+
+
+def test_schedule_io_names_file_and_line(tmp_path):
+    bad = tmp_path / "spawns.csv"
+    for body, match in (("3,a0\n", r"spawns\.csv:3: expected 3 fields"),
+                        ("x,a0,a3\n", r"spawns\.csv:3: could not convert"),
+                        ("2000,a0,a3\n", r"spawns\.csv: spawn time 2000")):
+        bad.write_text("time_s,entry,exit\n1,a0,a3\n" + body,
+                       encoding="utf-8")
+        with pytest.raises(DemandError, match=match):
+            read_schedule(bad, horizon=1500.0)

@@ -159,7 +159,7 @@ def test_reidentify_matches_reference_loop_on_grid(grid_net, tmp_path):
     res = run(grid_net, sched, plan_incidents(sched, icfg, grid_net, seed=6),
               placement, SimConfig(seed=6), incident_cfg=icfg)
     pairs = contiguous_sensor_pairs(grid_net, placement)
-    emit_raw(res.raw, [], tmp_path / "raw.csv")
+    emit_raw(res.raw, [], tmp_path / "raw.csv", tmp_path / "incidents.csv")
     back = load_raw(tmp_path / "raw.csv")
     kept = []
     for staleness in (1800, 40):
@@ -188,7 +188,8 @@ def synthetic_table(label_mode="stride"):
     net = make_line_net()
     log = [spec_of(seg="s1", onset=5, duration=4, radius=30.0)]
     cfg = WindowConfig(window=4, stride=2, label_mode=label_mode)
-    return raw, recs, build_feature_rows(raw, recs, cfg, log, net)
+    return raw, recs, build_feature_rows(raw, recs, cfg, log, net,
+                                         [("p", "q")])
 
 
 def test_window_means_equal_slice_means():
@@ -221,7 +222,7 @@ def test_travel_time_column_nan_when_quiet():
                                               ("q", 2): (1,)})
     recs = reidentify_travel_times(raw, [("p", "q")])
     table = build_feature_rows(raw, recs, WindowConfig(window=4, stride=2),
-                               [], make_line_net())
+                               [], make_line_net(), [("p", "q")])
     col = table.X[:, table.feature_names.index("tt_p__q")]
     # the t=2 arrival lands in windows [0,4) and [2,6); nothing after
     assert col[0] == 1.0 and col[1] == 1.0
@@ -252,7 +253,7 @@ def test_config_validation_and_short_horizon():
     raw = raw_from_sightings(("p",), 5, {})
     with pytest.raises(FeatureError, match="shorter than one window"):
         build_feature_rows(raw, [], WindowConfig(window=10, stride=5),
-                           [], make_line_net())
+                           [], make_line_net(), [])
 
 
 # -- labels ------------------------------------------------------------------

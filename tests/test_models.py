@@ -23,7 +23,7 @@ import pytest
 from trafficlab import kernels, models
 from trafficlab.features import FeatureTable
 from trafficlab.models import (EnsembleModel, IncidentPrediction, ModelError,
-                               TreeEnsembleConfig, infer, infer_batch,
+                               TreeEnsembleConfig, infer_batch,
                                load_model, predict_margin, predict_proba,
                                save_model, train_incident_ensemble,
                                train_tree_ensemble, training_logloss)
@@ -805,18 +805,11 @@ def test_degenerate_submodels_emit_constants():
     assert model.severity is None
     assert model.road_classes == ["east_rd"]
     assert model.severity_classes == ["minor"]
-    hits = [p for p in infer_batch(model, table.X) if p.detected]
+    hits = [p for p in infer_batch(model, table.X, table.window_end)
+            if p.detected]
     assert hits
     assert all(p.road_label == "east_rd" for p in hits)
     assert all(p.severity == "minor" for p in hits)
-
-
-def test_infer_single_row_matches_batch():
-    table = gated_table(seed=2)
-    model = train_incident_ensemble(table, small_cfg(n_trees=10))
-    batch = infer_batch(model, table.X[:25], table.window_end[:25])
-    for i in range(25):
-        assert infer(model, table.X[i], int(table.window_end[i])) == batch[i]
 
 
 def test_prediction_container_enforces_gating():
@@ -910,6 +903,14 @@ def _saved_doc(tmp_path):
     save_model(train_incident_ensemble(gated_table(seed=5),
                                        small_cfg(n_trees=4)), path)
     return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_load_names_a_truncated_file(tmp_path):
+    path, _doc = _saved_doc(tmp_path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
+    with pytest.raises(ModelError, match="model.json: not valid JSON"):
+        load_model(path)
 
 
 def test_load_rejects_tampered_schema_hash(tmp_path):

@@ -234,7 +234,7 @@ def test_emit_raw_matches_reference_writer(tmp_path):
     assert max(len(v) for v in data.vehicle_ids) == 40
     assert len(repr(float(data.mean_speed[0]))) == 19  # 17 digits
     assert np.any(data.occupancy == 0.0) and np.any(data.occupancy > 0.0)
-    emit_raw(data, [], tmp_path / "raw.csv")
+    emit_raw(data, [], tmp_path / "raw.csv", tmp_path / "incidents.csv")
     reference_emit_raw(data, tmp_path / "ref.csv")
     got = (tmp_path / "raw.csv").read_bytes()
     assert got == (tmp_path / "ref.csv").read_bytes()
