@@ -292,6 +292,7 @@ def cmd_sweep_sparsity(args) -> int:
         raise ConfigError("sensor counts must be positive integers")
     net = load_network(cfg.network_path())
     full = _sensor_ids(cfg, net)
+    _placement(cfg, net, full)  # each configured sensor placeable, once
     if max(levels) > len(full):
         raise ConfigError(f"level {max(levels)} exceeds the {len(full)} "
                           "available sensor sites")

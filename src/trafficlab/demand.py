@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import roadnet
+from . import open_text, roadnet
 
 
 class DemandError(ValueError):
@@ -91,7 +91,7 @@ def read_counts_csv(path) -> dict:
     """Parse `road_label,start_time_s,bin_s,count` rows into one
     MacroCountSeries per road, bins sorted and contiguity-checked."""
     rows: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, DemandError) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "road_label,start_time_s,bin_s,count":
             raise DemandError(f"{path}: unexpected counts header {header!r}")
@@ -362,7 +362,7 @@ def write_params(params: FlowModelParams, path) -> None:
 
 def read_params(path) -> FlowModelParams:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, DemandError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -390,7 +390,7 @@ def write_schedule(schedule: SpawnSchedule, path) -> None:
 
 def read_schedule(path, horizon: float) -> SpawnSchedule:
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, DemandError) as fh:
         header = fh.readline().strip()
         if header != "time_s,entry,exit":
             raise DemandError(f"{path}: unexpected schedule header {header!r}")

@@ -16,7 +16,7 @@ from .features import WindowConfig
 from .incidents import IncidentPlanConfig
 from .microsim import SimConfig
 from .models import TreeEnsembleConfig
-from . import netgen
+from . import netgen, open_text
 
 
 class ConfigError(ValueError):
@@ -139,7 +139,7 @@ def _resolve_input(name: str, suffix: str) -> str:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         try:
             doc = yaml.safe_load(fh) or {}
         except yaml.YAMLError as exc:

@@ -16,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+from . import open_text
 from .roadnet import RoadNetwork
 from .sensors import RawDataset
 
@@ -224,8 +225,7 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
 
 
 def write_feature_table(table: FeatureTable, path) -> None:
-    """CSV with an empty field as the missing marker, plus a sidecar schema
-    file, <path>.schema, listing the column order."""
+    """CSV with an empty field as the missing marker."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table.columns) + "\n")
         for i in range(table.n_rows):
@@ -237,12 +237,10 @@ def write_feature_table(table: FeatureTable, path) -> None:
             vals.append(table.label_road[i] or "")
             vals.append(table.label_severity[i] or "")
             fh.write(",".join(vals) + "\n")
-    with open(str(path) + ".schema", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(table.columns) + "\n")
 
 
 def read_feature_table(path) -> FeatureTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, FeatureError) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if (cols[:1] != ["window_end_s"]

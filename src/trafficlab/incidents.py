@@ -5,9 +5,9 @@ severity-scaled duration; every other vehicle within the radius of impact
 (path distance along the driving direction, both upstream and downstream)
 is capped to a fraction of its segment's speed limit.
 
-The impact zone is resolved once, when the incident activates, into rows
-of (lane queues, lo, hi, cap); each simulated second then only walks the
-vehicles queued on the zone's segments.
+Each incident designates its halted vehicles and resolves its impact zone
+once, on activation, into rows of (lane queues, lo, hi, cap); each second
+then only walks the vehicles queued on the zone's segments.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import open_text
 from .roadnet import RoadNetwork, shortest_route
 
 
@@ -228,39 +229,36 @@ def compute_impact_zones(net: RoadNetwork, spec: IncidentSpec) -> list:
 class ActiveIncident(NamedTuple):
     spec: IncidentSpec
     zone: tuple  # rows (lane deques, lo, hi, cap), one per zone interval
+    halted: list  # the slots designated at onset, nearest first
 
 
 def activate(state, spec: IncidentSpec,
              cfg: IncidentPlanConfig) -> ActiveIncident:
-    """Resolve the spec's impact zone against the state's lane queues."""
+    """Designate the spec's halted vehicles and resolve its impact zone."""
     net = state.network
     zone = tuple(
         (state.lane_queues[sid], lo, hi,
-         cfg.slowdown_factor * net.segments[sid].speed_limit)
+         float(cfg.slowdown_factor * net.segments[sid].speed_limit))
         for sid, lo, hi in compute_impact_zones(net, spec))
-    return ActiveIncident(spec, zone)
+    return ActiveIncident(spec, zone, designate_vehicles(state, spec))
 
 
-def apply_effects(state, active) -> np.ndarray:
-    """Per-vehicle speed caps (indexed by vehicle id/slot, +inf = no cap)
-    for the ActiveIncidents in `active`.
-
-    Vehicles designated to an incident (state.halted_by) are capped at
-    exactly 0; any other vehicle positioned inside an active incident's
-    impact zone is capped at slowdown_factor times its segment's limit.
-    Designations of ended incidents must already be released.
-    """
-    caps = np.full(state.capacity, np.inf)
-    # the zone walk reads and writes Python floats through memoryviews
-    pos = memoryview(state.pos)
-    slot_cap = memoryview(caps)
+def apply_effects(state, active) -> dict:
+    """Speed caps by vehicle slot for the ActiveIncidents in `active`, a
+    slot without a cap absent: exactly 0.0 for each incident's halted
+    vehicles, and for any other vehicle inside an impact zone the lowest
+    slowdown_factor times its segment's limit over the zones holding it."""
+    pos = state.pos
+    caps: dict = {}
+    cap_of = caps.get
     for inc in active:
         for lanes, lo, hi, cap in inc.zone:
             for q in lanes:
                 for slot in q:
-                    if lo <= pos[slot] <= hi and cap < slot_cap[slot]:
-                        slot_cap[slot] = cap
-    caps[state.halted_by >= 0] = 0.0
+                    if lo <= pos[slot] <= hi and cap < cap_of(slot, math.inf):
+                        caps[slot] = cap
+    for inc in active:
+        caps.update(dict.fromkeys(inc.halted, 0.0))
     return caps
 
 
@@ -278,11 +276,10 @@ def designate_vehicles(state, spec: IncidentSpec) -> list:
     return chosen
 
 
-def release_vehicles(state, spec: IncidentSpec) -> None:
-    hb = state.halted_by
-    for slot in state.iter_active_slots():
-        if hb[slot] == spec.id:
-            hb[slot] = -1
+def release_vehicles(state, inc: ActiveIncident) -> None:
+    """Free the vehicles `inc` halted, and only those."""
+    for slot in inc.halted:
+        state.halted_by[slot] = -1
 
 
 _LOG_HEADER = ("id,type,severity,onset_s,duration_s,segment_id,offset_m,"
@@ -302,7 +299,7 @@ def write_incident_log(specs, path) -> None:
 
 def read_incident_log(path) -> list:
     specs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, IncidentError) as fh:
         header = fh.readline().strip()
         if header != _LOG_HEADER:
             raise IncidentError(f"{path}: unexpected incident header")

@@ -26,9 +26,9 @@ def follow_speeds(noise, lanes, speed_cap, pos, speed, accel, decel,
     limit.  ``noise`` holds one term per vehicle, in the same order.
     Every follower brakes behind its leader's pre-step position and
     speed.  The speed is capped by acceleration, the limit, the free run
-    per step and ``speed_cap[slot]`` (None: no caps), minus the noise, and
-    clamped at zero; ``speed[slot]`` and ``pos[slot]`` are written in
-    place.
+    per step and ``speed_cap.get(slot)`` (a dict of the capped slots
+    only), minus the noise, and clamped at zero; ``speed[slot]`` and
+    ``pos[slot]`` (lists of floats) are written in place.
 
     Every comparison takes the second operand on a tie, as numpy's
     minimum and maximum do, so signed zeros come out as the vectorized
@@ -40,6 +40,8 @@ def follow_speeds(noise, lanes, speed_cap, pos, speed, accel, decel,
     neg_bt = -bt
     bt2 = bt * bt
     two_b = 2.0 * decel
+    inf = math.inf
+    cap_of = speed_cap.get
     k = 0
     for q, fr, vl, lim in lanes:
         back = None  # the leader's pre-step rear bumper
@@ -59,10 +61,9 @@ def follow_speeds(noise, lanes, speed_cap, pos, speed, accel, decel,
             x = fr / dt
             if x <= vn:
                 vn = x
-            if speed_cap is not None:
-                x = speed_cap[slot]
-                if x <= vn:
-                    vn = x
+            x = cap_of(slot, inf)
+            if x <= vn:
+                vn = x
             vn = vn - noise[k]
             k += 1
             if vn <= 0.0:

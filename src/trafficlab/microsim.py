@@ -17,11 +17,11 @@ target lane's tail (or the stop line), and entry positions are re-clamped
 against the live tail position at crossing time, so cross-segment moves
 preserve the invariant too.
 
-The step runs on Python floats and ints: it reads and writes vehicle
-state through memoryviews of the state arrays and the network tables as
-lists.  Every head's lookahead is taken first, on the pre-step state;
-then `kernels.follow_speeds` walks each lane queue once, front to back,
-and heads cross in queue order.  Driver noise is one draw per step in that
+Vehicle state (per slot) and the network tables are Python lists, read and
+written one value at a time; incident caps come as a dict of the capped
+slots.  Every head's lookahead is taken first, on the pre-step state; then
+`kernels.follow_speeds` walks each lane queue once, front to back, and
+heads cross in queue order.  Driver noise is one draw per step in that
 canonical order.
 """
 from __future__ import annotations
@@ -29,12 +29,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import kernels
 from .incidents import (IncidentPlanConfig, activate, apply_effects,
-                        designate_vehicles, release_vehicles)
+                        release_vehicles)
 from .roadnet import RoadNetwork, shortest_route
 from .sensors import RawDatasetBuilder, SensorRig
 
@@ -95,22 +96,16 @@ class _NetTables:
     state of every second of the horizon precomputed."""
 
     def __init__(self, net: RoadNetwork, horizon: int):
-        self.net = net
         self.seg_ids = sorted(net.segments)
         self.seg_index = {sid: i for i, sid in enumerate(self.seg_ids)}
         n = len(self.seg_ids)
-        self.length: list = []
-        self.limit: list = []
-        self.lanes: list = []
-        self.queue_base: list = []
-        self.queue_seg: list = []
-        for i, sid in enumerate(self.seg_ids):
-            seg = net.segments[sid]
-            self.length.append(float(seg.length))
-            self.limit.append(float(seg.speed_limit))
-            self.lanes.append(seg.lanes)
-            self.queue_base.append(len(self.queue_seg))
-            self.queue_seg.extend([i] * seg.lanes)
+        segs = [net.segments[sid] for sid in self.seg_ids]
+        self.length = [float(seg.length) for seg in segs]
+        self.limit = [float(seg.speed_limit) for seg in segs]
+        self.lanes = [seg.lanes for seg in segs]
+        # queues are numbered by segment, then lane
+        self.queue_base = list(accumulate(self.lanes, initial=0))[:n]
+        self.queue_seg = [i for i in range(n) for _ in range(self.lanes[i])]
         self.n_queues = len(self.queue_seg)
 
         # signal plans resolved to segment indices; segments whose end node
@@ -159,14 +154,13 @@ class SimState:
         n = sim.capacity
         self.network = sim.network
         self.cfg = sim.cfg
-        self.capacity = n
         self.time = 0
-        self.pos = np.zeros(n)
-        self.speed = np.zeros(n)
-        self.cur_seg = np.full(n, -1, dtype=np.int32)
-        self.route_step = np.zeros(n, dtype=np.int32)
-        self.queue_of = np.full(n, -1, dtype=np.int32)
-        self.halted_by = np.full(n, -1, dtype=np.int64)
+        self.pos = [0.0] * n
+        self.speed = [0.0] * n
+        self.cur_seg = [-1] * n
+        self.route_step = [0] * n
+        self.queue_of = [-1] * n
+        self.halted_by = [-1] * n
         tb = sim.tables
         self.queues = [deque() for _ in range(tb.n_queues)]
         # the same deques grouped by segment id, lanes in order
@@ -193,10 +187,7 @@ class SimState:
             yield from q
 
     def slots_on_segment(self, segment_id: str) -> list:
-        out: list = []
-        for q in self.lane_queues[segment_id]:
-            out.extend(q)
-        return out
+        return [slot for q in self.lane_queues[segment_id] for slot in q]
 
 
 class Simulation:
@@ -204,7 +195,6 @@ class Simulation:
                  placement=None, cfg: SimConfig | None = None,
                  incident_cfg: IncidentPlanConfig | None = None):
         self.network = network
-        self.schedule = schedule
         self.cfg = cfg or SimConfig()
         self.incident_cfg = incident_cfg or IncidentPlanConfig()
         self.horizon = int(schedule.horizon)
@@ -213,8 +203,7 @@ class Simulation:
                                     key=lambda s: (s.onset, s.id))
         for spec in self.incident_plan:
             if spec.end > self.horizon:
-                raise SimError(
-                    f"incident {spec.id} runs past the horizon")
+                raise SimError(f"incident {spec.id} runs past the horizon")
             if spec.segment_id not in self.tables.seg_index:
                 raise SimError(
                     f"incident {spec.id} on unknown segment "
@@ -241,12 +230,6 @@ class Simulation:
 
         self.rng = np.random.default_rng(self.cfg.seed)
         self.state = SimState(self)
-        # the step reads and writes vehicle state through these, one Python
-        # value at a time
-        self._pos = memoryview(self.state.pos)
-        self._speed = memoryview(self.state.speed)
-        self._cur_seg = memoryview(self.state.cur_seg)
-        self._route_step = memoryview(self.state.route_step)
         self._next_event = 0
         self._next_incident = 0
 
@@ -260,7 +243,7 @@ class Simulation:
         """
         tb = self.tables
         queues = self.state.queues
-        pos = self._pos
+        pos = self.state.pos
         base = tb.queue_base[seg_idx]
         best_q, best_space = -1, -math.inf
         for qi in range(base, base + tb.lanes[seg_idx]):
@@ -280,7 +263,7 @@ class Simulation:
             st.pending[ev.entry].append(self._next_event)
             self._next_event += 1
             st.due += 1
-        vlen = self.cfg.vehicle_length
+        vlen = float(self.cfg.vehicle_length)
         need = vlen + self.cfg.min_gap
         for entry in self.network.entry_nodes:
             queue = st.pending[entry]
@@ -291,10 +274,10 @@ class Simulation:
                 if space < need:
                     break  # strict FIFO per entry: head blocked, all wait
                 queue.popleft()
-                self._pos[slot] = vlen
-                self._speed[slot] = 0.0
-                self._cur_seg[slot] = first_seg
-                self._route_step[slot] = 0
+                st.pos[slot] = vlen
+                st.speed[slot] = 0.0
+                st.cur_seg[slot] = first_seg
+                st.route_step[slot] = 0
                 st.queue_of[slot] = qi
                 st.queues[qi].append(slot)
                 st.spawned += 1
@@ -304,17 +287,18 @@ class Simulation:
         a queue head, walking its route until a blocker or far enough."""
         tb = self.tables
         cfg = self.cfg
-        pos = self._pos
-        v_next = self._speed[slot] + cfg.accel * DT
+        st = self.state
+        pos = st.pos
+        v_next = st.speed[slot] + cfg.accel * DT
         # distance beyond which a wall cannot constrain this step's choice
         need = v_next * DT + (v_next * v_next) / (2.0 * cfg.decel) \
             + cfg.min_gap + 1.0
-        seg = self._cur_seg[slot]
+        seg = st.cur_seg[slot]
         dist = tb.length[seg] - pos[slot]
         if dist >= need:
             return dist, 0.0
         route = self.routes[slot]
-        step = self._route_step[slot]
+        step = st.route_step[slot]
         while True:
             if not greens[seg]:
                 return dist, 0.0  # red stop line at this segment's end
@@ -322,11 +306,11 @@ class Simulation:
                 return math.inf, 0.0  # arrival: nothing beyond the last node
             nxt = route[step + 1]
             qi, space = self._best_entry_queue(nxt)
-            q = self.state.queues[qi]
+            q = st.queues[qi]
             if q:
                 tail = q[-1]
                 return (dist + pos[tail] - cfg.vehicle_length
-                        - cfg.min_gap, self._speed[tail])
+                        - cfg.min_gap, st.speed[tail])
             dist += tb.length[nxt]
             if dist >= need:
                 return dist, 0.0
@@ -348,14 +332,13 @@ class Simulation:
         while (self._next_incident < len(self.incident_plan)
                and self.incident_plan[self._next_incident].onset <= t):
             spec = self.incident_plan[self._next_incident]
-            designate_vehicles(st, spec)
             st.active_incidents.append(
                 activate(st, spec, self.incident_cfg))
             self._next_incident += 1
         still = []
         for inc in st.active_incidents:
             if inc.spec.end <= t:
-                release_vehicles(st, inc.spec)
+                release_vehicles(st, inc)
             else:
                 still.append(inc)
         st.active_incidents = still
@@ -363,9 +346,8 @@ class Simulation:
         self._insert_spawns()
 
         greens = tb.greens_at(t)
-        caps = None
-        if st.active_incidents:
-            caps = memoryview(apply_effects(st, st.active_incidents))
+        caps = (apply_effects(st, st.active_incidents)
+                if st.active_incidents else {})
 
         # canonical order: queues ascending, front to back; every head's
         # lookahead reads the pre-step state, before any vehicle moves
@@ -385,14 +367,14 @@ class Simulation:
                      * (cfg.driver_imperfection * cfg.accel * DT)).tolist()
             before = st.speed.copy() if audit is not None else None
             kernels.follow_speeds(
-                noise, lanes, caps, self._pos, self._speed, cfg.accel,
+                noise, lanes, caps, st.pos, st.speed, cfg.accel,
                 cfg.decel, cfg.min_gap, cfg.vehicle_length, DT)
             if audit is not None:
                 self._audit_speeds(t, lanes, before, audit)
             # heads cross in queue order; one still inside its segment
             # has nothing to resolve
-            pos = self._pos
-            cur_seg = self._cur_seg
+            pos = st.pos
+            cur_seg = st.cur_seg
             for qi, head in heads:
                 if pos[head] > tb.length[cur_seg[head]]:
                     self._advance_head(qi, head, greens, audit)
@@ -409,18 +391,18 @@ class Simulation:
         st = self.state
         tb = self.tables
         queues = st.queues
-        seg = self._cur_seg[slot]
-        hpos = self._pos[slot]
+        seg = st.cur_seg[slot]
+        hpos = st.pos[slot]
         route = self.routes[slot]
         while hpos > tb.length[seg]:
-            step = self._route_step[slot]
+            step = st.route_step[slot]
             if step + 1 >= len(route):
                 q = queues[qi]
                 assert q[0] == slot
                 q.popleft()
                 st.queue_of[slot] = -1
-                self._cur_seg[slot] = -1
-                self._pos[slot] = 0.0
+                st.cur_seg[slot] = -1
+                st.pos[slot] = 0.0
                 st.arrived += 1
                 return
             if not greens[seg]:
@@ -442,14 +424,14 @@ class Simulation:
             q.popleft()
             queues[tqi].append(slot)
             st.queue_of[slot] = tqi
-            self._cur_seg[slot] = nxt
-            self._route_step[slot] = step + 1
+            st.cur_seg[slot] = nxt
+            st.route_step[slot] = step + 1
             hpos = min(over, entry_cap)
             seg = nxt
             qi = tqi
             if hpos < over:
                 break  # clamped by the new lane's tail
-        self._pos[slot] = hpos
+        st.pos[slot] = hpos
 
     def _audit_speeds(self, t: int, lanes, before, audit: AuditReport):
         """Flag every new speed below zero or above the lesser of its
@@ -458,7 +440,7 @@ class Simulation:
         # the bound uses the limit of the segment governing the decision;
         # crossings may land on a slower segment afterwards
         gain = self.cfg.accel * DT
-        speed = self._speed
+        speed = self.state.speed
         for q, _fr, _vl, lim in lanes:
             for slot in q:
                 v = speed[slot]
@@ -523,10 +505,10 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
         if builder is not None:
             builder.add_step(sim.rig.observe(st, t))
         if trace is not None:
-            slots = np.fromiter(st.iter_active_slots(), dtype=np.intp,
-                                count=st.active_count)
-            trace.append((t, slots, st.cur_seg[slots].copy(),
-                          st.pos[slots].copy(), st.speed[slots].copy()))
+            slots = list(st.iter_active_slots())
+            cols = ((st.cur_seg, np.int32), (st.pos, float), (st.speed, float))
+            trace.append((t, np.array(slots, dtype=np.intp)) + tuple(
+                np.array([c[s] for s in slots], dtype=d) for c, d in cols))
     raw = None if builder is None else builder.build(sim.horizon)
     return RunResult(raw=raw, incident_log=list(sim.incident_plan),
                      spawned=st.spawned, arrived=st.arrived,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
+from . import kernels, open_text
 
 
 class ModelError(ValueError):
@@ -619,7 +619,7 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ModelError) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -11,6 +11,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from . import open_text
+
 
 class NetworkError(ValueError):
     """Malformed network file or violated network invariant."""
@@ -55,6 +57,10 @@ class SensorPlacement:
         self.sensor_ids = tuple(sorted(self.sensor_ids))
         if not self.sensor_ids:
             raise NetworkError("sensor placement must contain at least one sensor")
+        ids = self.sensor_ids
+        dup = sorted({s for s in ids if ids.count(s) > 1})
+        if dup:
+            raise NetworkError(f"duplicate sensor ids: {', '.join(dup)}")
         if self.range_m <= 0:
             raise NetworkError("sensor range must be positive")
 
@@ -126,7 +132,7 @@ def load_network(path) -> RoadNetwork:
 
     section = None
     expect_header = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, NetworkError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -280,26 +286,16 @@ def validate_network(net: RoadNetwork) -> None:
         for seg in net.segments.values():
             adj[seg.from_node].add(seg.to_node)
             adj[seg.to_node].add(seg.from_node)
-        start = next(iter(sorted(net.nodes)))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        seen = _closure(min(net.nodes), adj.__getitem__)
         if seen != set(net.nodes):
             missing = sorted(set(net.nodes) - seen)
             raise NetworkError(
                 f"network is not weakly connected; unreachable: {missing}")
 
-    for nid in net.entry_nodes:
-        if nid not in net.nodes:
-            raise NetworkError(f"entry node {nid!r} does not exist")
-    for nid in net.exit_nodes:
-        if nid not in net.nodes:
-            raise NetworkError(f"exit node {nid!r} does not exist")
+    for kind, ids in (("entry", net.entry_nodes), ("exit", net.exit_nodes)):
+        for nid in ids:
+            if nid not in net.nodes:
+                raise NetworkError(f"{kind} node {nid!r} does not exist")
     if not net.entry_nodes or not net.exit_nodes:
         raise NetworkError("network needs at least one entry and one exit node")
 
@@ -346,17 +342,22 @@ def validate_placement(net: RoadNetwork, placement: SensorPlacement) -> None:
             raise NetworkError(f"node {sid!r} is not a sensor site")
 
 
-def _reachable(net: RoadNetwork, start: str) -> set:
+def _closure(start, neighbours) -> set:
+    """start and every node reached from it through neighbours(node)."""
     seen = {start}
     stack = [start]
     while stack:
-        cur = stack.pop()
-        for sid in net.outgoing(cur):
-            nxt = net.segments[sid].to_node
+        for nxt in neighbours(stack.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+def _reachable(net: RoadNetwork, start: str) -> set:
+    """Nodes reachable from start along segment directions."""
+    return _closure(start, lambda node: [net.segments[sid].to_node
+                                         for sid in net.outgoing(node)])
 
 
 def contiguous_sensor_pairs(net: RoadNetwork, placement: SensorPlacement) -> list:

@@ -6,7 +6,7 @@ node is at most the capture range, on any segment incident to that node
 Each (sensor, second) yields exactly one reading, zero-count seconds
 included.  Capture reads the state's lane queues (`lane_queues[seg_id]`,
 one deque of vehicle slots per lane) of the watched segments directly and
-scans every vehicle on them, reading positions and speeds as Python floats.
+scans every vehicle on them, reading positions and speeds from the state lists.
 A reading's mean speed is `exact_mean` of the seen vehicles' speeds in slot
 order, which equals `float(np.mean(...))` bit for bit.
 
@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import open_text
 from .roadnet import RoadNetwork, SensorPlacement, validate_placement
 
 
@@ -84,7 +85,6 @@ class SensorRig:
     def __init__(self, network: RoadNetwork, placement: SensorPlacement):
         validate_placement(network, placement)
         self.network = network
-        self.placement = placement
         self.sensor_ids = placement.sensor_ids
         self.range_m = placement.range_m
         # per sensor: [(segment_id, approaching?, length)] and total
@@ -94,14 +94,12 @@ class SensorRig:
         for sid in self.sensor_ids:
             segs = []
             total = 0.0
-            for seg_id in network.incoming(sid):
-                seg = network.segments[seg_id]
-                segs.append((seg_id, True, seg.length))
-                total += min(self.range_m, seg.length) * seg.lanes
-            for seg_id in network.outgoing(sid):
-                seg = network.segments[seg_id]
-                segs.append((seg_id, False, seg.length))
-                total += min(self.range_m, seg.length) * seg.lanes
+            for approaching, seg_ids in ((True, network.incoming(sid)),
+                                         (False, network.outgoing(sid))):
+                for seg_id in seg_ids:
+                    seg = network.segments[seg_id]
+                    segs.append((seg_id, approaching, seg.length))
+                    total += min(self.range_m, seg.length) * seg.lanes
             if total <= 0:
                 raise SensorError(f"sensor {sid!r} monitors no road length")
             self.watch[sid] = segs
@@ -113,9 +111,8 @@ class SensorRig:
         t = int(t)
         vlen = state.cfg.vehicle_length
         range_m = self.range_m
-        # indexing a memoryview of a float64 array yields Python floats
-        pos = memoryview(state.pos)
-        speed = memoryview(state.speed)
+        pos = state.pos
+        speed = state.speed
         for sid in self.sensor_ids:
             seen: list = []
             for seg_id, approaching, seg_len in self.watch[sid]:
@@ -237,7 +234,7 @@ def load_raw(path) -> RawDataset:
     speeds: list = []
     occs: list = []
     vids: list = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, SensorError) as fh:
         header = fh.readline().strip()
         if header != RAW_HEADER:
             raise SensorError(f"{path}: unexpected raw header {header!r}")

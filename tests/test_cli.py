@@ -3,28 +3,31 @@
 Index:
   expconfig   YAML parsing, defaults, key rejection, echo round trip
   commands    fit-demand, simulate, extract-features, validate,
-              train, evaluate, sweep-sparsity, highway
-  errors      exit code 2 on module errors, argparse usage failures
+              train, evaluate, sweep-sparsity, highway; the benchmark's
+              tracers around simulate
+  errors      exit code 2 on module errors, undecodable input files,
+              argparse usage failures
 """
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 import yaml
 
-from trafficlab import demand, features, microsim
+from trafficlab import demand, features, incidents, microsim, sensors
 from trafficlab.cli import main
 from trafficlab.expconfig import (ConfigError, ExperimentConfig, echo_config,
                                   load_config)
 from trafficlab.metrics import read_report
-from trafficlab.models import load_model
+from trafficlab.models import ModelError, load_model
 from trafficlab.netgen import bundled_path
-from trafficlab.roadnet import save_network
+from trafficlab.roadnet import NetworkError, load_network, save_network
 
 from conftest import make_line_net
 from test_models import gated_table
@@ -408,6 +411,30 @@ def test_highway_shares_the_extract_and_sweep_paths(highway_run, tmp_path):
             assert (level / name).read_bytes() == fh.read()
 
 
+def test_benchmark_tracers_wrap_every_target(tmp_path, monkeypatch):
+    """perfbench's traced run swaps package functions for wrappers by name,
+    from outside src/: every name it wraps must resolve, be swapped in and
+    restored, and the step counters must count what the simulation ran."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import layers
+
+    cfg_path = line_experiment(tmp_path)
+    full, stage = layers.full_tracer(), layers.stage_tracer(lambda: None)
+    for tracer in (full, stage):
+        with tracer:
+            for owner, attr, _span, _hook in tracer.targets:
+                assert hasattr(getattr(owner, attr), "__wrapped__"), attr
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--config", cfg_path]) == 0
+        for owner, attr, _span, _hook in tracer.targets:
+            assert not hasattr(getattr(owner, attr), "__wrapped__"), attr
+    assert full.counts["microsim.steps"] == DAY
+    assert full.counts["microsim.vehicle_steps"] > 0
+    assert full.calls["kernels.follow_speeds"] > 0
+    assert stage.calls["microsim.run"] == 1
+
+
 # -- errors -------------------------------------------------------------------
 
 
@@ -437,6 +464,14 @@ def test_module_errors_exit_2(tmp_path, capsys):
                  "--sensors", "9"]) == 2
     assert "exceeds" in capsys.readouterr().err
 
+    # a sensor listed twice would write two rows per second that no
+    # reader accepts; both commands stop before writing anything
+    dup = line_experiment(tmp_path, sensors=["a1", "a1", "a2"])
+    for cmd in (["simulate"], ["sweep-sparsity", "--sensors", "1"]):
+        assert main([*cmd, "--config", dup]) == 2
+        assert "duplicate sensor ids: a1" in one_error_line(capsys)
+    assert not os.path.exists(tmp_path / "runs")
+
     assert main(["extract-features", "--raw", str(tmp_path / "empty"),
                  "--out", str(tmp_path / "f.csv")]) == 2
 
@@ -458,6 +493,48 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     bad.write_text("days: [1, 2\n", encoding="utf-8")
     assert main(["simulate", "--config", str(bad)]) == 2
     assert one_error_line(capsys).startswith(f"error: {bad}:2: ")
+    bad.write_bytes(b"days: \xff\n")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert one_error_line(capsys) == (
+        f"error: {bad}:1: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
+# (reader, its module's error, the lines before the undecodable one, the
+# undecodable line); the params case puts the bad byte past the first 8 KiB
+# the text layer decodes in one go
+UNDECODABLE = [
+    (load_config, ConfigError, b"days: 2\n", b"seed: \xff\n"),
+    (demand.read_counts_csv, demand.DemandError,
+     b"road_label,start_time_s,bin_s,count\n", b"r\xe9,0,900,1\n"),
+    (demand.read_params, demand.DemandError, b"# filler line\n" * 1000,
+     b"a1=\xff\n"),
+    (lambda p: demand.read_schedule(p, 60.0), demand.DemandError,
+     b"time_s,entry,exit\n0,a0,a3\n", b"1,a0,\xc3\n"),
+    (load_network, NetworkError, b"[nodes]\nid,x,y,signalized,sensor_site\n",
+     b"n\xff,0,0,0,0\n"),
+    (sensors.load_raw, sensors.SensorError, sensors.RAW_HEADER.encode()
+     + b"\n", b"0,a\xff,0,0.0,0.0,\n"),
+    (incidents.read_incident_log, incidents.IncidentError,
+     incidents._LOG_HEADER.encode() + b"\n", b"\x80\n"),
+    (features.read_feature_table, features.FeatureError,
+     b"window_end_s,x,label_incident,label_road,label_severity\n",
+     b"600,1.0,1,r\xff,minor\n"),
+    (load_model, ModelError, b"", b'{"format": "\xff"}\n'),
+]
+
+
+@pytest.mark.parametrize("reader, error, before, bad", UNDECODABLE, ids=[
+    "load_config", "read_counts_csv", "read_params", "read_schedule",
+    "load_network", "load_raw", "read_incident_log", "read_feature_table",
+    "load_model"])
+def test_readers_name_file_and_line_of_undecodable_bytes(tmp_path, reader,
+                                                         error, before, bad):
+    path = tmp_path / "input"
+    path.write_bytes(before + bad + b"more,text\n")
+    line = before.count(b"\n") + 1
+    with pytest.raises(error, match=rf"^{re.escape(str(path))}:{line}: "
+                                    r"byte 0x[0-9a-f]{2} is not UTF-8 \("):
+        reader(path)
 
 
 def test_extract_features_rejects_misordered_raw(sim_run, tmp_path,

@@ -5,7 +5,7 @@ Index:
               against the replaced per-row loop
   windows     rolling means bitwise-equal to slice means, tt averaging
   labels      interval overlap in both labeling modes, tie-breaking
-  io          table round trip, schema sidecar, concatenation
+  io          table round trip, concatenation
 """
 import math
 
@@ -292,7 +292,7 @@ def test_label_edges_and_tie_break():
 # -- io ----------------------------------------------------------------------
 
 
-def test_table_round_trip_and_sidecar(tmp_path):
+def test_table_round_trip_writes_one_file(tmp_path):
     _raw, _recs, table = synthetic_table()
     path = tmp_path / "features.csv"
     write_feature_table(table, path)
@@ -304,8 +304,8 @@ def test_table_round_trip_and_sidecar(tmp_path):
     assert back.label_road == table.label_road
     assert back.label_severity == table.label_severity
 
-    schema = (tmp_path / "features.csv.schema").read_text(encoding="utf-8")
-    assert schema.splitlines() == table.columns
+    # the CSV header is the table's only record of its columns
+    assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
     body = path.read_text(encoding="utf-8")
     assert "np.float64" not in body
     assert "nan" not in body  # missing values serialize as empty fields

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from trafficlab.demand import SpawnEvent, SpawnSchedule, spawn_schedule
-from trafficlab.incidents import (IncidentError, IncidentPlanConfig,
-                                  IncidentSpec, IncidentType, SeverityClass,
+from trafficlab.incidents import (ActiveIncident, IncidentError,
+                                  IncidentPlanConfig, IncidentSpec,
+                                  IncidentType, SeverityClass,
                                   compute_impact_zones, designate_vehicles,
                                   plan_incidents, read_incident_log,
                                   release_vehicles, write_incident_log)
@@ -228,18 +229,16 @@ def test_plan_seeded_properties(grid_net, flat_params):
 
 
 class StubState:
-    """Just enough state surface for designation bookkeeping."""
+    """Just enough state surface for designation bookkeeping: per-slot
+    lists, as the simulator keeps them."""
 
     def __init__(self, positions, segment="s1"):
-        self.pos = np.asarray(positions, dtype=float)
-        self.halted_by = np.full(len(positions), -1, dtype=np.int64)
+        self.pos = [float(p) for p in positions]
+        self.halted_by = [-1] * len(positions)
         self._segment = segment
 
     def slots_on_segment(self, seg_id):
         return list(range(len(self.pos))) if seg_id == self._segment else []
-
-    def iter_active_slots(self):
-        return iter(range(len(self.pos)))
 
 
 def test_designation_picks_nearest_with_id_ties():
@@ -263,12 +262,15 @@ def test_designation_skips_taken_and_tolerates_shortfall():
     empty = StubState([], segment="s1")
     assert designate_vehicles(empty, spec_of()) == []  # phantom incident
 
-    st3 = StubState([50.0, 60.0])
+    st3 = StubState([50.0, 60.0, 150.0])
+    st3.halted_by[2] = 7
     spec = spec_of(itype=IncidentType.MULTI_VEHICLE_CRASH, n=3, sid=4)
-    # fewer present than asked; listed nearest-first (60 is closer to 100)
-    assert designate_vehicles(st3, spec) == [1, 0]
-    release_vehicles(st3, spec)
-    assert list(st3.halted_by) == [-1, -1]
+    # fewer free than asked; listed nearest-first (60 is closer to 100)
+    chosen = designate_vehicles(st3, spec)
+    assert chosen == [1, 0]
+    # the release frees this incident's vehicles and leaves the other's
+    release_vehicles(st3, ActiveIncident(spec, (), chosen))
+    assert st3.halted_by == [-1, -1, 7]
 
 
 # -- zones -------------------------------------------------------------------

@@ -59,19 +59,18 @@ def _random_follow_case(rng, n_slots):
               float(rng.uniform(5, 20))) for q in queues]
     caps = np.where(rng.random(n_slots) < 0.2, rng.uniform(0, 5, n_slots),
                     np.inf)
+    caps = {slot: c for slot, c in enumerate(caps.tolist()) if c != math.inf}
     return dict(lanes=lanes, pos=pos, speed=rng.uniform(0, 15, n_slots),
                 speed_cap=caps, noise=rng.uniform(0, 0.26, n_slots).tolist())
 
 
 def run_kernel(case):
-    """(speed, pos) after kernels.follow_speeds, which writes them through
-    memoryviews as the simulator does."""
-    pos, speed = case["pos"].copy(), case["speed"].copy()
-    caps = case["speed_cap"]
-    kernels.follow_speeds(case["noise"], case["lanes"],
-                          None if caps is None else memoryview(caps),
-                          memoryview(pos), memoryview(speed), **PARAMS)
-    return speed, pos
+    """(speed, pos) as arrays after kernels.follow_speeds, which writes
+    them into lists as the simulator does."""
+    pos, speed = case["pos"].tolist(), case["speed"].tolist()
+    kernels.follow_speeds(case["noise"], case["lanes"], case["speed_cap"],
+                          pos, speed, **PARAMS)
+    return np.asarray(speed), np.asarray(pos)
 
 
 def run_vector(case):
@@ -87,14 +86,14 @@ def run_vector(case):
             order.append(slot)
     order = np.asarray(order, dtype=np.intp)
     n = len(order)
-    caps = case["speed_cap"]
+    caps = [case["speed_cap"].get(slot, math.inf) for slot in order]
     pos, speed = case["pos"].copy(), case["speed"].copy()
     pos_a, speed_a = pos[order], speed[order]
     v_new = np.empty(n)
     vector_follow_speeds(
         pos_a, speed_a, np.asarray(leader, dtype=np.int32),
         np.asarray(head_free), np.asarray(head_lead), np.asarray(limit),
-        np.full(n, np.inf) if caps is None else caps[order],
+        np.asarray(caps, dtype=float),
         np.asarray(case["noise"]), out=v_new, **PARAMS)
     speed[order] = v_new
     pos[order] = pos_a + v_new * PARAMS["dt"]
@@ -119,8 +118,7 @@ def _scalar_follow(case):
             fr = max(fr, 0.0)
             bt = b * dt
             vsafe = -bt + math.sqrt(bt * bt + vl * vl + 2.0 * b * fr)
-            cap = (math.inf if case["speed_cap"] is None
-                   else case["speed_cap"][slot])
+            cap = case["speed_cap"].get(slot, math.inf)
             vdes = min(case["speed"][slot] + PARAMS["accel"] * dt, limit,
                        vsafe, fr / dt, cap)
             expect[slot] = max(vdes - case["noise"][k], 0.0)
@@ -135,7 +133,7 @@ def test_follow_speeds_matches_scalar_oracle():
         rng = rng_for("follow-scalar", k)
         case = _random_follow_case(rng, int(rng.integers(1, 60)))
         if k % 4 == 0:
-            case["speed_cap"] = None
+            case["speed_cap"] = {}
         got_speed, got_pos = run_kernel(case)
         assert np.array_equal(got_speed, _scalar_follow(case))
         want_speed, want_pos = run_vector(case)
@@ -156,14 +154,12 @@ def test_follow_speeds_pins_numpy_edge_semantics():
     pos = np.array([107.5, 100.0, 50.0, 40.0, 190.0, 20.0, 60.0, 10.0,
                     0.0])
     speed = np.array([0.0, 3.0, 0.0, -0.0, 12.0, 4.0, 1.0, 0.0, -0.0])
-    caps = np.full(9, inf)
-    caps[5] = 0.0
-    caps[8] = -0.0
+    caps = {5: 0.0, 8: -0.0}
     lanes = [([0, 1], 0.0, 0.0, 10.0), ([2, 3], -0.0, 0.0, 10.0),
              ([4, 5], inf, 0.0, 14.0), ([6], -3.0, 0.0, 10.0),
              ([7], 0.0, 0.0, -0.0), ([8], 5.0, 0.0, 10.0)]
     for noise in ([0.0] * 9, [0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]):
-        for cap_arr in (caps, None):
+        for cap_arr in (caps, {}):
             case = dict(lanes=lanes, pos=pos, speed=speed,
                         speed_cap=cap_arr, noise=noise)
             got_speed, got_pos = run_kernel(case)
@@ -174,7 +170,7 @@ def test_follow_speeds_pins_numpy_edge_semantics():
             assert not np.signbit(got_speed).any()
             # the arriving head is free: accelerate to the limit at most
             assert got_speed[4] == min(12.0 + 2.6, 14.0) - noise[4]
-            if cap_arr is not None:
+            if cap_arr:
                 assert got_speed[5] == 0.0 and got_pos[5] == 20.0
             # exactly min_gap behind a leader: no free run, no move
             assert got_speed[1] == 0.0 and got_pos[1] == 100.0

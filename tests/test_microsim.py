@@ -22,8 +22,8 @@ from trafficlab.demand import (FlowModelParams, SpawnEvent, SpawnSchedule,
 from trafficlab.incidents import (IncidentSpec, IncidentType,
                                   SeverityClass, IncidentPlanConfig,
                                   activate, apply_effects,
-                                  compute_impact_zones, designate_vehicles,
-                                  plan_incidents, release_vehicles)
+                                  compute_impact_zones, plan_incidents,
+                                  release_vehicles)
 from trafficlab.microsim import (AuditReport, RunResult, SimConfig, SimError,
                                  Simulation, run)
 from trafficlab.netgen import bundled_path
@@ -384,7 +384,8 @@ def loop_observe(rig, state, t):
                     seen.append(slot)
         seen.sort()
         count = len(seen)
-        mean_speed = float(np.mean(state.speed[seen])) if seen else 0.0
+        mean_speed = (float(np.mean(np.asarray(state.speed)[seen])) if seen
+                      else 0.0)
         occupancy = count * state.cfg.vehicle_length / rig.monitored[sid]
         readings.append(SensorReading(sid, int(t), tuple(seen), count,
                                       mean_speed, occupancy))
@@ -393,9 +394,10 @@ def loop_observe(rig, state, t):
 
 def loop_apply_effects(state, specs, cfg, seg_ids):
     """Reference: zones recomputed for every incident on every call, then
-    one pass over every active vehicle, found by its cur_seg."""
+    one pass over every active vehicle, found by its cur_seg; returns the
+    caps of the capped slots by slot."""
     net = state.network
-    caps = np.full(state.capacity, np.inf)
+    caps = {}
     zone_map = {}
     for spec in specs:
         for sid, lo, hi in compute_impact_zones(net, spec):
@@ -408,9 +410,15 @@ def loop_apply_effects(state, specs, cfg, seg_ids):
             continue
         pos = state.pos[slot]
         for lo, hi, cap in zone_map.get(seg_ids[state.cur_seg[slot]], ()):
-            if lo <= pos <= hi and cap < caps[slot]:
+            if lo <= pos <= hi and cap < caps.get(slot, math.inf):
                 caps[slot] = cap
     return caps
+
+
+def cap_bits(caps):
+    """A caps dict as sorted (slot, exact bits) pairs; float.hex rejects
+    a cap that is not a float and tells -0.0 from 0.0."""
+    return sorted((slot, float.hex(cap)) for slot, cap in caps.items())
 
 
 def test_signal_table_matches_per_second_lookup(grid_net):
@@ -435,15 +443,15 @@ def test_zone_caps_include_interval_edges():
     for slot, pos in enumerate((150.0, 140.0, 100.0, 60.0, 50.0)):
         place(sim, slot, seg=1, pos=pos, speed=5.0)
     st = sim.state
-    assert designate_vehicles(st, spec) == [2]
     active = [activate(st, spec, icfg)]
+    assert active[0].halted == [2] and st.halted_by == [-1, -1, 0, -1, -1]
     assert [(lo, hi, cap) for _lanes, lo, hi, cap in active[0].zone] == [
         (60.0, 140.0, 5.0)]
     caps = apply_effects(st, active)
     # both interval ends are inside; the designated vehicle stops
-    assert caps.tolist() == [np.inf, 5.0, 0.0, 5.0, np.inf]
-    assert np.array_equal(caps, loop_apply_effects(st, [spec], icfg,
-                                                   sim.tables.seg_ids))
+    assert caps == {1: 5.0, 2: 0.0, 3: 5.0}
+    assert cap_bits(caps) == cap_bits(loop_apply_effects(
+        st, [spec], icfg, sim.tables.seg_ids))
 
 
 def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
@@ -469,13 +477,10 @@ def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
         caps = apply_effects(state, active)
         want = loop_apply_effects(state, [a.spec for a in active], icfg,
                                   sim.tables.seg_ids)
-        slots = np.fromiter(state.iter_active_slots(), dtype=np.intp,
-                            count=state.active_count)
-        assert np.array_equal(caps[slots], want[slots]), state.time
+        assert cap_bits(caps) == cap_bits(want), state.time
         seen["calls"] += 1
-        seen["capped"] += int(np.sum((want[slots] > 0)
-                                     & np.isfinite(want[slots])))
-        seen["halted"] += int(np.sum(want[slots] == 0.0))
+        seen["capped"] += sum(cap > 0 for cap in want.values())
+        seen["halted"] += sum(cap == 0.0 for cap in want.values())
         return caps
 
     monkeypatch.setattr(microsim, "apply_effects", checked_apply_effects)
@@ -609,20 +614,19 @@ def vector_step(sim, audit):
     while (sim._next_incident < len(sim.incident_plan)
            and sim.incident_plan[sim._next_incident].onset <= t):
         spec = sim.incident_plan[sim._next_incident]
-        designate_vehicles(st, spec)
         st.active_incidents.append(activate(st, spec, sim.incident_cfg))
         sim._next_incident += 1
     still = []
     for inc in st.active_incidents:
         if inc.spec.end <= t:
-            release_vehicles(st, inc.spec)
+            release_vehicles(st, inc)
         else:
             still.append(inc)
     st.active_incidents = still
     vector_insert_spawns(sim)
 
     greens = tb.greens_at(t)
-    caps = None
+    caps = {}
     if st.active_incidents:
         caps = loop_apply_effects(st, [a.spec for a in st.active_incidents],
                                   sim.incident_cfg, tb.seg_ids)
@@ -646,10 +650,10 @@ def vector_step(sim, audit):
     n = len(order)
     if n:
         order_np = np.asarray(order, dtype=np.intp)
-        pos_a = st.pos[order_np]
-        speed_a = st.speed[order_np]
-        limit_a = np.asarray(tb.limit)[st.cur_seg[order_np]]
-        cap_a = caps[order_np] if caps is not None else np.full(n, np.inf)
+        pos_a = np.asarray(st.pos)[order_np]
+        speed_a = np.asarray(st.speed)[order_np]
+        limit_a = np.asarray(tb.limit)[np.asarray(st.cur_seg)[order_np]]
+        cap_a = np.asarray([caps.get(slot, np.inf) for slot in order])
         noise = sim.rng.random(n) * (cfg.driver_imperfection * cfg.accel
                                      * dt)
         v_new = np.empty(n)
@@ -662,15 +666,17 @@ def vector_step(sim, audit):
             limit_a, speed_a + cfg.accel * dt) + 1e-9)
         for i in np.nonzero(bad)[0]:
             audit.flag(t, "speed-bounds", f"vehicle {order[i]} v={v_new[i]}")
-        st.speed[order_np] = v_new
-        st.pos[order_np] = pos_a + v_new * dt
+        for slot, v, p in zip(order, v_new.tolist(),
+                              (pos_a + v_new * dt).tolist()):
+            st.speed[slot] = v
+            st.pos[slot] = p
         for qi, members in snapshots:
             vector_advance_head(sim, qi, members[0], greens, audit)
     st.time = t + 1
     sim._audit_step(t, audit)
 
 
-STATE_ARRAYS = ("pos", "speed", "cur_seg", "route_step", "queue_of",
+STATE_FIELDS = ("pos", "speed", "cur_seg", "route_step", "queue_of",
                 "halted_by")
 
 
@@ -685,13 +691,15 @@ def assert_steps_match_vector_step(make_sim):
         fused.step(audits[0])
         vector_step(ref, audits[1])
         a, b = fused.state, ref.state
-        for name in STATE_ARRAYS:
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (
+        for name in STATE_FIELDS:
+            got, want = getattr(a, name), getattr(b, name)
+            assert got == want, (name, t)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (
                 name, t)
         assert [list(q) for q in a.queues] == [list(q) for q in b.queues], t
         assert (a.spawned, a.arrived, a.due) == (b.spawned, b.arrived, b.due)
         moved += a.active_count
-        halted += int(np.sum(a.halted_by >= 0))
+        halted += sum(h >= 0 for h in a.halted_by)
     for report in audits:
         assert report.checked_steps == fused.horizon
         assert report.ok, report.violations[:5]

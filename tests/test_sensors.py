@@ -47,8 +47,6 @@ class StubState:
                 slots.append(slot)
                 slot += 1
             self.lane_queues[seg] = (deque(slots),)
-        self.pos = np.asarray(self.pos, dtype=float)
-        self.speed = np.asarray(self.speed, dtype=float)
 
 
 # -- geometry ----------------------------------------------------------------
