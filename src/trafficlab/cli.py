@@ -261,13 +261,18 @@ def cmd_validate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config(args)
     table = features.read_feature_table(args.features)
-    model = models.train_incident_ensemble(table, cfg.model_config(),
+    model_cfg = cfg.model_config()
+    model = models.train_incident_ensemble(table, model_cfg,
                                            threshold=cfg.threshold)
     models.save_model(model, args.out)
     n_pos = int(table.label_incident.sum())
+    n_neg = table.n_rows - n_pos
     print(f"trained on {table.n_rows} windows ({n_pos} positive); "
           f"roads={len(model.road_classes)} "
           f"severities={len(model.severity_classes)}")
+    if n_neg < model_cfg.min_samples_leaf:
+        print(f"warning: the detector has {n_neg} negative rows, fewer "
+              f"than min_samples_leaf={model_cfg.min_samples_leaf}")
     print(f"model written to {args.out}")
     return 0
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import open_text
+
 
 class MetricsError(ValueError):
     pass
@@ -218,21 +220,31 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def read_report(path) -> dict:
+    """The key=value lines of a report, numbers as int or float and
+    "undefined" as None; a bad line raises MetricsError naming path:line."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open_text(path, MetricsError) as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            key, _, val = line.partition("=")
-            if val == "undefined":
-                out[key] = None
-            else:
-                try:
-                    out[key] = int(val)
-                except ValueError:
-                    out[key] = float(val)
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise MetricsError(f"{path}:{lineno}: expected key=value, "
+                                   f"got {line!r}")
+            try:
+                out[key] = None if val == "undefined" else _number(val)
+            except ValueError:
+                raise MetricsError(f"{path}:{lineno}: {key} is not a "
+                                   f"number: {val!r}") from None
     return out
+
+
+def _number(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 REPORT_CSV_FIELDS = ("windows", "tp", "fp", "tn", "fn", "detection_rate",

@@ -8,6 +8,10 @@ routings tried at every cut of a feature that has missing values.  Missing
 values (NaN) get a learned default direction per split, which is how sparse
 travel-time columns stay usable without imputation.
 
+Each boosting round grows one tree whose leaves hold one score per class
+(K = 1 for binary); a multiclass round searches splits on its top class's
+gradients only (SketchBoost's top-outputs sketch with k = 1).
+
 The incident ensemble stacks three of these: a binary detector over all
 rows, and a road localizer and severity classifier trained on positive rows
 only, consulted only when the detector fires.
@@ -62,7 +66,7 @@ class _Tree:
     missing_left: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    value: np.ndarray     # leaf scores, learning rate already applied
+    value: np.ndarray     # (nodes, K) leaf scores, learning rate applied
 
     def to_jsonable(self) -> dict:
         return {"feature": self.feature.tolist(),
@@ -92,7 +96,7 @@ class TreeEnsemble:
     feature_names: list
     n_classes: int           # 1 for binary
     base_score: np.ndarray   # shape (n_classes,)
-    trees: list              # round-major; multiclass holds K trees per round
+    trees: list              # one tree per boosting round
     schema_hash: str = ""
 
     def __post_init__(self):
@@ -177,10 +181,6 @@ class _Binner:
         self.gains = np.empty(feat.size)
 
 
-def _leaf_value(g: float, h: float, cfg: TreeEnsembleConfig) -> float:
-    return -cfg.learning_rate * g / (h + cfg.reg_lambda)
-
-
 def _best_split(hist_g, hist_h, hist_n, binner: _Binner,
                 cfg: TreeEnsembleConfig):
     """(gain, feature, cut_index, missing_left) of the best candidate, or
@@ -244,13 +244,17 @@ def _best_split(hist_g, hist_h, hist_n, binner: _Binner,
 
 def _grow_tree(binner: _Binner, rows, grad, hess,
                cfg: TreeEnsembleConfig):
-    """Grow one tree on the in-bag ``rows``; return it with the margin step
-    of every training row.
+    """Grow one tree on the in-bag ``rows`` from (n, K) gradients and
+    hessians; return it with the (n, K) margin step of every training row.
 
+    Split search reads one column, the class with the largest sum of
+    squared in-bag gradients (the lowest such class on a tie).  Each leaf
+    holds the K-vector ``-lr * G_c / (H_c + lambda)`` of its in-bag rows.
     In-bag rows reach their leaf through the partition; the out-of-bag
     rows are routed down the same splits on their codes, which is exactly
     the float routing of ``_tree_predict``.
     """
+    top = int(np.argmax(np.square(grad[rows]).sum(axis=0)))
     codes = binner.codes
     size = codes.shape[1] * binner.width
     leaf_of = np.empty(codes.shape[0], dtype=np.intp)
@@ -269,7 +273,7 @@ def _grow_tree(binner: _Binner, rows, grad, hess,
         missing_left.append(False)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
+        value.append(np.zeros(grad.shape[1]))
         return len(feature) - 1
 
     def split(rows_part, f, j, miss_left):
@@ -283,12 +287,12 @@ def _grow_tree(binner: _Binner, rows, grad, hess,
         found = None
         if depth < cfg.max_depth \
                 and rows_node.size >= 2 * cfg.min_samples_leaf:
-            hists = kernels.hist_build(binner.cells, rows_node, grad, hess,
-                                       size)
+            hists = kernels.hist_build(binner.cells, rows_node,
+                                       grad[:, top], hess[:, top], size)
             found = _best_split(*hists, binner, cfg)
         if found is None:
-            value[node] = _leaf_value(float(grad[rows_node].sum()),
-                                      float(hess[rows_node].sum()), cfg)
+            value[node] = (-cfg.learning_rate * grad[rows_node].sum(axis=0)
+                           / (hess[rows_node].sum(axis=0) + cfg.reg_lambda))
             leaf_of[rows_node] = node
             leaf_of[oob_node] = node
             return
@@ -343,9 +347,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def train_tree_ensemble(X: np.ndarray, y: np.ndarray,
                         cfg: TreeEnsembleConfig, feature_names,
                         sample_weight=None) -> TreeEnsemble:
-    """Boost cfg.n_trees rounds on (X, y); multiclass grows one tree per
-    class per round.  y holds class indices (binary: 0/1).  Deterministic
-    given cfg.seed: the per-round row subsample is the only random element.
+    """Boost cfg.n_trees rounds on (X, y), one tree per round.  y holds
+    class indices (binary: 0/1).  Deterministic given cfg.seed: the
+    per-round row subsample is the only random element.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -382,20 +386,17 @@ def train_tree_ensemble(X: np.ndarray, y: np.ndarray,
 
     binner = _Binner(X, cfg.max_bins)
     rng = np.random.default_rng(cfg.seed)
-    n_classes = len(base)
     margin = np.tile(base, (n, 1))
     trees: list = []
     for _ in range(cfg.n_trees):
         p = link(margin)
         rows = _subsample_rows(rng, n, cfg.subsample)
-        for c in range(n_classes):
-            grad = w * (p[:, c] - target[:, c])
-            hess = w * p[:, c] * (1.0 - p[:, c])
-            tree, step = _grow_tree(binner, rows, grad, hess, cfg)
-            trees.append(tree)
-            margin[:, c] += step
+        tree, step = _grow_tree(binner, rows, w[:, None] * (p - target),
+                                w[:, None] * p * (1.0 - p), cfg)
+        trees.append(tree)
+        margin += step
 
-    return TreeEnsemble(cfg, list(feature_names), n_classes, base, trees)
+    return TreeEnsemble(cfg, list(feature_names), len(base), base, trees)
 
 
 def _subsample_rows(rng, n: int, fraction: float) -> np.ndarray:
@@ -407,14 +408,12 @@ def _subsample_rows(rng, n: int, fraction: float) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int32)
 
 
-def _margins(ens: TreeEnsemble, X: np.ndarray, n_rounds=None) -> np.ndarray:
-    """(n, K) raw scores from the first n_rounds boosting rounds (all of
-    them by default); a round holds one tree per class."""
-    k = ens.n_classes
-    trees = ens.trees if n_rounds is None else ens.trees[:n_rounds * k]
+def _margins(ens: TreeEnsemble, X: np.ndarray, n_trees=None) -> np.ndarray:
+    """(n, K) raw scores from the first n_trees trees, one per boosting
+    round (all of them by default)."""
     out = np.tile(ens.base_score, (X.shape[0], 1))
-    for i, tree in enumerate(trees):
-        out[:, i % k] += _tree_predict(tree, X)
+    for tree in ens.trees[:n_trees]:
+        out += _tree_predict(tree, X)
     return out
 
 
@@ -436,8 +435,8 @@ def predict_proba(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
 
 def training_logloss(ens: TreeEnsemble, X, y, n_trees=None,
                      sample_weight=None) -> float:
-    """Weighted mean logistic/softmax loss using the first n_trees trees
-    (rounds for multiclass); the boosting-monotonicity checks use this."""
+    """Weighted mean logistic/softmax loss using the first n_trees trees,
+    which are rounds; the boosting-monotonicity checks use this."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     w = (np.ones(X.shape[0]) if sample_weight is None
@@ -570,7 +569,7 @@ def infer_batch(model: EnsembleModel, X: np.ndarray, window_end) -> list:
             for i in range(n)]
 
 
-MODEL_FORMAT = "trafficlab-model/1"
+MODEL_FORMAT = "trafficlab-model/2"
 
 
 def _ens_to_jsonable(ens: TreeEnsemble | None):

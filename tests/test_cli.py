@@ -24,7 +24,7 @@ from trafficlab import demand, features, incidents, microsim, sensors
 from trafficlab.cli import main
 from trafficlab.expconfig import (ConfigError, ExperimentConfig, echo_config,
                                   load_config)
-from trafficlab.metrics import read_report
+from trafficlab.metrics import MetricsError, read_report
 from trafficlab.models import ModelError, load_model
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import NetworkError, load_network, save_network
@@ -338,6 +338,52 @@ def test_train_and_evaluate_commands(tmp_path, capsys):
     assert "schema_hash" in one_error_line(capsys)
 
 
+def test_train_warns_when_detector_negatives_are_few(tmp_path, capsys):
+    """A detector fitted on fewer negative rows than min_samples_leaf (20
+    by default) cannot split them off: train flags it under its summary
+    line, and only then."""
+    table = gated_table(seed=6)
+    keep = set(np.flatnonzero(~table.label_incident)[:7].tolist())
+    few = features.FeatureTable(
+        table.feature_names, table.X, table.window_end,
+        np.array([i not in keep for i in range(table.n_rows)]),
+        [None if i in keep else r or "east_rd"
+         for i, r in enumerate(table.label_road)],
+        [None if i in keep else s or "minor"
+         for i, s in enumerate(table.label_severity)])
+    model_path = str(tmp_path / "model.json")
+    for tbl, warned in ((few, True), (table, False)):
+        feat = str(tmp_path / "features.csv")
+        features.write_feature_table(tbl, feat)
+        capsys.readouterr()
+        assert main(["train", "--features", feat, "--out", model_path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("trained on")
+        assert (out[1] == "warning: the detector has 7 negative rows, "
+                "fewer than min_samples_leaf=20") == warned
+        assert sum(line.startswith("warning:") for line in out) == warned
+
+
+def test_evaluate_rejects_a_version_1_model(tmp_path, capsys):
+    table = gated_table(seed=6)
+    feat = str(tmp_path / "features.csv")
+    features.write_feature_table(table, feat)
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--features", feat, "--out", model_path]) == 0
+    with open(model_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["format"] = "trafficlab-model/1"
+    old = str(tmp_path / "old_model.json")
+    with open(old, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["evaluate", "--model", old, "--features", feat,
+                 "--out", str(tmp_path / "report.txt")]) == 2
+    assert one_error_line(capsys) == (
+        f"error: {old}: not a trafficlab-model/2 file\n")
+    assert not os.path.exists(tmp_path / "report.txt")
+
+
 def test_sweep_sparsity_command(tmp_path, capsys):
     cfg_path = line_experiment(tmp_path)
     rc = main(["sweep-sparsity", "--config", cfg_path, "--sensors", "2,1"])
@@ -520,13 +566,14 @@ UNDECODABLE = [
      b"window_end_s,x,label_incident,label_road,label_severity\n",
      b"600,1.0,1,r\xff,minor\n"),
     (load_model, ModelError, b"", b'{"format": "\xff"}\n'),
+    (read_report, MetricsError, b"windows=4\n", b"auc=\xff\n"),
 ]
 
 
 @pytest.mark.parametrize("reader, error, before, bad", UNDECODABLE, ids=[
     "load_config", "read_counts_csv", "read_params", "read_schedule",
     "load_network", "load_raw", "read_incident_log", "read_feature_table",
-    "load_model"])
+    "load_model", "read_report"])
 def test_readers_name_file_and_line_of_undecodable_bytes(tmp_path, reader,
                                                          error, before, bad):
     path = tmp_path / "input"

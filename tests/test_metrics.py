@@ -7,6 +7,8 @@ Index:
   evaluate    end-to-end scoring of gated predictions
   io          report file round trip, CSV summary rows
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,16 @@ def test_report_round_trip(tmp_path):
     write_report(empty, path)
     assert "detection_rate=undefined" in path.read_text(encoding="utf-8")
     assert read_report(path)["detection_rate"] is None
+
+
+def test_report_reader_names_file_and_line(tmp_path):
+    path = tmp_path / "report.txt"
+    for bad, want in (("auc=x\n", r"3: auc is not a number: 'x'"),
+                      ("auc 0.9\n", r"3: expected key=value, got 'auc 0.9'")):
+        path.write_text("windows=4\n\n" + bad + "tp=1\n", encoding="utf-8")
+        with pytest.raises(MetricsError,
+                           match=rf"^{re.escape(str(path))}:{want}$"):
+            read_report(path)
 
 
 def test_csv_summary_row():

@@ -5,7 +5,8 @@ Index:
   splits      root split against exhaustive enumeration, leaf closed form,
               split search over the real candidates and whole fits against
               loop and padded references, code routing, the hist_build
-              call contract
+              call contract, a multiclass round as a binary tree on its
+              top gradient column
   predict     tree-walk oracle with missing values, input checks
   training    learnability, loss monotonicity, determinism, base scores
   gating      stacked detector/localizer/severity behavior
@@ -230,8 +231,8 @@ def test_root_split_matches_exhaustive_enumeration():
         for side, rows in ((tree.left[0], go_l), (tree.right[0], ~go_l)):
             want_v = -cfg.learning_rate * g[rows].sum() / (h[rows].sum()
                                                            + lam)
-            assert float(tree.value[side]) == pytest.approx(want_v,
-                                                            rel=1e-10)
+            assert float(tree.value[side, 0]) == pytest.approx(want_v,
+                                                               rel=1e-10)
 
 
 def split_case(X, g, h, rows=None, width=None, **cfg_kw):
@@ -508,16 +509,90 @@ def test_hist_build_called_once_per_searched_node(monkeypatch):
         searched(tree, int(tree.right[node]), rows[~go_l], depth + 1)
 
     sub = np.random.default_rng(cfg.seed)
+    assert len(ens.trees) == cfg.n_trees  # one tree per round
     for r in range(cfg.n_trees):
         rows = models._subsample_rows(sub, n, cfg.subsample)
-        for c in range(ens.n_classes):
-            searched(ens.trees[r * ens.n_classes + c], 0, rows, 0)
+        searched(ens.trees[r], 0, rows, 0)
     internal = sum(int((t.feature >= 0).sum()) for t in ens.trees)
     assert internal < len(want)  # some searches found no split
     assert len(calls) == len(want)
     for got, rows in zip(calls, want):
         assert np.array_equal(got, rows)
         assert np.all(np.diff(got) > 0)
+
+
+def leaf_of(tree, row):
+    """The leaf one row reaches, walked node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        x = row[tree.feature[node]]
+        if math.isnan(x):
+            go_l = tree.missing_left[node]
+        else:
+            go_l = x <= tree.threshold[node]
+        node = tree.left[node] if go_l else tree.right[node]
+    return int(node)
+
+
+def test_multiclass_round_is_binary_tree_on_top_column(monkeypatch):
+    """Each multiclass round grows the tree a K = 1 fit grows on that
+    round's gradient column with the largest in-bag sum of squares (the
+    lowest on a tie), and each leaf holds every class's closed-form
+    score over its in-bag rows."""
+    rng = rng_for("top-column", 0)
+    n = 320
+    X = rng.normal(0.0, 1.0, (n, 4))
+    X[rng.random((n, 4)) < 0.2] = np.nan
+    y = np.digitize(np.nansum(X[:, :2], axis=1), [-1.0, 0.0, 1.0])
+    cfg = small_cfg(n_trees=8, max_depth=4, min_samples_leaf=6,
+                    subsample=0.7, seed=4, objective="multiclass",
+                    reg_lambda=0.5)
+    rounds = []
+    real = models._grow_tree
+
+    def recording(binner, rows, grad, hess, cfg):
+        tree, step = real(binner, rows, grad, hess, cfg)
+        rounds.append((binner, rows, grad.copy(), hess.copy(), tree))
+        return tree, step
+
+    monkeypatch.setattr(models, "_grow_tree", recording)
+    ens = train_tree_ensemble(X, y, cfg, names(4))
+    assert ens.n_classes == 4 and len(rounds) == len(ens.trees) == 8
+
+    tops = []
+    for binner, rows, grad, hess, tree in rounds:
+        assert tree is ens.trees[len(tops)]
+        sq = [math.fsum(grad[rows, c] ** 2) for c in range(4)]
+        top = sq.index(max(sq))
+        tops.append(top)
+        want, _step = real(binner, rows, grad[:, [top]], hess[:, [top]],
+                           cfg)
+        for field in ("feature", "threshold", "missing_left", "left",
+                      "right"):
+            assert np.array_equal(getattr(tree, field),
+                                  getattr(want, field)), field
+        assert tree.value.shape == (tree.feature.size, 4)
+        leaves = np.array([leaf_of(tree, X[i]) for i in rows])
+        for node in np.flatnonzero(tree.feature < 0):
+            at = rows[leaves == node]
+            for c in range(4):
+                closed = (-cfg.learning_rate * math.fsum(grad[at, c])
+                          / (math.fsum(hess[at, c]) + cfg.reg_lambda))
+                assert tree.value[node, c] == pytest.approx(closed,
+                                                            rel=1e-12)
+    assert len(set(tops)) > 1  # the top column moves between rounds
+
+    # on an exact tie the lower column wins: columns 1 and 2 carry the same
+    # gradients but different hessians, so their trees differ
+    binner, rows, grad, hess, _tree = rounds[0]
+    tied_g = grad[:, [0, 1, 1]] * np.array([0.5, 1.0, 1.0])
+    tied_h = hess[:, [0, 1, 1]] * np.array([1.0, 1.0, 8.0])
+    tree, _step = real(binner, rows, tied_g, tied_h, cfg)
+    for col, same in ((1, True), (2, False)):
+        want, _step = real(binner, rows, tied_g[:, [col]],
+                           tied_h[:, [col]], cfg)
+        assert (np.array_equal(tree.threshold, want.threshold)
+                and np.array_equal(tree.feature, want.feature)) == same
 
 
 def test_stump_predictions_are_base_plus_leaf():
@@ -550,15 +625,7 @@ def test_quantile_binning_on_high_cardinality_feature():
 
 
 def walk(tree, row):
-    node = 0
-    while tree.feature[node] >= 0:
-        x = row[tree.feature[node]]
-        if math.isnan(x):
-            go_l = tree.missing_left[node]
-        else:
-            go_l = x <= tree.threshold[node]
-        node = tree.left[node] if go_l else tree.right[node]
-    return tree.value[node]
+    return tree.value[leaf_of(tree, row)]
 
 
 def test_predict_matches_scalar_tree_walk_with_missing():
@@ -579,9 +646,9 @@ def test_predict_matches_scalar_tree_walk_with_missing():
 
 def reference_tree_predict(tree, X):
     """The masked whole-batch walk the per-level walk replaced, kept as its
-    bitwise reference."""
+    bitwise reference: each row's leaf K-vector."""
     n = X.shape[0]
-    out = np.zeros(n)
+    out = np.zeros((n, tree.value.shape[1]))
     idx = np.zeros(n, dtype=np.int32)
     alive = np.ones(n, dtype=bool)
     while alive.any():
@@ -718,7 +785,8 @@ def test_multiclass_shapes_and_prior_base():
     cfg = small_cfg(n_trees=20, objective="multiclass")
     ens = train_tree_ensemble(X, y, cfg, names(2))
     assert ens.n_classes == 3
-    assert len(ens.trees) == 20 * 3  # round-major, one per class per round
+    assert len(ens.trees) == 20  # one tree per round
+    assert all(t.value.shape == (t.feature.size, 3) for t in ens.trees)
     prior = np.clip(np.bincount(y, minlength=3) / 300.0, 1e-6, None)
     np.testing.assert_allclose(ens.base_score,
                                np.log(prior / prior.sum()))
