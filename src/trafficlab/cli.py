@@ -1,17 +1,18 @@
 """Command-line pipeline driver.
 
 Subcommands cover the experiment lifecycle: fit-demand, simulate,
-extract-features, validate, train, evaluate, sweep-sparsity, and the
-canned highway scenario.  Every run is reproducible from config plus seed;
-the resolved config is echoed into each output directory.  Day-level
-randomness derives from (seed, day index) so days are independent and a
-later day does not shift an earlier one.
+extract-features, validate, train, evaluate and sweep-sparsity.  Every
+command but fit-demand takes its settings from the --config YAML file
+alone (an empty file gives every default), and the resolved config is
+echoed into each output directory, so a run is reproducible from config
+plus seed.  Day-level randomness derives from (seed, day index) so days
+are independent and a later day does not shift an earlier one.
 
 One day-runner, `_simulate_days`, simulates and writes the days of
-simulate, sweep-sparsity and highway.  One fit-and-score step,
-`_fit_and_report`, trains on the first cfg.days days and scores the day
-after them, from tables built in memory: once per level in sweep-sparsity,
-once over every sensor site in highway.
+simulate and sweep-sparsity.  One training step, `_train`, fits the
+model of train and of every sweep level.  sweep-sparsity trains on the
+first cfg.days days and scores the day after them, from tables built in
+memory, once per level.
 """
 from __future__ import annotations
 
@@ -31,15 +32,6 @@ from .roadnet import (SensorPlacement, contiguous_sensor_pairs, load_network,
 
 
 _ERRORS = (ValueError, OSError)  # module errors all subclass ValueError
-
-
-def _config(args, overrides=None) -> ExperimentConfig:
-    """--config, or the defaults when it is not given, with the command's
-    overrides applied; an override of None leaves the value as it is."""
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    if args.config:
-        return load_config(args.config, overrides)
-    return ExperimentConfig(**overrides)
 
 
 def _sensor_ids(cfg: ExperimentConfig, net) -> list:
@@ -146,25 +138,22 @@ def _evaluate(cfg: ExperimentConfig, model, table, incident_log=None):
                                         grace_s=grace)
 
 
-def _fit_and_report(cfg: ExperimentConfig, net, placement, days,
-                    out_dir: str):
-    """Train on days[:cfg.days], score the held-out days[cfg.days], and
-    write model.json and report.txt under out_dir.  days holds each day's
-    (raw table, incident log).  Returns the training table and the
-    report."""
-    # tables are built into a list before concat_tables sees them, so no
-    # table is built inside that call
-    table = features.concat_tables([_table(cfg, net, placement, raw, log)
-                                    for raw, log in days[:cfg.days]])
-    model = models.train_incident_ensemble(table, cfg.model_config(),
+def _train(cfg: ExperimentConfig, table) -> models.EnsembleModel:
+    """Fit the gated ensemble on table: the one training step of train and
+    of every sweep level.  Prints a summary line, and a warning: line when
+    the detector has fewer negative rows than min_samples_leaf."""
+    model_cfg = cfg.model_config()
+    model = models.train_incident_ensemble(table, model_cfg,
                                            threshold=cfg.threshold)
-    eval_raw, eval_log = days[cfg.days]
-    rep = _evaluate(cfg, model,
-                    _table(cfg, net, placement, eval_raw, eval_log), eval_log)
-    os.makedirs(out_dir, exist_ok=True)
-    metrics.write_report(rep, os.path.join(out_dir, "report.txt"))
-    models.save_model(model, os.path.join(out_dir, "model.json"))
-    return table, rep
+    n_pos = int(table.label_incident.sum())
+    n_neg = table.n_rows - n_pos
+    print(f"trained on {table.n_rows} windows ({n_pos} positive); "
+          f"roads={len(model.road_classes)} "
+          f"severities={len(model.severity_classes)}")
+    if n_neg < model_cfg.min_samples_leaf:
+        print(f"warning: the detector has {n_neg} negative rows, fewer "
+              f"than min_samples_leaf={model_cfg.min_samples_leaf}")
+    return model
 
 
 def _print_report(rep: metrics.EvalReport) -> None:
@@ -186,7 +175,7 @@ def cmd_fit_demand(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config(args, {"days": args.days, "out_dir": args.out_dir})
+    cfg = load_config(args.config)
     net = load_network(cfg.network_path())
     placement = _placement(cfg, net)
     params = _demand_params(cfg)
@@ -215,7 +204,7 @@ def _load_placed_raw(path: str, placement) -> sensors.RawDataset:
 
 
 def cmd_extract_features(args) -> int:
-    cfg = _config(args)
+    cfg = load_config(args.config)
     net = load_network(cfg.network_path())
     day_dirs = _find_day_dirs(args.raw)
     placement = _placement(cfg, net)
@@ -232,7 +221,7 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _config(args, {"counts": args.counts})
+    cfg = load_config(args.config, {"counts": args.counts})
     params = _demand_params(cfg)
     rows = []
     for dd in _find_day_dirs(args.raw):
@@ -259,26 +248,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config(args)
-    table = features.read_feature_table(args.features)
-    model_cfg = cfg.model_config()
-    model = models.train_incident_ensemble(table, model_cfg,
-                                           threshold=cfg.threshold)
+    cfg = load_config(args.config)
+    model = _train(cfg, features.read_feature_table(args.features))
     models.save_model(model, args.out)
-    n_pos = int(table.label_incident.sum())
-    n_neg = table.n_rows - n_pos
-    print(f"trained on {table.n_rows} windows ({n_pos} positive); "
-          f"roads={len(model.road_classes)} "
-          f"severities={len(model.severity_classes)}")
-    if n_neg < model_cfg.min_samples_leaf:
-        print(f"warning: the detector has {n_neg} negative rows, fewer "
-              f"than min_samples_leaf={model_cfg.min_samples_leaf}")
     print(f"model written to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config(args)
+    cfg = load_config(args.config)
     table = features.read_feature_table(args.features)
     model = models.load_model(args.model)
     log = (incidents.read_incident_log(args.incidents)
@@ -291,7 +269,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_sparsity(args) -> int:
-    cfg = _config(args, {"out_dir": args.out_dir})
+    cfg = load_config(args.config)
     levels = [int(v) for v in args.sensors.split(",") if v.strip()]
     if not levels or any(v < 1 for v in levels):
         raise ConfigError("sensor counts must be positive integers")
@@ -312,10 +290,18 @@ def cmd_sweep_sparsity(args) -> int:
     lines = [metrics.report_csv_header(("n_sensors",))]
     for level in levels:
         ids = full[:level]
-        _, rep = _fit_and_report(
-            cfg, net, _placement(cfg, net, ids),
-            [(sensors.subset_sensors(raw, ids), log) for raw, log in days],
-            os.path.join(root, f"level_{level:02d}"))
+        placement = _placement(cfg, net, ids)
+        # every table is built before concat_tables sees them, so no table
+        # is built inside that call
+        tables = [_table(cfg, net, placement,
+                         sensors.subset_sensors(raw, ids), log)
+                  for raw, log in days]
+        model = _train(cfg, features.concat_tables(tables[:cfg.days]))
+        rep = _evaluate(cfg, model, tables[cfg.days], days[cfg.days][1])
+        out = os.path.join(root, f"level_{level:02d}")
+        os.makedirs(out, exist_ok=True)
+        metrics.write_report(rep, os.path.join(out, "report.txt"))
+        models.save_model(model, os.path.join(out, "model.json"))
         lines.append(metrics.report_csv_row(rep, (level,)))
         print(f"level {level}: "
               f"event_dr={metrics.format_metric(rep.event_detection_rate)} "
@@ -325,24 +311,6 @@ def cmd_sweep_sparsity(args) -> int:
     with open(out_csv, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"sweep table written to {out_csv}")
-    return 0
-
-
-def cmd_highway(args) -> int:
-    cfg = _config(args, {"out_dir": args.out_dir})
-    net = load_network(cfg.network_path())
-    # ramp-metered deployment: take every sensor-capable node, which on the
-    # bundled highway fixture is exactly the ramp-adjacent mainline nodes
-    placement = _placement(cfg, net)
-    params = _demand_params(cfg)
-    root = cfg.out_dir
-    echo_config(cfg, root)
-    days = list(_simulate_days(cfg, net, placement, params, root,
-                               cfg.days + 1))
-    table, rep = _fit_and_report(cfg, net, placement, days, root)
-    features.write_feature_table(table, os.path.join(root, "features.csv"))
-    _print_report(rep)
-    print(f"highway scenario complete -> {root}")
     return 0
 
 
@@ -364,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("simulate", help="generate per-day raw datasets")
     q.add_argument("--config", required=True)
-    q.add_argument("--days", type=int, default=None)
-    q.add_argument("--out-dir", default=None)
     q.add_argument("--audit", action="store_true",
                    help="audit every step; exit 1 on the first violation")
     q.set_defaults(func=cmd_simulate)
@@ -375,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--raw", required=True,
                    help="directory holding day_NNN subdirectories")
     q.add_argument("--out", required=True)
-    q.add_argument("--config", default=None)
+    q.add_argument("--config", required=True)
     q.set_defaults(func=cmd_extract_features)
 
     q = sub.add_parser("validate",
@@ -383,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--raw", required=True)
     q.add_argument("--counts", required=True)
     q.add_argument("--out", default=None)
-    q.add_argument("--config", default=None)
+    q.add_argument("--config", required=True)
     q.set_defaults(func=cmd_validate)
 
     q = sub.add_parser("train", help="train the gated incident ensemble")
     q.add_argument("--features", required=True)
     q.add_argument("--out", required=True)
-    q.add_argument("--config", default=None)
+    q.add_argument("--config", required=True)
     q.set_defaults(func=cmd_train)
 
     q = sub.add_parser("evaluate", help="score a model on a feature table")
@@ -398,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True)
     q.add_argument("--incidents", default=None,
                    help="incident log enabling event-level metrics")
-    q.add_argument("--config", default=None)
+    q.add_argument("--config", required=True)
     q.set_defaults(func=cmd_evaluate)
 
     q = sub.add_parser("sweep-sparsity",
@@ -406,14 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--config", required=True)
     q.add_argument("--sensors", required=True,
                    help="comma-separated sensor counts, e.g. 8,7,6,5,4,3")
-    q.add_argument("--out-dir", default=None)
     q.set_defaults(func=cmd_sweep_sparsity)
-
-    q = sub.add_parser("highway",
-                       help="end-to-end run on the linear highway scenario")
-    q.add_argument("--config", required=True)
-    q.add_argument("--out-dir", default=None)
-    q.set_defaults(func=cmd_highway)
     return p
 
 

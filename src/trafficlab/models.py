@@ -591,14 +591,59 @@ def _checked_hash(d: dict) -> str:
     return d["schema_hash"]
 
 
-def _ens_from_jsonable(d) -> TreeEnsemble | None:
+def _tree_fault(tree: _Tree, n_features: int, n_classes: int) -> str:
+    """Why a stored tree cannot be walked, or "" when it can: the node
+    arrays share one length, every node holds n_classes scores, a leaf has
+    feature -1, and an internal node splits on a real feature and has both
+    children after it, so every walk ends at a leaf."""
+    n = len(tree.value)
+    if tree.value.shape != (n, n_classes) or n == 0:
+        return (f"value has shape {tree.value.shape}, expected "
+                f"(nodes, {n_classes})")
+    for name in ("feature", "threshold", "missing_left", "left", "right"):
+        if getattr(tree, name).shape != (n,):
+            return (f"{name} has shape {getattr(tree, name).shape}, "
+                    f"expected ({n},) like value")
+    node = np.arange(n)
+    inner = tree.feature != -1
+    bad = inner & ((tree.feature < 0) | (tree.feature >= n_features)
+                   | (tree.left <= node) | (tree.left >= n)
+                   | (tree.right <= node) | (tree.right >= n))
+    if bad.any():
+        i = int(np.argmax(bad))
+        return (f"node {i} splits on feature {tree.feature[i]} into "
+                f"{tree.left[i]} and {tree.right[i]}; needs a feature in "
+                f"[0, {n_features}) and children in ({i}, {n})")
+    return ""
+
+
+def _ens_from_jsonable(d, name: str, feature_names: list,
+                       n_classes: int) -> TreeEnsemble | None:
+    """The stored sub-model name, which must read the model's feature_names,
+    have n_classes classes and trees that _tree_predict can walk; its faults
+    are prefixed with name."""
     if d is None:
         return None
-    return TreeEnsemble(TreeEnsembleConfig(**d["config"]),
-                        list(d["feature_names"]), int(d["n_classes"]),
-                        np.asarray(d["base_score"], dtype=np.float64),
-                        [_Tree.from_jsonable(t) for t in d["trees"]],
-                        _checked_hash(d))
+    try:
+        if list(d["feature_names"]) != feature_names:
+            raise ModelError(f"feature_names {d['feature_names']} differ "
+                             f"from the model's {feature_names}")
+        ens = TreeEnsemble(TreeEnsembleConfig(**d["config"]),
+                           list(d["feature_names"]), int(d["n_classes"]),
+                           np.asarray(d["base_score"], dtype=np.float64),
+                           [_Tree.from_jsonable(t) for t in d["trees"]],
+                           _checked_hash(d))
+        if ens.n_classes != n_classes or ens.base_score.shape != (n_classes,):
+            raise ModelError(f"n_classes {ens.n_classes} and base_score "
+                             f"shape {ens.base_score.shape}, expected "
+                             f"{n_classes} class(es)")
+        for i, tree in enumerate(ens.trees):
+            fault = _tree_fault(tree, len(ens.feature_names), n_classes)
+            if fault:
+                raise ModelError(f"tree {i}: {fault}")
+    except ModelError as exc:
+        raise ModelError(f"{name}: {exc}") from None
+    return ens
 
 
 def save_model(model: EnsembleModel, path) -> None:
@@ -626,14 +671,17 @@ def load_model(path) -> EnsembleModel:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
     try:
-        return EnsembleModel(_ens_from_jsonable(doc["detector"]),
-                             _ens_from_jsonable(doc["localizer"]),
-                             _ens_from_jsonable(doc["severity"]),
-                             list(doc["road_classes"]),
+        names = list(doc["feature_names"])
+        road_classes = list(doc["road_classes"])
+        subs = [_ens_from_jsonable(doc[sub], sub, names, k) for sub, k in
+                (("detector", 1), ("localizer", len(road_classes)),
+                 ("severity", 1))]
+        return EnsembleModel(*subs, road_classes,
                              list(doc["severity_classes"]),
-                             float(doc["threshold"]),
-                             list(doc["feature_names"]),
+                             float(doc["threshold"]), names,
                              _checked_hash(doc))
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ModelError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

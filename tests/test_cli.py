@@ -3,11 +3,14 @@
 Index:
   expconfig   YAML parsing, defaults, key rejection, echo round trip
   commands    fit-demand, simulate, extract-features, validate,
-              train, evaluate, sweep-sparsity, highway; the benchmark's
-              tracers around simulate
+              train, evaluate, sweep-sparsity (on the line network and on
+              highway8, where a level equals the staged commands); the
+              benchmark's tracers around simulate
   errors      exit code 2 on module errors, undecodable input files,
-              argparse usage failures
+              malformed sub-models, argparse usage failures; the exact
+              option surface of every subcommand
 """
+import argparse
 import contextlib
 import io
 import json
@@ -21,7 +24,7 @@ import pytest
 import yaml
 
 from trafficlab import demand, features, incidents, microsim, sensors
-from trafficlab.cli import main
+from trafficlab.cli import build_parser, main
 from trafficlab.expconfig import (ConfigError, ExperimentConfig, echo_config,
                                   load_config)
 from trafficlab.metrics import MetricsError, read_report
@@ -185,8 +188,8 @@ def test_fit_demand_command(tmp_path, capsys):
 def sim_run(tmp_path_factory):
     """One simulated two-day experiment shared by the pipeline tests."""
     tmp = tmp_path_factory.mktemp("pipeline")
-    cfg_path = line_experiment(tmp)
-    rc = main(["simulate", "--config", cfg_path, "--days", "2"])
+    cfg_path = line_experiment(tmp, days=2)
+    rc = main(["simulate", "--config", cfg_path])
     assert rc == 0
     return tmp, cfg_path, str(tmp / "runs")
 
@@ -199,8 +202,9 @@ def test_simulate_layout_and_determinism(sim_run, tmp_path, capsys):
             assert os.path.exists(os.path.join(out_dir, day, name))
     assert not os.path.exists(os.path.join(out_dir, "day_002"))
 
-    rc = main(["simulate", "--config", cfg_path, "--days", "2",
-               "--out-dir", str(tmp_path / "again")])
+    again = line_experiment(tmp_path, days=2,
+                            out_dir=str(tmp_path / "again"))
+    rc = main(["simulate", "--config", again])
     assert rc == 0
     for day in ("day_000", "day_001"):
         a = open(os.path.join(out_dir, day, "raw.csv")).read()
@@ -214,10 +218,10 @@ def test_simulate_audit_reports_counts_and_fails_on_a_violation(
     """--audit prints the audit's counts on each day line and changes no
     output; a violation ends the run with exit 1 and one error line that
     names the first violation."""
-    tmp, cfg_path, out_dir = sim_run
+    _tmp, _cfg_path, out_dir = sim_run
     audited = tmp_path / "audited"
-    assert main(["simulate", "--config", cfg_path, "--days", "2",
-                 "--out-dir", str(audited), "--audit"]) == 0
+    assert main(["simulate", "--audit", "--config", line_experiment(
+        tmp_path, days=2, out_dir=str(audited))]) == 0
     out = capsys.readouterr().out
     for day in ("day_000", "day_001"):
         assert f"{day[4:]}: spawned=" in out
@@ -235,8 +239,8 @@ def test_simulate_audit_reports_counts_and_fails_on_a_violation(
             report.flag(t, "collision", f"3 and 4 gap -{t}.0")
 
     monkeypatch.setattr(microsim.Simulation, "_audit_step", one_collision)
-    assert main(["simulate", "--config", cfg_path, "--days", "2",
-                 "--out-dir", str(tmp_path / "broken"), "--audit"]) == 1
+    assert main(["simulate", "--audit", "--config", line_experiment(
+        tmp_path, days=2, out_dir=str(tmp_path / "broken"))]) == 1
     captured = capsys.readouterr()
     assert captured.err == ("error: day 000: first audit violation at t=7: "
                             "collision: 3 and 4 gap -7.0\n")
@@ -302,14 +306,16 @@ def test_train_and_evaluate_commands(tmp_path, capsys):
     feat = str(tmp_path / "features.csv")
     features.write_feature_table(table, feat)
     model_path = str(tmp_path / "model.json")
-    rc = main(["train", "--features", feat, "--out", model_path])
+    cfg = write_yaml(tmp_path / "defaults.yaml", {})
+    rc = main(["train", "--features", feat, "--out", model_path,
+               "--config", cfg])
     assert rc == 0
     model = load_model(model_path)
     assert model.feature_names == list(table.feature_names)
 
     report_path = str(tmp_path / "report.txt")
     rc = main(["evaluate", "--model", model_path, "--features", feat,
-               "--out", report_path])
+               "--out", report_path, "--config", cfg])
     assert rc == 0
     rep = read_report(report_path)
     assert rep["windows"] == table.n_rows
@@ -322,7 +328,7 @@ def test_train_and_evaluate_commands(tmp_path, capsys):
     alien_path = str(tmp_path / "alien.csv")
     features.write_feature_table(alien, alien_path)
     rc = main(["evaluate", "--model", model_path, "--features", alien_path,
-               "--out", report_path])
+               "--out", report_path, "--config", cfg])
     assert rc == 2
 
     with open(model_path, encoding="utf-8") as fh:
@@ -333,7 +339,7 @@ def test_train_and_evaluate_commands(tmp_path, capsys):
         json.dump(doc, fh)
     capsys.readouterr()
     rc = main(["evaluate", "--model", tampered, "--features", feat,
-               "--out", report_path])
+               "--out", report_path, "--config", cfg])
     assert rc == 2
     assert "schema_hash" in one_error_line(capsys)
 
@@ -352,11 +358,13 @@ def test_train_warns_when_detector_negatives_are_few(tmp_path, capsys):
         [None if i in keep else s or "minor"
          for i, s in enumerate(table.label_severity)])
     model_path = str(tmp_path / "model.json")
+    cfg = write_yaml(tmp_path / "defaults.yaml", {})
     for tbl, warned in ((few, True), (table, False)):
         feat = str(tmp_path / "features.csv")
         features.write_feature_table(tbl, feat)
         capsys.readouterr()
-        assert main(["train", "--features", feat, "--out", model_path]) == 0
+        assert main(["train", "--features", feat, "--out", model_path,
+                     "--config", cfg]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("trained on")
         assert (out[1] == "warning: the detector has 7 negative rows, "
@@ -369,7 +377,9 @@ def test_evaluate_rejects_a_version_1_model(tmp_path, capsys):
     feat = str(tmp_path / "features.csv")
     features.write_feature_table(table, feat)
     model_path = str(tmp_path / "model.json")
-    assert main(["train", "--features", feat, "--out", model_path]) == 0
+    cfg = write_yaml(tmp_path / "defaults.yaml", {})
+    assert main(["train", "--features", feat, "--out", model_path,
+                 "--config", cfg]) == 0
     with open(model_path, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["format"] = "trafficlab-model/1"
@@ -378,7 +388,8 @@ def test_evaluate_rejects_a_version_1_model(tmp_path, capsys):
         json.dump(doc, fh)
     capsys.readouterr()
     assert main(["evaluate", "--model", old, "--features", feat,
-                 "--out", str(tmp_path / "report.txt")]) == 2
+                 "--out", str(tmp_path / "report.txt"),
+                 "--config", cfg]) == 2
     assert one_error_line(capsys) == (
         f"error: {old}: not a trafficlab-model/2 file\n")
     assert not os.path.exists(tmp_path / "report.txt")
@@ -402,9 +413,34 @@ def test_sweep_sparsity_command(tmp_path, capsys):
     assert "level 1: event_dr=" in capsys.readouterr().out
 
 
+def test_sweep_warns_per_level_when_detector_negatives_are_few(tmp_path,
+                                                              capsys):
+    """Every sweep level trains through the step train uses, so a level
+    whose detector has fewer negative rows than min_samples_leaf says so
+    under its summary line, once."""
+    cfg_path = line_experiment(
+        tmp_path, model={"n_trees": 5, "max_depth": 3,
+                         "min_samples_leaf": 30})  # > the 29 windows
+    assert main(["sweep-sparsity", "--config", cfg_path,
+                 "--sensors", "2,1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    trained = [i for i, line in enumerate(out)
+               if line.startswith("trained on 29 windows (")]
+    assert len(trained) == 2
+    for i, level in zip(trained, (2, 1)):
+        n_pos = int(out[i].split("(")[1].split()[0])
+        assert out[i + 1] == (f"warning: the detector has {29 - n_pos} "
+                              "negative rows, fewer than "
+                              "min_samples_leaf=30")
+        assert out[i + 2].startswith(f"level {level}: event_dr=")
+    assert sum(line.startswith("warning:") for line in out) == 2
+
+
 @pytest.fixture(scope="module")
-def highway_run(tmp_path_factory):
-    """One highway scenario run: a training day and the held-out day."""
+def highway_sweep(tmp_path_factory):
+    """A one-level sweep over all 7 ramp sensor sites of highway8: a
+    training day and the held-out day.  The benchmark's highway_sweep
+    workload takes its incident mix from this config."""
     tmp = tmp_path_factory.mktemp("highway")
     cfg_path = line_experiment(
         tmp, network="highway8", sensors=None, sensor_range_m=80.0,
@@ -415,46 +451,49 @@ def highway_run(tmp_path_factory):
                    "base_radius_m": 150.0, "slowdown_factor": 0.2})
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        rc = main(["highway", "--config", cfg_path])
+        rc = main(["sweep-sparsity", "--config", cfg_path, "--sensors", "7"])
     assert rc == 0
-    return cfg_path, str(tmp / "hwy"), stdout.getvalue().splitlines()
+    return cfg_path, str(tmp / "hwy" / "sweep"), stdout.getvalue().splitlines()
 
 
-def test_highway_command(highway_run):
-    _cfg_path, root, out = highway_run
-    for name in ("features.csv", "model.json", "report.txt"):
-        assert os.path.exists(os.path.join(root, name))
+def test_sweep_on_highway8(highway_sweep):
+    _cfg_path, root, out = highway_sweep
+    for name in ("model.json", "report.txt"):
+        assert os.path.exists(os.path.join(root, "level_07", name))
     assert_echo_reloads(os.path.join(root, "config_used.yaml"))
-    rep = read_report(os.path.join(root, "report.txt"))
+    rep = read_report(os.path.join(root, "level_07", "report.txt"))
     assert rep["windows"] == 29      # the held-out day only
     assert rep["n_events"] >= 1
     assert out[0].startswith("day 000: spawned=")
     assert " arrived=" in out[0] and " incidents=" in out[0]
     assert not out[0].endswith("[eval]")
     assert out[1].startswith("day 001: ") and out[1].endswith(" [eval]")
-    assert out[-1].startswith("highway scenario complete")
+    assert out[-2].startswith("level 7: event_dr=")
+    assert out[-1].startswith("sweep table written")
 
 
-def test_highway_shares_the_extract_and_sweep_paths(highway_run, tmp_path):
-    """The training table highway builds in memory equals extract-features
-    over the written training day, and a sweep level holding every site
-    fits and scores exactly as highway does."""
-    cfg_path, root, _out = highway_run
-    shutil.copytree(os.path.join(root, "day_000"),
-                    tmp_path / "train" / "day_000")
-    out = str(tmp_path / "features.csv")
-    assert main(["extract-features", "--raw", str(tmp_path / "train"),
-                 "--out", out, "--config", cfg_path]) == 0
-    with open(out, "rb") as a, \
-            open(os.path.join(root, "features.csv"), "rb") as b:
-        assert a.read() == b.read()
-
-    assert main(["sweep-sparsity", "--config", cfg_path, "--sensors", "7",
-                 "--out-dir", str(tmp_path / "sw")]) == 0
-    level = tmp_path / "sw" / "sweep" / "level_07"
+def test_sweep_level_equals_the_staged_commands(highway_sweep, tmp_path):
+    """A sweep level builds its tables in memory.  extract-features over
+    the written training day and train reproduce its model.json byte for
+    byte; extract-features over the held-out day and evaluate --incidents
+    reproduce its report.txt."""
+    cfg_path, root, _out = highway_sweep
+    for day, stage in (("day_000", "train"), ("day_001", "eval")):
+        shutil.copytree(os.path.join(root, day), tmp_path / stage / day)
+        assert main(["extract-features", "--raw", str(tmp_path / stage),
+                     "--out", str(tmp_path / f"{stage}.csv"),
+                     "--config", cfg_path]) == 0
+    assert main(["train", "--features", str(tmp_path / "train.csv"),
+                 "--out", str(tmp_path / "model.json"),
+                 "--config", cfg_path]) == 0
+    assert main(["evaluate", "--model", str(tmp_path / "model.json"),
+                 "--features", str(tmp_path / "eval.csv"),
+                 "--incidents", os.path.join(root, "day_001", "incidents.csv"),
+                 "--out", str(tmp_path / "report.txt"),
+                 "--config", cfg_path]) == 0
     for name in ("model.json", "report.txt"):
-        with open(os.path.join(root, name), "rb") as fh:
-            assert (level / name).read_bytes() == fh.read()
+        with open(os.path.join(root, "level_07", name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 def test_benchmark_tracers_wrap_every_target(tmp_path, monkeypatch):
@@ -519,7 +558,9 @@ def test_module_errors_exit_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "runs")
 
     assert main(["extract-features", "--raw", str(tmp_path / "empty"),
-                 "--out", str(tmp_path / "f.csv")]) == 2
+                 "--out", str(tmp_path / "f.csv"),
+                 "--config", write_yaml(tmp_path / "defaults.yaml", {})]) == 2
+    assert "no day_NNN directories" in one_error_line(capsys)
 
 
 def test_config_keys_that_take_no_effect_exit_2(tmp_path, capsys):
@@ -543,6 +584,70 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     assert one_error_line(capsys) == (
         f"error: {bad}:1: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """(features, config, model) paths of a 5-tree fit on gated_table,
+    whose localizer has two road classes."""
+    tmp = tmp_path_factory.mktemp("small_model")
+    feat = str(tmp / "features.csv")
+    features.write_feature_table(gated_table(seed=6), feat)
+    cfg = write_yaml(tmp / "small.yaml",
+                     {"model": {"n_trees": 5, "max_depth": 3}})
+    model = str(tmp / "model.json")
+    assert main(["train", "--features", feat, "--out", model,
+                 "--config", cfg]) == 0
+    return feat, cfg, model
+
+
+def first_tree(field, value):
+    """Sets field of a sub-model's first tree to value(tree)."""
+    def mutate(sub):
+        sub["trees"][0][field] = value(sub["trees"][0])
+    return mutate
+
+
+# (sub-model, its malformation, the start of the fault, where n is the node
+# count of its first tree); unchecked, each would exit 0 with wrong scores,
+# exit 2 naming no file, or raise an IndexError
+MALFORMED_SUB_MODELS = [
+    ("localizer", first_tree("value", lambda t: [v[:1] for v in t["value"]]),
+     "tree 0: value has shape ({n}, 1), expected (nodes, 2)"),
+    ("localizer", first_tree("value", lambda t: [v[0] for v in t["value"]]),
+     "tree 0: value has shape ({n},), expected (nodes, 2)"),
+    ("detector", first_tree("left",
+                            lambda t: [len(t["left"])] + t["left"][1:]),
+     "tree 0: node 0 splits on feature"),
+    ("detector", first_tree("feature", lambda t: [3] + t["feature"][1:]),
+     "tree 0: node 0 splits on feature 3 into"),
+    ("detector", first_tree("right", lambda t: [-1] + t["right"][1:]),
+     "tree 0: node 0 splits on feature"),
+    ("severity", lambda sub: sub.update(feature_names=["x0", "x1"]),
+     "feature_names ['x0', 'x1'] differ from the model's"),
+]
+
+
+@pytest.mark.parametrize("sub, malform, fault", MALFORMED_SUB_MODELS, ids=[
+    "leaves_hold_one_score", "value_lists_are_1d", "child_past_the_end",
+    "feature_past_the_end", "child_minus_one", "other_feature_names"])
+def test_evaluate_rejects_a_malformed_sub_model(small_model, tmp_path,
+                                                capsys, sub, malform, fault):
+    feat, cfg, model_path = small_model
+    with open(model_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tree = doc[sub]["trees"][0]
+    assert tree["feature"][0] >= 0  # the root splits
+    n = len(tree["threshold"])
+    malform(doc[sub])
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    report = tmp_path / "report.txt"
+    assert main(["evaluate", "--model", str(bad), "--features", feat,
+                 "--out", str(report), "--config", cfg]) == 2
+    assert one_error_line(capsys).startswith(
+        f"error: {bad}: {sub}: " + fault.format(n=n))
+    assert not report.exists()
 
 
 # (reader, its module's error, the lines before the undecodable one, the
@@ -677,3 +782,32 @@ def test_usage_errors_raise_system_exit():
         main([])
     with pytest.raises(SystemExit):
         main(["simulate"])  # --config is required
+    with pytest.raises(SystemExit):
+        main(["train", "--features", "f.csv", "--out", "m.json"])
+    with pytest.raises(SystemExit):
+        main(["highway", "--config", "c.yaml"])  # sweep-sparsity does it
+
+
+def test_option_surface():
+    """Every subcommand's exact option strings, with --config required
+    wherever it appears: a new option or subcommand has to be added here
+    on purpose."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: sorted(opt for a in cmd._actions if a.dest != "help"
+                            for opt in a.option_strings)
+               for name, cmd in sub.choices.items()}
+    assert surface == {
+        "fit-demand": ["--counts", "--out"],
+        "simulate": ["--audit", "--config"],
+        "extract-features": ["--config", "--out", "--raw"],
+        "validate": ["--config", "--counts", "--out", "--raw"],
+        "train": ["--config", "--features", "--out"],
+        "evaluate": ["--config", "--features", "--incidents", "--model",
+                     "--out"],
+        "sweep-sparsity": ["--config", "--sensors"],
+    }
+    config = [a for cmd in sub.choices.values() for a in cmd._actions
+              if "--config" in a.option_strings]
+    assert len(config) == 6 and all(a.required for a in config)
