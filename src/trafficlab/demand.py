@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import open_text, roadnet
+from . import read_csv, read_key_values, roadnet
 
 
 class DemandError(ValueError):
@@ -87,44 +87,41 @@ class SpawnSchedule:
             prev = ev.time
 
 
+COUNTS_HEADER = "road_label,start_time_s,bin_s,count"
+
+
 def read_counts_csv(path) -> dict:
     """Parse `road_label,start_time_s,bin_s,count` rows into one
     MacroCountSeries per road, bins sorted and contiguity-checked."""
     rows: dict = {}
-    with open_text(path, DemandError) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "road_label,start_time_s,bin_s,count":
-            raise DemandError(f"{path}: unexpected counts header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DemandError(f"{path}:{lineno}: expected 4 fields")
-            label = parts[0].strip()
-            try:
-                start, bin_s, count = (float(parts[1]), float(parts[2]),
-                                       float(parts[3]))
-            except ValueError as exc:
-                raise DemandError(f"{path}:{lineno}: {exc}") from exc
-            rows.setdefault(label, []).append((start, bin_s, count))
+
+    def parse(f):
+        rows.setdefault(f[0].strip(), []).append(
+            (float(f[1]), float(f[2]), float(f[3])))
+
+    read_csv(path, DemandError, COUNTS_HEADER, parse)
+    if not rows:
+        raise DemandError(f"{path}: no count rows")
     out = {}
     for label in sorted(rows):
-        recs = sorted(rows[label])
-        bins = {r[1] for r in recs}
-        if len(bins) != 1:
-            raise DemandError(f"road {label!r}: mixed bin durations {bins}")
-        bin_s = bins.pop()
-        starts = [r[0] for r in recs]
-        for i in range(1, len(starts)):
-            if abs(starts[i] - starts[i - 1] - bin_s) > 1e-9:
-                raise DemandError(
-                    f"road {label!r}: non-contiguous bins at t={starts[i]}")
-        out[label] = MacroCountSeries(bin_s, [r[2] for r in recs], starts[0])
-    if not out:
-        raise DemandError(f"{path}: no count rows")
+        try:
+            out[label] = _count_series(sorted(rows[label]))
+        except DemandError as exc:
+            raise DemandError(f"{path}: road {label!r}: {exc}") from None
     return out
+
+
+def _count_series(recs) -> MacroCountSeries:
+    """One road's sorted (start, bin, count) rows as a series."""
+    bins = {r[1] for r in recs}
+    if len(bins) != 1:
+        raise DemandError(f"mixed bin durations {bins}")
+    bin_s = bins.pop()
+    starts = [r[0] for r in recs]
+    for i in range(1, len(starts)):
+        if abs(starts[i] - starts[i - 1] - bin_s) > 1e-9:
+            raise DemandError(f"non-contiguous bins at t={starts[i]}")
+    return MacroCountSeries(bin_s, [r[2] for r in recs], starts[0])
 
 
 def average_counts(series_list) -> MacroCountSeries:
@@ -361,55 +358,35 @@ def write_params(params: FlowModelParams, path) -> None:
 
 
 def read_params(path) -> FlowModelParams:
-    values = {}
-    with open_text(path, DemandError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DemandError(
-                    f"{path}:{lineno}: malformed params line {line!r}")
-            key, val = line.split("=", 1)
-            try:
-                values[key.strip()] = float(val)
-            except ValueError as exc:
-                raise DemandError(f"{path}:{lineno}: {exc}") from None
+    values = read_key_values(path, DemandError, _finite)
     try:
         return FlowModelParams(**values)
     except TypeError as exc:
         raise DemandError(f"{path}: {exc}") from exc
 
 
+def _finite(key: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} is not finite: {text!r}")
+    return value
+
+
+SCHEDULE_HEADER = "time_s,entry,exit"
+
+
 def write_schedule(schedule: SpawnSchedule, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s,entry,exit\n")
+        fh.write(SCHEDULE_HEADER + "\n")
         for ev in schedule.events:
-            fh.write(f"{_fmt_time(ev.time)},{ev.entry},{ev.exit}\n")
+            fh.write(f"{roadnet._fmt(ev.time)},{ev.entry},{ev.exit}\n")
 
 
 def read_schedule(path, horizon: float) -> SpawnSchedule:
     events = []
-    with open_text(path, DemandError) as fh:
-        header = fh.readline().strip()
-        if header != "time_s,entry,exit":
-            raise DemandError(f"{path}: unexpected schedule header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DemandError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                events.append(SpawnEvent(float(parts[0]), parts[1], parts[2]))
-            except ValueError as exc:
-                raise DemandError(f"{path}:{lineno}: {exc}") from None
+    read_csv(path, DemandError, SCHEDULE_HEADER,
+             lambda f: events.append(SpawnEvent(float(f[0]), f[1], f[2])))
     try:
         return SpawnSchedule(tuple(events), horizon)
     except DemandError as exc:
         raise DemandError(f"{path}: {exc}") from None
-
-
-def _fmt_time(t: float) -> str:
-    return repr(int(t)) if float(t).is_integer() else repr(float(t))

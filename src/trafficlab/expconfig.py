@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError("day_seconds must be positive")
         if self.bin_seconds < 1 or self.day_seconds % self.bin_seconds:
             raise ConfigError("bin_seconds must divide day_seconds")
+        if self.staleness_s <= 0:
+            raise ConfigError("staleness_s must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         _check_keys(self.window, set(_WINDOW_KEYS), "window")

@@ -16,13 +16,17 @@ from itertools import product
 
 import numpy as np
 
-from . import open_text
+from . import read_csv
 from .roadnet import RoadNetwork
 from .sensors import RawDataset
 
 
 class FeatureError(ValueError):
     pass
+
+
+# the last three columns of a feature table file, after the features
+LABEL_COLUMNS = ["label_incident", "label_road", "label_severity"]
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,7 @@ class FeatureTable:
 
     @property
     def columns(self) -> list:
-        return (["window_end_s"] + list(self.feature_names)
-                + ["label_incident", "label_road", "label_severity"])
+        return ["window_end_s"] + list(self.feature_names) + LABEL_COLUMNS
 
     @property
     def n_rows(self) -> int:
@@ -240,38 +243,25 @@ def write_feature_table(table: FeatureTable, path) -> None:
 
 
 def read_feature_table(path) -> FeatureTable:
-    with open_text(path, FeatureError) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if (cols[:1] != ["window_end_s"]
-                or cols[-3:] != ["label_incident", "label_road",
-                                 "label_severity"]):
-            raise FeatureError(f"{path}: unexpected feature header")
-        feature_names = cols[1:-3]
-        we: list = []
-        rows: list = []
-        lab_i: list = []
-        lab_r: list = []
-        lab_s: list = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise FeatureError(f"{path}:{lineno}: field count mismatch")
-            try:
-                we.append(int(parts[0]))
-                rows.append([float(p) if p else np.nan
-                             for p in parts[1:-3]])
-            except ValueError as exc:
-                raise FeatureError(f"{path}:{lineno}: {exc}") from None
-            if parts[-3] not in ("0", "1"):
-                raise FeatureError(f"{path}:{lineno}: label_incident "
-                                   f"{parts[-3]!r} is not 0 or 1")
-            lab_i.append(parts[-3] == "1")
-            lab_r.append(parts[-2] or None)
-            lab_s.append(parts[-1] or None)
+    we: list = []
+    rows: list = []
+    lab_i: list = []
+    lab_r: list = []
+    lab_s: list = []
+
+    def parse(f):
+        we.append(int(f[0]))
+        rows.append([float(p) if p else np.nan for p in f[1:-3]])
+        if f[-3] not in ("0", "1"):
+            raise ValueError(f"label_incident {f[-3]!r} is not 0 or 1")
+        lab_i.append(f[-3] == "1")
+        lab_r.append(f[-2] or None)
+        lab_s.append(f[-1] or None)
+
+    cols = read_csv(path, FeatureError,
+                    lambda c: c[:1] == ["window_end_s"]
+                    and c[-3:] == LABEL_COLUMNS, parse)
+    feature_names = cols[1:-3]
     X = (np.asarray(rows, dtype=np.float64) if rows
          else np.empty((0, len(feature_names))))
     return FeatureTable(feature_names, X,

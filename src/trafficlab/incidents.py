@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import open_text
+from . import read_csv
 from .roadnet import RoadNetwork, shortest_route
 
 
@@ -282,15 +282,15 @@ def release_vehicles(state, inc: ActiveIncident) -> None:
         state.halted_by[slot] = -1
 
 
-_LOG_HEADER = ("id,type,severity,onset_s,duration_s,segment_id,offset_m,"
-               "n_vehicles,radius_m")
+LOG_HEADER = ("id,type,severity,onset_s,duration_s,segment_id,offset_m,"
+              "n_vehicles,radius_m")
 
 
 def write_incident_log(specs, path) -> None:
     """Offsets and radii are written as their shortest round-trip `repr`,
     so the log reads back to equal specs."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_LOG_HEADER + "\n")
+        fh.write(LOG_HEADER + "\n")
         for s in specs:
             fh.write(f"{s.id},{s.type.value},{s.severity.value},{s.onset},"
                      f"{s.duration},{s.segment_id},{float(s.offset)!r},"
@@ -299,23 +299,8 @@ def write_incident_log(specs, path) -> None:
 
 def read_incident_log(path) -> list:
     specs = []
-    with open_text(path, IncidentError) as fh:
-        header = fh.readline().strip()
-        if header != _LOG_HEADER:
-            raise IncidentError(f"{path}: unexpected incident header")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            f = line.split(",")
-            if len(f) != 9:
-                raise IncidentError(
-                    f"{path}:{lineno}: malformed incident row {line!r}")
-            try:
-                specs.append(IncidentSpec(int(f[0]), IncidentType(f[1]),
-                                          SeverityClass(f[2]), int(f[3]),
-                                          int(f[4]), f[5], float(f[6]),
-                                          int(f[7]), float(f[8])))
-            except ValueError as exc:
-                raise IncidentError(f"{path}:{lineno}: {exc}") from None
+    read_csv(path, IncidentError, LOG_HEADER, lambda f: specs.append(
+        IncidentSpec(int(f[0]), IncidentType(f[1]), SeverityClass(f[2]),
+                     int(f[3]), int(f[4]), f[5], float(f[6]), int(f[7]),
+                     float(f[8]))))
     return specs

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import open_text
+from . import read_key_values
 
 
 class MetricsError(ValueError):
@@ -222,35 +222,23 @@ def write_report(report: EvalReport, path) -> None:
 def read_report(path) -> dict:
     """The key=value lines of a report, numbers as int or float and
     "undefined" as None; a bad line raises MetricsError naming path:line."""
-    out = {}
-    with open_text(path, MetricsError) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise MetricsError(f"{path}:{lineno}: expected key=value, "
-                                   f"got {line!r}")
-            try:
-                out[key] = None if val == "undefined" else _number(val)
-            except ValueError:
-                raise MetricsError(f"{path}:{lineno}: {key} is not a "
-                                   f"number: {val!r}") from None
-    return out
+    return read_key_values(path, MetricsError, _report_value)
 
 
-def _number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+def _report_value(key: str, text: str):
+    if text == "undefined":
+        return None
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{key} is not a number: {text!r}")
 
 
-REPORT_CSV_FIELDS = ("windows", "tp", "fp", "tn", "fn", "detection_rate",
-                     "false_alarm_rate", "precision", "f1", "auc",
-                     "road_accuracy", "severity_accuracy", "n_events",
-                     "events_detected", "event_detection_rate", "mttd_s")
+# the keys of EvalReport.as_dict, in order
+REPORT_CSV_FIELDS = tuple(EvalReport(ConfusionCounts(0, 0, 0, 0),
+                                     *[None] * 7).as_dict())
 
 
 def report_csv_header(prefix_fields=()) -> str:

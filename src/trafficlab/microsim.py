@@ -84,7 +84,6 @@ class RunResult:
     incident_log: list
     spawned: int
     arrived: int
-    active_at_end: int
     deferred_at_end: int
     trace: list | None = None
     audit: AuditReport | None = None
@@ -173,10 +172,6 @@ class SimState:
         self.spawned = 0
         self.arrived = 0
         self.active_incidents: list = []  # incidents.ActiveIncident
-
-    @property
-    def active_count(self) -> int:
-        return self.spawned - self.arrived
 
     @property
     def deferred_count(self) -> int:
@@ -512,6 +507,5 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
     raw = None if builder is None else builder.build(sim.horizon)
     return RunResult(raw=raw, incident_log=list(sim.incident_plan),
                      spawned=st.spawned, arrived=st.arrived,
-                     active_at_end=st.active_count,
                      deferred_at_end=st.deferred_count,
                      trace=trace, audit=report)

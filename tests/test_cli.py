@@ -122,6 +122,8 @@ def test_config_rejections(tmp_path):
     bad({"days": 0}, "at least 1")
     bad({"threshold": 1.0}, "lie in")
     bad({"bin_seconds": 7}, "divide day_seconds")
+    bad({"staleness_s": 0}, "staleness_s must be positive")
+    bad({"staleness_s": -60}, "staleness_s must be positive")
     # nested values are validated at load time, tagged with the file path
     bad({"window": {"window_s": 100, "stride_s": 300}}, r"bad\.yaml")
     bad({"model": {"n_trees": 0}}, r"bad\.yaml")
@@ -575,6 +577,17 @@ def test_config_keys_that_take_no_effect_exit_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "runs")
 
 
+def test_nonpositive_staleness_exits_2(tmp_path, capsys):
+    """A staleness of 0 s would drop every travel time, leaving each tt_
+    column empty."""
+    path = line_experiment(tmp_path, staleness_s=0)
+    assert main(["extract-features", "--raw", str(tmp_path),
+                 "--out", str(tmp_path / "f.csv"), "--config", path]) == 2
+    assert one_error_line(capsys) == (
+        "error: staleness_s must be positive\n")
+    assert not os.path.exists(tmp_path / "f.csv")
+
+
 def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("days: [1, 2\n", encoding="utf-8")
@@ -666,7 +679,7 @@ UNDECODABLE = [
     (sensors.load_raw, sensors.SensorError, sensors.RAW_HEADER.encode()
      + b"\n", b"0,a\xff,0,0.0,0.0,\n"),
     (incidents.read_incident_log, incidents.IncidentError,
-     incidents._LOG_HEADER.encode() + b"\n", b"\x80\n"),
+     incidents.LOG_HEADER.encode() + b"\n", b"\x80\n"),
     (features.read_feature_table, features.FeatureError,
      b"window_end_s,x,label_incident,label_road,label_severity\n",
      b"600,1.0,1,r\xff,minor\n"),
@@ -686,6 +699,65 @@ def test_readers_name_file_and_line_of_undecodable_bytes(tmp_path, reader,
     line = before.count(b"\n") + 1
     with pytest.raises(error, match=rf"^{re.escape(str(path))}:{line}: "
                                     r"byte 0x[0-9a-f]{2} is not UTF-8 \("):
+        reader(path)
+
+
+# per reader of a row format: its header (None for key=value files), a
+# good row, then a short row and a row whose number does not parse, each
+# with the fault it reports
+MALFORMED = {
+    "read_counts_csv": (
+        demand.read_counts_csv, demand.DemandError, demand.COUNTS_HEADER,
+        "r,0,900,1", "r,0,900", "expected 4 fields, got 3",
+        "r,0,9x0,1", "could not convert string to float: '9x0'"),
+    "read_schedule": (
+        lambda p: demand.read_schedule(p, 60.0), demand.DemandError,
+        demand.SCHEDULE_HEADER, "0,a0,a3", "1,a0", "expected 3 fields, got 2",
+        "x,a0,a3", "could not convert string to float: 'x'"),
+    "read_incident_log": (
+        incidents.read_incident_log, incidents.IncidentError,
+        incidents.LOG_HEADER, "0,stalled_vehicle,minor,30,120,s1,100.0,1,50.0",
+        "1,stalled_vehicle,minor", "expected 9 fields, got 3",
+        "1,stalled_vehicle,minor,30,120,s1,1x0,1,50.0",
+        "could not convert string to float: '1x0'"),
+    "read_feature_table": (
+        features.read_feature_table, features.FeatureError,
+        ",".join(["window_end_s", "x"] + features.LABEL_COLUMNS),
+        "600,1.0,1,r,minor", "630,1.0,1", "expected 5 fields, got 3",
+        "630,1.x,0,,", "could not convert string to float: '1.x'"),
+    "read_params": (
+        demand.read_params, demand.DemandError, None, "a1=1.0",
+        "b1 2.0", "expected key=value, got 'b1 2.0'",
+        "b1=2.x", "could not convert string to float: '2.x'"),
+    "read_report": (
+        read_report, MetricsError, None, "windows=4",
+        "tp 1", "expected key=value, got 'tp 1'",
+        "tp=1.x", "tp is not a number: '1.x'"),
+}
+
+
+def _malformed_cases():
+    for name, (reader, error, header, good, short, short_fault, bad,
+               bad_fault) in MALFORMED.items():
+        head = "" if header is None else header + "\n"
+        line = head.count("\n") + 2
+        yield pytest.param(reader, error, f"{head}{good}\n{short}\n",
+                           f"{line}: {short_fault}", id=f"{name}-short-row")
+        yield pytest.param(reader, error, f"{head}{good}\n{bad}\n",
+                           f"{line}: {bad_fault}", id=f"{name}-bad-number")
+        if header is not None:
+            yield pytest.param(reader, error, f"wrong,{header}\n{good}\n",
+                               f" unexpected header 'wrong,{header}'",
+                               id=f"{name}-wrong-header")
+
+
+@pytest.mark.parametrize("reader, error, text, fault",
+                         list(_malformed_cases()))
+def test_readers_name_file_and_line_of_malformed_rows(tmp_path, reader,
+                                                      error, text, fault):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=rf"^{re.escape(f'{path}:{fault}')}$"):
         reader(path)
 
 

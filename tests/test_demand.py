@@ -8,6 +8,7 @@ Index:
   schedule    Poisson spawn generation, OD draws, io round trips
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from trafficlab.demand import (DemandError, FlowModelParams,
                                lm_fit, read_counts_csv, read_params,
                                read_schedule, spawn_schedule, write_params,
                                write_schedule)
-from trafficlab.netgen import bundled_path, make_grid_network
+from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import shortest_route
 
 from conftest import make_line_net, rng_for
@@ -113,6 +114,24 @@ def test_read_counts_csv_rejects_malformed(tmp_path):
     with pytest.raises(DemandError, match="no count rows"):
         read_counts_csv(write(
             "e.csv", "road_label,start_time_s,bin_s,count\n"))
+
+
+def test_read_counts_csv_names_file_and_road(tmp_path):
+    path = tmp_path / "c.csv"
+    good = "".join(f"r,{i * 50},50,1\n" for i in range(8))
+    for rows, fault in (
+            (good + "r,400,50,-1\n", "counts must be finite and non-negative"),
+            (good + "r,400,50,nan\n", "counts must be finite"),
+            ("".join(f"r,{i * 50},50,1\n" for i in range(7)),
+             "count series needs at least 8 bins"),
+            (good + "r,400,60,1\n", r"mixed bin durations \{50\.0, 60\.0\}"),
+            (good + "r,500,50,1\n", r"non-contiguous bins at t=500\.0")):
+        path.write_text("road_label,start_time_s,bin_s,count\n"
+                        + good.replace("r,", "q,") + rows, encoding="utf-8")
+        with pytest.raises(DemandError,
+                           match=rf"^{re.escape(str(path))}: road 'r': "
+                                 rf"{fault}"):
+            read_counts_csv(path)
 
 
 def test_average_counts_is_elementwise_mean():
@@ -390,11 +409,24 @@ def test_params_io_round_trip(tmp_path):
 def test_params_io_rejects_malformed(tmp_path):
     path = tmp_path / "params.txt"
     path.write_text("a1 nonsense\n", encoding="utf-8")
-    with pytest.raises(DemandError, match=r"params\.txt:1: malformed"):
+    with pytest.raises(DemandError, match=r"params\.txt:1: expected "
+                                          r"key=value, got 'a1 nonsense'"):
         read_params(path)
     path.write_text("# fit\nb1=2.0\na1=x\n", encoding="utf-8")
     with pytest.raises(DemandError, match=r"params\.txt:3: could not convert"):
         read_params(path)
+
+
+def test_params_io_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "params.txt"
+    keys = ("a1", "b1", "c1", "a2", "b2", "c2", "d")
+    for key, text in (("a1", "nan"), ("d", "inf"), ("d", "-inf")):
+        path.write_text("".join(f"{k}={text if k == key else 1.0}\n"
+                                for k in keys), encoding="utf-8")
+        with pytest.raises(DemandError, match=(
+                rf"^{re.escape(str(path))}:{keys.index(key) + 1}: "
+                rf"{key} is not finite: '{text}'$")):
+            read_params(path)
 
 
 def test_schedule_io_round_trip(tmp_path, flat_params):

@@ -318,7 +318,8 @@ def test_table_read_rejects_malformed(tmp_path):
         read_feature_table(p)
     p.write_text("window_end_s,f1,label_incident,label_road,label_severity\n"
                  "600,1.0,0\n", encoding="utf-8")
-    with pytest.raises(FeatureError, match="field count"):
+    with pytest.raises(FeatureError,
+                       match=r"bad\.csv:2: expected 5 fields, got 3"):
         read_feature_table(p)
     header = "window_end_s,f1,label_incident,label_road,label_severity\n"
     for row, match in (("6x0,1.0,0,,", "invalid literal"),

@@ -82,7 +82,8 @@ def test_incident_log_round_trip(tmp_path):
     bad.write_text("id,type,severity,onset_s,duration_s,segment_id,"
                    "offset_m,n_vehicles,radius_m\n1,2,3\n",
                    encoding="utf-8")
-    with pytest.raises(IncidentError, match="malformed"):
+    with pytest.raises(IncidentError,
+                       match=r"bad\.csv:2: expected 9 fields, got 3"):
         read_incident_log(bad)
 
 

@@ -15,8 +15,8 @@ from trafficlab.roadnet import (NetworkError, Node, RoadNetwork, Segment,
                                 contiguous_sensor_pairs, load_network,
                                 save_network, shortest_route,
                                 validate_network, validate_placement)
-from trafficlab.netgen import (bundled_path, make_grid_network,
-                               make_highway_network)
+from trafficlab.demand import read_counts_csv
+from trafficlab.netgen import bundled_path
 
 from conftest import make_line_net, make_signal_line_net, rng_for
 
@@ -57,12 +57,44 @@ def test_bundled_networks_validate():
         validate_network(net)
 
 
-def test_bundled_fixtures_match_generators():
-    """Committed fixture files are exactly what the generators produce."""
-    assert load_network(str(bundled_path("grid4x4.net"))).segments \
-        == make_grid_network().segments
-    assert load_network(str(bundled_path("highway8.net"))).segments \
-        == make_highway_network().segments
+def test_bundled_fixtures_hold_their_scenarios():
+    """The committed files are the only source of the bundled scenarios."""
+    grid = load_network(str(bundled_path("grid4x4.net")))
+    assert len(grid.nodes) == 16
+    assert all(n.signalized and n.sensor_site for n in grid.nodes.values())
+    assert len(grid.segments) == 48
+    assert {s.length for s in grid.segments.values()} == {250.0}
+    assert set(grid.signal_plans) == set(grid.nodes)
+    for nid, plan in grid.signal_plans.items():
+        # horizontal approaches first, vertical second, 30 s each
+        assert [p.duration for p in plan] == [30.0, 30.0]
+        y = grid.nodes[nid].y
+        into = {sid for sid, s in grid.segments.items() if s.to_node == nid}
+        assert plan[0].permitted | plan[1].permitted == into
+        assert all(grid.nodes[grid.segments[sid].from_node].y == y
+                   for sid in plan[0].permitted)
+        assert all(grid.nodes[grid.segments[sid].from_node].y != y
+                   for sid in plan[1].permitted)
+    boundary = {nid for nid in grid.nodes if nid[1] in "03" or nid[2] in "03"}
+    assert len(boundary) == 12
+    assert set(grid.entry_nodes) == set(grid.exit_nodes) == boundary
+
+    highway = load_network(str(bundled_path("highway8.net")))
+    sites = {nid for nid, n in highway.nodes.items() if n.sensor_site}
+    assert sites == {f"m{i}" for i in range(1, 8)}
+    assert not highway.signal_plans
+    mainline = [highway.segments[f"ml_{i}"] for i in range(8)]
+    assert [(s.from_node, s.to_node, s.length) for s in mainline] == [
+        (f"m{i}", f"m{i + 1}", 800.0) for i in range(8)]
+    for i in range(1, 8):
+        assert highway.segments[f"on_{i}"].to_node == f"m{i}"
+        assert highway.segments[f"off_{i}"].from_node == f"m{i}"
+
+    counts = read_counts_csv(str(bundled_path("city_counts.csv")))
+    assert sorted(counts) == [f"road_{r:02d}" for r in range(12)]
+    for series in counts.values():
+        assert (series.bin_duration, series.counts.size,
+                series.start_time) == (900.0, 96, 0.0)
 
 
 # -- validation ----------------------------------------------------------
@@ -218,7 +250,7 @@ def test_route_length_sums_segments(line_net):
 
 
 def test_highway_fixture_shape():
-    net = make_highway_network()
+    net = load_network(str(bundled_path("highway8.net")))
     validate_network(net)
     sites = [n.id for n in net.nodes.values() if n.sensor_site]
     assert len(sites) == 7  # one per interior junction with ramps
