@@ -65,10 +65,10 @@ def read_csv(path, error, header, parse):
 
 def read_key_values(path, error, parse) -> dict:
     """`{key: parse(key, value)}` over the `key=value` lines of `path`.
-    Blank lines and `#` comments are skipped; a line without `=` or a
-    ValueError from `parse` is raised as `error` naming the path and the
-    line."""
-    out = {}
+    Blank lines and `#` comments are skipped; a line without `=`, a key
+    set twice or a ValueError from `parse` is raised as `error` naming the
+    path and the line."""
+    out, first = {}, {}
     with open_text(path, error) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -79,6 +79,10 @@ def read_key_values(path, error, parse) -> dict:
                 raise error(f"{path}:{lineno}: expected key=value, "
                             f"got {line!r}")
             key = key.strip()
+            if key in first:
+                raise error(f"{path}:{lineno}: duplicate key {key!r} "
+                            f"(first on line {first[key]})")
+            first[key] = lineno
             try:
                 out[key] = parse(key, val.strip())
             except ValueError as exc:

@@ -151,14 +151,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{where}: {problem}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    allowed = set(ExperimentConfig.__dataclass_fields__)
-    _check_keys(doc, allowed, "config")
-    doc.update(overrides or {})
     try:
+        _check_keys(doc, set(ExperimentConfig.__dataclass_fields__), "config")
+        doc.update(overrides or {})
         return ExperimentConfig(**doc)
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,11 +98,6 @@ class TreeEnsemble:
     n_classes: int           # 1 for binary
     base_score: np.ndarray   # shape (n_classes,)
     trees: list              # one tree per boosting round
-    schema_hash: str = ""
-
-    def __post_init__(self):
-        if not self.schema_hash:
-            self.schema_hash = _schema_hash(self.feature_names)
 
 
 class _Binner:
@@ -472,6 +468,21 @@ class IncidentPrediction:
                              "populated iff detected")
 
 
+class Role(NamedTuple):
+    """The EnsembleModel field `name`, fitted under `objective` to the
+    feature table's `label_<what>`; a head's classes are `<what>_classes`."""
+    name: str
+    what: str
+    objective: str
+
+
+# The detector labels every row; each head after it labels only the positive
+# rows, and is consulted only where the detector fires.
+DETECTOR, *HEADS = ROLES = (Role("detector", "incident", "binary"),
+                            Role("localizer", "road", "multiclass"),
+                            Role("severity", "severity", "binary"))
+
+
 @dataclass
 class EnsembleModel:
     detector: TreeEnsemble
@@ -488,13 +499,36 @@ class EnsembleModel:
             self.schema_hash = _schema_hash(self.feature_names)
 
 
+def _fit_head(X_pos, labels, cfg: TreeEnsembleConfig, feature_names,
+              what: str):
+    """(sorted classes, ensemble) of a head fitted on the positive rows; a
+    single class gives a constant head, whose ensemble is None."""
+    if any(v is None for v in labels):
+        raise ModelError(f"positive rows must carry a {what} label")
+    classes = sorted(set(labels))
+    if len(classes) == 1:
+        return classes, None
+    if cfg.objective == "binary" and len(classes) != 2:
+        raise ModelError(f"{what} is a binary classification")
+    enc = {c: i for i, c in enumerate(classes)}
+    y = np.asarray([enc[v] for v in labels])
+    return classes, train_tree_ensemble(X_pos, y, cfg, feature_names)
+
+
+def _head_labels(ens: TreeEnsemble | None, classes, X) -> list:
+    """The class a head gives each row of X: the most probable of several,
+    the second of two when its probability reaches 0.5, or the one."""
+    if ens is None:
+        return [classes[0]] * X.shape[0]
+    p = predict_proba(ens, X)
+    picks = np.argmax(p, axis=1) if ens.n_classes > 1 else p >= 0.5
+    return [classes[int(k)] for k in picks]
+
+
 def train_incident_ensemble(table, cfg: TreeEnsembleConfig,
                             threshold: float = 0.5) -> EnsembleModel:
-    """Detector on every row (positive class reweighted to balance);
-    localizer and severity on the positive rows only.  A sub-model whose
-    positive rows carry a single class is recorded as a degenerate constant
-    predictor rather than a trained ensemble.
-    """
+    """Detector on every row (positive class reweighted to balance), then
+    each head on the positive rows only, as _fit_head fits it."""
     y = table.label_incident.astype(int)
     n_pos = int(y.sum())
     n_neg = int(len(y) - n_pos)
@@ -504,36 +538,15 @@ def train_incident_ensemble(table, cfg: TreeEnsembleConfig,
         raise ModelError("no negative rows to train on")
     X = table.X
     weight = np.where(y == 1, n_neg / n_pos, 1.0)
-    det_cfg = replace(cfg, objective="binary")
-    detector = train_tree_ensemble(X, y, det_cfg, table.feature_names,
-                                   sample_weight=weight)
-
-    pos = np.nonzero(y == 1)[0]
-    roads = [table.label_road[i] for i in pos]
-    if any(r is None for r in roads):
-        raise ModelError("positive rows must carry a road label")
-    road_classes = sorted(set(roads))
-    localizer = None
-    if len(road_classes) > 1:
-        enc = {c: i for i, c in enumerate(road_classes)}
-        y_road = np.asarray([enc[r] for r in roads])
-        loc_cfg = replace(cfg, objective="multiclass")
-        localizer = train_tree_ensemble(X[pos], y_road, loc_cfg,
-                                        table.feature_names)
-
-    sevs = [table.label_severity[i] for i in pos]
-    if any(s is None for s in sevs):
-        raise ModelError("positive rows must carry a severity label")
-    severity_classes = sorted(set(sevs))
-    severity = None
-    if len(severity_classes) > 1:
-        if len(severity_classes) != 2:
-            raise ModelError("severity is a binary classification")
-        y_sev = np.asarray([severity_classes.index(s) for s in sevs])
-        sev_cfg = replace(cfg, objective="binary")
-        severity = train_tree_ensemble(X[pos], y_sev, sev_cfg,
-                                       table.feature_names)
-
+    detector = train_tree_ensemble(
+        X, y, replace(cfg, objective=DETECTOR.objective),
+        table.feature_names, sample_weight=weight)
+    pos = np.flatnonzero(y == 1)
+    (road_classes, localizer), (severity_classes, severity) = (
+        _fit_head(X[pos], [getattr(table, f"label_{h.what}")[i] for i in pos],
+                  replace(cfg, objective=h.objective), table.feature_names,
+                  h.what)
+        for h in HEADS)
     return EnsembleModel(detector, localizer, severity, road_classes,
                          severity_classes, threshold, list(table.feature_names))
 
@@ -542,53 +555,19 @@ def infer_batch(model: EnsembleModel, X: np.ndarray, window_end) -> list:
     """Gated predictions, one per row of X at its window_end: localization
     and severity are produced only for rows the detector flags."""
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
     scores = predict_proba(model.detector, X)
     detected = scores >= model.threshold
-    roads: list = [None] * n
-    sevs: list = [None] * n
-    hit = np.nonzero(detected)[0]
-    if hit.size:
-        if model.localizer is not None:
-            p = predict_proba(model.localizer, X[hit])
-            picks = np.argmax(p, axis=1)
-            for j, i in enumerate(hit):
-                roads[i] = model.road_classes[int(picks[j])]
-        else:
-            for i in hit:
-                roads[i] = model.road_classes[0]
-        if model.severity is not None:
-            p = predict_proba(model.severity, X[hit])
-            for j, i in enumerate(hit):
-                sevs[i] = model.severity_classes[int(p[j] >= 0.5)]
-        else:
-            for i in hit:
-                sevs[i] = model.severity_classes[0]
+    hit = np.flatnonzero(detected)
+    heads = [dict(zip(hit.tolist(), _head_labels(
+                 getattr(model, h.name), getattr(model, f"{h.what}_classes"),
+                 X[hit])))
+             for h in HEADS]
     return [IncidentPrediction(int(window_end[i]), bool(detected[i]),
-                               float(scores[i]), roads[i], sevs[i])
-            for i in range(n)]
+                               float(scores[i]), *(h.get(i) for h in heads))
+            for i in range(X.shape[0])]
 
 
-MODEL_FORMAT = "trafficlab-model/2"
-
-
-def _ens_to_jsonable(ens: TreeEnsemble | None):
-    if ens is None:
-        return None
-    return {"config": {f: getattr(ens.config, f)
-                       for f in ens.config.__dataclass_fields__},
-            "feature_names": ens.feature_names,
-            "n_classes": ens.n_classes,
-            "base_score": ens.base_score.tolist(),
-            "schema_hash": ens.schema_hash,
-            "trees": [t.to_jsonable() for t in ens.trees]}
-
-
-def _checked_hash(d: dict) -> str:
-    """The stored schema hash, which must match the stored feature names."""
-    if d["schema_hash"] != _schema_hash(d["feature_names"]):
-        raise ModelError("schema_hash does not match feature_names")
-    return d["schema_hash"]
+MODEL_FORMAT = "trafficlab-model/3"
 
 
 def _tree_fault(tree: _Tree, n_features: int, n_classes: int) -> str:
@@ -617,45 +596,62 @@ def _tree_fault(tree: _Tree, n_features: int, n_classes: int) -> str:
     return ""
 
 
-def _ens_from_jsonable(d, name: str, feature_names: list,
-                       n_classes: int) -> TreeEnsemble | None:
-    """The stored sub-model name, which must read the model's feature_names,
-    have n_classes classes and trees that _tree_predict can walk; its faults
-    are prefixed with name."""
-    if d is None:
-        return None
+def _ens_from_jsonable(d, role: Role, config: TreeEnsembleConfig,
+                       feature_names: list, classes) -> TreeEnsemble | None:
+    """The stored sub-model of role, checked against its class list (None
+    for the detector, which is always trained): no class repeats, a null
+    (constant) head lists one class, a trained binary head two and a
+    trained multiclass head at least two.  Its trees must be ones
+    _tree_predict can walk.  Faults are prefixed with the role's name."""
     try:
-        if list(d["feature_names"]) != feature_names:
-            raise ModelError(f"feature_names {d['feature_names']} differ "
-                             f"from the model's {feature_names}")
-        ens = TreeEnsemble(TreeEnsembleConfig(**d["config"]),
-                           list(d["feature_names"]), int(d["n_classes"]),
+        if classes is not None:
+            key, n = f"{role.what}_classes", len(classes)
+            if len(set(classes)) != n:
+                raise ModelError(f"{key} {classes} repeat a class")
+            want = (1 if d is None else 2 if role.objective == "binary"
+                    else max(n, 2))
+            if n != want:
+                raise ModelError(f"{key} has length {n}, expected {want} "
+                                 f"for a {'null' if d is None else 'trained'}"
+                                 " head")
+        if d is None:
+            if classes is None:
+                raise ModelError("null, but the detector is always trained")
+            return None
+        k = 1 if role.objective == "binary" else len(classes)
+        ens = TreeEnsemble(replace(config, objective=role.objective),
+                           feature_names, k,
                            np.asarray(d["base_score"], dtype=np.float64),
-                           [_Tree.from_jsonable(t) for t in d["trees"]],
-                           _checked_hash(d))
-        if ens.n_classes != n_classes or ens.base_score.shape != (n_classes,):
-            raise ModelError(f"n_classes {ens.n_classes} and base_score "
-                             f"shape {ens.base_score.shape}, expected "
-                             f"{n_classes} class(es)")
+                           [_Tree.from_jsonable(t) for t in d["trees"]])
+        if ens.base_score.shape != (k,):
+            raise ModelError(f"base_score has shape {ens.base_score.shape}, "
+                             f"expected ({k},)")
         for i, tree in enumerate(ens.trees):
-            fault = _tree_fault(tree, len(ens.feature_names), n_classes)
+            fault = _tree_fault(tree, len(feature_names), k)
             if fault:
                 raise ModelError(f"tree {i}: {fault}")
     except ModelError as exc:
-        raise ModelError(f"{name}: {exc}") from None
+        raise ModelError(f"{role.name}: {exc}") from None
     return ens
 
 
 def save_model(model: EnsembleModel, path) -> None:
+    """The schema, class lists and training config (the detector's, less
+    objective) once, then each sub-model's base score and trees, or null."""
+    cfg = model.detector.config
     doc = {"format": MODEL_FORMAT,
            "threshold": model.threshold,
            "feature_names": model.feature_names,
            "schema_hash": model.schema_hash,
            "road_classes": model.road_classes,
            "severity_classes": model.severity_classes,
-           "detector": _ens_to_jsonable(model.detector),
-           "localizer": _ens_to_jsonable(model.localizer),
-           "severity": _ens_to_jsonable(model.severity)}
+           "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__
+                      if f != "objective"}}
+    for role in ROLES:
+        ens = getattr(model, role.name)
+        doc[role.name] = None if ens is None else {
+            "base_score": ens.base_score.tolist(),
+            "trees": [t.to_jsonable() for t in ens.trees]}
     # json.dumps runs the C encoder; json.dump streams through the pure-
     # Python one, about 3x slower for the same text
     with open(path, "w", encoding="utf-8") as fh:
@@ -672,14 +668,15 @@ def load_model(path) -> EnsembleModel:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
     try:
         names = list(doc["feature_names"])
-        road_classes = list(doc["road_classes"])
-        subs = [_ens_from_jsonable(doc[sub], sub, names, k) for sub, k in
-                (("detector", 1), ("localizer", len(road_classes)),
-                 ("severity", 1))]
-        return EnsembleModel(*subs, road_classes,
-                             list(doc["severity_classes"]),
+        if doc["schema_hash"] != _schema_hash(names):
+            raise ModelError("schema_hash does not match feature_names")
+        config = TreeEnsembleConfig(**doc["config"])
+        classes = {h.what: list(doc[f"{h.what}_classes"]) for h in HEADS}
+        subs = [_ens_from_jsonable(doc[r.name], r, config, names,
+                                   classes.get(r.what)) for r in ROLES]
+        return EnsembleModel(*subs, classes["road"], classes["severity"],
                              float(doc["threshold"]), names,
-                             _checked_hash(doc))
+                             doc["schema_hash"])
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None
     except KeyError as exc:

@@ -109,25 +109,29 @@ def test_nested_sections_reach_module_configs(tmp_path):
 
 def test_config_rejections(tmp_path):
     def bad(doc, match):
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError,
+                           match=r"bad\.yaml: " + re.escape(match)):
             load_config(write_yaml(tmp_path / "bad.yaml", doc))
 
-    bad({"speling": 1}, "unknown keys in 'config'")
+    # every fault is tagged with the file path
+    bad({"speling": 1}, "unknown keys in 'config': speling")
     bad({"window": {"width_s": 600}}, "unknown keys in 'window'")
     bad({"incidents": {"p_typo": 0.1}}, "unknown keys in 'incidents'")
-    bad({"sim": 7}, "must be a mapping")
+    bad({"sim": 7}, "section 'sim' must be a mapping")
     # the simulator has one engine and a fixed 1 s step; neither is a key
     bad({"sim": {"engine": "compiled"}}, "unknown keys in 'sim'")
     bad({"sim": {"dt": 1.0}}, "unknown keys in 'sim'")
-    bad({"days": 0}, "at least 1")
-    bad({"threshold": 1.0}, "lie in")
-    bad({"bin_seconds": 7}, "divide day_seconds")
+    bad({"days": 0}, "days must be at least 1")
+    bad({"threshold": 1.0}, "threshold must lie in")
+    bad({"bin_seconds": 7}, "bin_seconds must divide day_seconds")
     bad({"staleness_s": 0}, "staleness_s must be positive")
     bad({"staleness_s": -60}, "staleness_s must be positive")
-    # nested values are validated at load time, tagged with the file path
-    bad({"window": {"window_s": 100, "stride_s": 300}}, r"bad\.yaml")
-    bad({"model": {"n_trees": 0}}, r"bad\.yaml")
-    with pytest.raises(ConfigError, match="mapping"):
+    # nested values are validated at load time
+    bad({"window": {"window_s": 100, "stride_s": 300}},
+        "stride must not exceed the window")
+    bad({"model": {"n_trees": 0}}, "need at least one tree")
+    with pytest.raises(ConfigError,
+                       match=r"list\.yaml: top level must be a mapping"):
         p = tmp_path / "list.yaml"
         p.write_text("- 1\n- 2\n", encoding="utf-8")
         load_config(p)
@@ -335,7 +339,7 @@ def test_train_and_evaluate_commands(tmp_path, capsys):
 
     with open(model_path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["detector"]["schema_hash"] = "0" * 16
+    doc["schema_hash"] = "0" * 16
     tampered = str(tmp_path / "tampered.json")
     with open(tampered, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -374,6 +378,26 @@ def test_train_warns_when_detector_negatives_are_few(tmp_path, capsys):
         assert sum(line.startswith("warning:") for line in out) == warned
 
 
+def test_train_rejects_a_third_severity_class(tmp_path, capsys):
+    """Severity is a binary head: positive rows that hold three severity
+    labels stop train with one error line, and no model is written."""
+    table = gated_table(seed=6)
+    three = features.FeatureTable(
+        table.feature_names, table.X, table.window_end,
+        table.label_incident, table.label_road,
+        [s and ("minor", "moderate", "severe")[i % 3]
+         for i, s in enumerate(table.label_severity)])
+    feat = str(tmp_path / "features.csv")
+    features.write_feature_table(three, feat)
+    model_path = tmp_path / "model.json"
+    cfg = write_yaml(tmp_path / "small.yaml", {"model": {"n_trees": 2}})
+    assert main(["train", "--features", feat, "--out", str(model_path),
+                 "--config", cfg]) == 2
+    assert one_error_line(capsys) == (
+        "error: severity is a binary classification\n")
+    assert not model_path.exists()
+
+
 def test_evaluate_rejects_a_version_1_model(tmp_path, capsys):
     table = gated_table(seed=6)
     feat = str(tmp_path / "features.csv")
@@ -384,17 +408,18 @@ def test_evaluate_rejects_a_version_1_model(tmp_path, capsys):
                  "--config", cfg]) == 0
     with open(model_path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["format"] = "trafficlab-model/1"
-    old = str(tmp_path / "old_model.json")
-    with open(old, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
     capsys.readouterr()
-    assert main(["evaluate", "--model", old, "--features", feat,
-                 "--out", str(tmp_path / "report.txt"),
-                 "--config", cfg]) == 2
-    assert one_error_line(capsys) == (
-        f"error: {old}: not a trafficlab-model/2 file\n")
-    assert not os.path.exists(tmp_path / "report.txt")
+    for version in ("trafficlab-model/1", "trafficlab-model/2"):
+        doc["format"] = version
+        old = str(tmp_path / "old_model.json")
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["evaluate", "--model", old, "--features", feat,
+                     "--out", str(tmp_path / "report.txt"),
+                     "--config", cfg]) == 2
+        assert one_error_line(capsys) == (
+            f"error: {old}: not a trafficlab-model/3 file\n")
+        assert not os.path.exists(tmp_path / "report.txt")
 
 
 def test_sweep_sparsity_command(tmp_path, capsys):
@@ -584,7 +609,7 @@ def test_nonpositive_staleness_exits_2(tmp_path, capsys):
     assert main(["extract-features", "--raw", str(tmp_path),
                  "--out", str(tmp_path / "f.csv"), "--config", path]) == 2
     assert one_error_line(capsys) == (
-        "error: staleness_s must be positive\n")
+        f"error: {path}: staleness_s must be positive\n")
     assert not os.path.exists(tmp_path / "f.csv")
 
 
@@ -616,14 +641,20 @@ def small_model(tmp_path_factory):
 
 def first_tree(field, value):
     """Sets field of a sub-model's first tree to value(tree)."""
-    def mutate(sub):
-        sub["trees"][0][field] = value(sub["trees"][0])
+    def mutate(doc, sub):
+        doc[sub]["trees"][0][field] = value(doc[sub]["trees"][0])
     return mutate
 
 
-# (sub-model, its malformation, the start of the fault, where n is the node
-# count of its first tree); unchecked, each would exit 0 with wrong scores,
-# exit 2 naming no file, or raise an IndexError
+def setting(**keys):
+    """Sets top-level keys of the model document."""
+    return lambda doc, sub: doc.update(keys)
+
+
+# (sub-model, its malformation of the document, the start of the fault,
+# where n is the node count of the sub-model's first tree); unchecked, each
+# would exit 0 with wrong scores or labels, exit 2 naming no file, or raise
+# an IndexError or AttributeError
 MALFORMED_SUB_MODELS = [
     ("localizer", first_tree("value", lambda t: [v[:1] for v in t["value"]]),
      "tree 0: value has shape ({n}, 1), expected (nodes, 2)"),
@@ -636,14 +667,28 @@ MALFORMED_SUB_MODELS = [
      "tree 0: node 0 splits on feature 3 into"),
     ("detector", first_tree("right", lambda t: [-1] + t["right"][1:]),
      "tree 0: node 0 splits on feature"),
-    ("severity", lambda sub: sub.update(feature_names=["x0", "x1"]),
-     "feature_names ['x0', 'x1'] differ from the model's"),
+    ("localizer", setting(localizer=None, road_classes=[]),
+     "road_classes has length 0, expected 1 for a null head"),
+    ("localizer", setting(localizer=None,
+                          road_classes=["east_rd", "north_rd", "west_rd"]),
+     "road_classes has length 3, expected 1 for a null head"),
+    ("localizer", setting(road_classes=["east_rd", "east_rd"]),
+     "road_classes ['east_rd', 'east_rd'] repeat a class"),
+    ("localizer", setting(road_classes=["east_rd"]),
+     "road_classes has length 1, expected 2 for a trained head"),
+    ("severity", setting(severity_classes=["minor", "moderate", "severe"]),
+     "severity_classes has length 3, expected 2 for a trained head"),
+    ("detector", setting(detector=None),
+     "null, but the detector is always trained"),
 ]
 
 
 @pytest.mark.parametrize("sub, malform, fault", MALFORMED_SUB_MODELS, ids=[
     "leaves_hold_one_score", "value_lists_are_1d", "child_past_the_end",
-    "feature_past_the_end", "child_minus_one", "other_feature_names"])
+    "feature_past_the_end", "child_minus_one", "null_head_without_class",
+    "null_head_with_three_classes", "repeated_class",
+    "trained_head_with_one_class", "binary_head_with_three_classes",
+    "null_detector"])
 def test_evaluate_rejects_a_malformed_sub_model(small_model, tmp_path,
                                                 capsys, sub, malform, fault):
     feat, cfg, model_path = small_model
@@ -652,7 +697,7 @@ def test_evaluate_rejects_a_malformed_sub_model(small_model, tmp_path,
     tree = doc[sub]["trees"][0]
     assert tree["feature"][0] >= 0  # the root splits
     n = len(tree["threshold"])
-    malform(doc[sub])
+    malform(doc, sub)
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     report = tmp_path / "report.txt"
@@ -749,6 +794,12 @@ def _malformed_cases():
             yield pytest.param(reader, error, f"wrong,{header}\n{good}\n",
                                f" unexpected header 'wrong,{header}'",
                                id=f"{name}-wrong-header")
+        else:
+            key = good.partition("=")[0]
+            yield pytest.param(reader, error,
+                               f"{good}\n" + "# filler\n\n" * 3 + f"{good}\n",
+                               f"8: duplicate key '{key}' (first on line 1)",
+                               id=f"{name}-duplicate-key")
 
 
 @pytest.mark.parametrize("reader, error, text, fault",

@@ -924,9 +924,24 @@ def test_model_round_trip(tmp_path):
     assert back.feature_names == model.feature_names
     assert back.schema_hash == model.schema_hash
     assert back.road_classes == model.road_classes
-    assert back.detector.config == model.detector.config
+    # each sub-model's config, objective included, comes back from the one
+    # shared config and its role
+    for sub in ("detector", "localizer", "severity"):
+        assert getattr(back, sub).config == getattr(model, sub).config
+    assert [back.detector.config.objective, back.localizer.config.objective,
+            back.severity.config.objective] == ["binary", "multiclass",
+                                                "binary"]
     assert infer_batch(back, table.X, table.window_end) == \
         infer_batch(model, table.X, table.window_end)
+    # the schema and the settings are stated once, at the top
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["format"] == "trafficlab-model/3"
+    assert doc["config"] == dict(n_trees=12, max_depth=3, learning_rate=0.3,
+                                 min_samples_leaf=2, subsample=1.0,
+                                 reg_lambda=1.0, max_bins=256, seed=0)
+    assert doc["feature_names"] == model.feature_names
+    for sub in ("detector", "localizer", "severity"):
+        assert set(doc[sub]) == {"base_score", "trees"}
 
     degen = train_incident_ensemble(
         gated_table(single_road=True, single_severity=True),
@@ -934,6 +949,9 @@ def test_model_round_trip(tmp_path):
     save_model(degen, path)
     again = load_model(path)
     assert again.localizer is None and again.severity is None
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["localizer"] is None and doc["severity"] is None
+    assert doc["road_classes"] == ["east_rd"]
 
 
 def test_saved_text_equals_pure_python_encoder(tmp_path):
@@ -983,17 +1001,16 @@ def test_load_names_a_truncated_file(tmp_path):
 
 def test_load_rejects_tampered_schema_hash(tmp_path):
     path, doc = _saved_doc(tmp_path)
-    for part in (None, "detector", "localizer", "severity"):
-        bad = copy.deepcopy(doc)
-        (bad if part is None else bad[part])["schema_hash"] = "0" * 16
-        path.write_text(json.dumps(bad), encoding="utf-8")
-        with pytest.raises(ModelError, match="schema_hash"):
-            load_model(path)
+    path.write_text(json.dumps(dict(doc, schema_hash="0" * 16)),
+                    encoding="utf-8")
+    with pytest.raises(ModelError, match="schema_hash"):
+        load_model(path)
 
 
 def test_load_rejects_missing_and_ill_typed_keys(tmp_path):
     path, doc = _saved_doc(tmp_path)
-    for drop in ("detector", "threshold", "schema_hash", "feature_names"):
+    for drop in ("detector", "threshold", "schema_hash", "feature_names",
+                 "config"):
         bad = dict(doc)
         del bad[drop]
         path.write_text(json.dumps(bad), encoding="utf-8")
