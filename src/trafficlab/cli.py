@@ -8,11 +8,11 @@ echoed into each output directory, so a run is reproducible from config
 plus seed.  Day-level randomness derives from (seed, day index) so days
 are independent and a later day does not shift an earlier one.
 
-One day-runner, `_simulate_days`, simulates and writes the days of
-simulate and sweep-sparsity.  One training step, `_train`, fits the
-model of train and of every sweep level.  sweep-sparsity trains on the
-first cfg.days days and scores the day after them, from tables built in
-memory, once per level.
+One function, `_simulate_day`, simulates and writes each day of simulate
+and sweep-sparsity and returns its day line and run result.  One training
+step, `_train`, fits the model of train and of every sweep level.
+sweep-sparsity trains on the first cfg.days days and scores the day after
+them, from tables built in memory, once per level.
 """
 from __future__ import annotations
 
@@ -69,47 +69,35 @@ def _day_seeds(seed: int, day: int):
     return tuple(int(s) for s in state)
 
 
-class AuditFailed(Exception):
-    """An audited day broke a simulator invariant."""
-
-
-def _simulate_days(cfg: ExperimentConfig, net, placement, params, root: str,
-                   n_days: int, audit: bool = False):
-    """Simulate days 0..n_days-1, write each one's raw.csv, incidents.csv
-    and spawns.csv under root/day_NNN, print its day line, and yield its
-    (raw table, incident log).  Day cfg.days, when simulated, is the
-    held-out evaluation day.  With audit, every step is audited, the day
-    line gives the audit's counts, and a day with a violation raises
-    AuditFailed naming the first one once its files are written."""
+def _simulate_day(cfg: ExperimentConfig, net, placement, params, root: str,
+                  day: int, audit: bool = False):
+    """Simulate one day, write its raw.csv, incidents.csv and spawns.csv
+    under root/day_NNN, and return (its day line, its RunResult).  Day
+    cfg.days is the held-out evaluation day.  With audit, every step is
+    audited and the day line gives the audit's counts."""
     inc_cfg = cfg.incident_config()
-    for day in range(n_days):
-        spawn_seed, inc_seed, sim_seed = _day_seeds(cfg.seed, day)
-        schedule = demand.spawn_schedule(
-            params, net, cfg.day_seconds, seed=spawn_seed,
-            bin_duration=cfg.bin_seconds,
-            entry_weights=cfg.entry_weights or None,
-            exit_weights=cfg.exit_weights or None)
-        plan = incidents.plan_incidents(schedule, inc_cfg, net, seed=inc_seed)
-        result = run(net, schedule, plan, placement,
-                     cfg.sim_config(sim_seed), incident_cfg=inc_cfg,
-                     audit=audit)
-        out = os.path.join(root, f"day_{day:03d}")
-        os.makedirs(out, exist_ok=True)
-        sensors.emit_raw(result.raw, result.incident_log,
-                         os.path.join(out, "raw.csv"),
-                         os.path.join(out, "incidents.csv"))
-        demand.write_schedule(schedule, os.path.join(out, "spawns.csv"))
-        report = result.audit
-        print(f"day {day:03d}: spawned={result.spawned} "
-              f"arrived={result.arrived} incidents={len(plan)}"
-              + (" [eval]" if day == cfg.days else "")
-              + (f" audit: checked_steps={report.checked_steps} "
-                 f"violations={len(report.violations)}" if audit else ""))
-        if audit and report.violations:
-            t, kind, detail = report.violations[0]
-            raise AuditFailed(f"day {day:03d}: first audit violation at "
-                              f"t={t}: {kind}: {detail}")
-        yield result.raw, result.incident_log
+    spawn_seed, inc_seed, sim_seed = _day_seeds(cfg.seed, day)
+    schedule = demand.spawn_schedule(
+        params, net, cfg.day_seconds, seed=spawn_seed,
+        bin_duration=cfg.bin_seconds,
+        entry_weights=cfg.entry_weights or None,
+        exit_weights=cfg.exit_weights or None)
+    plan = incidents.plan_incidents(schedule, inc_cfg, net, seed=inc_seed)
+    result = run(net, schedule, plan, placement, cfg.sim_config(sim_seed),
+                 incident_cfg=inc_cfg, audit=audit)
+    out = os.path.join(root, f"day_{day:03d}")
+    os.makedirs(out, exist_ok=True)
+    sensors.emit_raw(result.raw, result.incident_log,
+                     os.path.join(out, "raw.csv"),
+                     os.path.join(out, "incidents.csv"))
+    demand.write_schedule(schedule, os.path.join(out, "spawns.csv"))
+    line = (f"day {day:03d}: spawned={result.spawned} "
+            f"arrived={result.arrived} incidents={len(plan)}"
+            + (" [eval]" if day == cfg.days else ""))
+    if audit:
+        line += (f" audit: checked_steps={result.audit.checked_steps} "
+                 f"violations={len(result.audit.violations)}")
+    return line, result
 
 
 def _find_day_dirs(root: str) -> list:
@@ -181,13 +169,15 @@ def cmd_simulate(args) -> int:
     params = _demand_params(cfg)
     echo_config(cfg, cfg.out_dir)
     t0 = time.perf_counter()
-    try:
-        for _day in _simulate_days(cfg, net, placement, params, cfg.out_dir,
-                                   cfg.days, audit=args.audit):
-            pass  # the days are on disk; nothing is kept in memory
-    except AuditFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for day in range(cfg.days):
+        line, result = _simulate_day(cfg, net, placement, params,
+                                     cfg.out_dir, day, audit=args.audit)
+        print(line)
+        if args.audit and not result.audit.ok:
+            t, kind, detail = result.audit.violations[0]
+            print(f"error: day {day:03d}: first audit violation at t={t}: "
+                  f"{kind}: {detail}", file=sys.stderr)
+            return 1
     print(f"simulated {cfg.days} day(s) in "
           f"{time.perf_counter() - t0:.1f}s -> {cfg.out_dir}")
     return 0
@@ -270,9 +260,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_sparsity(args) -> int:
     cfg = load_config(args.config)
-    levels = [int(v) for v in args.sensors.split(",") if v.strip()]
-    if not levels or any(v < 1 for v in levels):
-        raise ConfigError("sensor counts must be positive integers")
+    try:
+        levels = [int(v) for v in args.sensors.split(",") if v.strip()]
+    except ValueError:
+        levels = []
+    if not levels or min(levels) < 1 or len(set(levels)) < len(levels):
+        raise ConfigError("--sensors takes distinct positive integers "
+                          f"separated by commas, not {args.sensors!r}")
     net = load_network(cfg.network_path())
     full = _sensor_ids(cfg, net)
     _placement(cfg, net, full)  # each configured sensor placeable, once
@@ -286,7 +280,11 @@ def cmd_sweep_sparsity(args) -> int:
     # one simulation pass at the widest level serves every subset level:
     # capture is passive, so narrower deployments are column filters
     widest = _placement(cfg, net, full[:max(levels)])
-    days = list(_simulate_days(cfg, net, widest, params, root, cfg.days + 1))
+    days = []
+    for day in range(cfg.days + 1):
+        line, result = _simulate_day(cfg, net, widest, params, root, day)
+        print(line)
+        days.append((result.raw, result.incident_log))
     lines = [metrics.report_csv_header(("n_sensors",))]
     for level in levels:
         ids = full[:level]

@@ -85,7 +85,6 @@ class RunResult:
     spawned: int
     arrived: int
     deferred_at_end: int
-    trace: list | None = None
     audit: AuditReport | None = None
 
 
@@ -176,10 +175,6 @@ class SimState:
     @property
     def deferred_count(self) -> int:
         return sum(len(q) for q in self.pending.values())
-
-    def iter_active_slots(self):
-        for q in self.queues:
-            yield from q
 
     def slots_on_segment(self, segment_id: str) -> list:
         return [slot for q in self.lane_queues[segment_id] for slot in q]
@@ -480,12 +475,12 @@ class Simulation:
 
 def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
         cfg: SimConfig | None = None, incident_cfg=None,
-        collect_trace: bool = False, audit: bool = False) -> RunResult:
+        audit: bool = False) -> RunResult:
     """Simulate the full horizon, capturing sensor readings each second.
 
     Returns the per-second raw dataset (None when placement is None) and
-    the ground-truth incident log, plus bookkeeping counters and the
-    optional trace/audit artifacts.  Fully deterministic in
+    the ground-truth incident log, plus bookkeeping counters and, with
+    audit, the audit report.  Fully deterministic in
     (schedule, incident_plan, cfg.seed, placement).
     """
     sim = Simulation(network, schedule, incident_plan, placement, cfg,
@@ -493,19 +488,12 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
     report = AuditReport() if audit else None
     builder = (None if sim.rig is None
                else RawDatasetBuilder(sim.rig.sensor_ids))
-    trace: list | None = [] if collect_trace else None
     st = sim.state
     for t in range(sim.horizon):
         sim.step(report)
         if builder is not None:
             builder.add_step(sim.rig.observe(st, t))
-        if trace is not None:
-            slots = list(st.iter_active_slots())
-            cols = ((st.cur_seg, np.int32), (st.pos, float), (st.speed, float))
-            trace.append((t, np.array(slots, dtype=np.intp)) + tuple(
-                np.array([c[s] for s in slots], dtype=d) for c, d in cols))
     raw = None if builder is None else builder.build(sim.horizon)
     return RunResult(raw=raw, incident_log=list(sim.incident_plan),
                      spawned=st.spawned, arrived=st.arrived,
-                     deferred_at_end=st.deferred_count,
-                     trace=trace, audit=report)
+                     deferred_at_end=st.deferred_count, audit=report)

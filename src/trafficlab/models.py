@@ -637,18 +637,26 @@ def _ens_from_jsonable(d, role: Role, config: TreeEnsembleConfig,
 
 def save_model(model: EnsembleModel, path) -> None:
     """The schema, class lists and training config (the detector's, less
-    objective) once, then each sub-model's base score and trees, or null."""
+    objective) once, then each sub-model's base score and trees, or null.
+    A head fitted under other settings than the detector's is refused, as
+    the file could not give them back."""
     cfg = model.detector.config
+    config = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__
+              if f != "objective"}
     doc = {"format": MODEL_FORMAT,
            "threshold": model.threshold,
            "feature_names": model.feature_names,
            "schema_hash": model.schema_hash,
            "road_classes": model.road_classes,
            "severity_classes": model.severity_classes,
-           "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__
-                      if f != "objective"}}
+           "config": config}
     for role in ROLES:
         ens = getattr(model, role.name)
+        differ = [] if ens is None else [
+            f for f in config if getattr(ens.config, f) != config[f]]
+        if differ:
+            raise ModelError(f"{role.name} was fitted with other settings "
+                             f"than the detector: {', '.join(differ)}")
         doc[role.name] = None if ens is None else {
             "base_score": ens.base_score.tolist(),
             "trees": [t.to_jsonable() for t in ens.trees]}

@@ -354,10 +354,12 @@ def _closure(start, neighbours) -> set:
     return seen
 
 
-def _reachable(net: RoadNetwork, start: str) -> set:
-    """Nodes reachable from start along segment directions."""
-    return _closure(start, lambda node: [net.segments[sid].to_node
-                                         for sid in net.outgoing(node)])
+def _reachable(net: RoadNetwork, start: str, stop=frozenset()) -> set:
+    """Nodes reachable from start along segment directions; a node of stop
+    other than start is reached but not passed."""
+    return _closure(start, lambda node: (
+        () if node != start and node in stop
+        else [net.segments[sid].to_node for sid in net.outgoing(node)]))
 
 
 def contiguous_sensor_pairs(net: RoadNetwork, placement: SensorPlacement) -> list:
@@ -365,26 +367,8 @@ def contiguous_sensor_pairs(net: RoadNetwork, placement: SensorPlacement) -> lis
     intermediate nodes are all unsensored.  Sorted by (a, b)."""
     validate_placement(net, placement)
     sensors = set(placement.sensor_ids)
-    pairs = set()
-    for a in placement.sensor_ids:
-        seen = set()
-        stack = []
-        for sid in net.outgoing(a):
-            stack.append(net.segments[sid].to_node)
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if cur in sensors:
-                if cur != a:
-                    pairs.add((a, cur))
-                continue  # a sensor node blocks further contiguity
-            for sid in net.outgoing(cur):
-                nxt = net.segments[sid].to_node
-                if nxt not in seen:
-                    stack.append(nxt)
-    return sorted(pairs)
+    return sorted((a, b) for a in placement.sensor_ids
+                  for b in _reachable(net, a, sensors) & sensors if b != a)
 
 
 def shortest_route(net: RoadNetwork, origin: str, destination: str) -> tuple:

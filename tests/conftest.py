@@ -5,12 +5,14 @@ Index:
   signal_line_net line with one signalized middle junction
   grid_net        bundled 4x4 signalized grid
   flat_params     constant-rate flow curve for quick schedules
+  traced_run      microsim.run plus the per-second state of every vehicle
 """
 import zlib
 
 import numpy as np
 import pytest
 
+from trafficlab import microsim
 from trafficlab.demand import FlowModelParams
 from trafficlab.roadnet import (Node, RoadNetwork, Segment, SignalPhase,
                                 load_network, validate_network)
@@ -89,3 +91,29 @@ def flat_params():
 def rng_for(name: str, k: int = 0) -> np.random.Generator:
     # crc32, not hash(): string hashing is salted per interpreter run
     return np.random.default_rng(zlib.crc32(f"{name}:{k}".encode()))
+
+
+def traced_run(*args, **kwargs):
+    """(microsim.run(*args, **kwargs), its trace).  The trace holds one
+    (t, slots, segs, pos, speed) tuple per second, recorded after the step:
+    arrays over every queued vehicle, queues in index order and each front
+    to back.  For the length of the call microsim.Simulation is a subclass
+    that records the state after each step, so the run itself is the real
+    one."""
+    trace = []
+
+    class Recording(microsim.Simulation):
+        def step(self, audit=None):
+            super().step(audit)
+            st = self.state
+            slots = [slot for q in st.queues for slot in q]
+            cols = ((st.cur_seg, np.int32), (st.pos, float), (st.speed, float))
+            trace.append((st.time - 1, np.array(slots, dtype=np.intp)) + tuple(
+                np.array([c[s] for s in slots], dtype=d) for c, d in cols))
+
+    original = microsim.Simulation
+    microsim.Simulation = Recording
+    try:
+        return microsim.run(*args, **kwargs), trace
+    finally:
+        microsim.Simulation = original

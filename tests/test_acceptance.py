@@ -43,7 +43,7 @@ from trafficlab.roadnet import (SensorPlacement, contiguous_sensor_pairs,
 from trafficlab.sensors import emit_raw
 from trafficlab.validate import ks_two_sample
 
-from conftest import make_line_net, rng_for
+from conftest import make_line_net, rng_for, traced_run
 from test_features import raw_from_sightings
 from test_incidents import spec_of
 from test_metrics import hit, pairwise_auc
@@ -212,10 +212,9 @@ def test_criterion_04_incident_mechanics():
         sched = spawn_schedule(flat_rate(0.12), net, 2400.0, seed=seed,
                                bin_duration=900.0)
         plan = plan_incidents(sched, icfg, net, seed=seed + 1000)
-        res = run(net, sched, plan, None, SimConfig(seed=seed),
-                  incident_cfg=icfg, collect_trace=True)
-        twin = run(net, sched, None, None, SimConfig(seed=seed),
-                   collect_trace=True)
+        res, trace = traced_run(net, sched, plan, None, SimConfig(seed=seed),
+                                incident_cfg=icfg)
+        _, twin = traced_run(net, sched, None, None, SimConfig(seed=seed))
         assert res.incident_log
         for spec in res.incident_log:
             n_incidents += 1
@@ -225,11 +224,11 @@ def test_criterion_04_incident_mechanics():
             # halting: designation happens before movement at onset, so the
             # pool is the segment population one step earlier
             assert spec.onset >= 1
-            _, _, segs0, _, _ = res.trace[spec.onset - 1]
+            _, _, segs0, _, _ = trace[spec.onset - 1]
             expected = min(spec.n_vehicles, int(np.sum(segs0 == si)))
             frozen = None
             for t in steps:
-                _, slots, segs, _pos, speed = res.trace[t]
+                _, slots, segs, _pos, speed = trace[t]
                 stopped = {int(slots[i]) for i in range(len(slots))
                            if segs[i] == si and speed[i] == 0.0}
                 frozen = stopped if frozen is None else frozen & stopped
@@ -240,10 +239,10 @@ def test_criterion_04_incident_mechanics():
             for sid, lo, hi in compute_impact_zones(net, spec):
                 zones.setdefault(seg_index[sid], []).append((lo, hi))
 
-            def zone_speeds(result):
+            def zone_speeds(day_trace):
                 vals = []
                 for t in steps:
-                    _, _slots, segs, pos, speed = result.trace[t]
+                    _, _slots, segs, pos, speed = day_trace[t]
                     for i in range(len(segs)):
                         for lo, hi in zones.get(int(segs[i]), ()):
                             if lo <= pos[i] <= hi:
@@ -251,7 +250,7 @@ def test_criterion_04_incident_mechanics():
                                 break
                 return vals
 
-            with_inc, without = zone_speeds(res), zone_speeds(twin)
+            with_inc, without = zone_speeds(trace), zone_speeds(twin)
             assert with_inc and without, "zone never saw traffic"
             slower += float(np.mean(with_inc)) < float(np.mean(without))
     assert n_incidents >= 10
@@ -271,13 +270,13 @@ def test_criterion_05_feature_oracles():
     sched = spawn_schedule(flat_rate(0.08, 100.0), net, 500.0, seed=77,
                            bin_duration=100.0)
     placement = SensorPlacement(("a1", "a2"), range_m=60.0)
-    res = run(net, sched, placement=placement, cfg=SimConfig(seed=77),
-              collect_trace=True)
+    res, trace = traced_run(net, sched, placement=placement,
+                            cfg=SimConfig(seed=77))
     pairs = contiguous_sensor_pairs(net, placement)
     recs = reidentify_travel_times(res.raw, pairs)
     want = []
     for slot in range(res.spawned):
-        tr = linear_trace(res, slot, 200.0)
+        tr = linear_trace(trace, slot, 200.0)
         near_a1 = [t for t, (lin, _v) in tr.items() if abs(lin - 200) <= 60]
         near_a2 = [t for t, (lin, _v) in tr.items() if abs(lin - 400) <= 60]
         if near_a1 and near_a2:

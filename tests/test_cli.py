@@ -6,9 +6,9 @@ Index:
               train, evaluate, sweep-sparsity (on the line network and on
               highway8, where a level equals the staged commands); the
               benchmark's tracers around simulate
-  errors      exit code 2 on module errors, undecodable input files,
-              malformed sub-models, argparse usage failures; the exact
-              option surface of every subcommand
+  errors      exit code 2 on module errors, bad --sensors lists,
+              undecodable input files, malformed sub-models, argparse
+              usage failures; the exact option surface of every subcommand
 """
 import argparse
 import contextlib
@@ -333,9 +333,12 @@ def test_train_and_evaluate_commands(tmp_path, capsys):
         table.label_incident, table.label_road, table.label_severity)
     alien_path = str(tmp_path / "alien.csv")
     features.write_feature_table(alien, alien_path)
+    capsys.readouterr()
     rc = main(["evaluate", "--model", model_path, "--features", alien_path,
                "--out", report_path, "--config", cfg])
     assert rc == 2
+    assert one_error_line(capsys) == (
+        "error: model and feature table schemas differ\n")
 
     with open(model_path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -588,6 +591,20 @@ def test_module_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "f.csv"),
                  "--config", write_yaml(tmp_path / "defaults.yaml", {})]) == 2
     assert "no day_NNN directories" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("levels", ["a", "1.5", "0", ",", "3,3"])
+def test_sweep_rejects_a_bad_sensors_list(tmp_path, capsys, levels):
+    """A level that is not a positive integer, an empty list or a level
+    listed twice exits 2 with one error line naming --sensors, before any
+    day is simulated."""
+    cfg_path = line_experiment(tmp_path)
+    assert main(["sweep-sparsity", "--config", cfg_path,
+                 "--sensors", levels]) == 2
+    assert one_error_line(capsys) == (
+        "error: --sensors takes distinct positive integers separated by "
+        f"commas, not {levels!r}\n")
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_config_keys_that_take_no_effect_exit_2(tmp_path, capsys):

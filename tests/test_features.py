@@ -26,7 +26,7 @@ from trafficlab.microsim import SimConfig, run
 from trafficlab.roadnet import SensorPlacement, contiguous_sensor_pairs
 from trafficlab.sensors import RawDataset, emit_raw, load_raw
 
-from conftest import make_line_net, rng_for
+from conftest import make_line_net, rng_for, traced_run
 from test_incidents import spec_of
 from test_microsim import linear_trace
 
@@ -92,8 +92,8 @@ def test_reidentify_matches_trajectory_replay():
     flat = FlowModelParams(0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 8.0)
     sched = spawn_schedule(flat, net, 500.0, seed=3, bin_duration=100.0)
     placement = SensorPlacement(("a1", "a2"), range_m=60.0)
-    res = run(net, sched, placement=placement, cfg=SimConfig(seed=3),
-              collect_trace=True)
+    res, trace = traced_run(net, sched, placement=placement,
+                            cfg=SimConfig(seed=3))
     pairs = contiguous_sensor_pairs(net, placement)
     assert pairs == [("a1", "a2")]
     recs = reidentify_travel_times(res.raw, pairs)
@@ -103,7 +103,7 @@ def test_reidentify_matches_trajectory_replay():
     # vehicle is in range within 60 m of a node (segments exceed the range)
     want = []
     for slot in range(res.spawned):
-        tr = linear_trace(res, slot, 200.0)
+        tr = linear_trace(trace, slot, 200.0)
         near_a1 = [t for t, (lin, _v) in tr.items() if abs(lin - 200) <= 60]
         near_a2 = [t for t, (lin, _v) in tr.items() if abs(lin - 400) <= 60]
         if not near_a1 or not near_a2:

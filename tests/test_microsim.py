@@ -24,13 +24,13 @@ from trafficlab.incidents import (IncidentSpec, IncidentType,
                                   activate, apply_effects,
                                   compute_impact_zones, plan_incidents,
                                   release_vehicles)
-from trafficlab.microsim import (AuditReport, RunResult, SimConfig, SimError,
+from trafficlab.microsim import (AuditReport, SimConfig, SimError,
                                  Simulation, run)
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import SensorPlacement, load_network
 from trafficlab.sensors import SensorReading
 
-from conftest import make_line_net, make_signal_line_net
+from conftest import make_line_net, make_signal_line_net, traced_run
 from test_kernels import vector_follow_speeds
 
 NO_NOISE = dict(driver_imperfection=0.0)
@@ -41,11 +41,12 @@ def one_spawn(t, entry, exit_, horizon):
                          float(horizon))
 
 
-def linear_trace(result: RunResult, slot: int, seg_length: float):
-    """Per-step (linear position, speed) for one vehicle, segment offsets
-    unrolled onto the route axis; entries stop at arrival."""
+def linear_trace(trace: list, slot: int, seg_length: float):
+    """Per-step (linear position, speed) for one vehicle of a traced_run
+    trace, segment offsets unrolled onto the route axis; entries stop at
+    arrival."""
     out = {}
-    for t, slots, segs, pos, speed in result.trace:
+    for t, slots, segs, pos, speed in trace:
         where = np.nonzero(slots == slot)[0]
         if where.size:
             i = int(where[0])
@@ -71,8 +72,8 @@ def test_config_validation():
 def test_free_run_matches_closed_form_oracle():
     net = make_line_net()  # 3 x 200 m, limit 10
     cfg = SimConfig(**NO_NOISE)
-    res = run(net, one_spawn(0, "a0", "a3", 120), cfg=cfg,
-              collect_trace=True, audit=True)
+    res, trace = traced_run(net, one_spawn(0, "a0", "a3", 120), cfg=cfg,
+                            audit=True)
     assert res.audit.ok
     assert res.spawned == 1 and res.arrived == 1
 
@@ -88,7 +89,7 @@ def test_free_run_matches_closed_form_oracle():
         want[t] = (lin, v)
         t += 1
 
-    got = linear_trace(res, 0, 200.0)
+    got = linear_trace(trace, 0, 200.0)
     assert sorted(got) == sorted(want)
     for step, (lin, v) in want.items():
         assert got[step][0] == pytest.approx(lin, abs=1e-9)
@@ -98,13 +99,13 @@ def test_free_run_matches_closed_form_oracle():
 def test_platoon_preserves_spawn_order_and_gaps():
     net = make_line_net()
     events = tuple(SpawnEvent(float(3 * i), "a0", "a3") for i in range(6))
-    res = run(net, SpawnSchedule(events, 200.0), cfg=SimConfig(**NO_NOISE),
-              collect_trace=True, audit=True)
+    res, trace = traced_run(net, SpawnSchedule(events, 200.0),
+                            cfg=SimConfig(**NO_NOISE), audit=True)
     assert res.audit.ok
     assert res.arrived == 6
     # single-lane line, no overtaking: within each segment the front-to-back
     # listing must be ascending spawn order with descending positions
-    for _t, slots, segs, pos, _speed in res.trace:
+    for _t, slots, segs, pos, _speed in trace:
         for seg in np.unique(segs):
             member = segs == seg
             assert np.array_equal(slots[member], np.sort(slots[member]))
@@ -114,8 +115,8 @@ def test_platoon_preserves_spawn_order_and_gaps():
 # -- signals -------------------------------------------------------------------
 
 
-def first_step_on(res: RunResult, slot: int, seg_idx: int):
-    for t, slots, segs, _pos, _speed in res.trace:
+def first_step_on(trace: list, slot: int, seg_idx: int):
+    for t, slots, segs, _pos, _speed in trace:
         where = np.nonzero(slots == slot)[0]
         if where.size and segs[int(where[0])] == seg_idx:
             return t
@@ -125,13 +126,13 @@ def first_step_on(res: RunResult, slot: int, seg_idx: int):
 def test_vehicle_holds_at_red_then_crosses_on_green():
     net = make_signal_line_net()  # phase 0 greens s0 for 30 s, then x0 for 30
     seg_ids = sorted(net.segments)  # -> ["s0", "s1", "x0"]
-    res = run(net, one_spawn(15, "a0", "a2", 150), cfg=SimConfig(**NO_NOISE),
-              collect_trace=True, audit=True)
+    res, trace = traced_run(net, one_spawn(15, "a0", "a2", 150),
+                            cfg=SimConfig(**NO_NOISE), audit=True)
     assert res.audit.ok
     assert res.arrived == 1
-    tr = linear_trace(res, 0, 200.0)
+    tr = linear_trace(trace, 0, 200.0)
 
-    crossed = first_step_on(res, 0, seg_ids.index("s1"))
+    crossed = first_step_on(trace, 0, seg_ids.index("s1"))
     assert crossed is not None and crossed >= 60  # red during [30, 60)
     for t in range(45, 60):
         lin, v = tr[t]
@@ -142,10 +143,10 @@ def test_vehicle_holds_at_red_then_crosses_on_green():
 def test_cross_street_released_by_its_own_phase():
     net = make_signal_line_net()
     seg_ids = sorted(net.segments)
-    res = run(net, one_spawn(0, "b0", "a2", 120), cfg=SimConfig(**NO_NOISE),
-              collect_trace=True, audit=True)
+    res, trace = traced_run(net, one_spawn(0, "b0", "a2", 120),
+                            cfg=SimConfig(**NO_NOISE), audit=True)
     assert res.audit.ok
-    crossed = first_step_on(res, 0, seg_ids.index("s1"))
+    crossed = first_step_on(trace, 0, seg_ids.index("s1"))
     assert crossed is not None
     assert 30 <= crossed <= 36  # x0 is red until its phase starts at t=30
 
@@ -158,12 +159,12 @@ def test_run_is_deterministic(flat_params):
     sched = spawn_schedule(flat_params, net, 600.0, seed=5,
                            bin_duration=100.0)
     placement = SensorPlacement(("a1", "a2"), range_m=60.0)
-    kw = dict(placement=placement, cfg=SimConfig(seed=9), collect_trace=True)
-    a = run(net, sched, **kw)
-    b = run(net, sched, **kw)
+    kw = dict(placement=placement, cfg=SimConfig(seed=9))
+    a, trace_a = traced_run(net, sched, **kw)
+    b, trace_b = traced_run(net, sched, **kw)
     assert a.raw.data_equal(b.raw)
     assert (a.spawned, a.arrived) == (b.spawned, b.arrived)
-    for (ta, sa, ga, pa, va), (tb, sb, gb, pb, vb) in zip(a.trace, b.trace):
+    for (ta, sa, ga, pa, va), (tb, sb, gb, pb, vb) in zip(trace_a, trace_b):
         assert ta == tb
         assert np.array_equal(sa, sb) and np.array_equal(ga, gb)
         assert np.array_equal(pa, pb) and np.array_equal(va, vb)
@@ -283,11 +284,12 @@ def stall(onset, duration, seg, offset, radius):
 def test_designated_vehicle_halts_and_resumes():
     net = make_line_net()
     spec = stall(onset=25, duration=40, seg="s1", offset=100.0, radius=50.0)
-    res = run(net, one_spawn(0, "a0", "a3", 200), incident_plan=[spec],
-              cfg=SimConfig(**NO_NOISE), collect_trace=True, audit=True)
+    res, trace = traced_run(net, one_spawn(0, "a0", "a3", 200),
+                            incident_plan=[spec], cfg=SimConfig(**NO_NOISE),
+                            audit=True)
     assert res.audit.ok
     assert res.arrived == 1
-    tr = linear_trace(res, 0, 200.0)
+    tr = linear_trace(trace, 0, 200.0)
 
     # full stop through the incident window, frozen in place
     frozen = [tr[t] for t in range(30, spec.end)]
@@ -296,8 +298,8 @@ def test_designated_vehicle_halts_and_resumes():
     # moving again shortly after release, and still finishing the route
     assert tr[spec.end + 3][1] > 0.0
     slower = max(tr)  # last step the vehicle is active
-    no_incident = run(net, one_spawn(0, "a0", "a3", 200),
-                      cfg=SimConfig(**NO_NOISE), collect_trace=True)
+    _, no_incident = traced_run(net, one_spawn(0, "a0", "a3", 200),
+                                cfg=SimConfig(**NO_NOISE))
     assert slower > max(linear_trace(no_incident, 0, 200.0))
 
 
@@ -306,16 +308,16 @@ def test_phantom_incident_caps_zone_speed():
     # nobody is on s1 at onset, so nothing halts; the zone spans all of s1
     spec = stall(onset=10, duration=80, seg="s1", offset=100.0, radius=100.0)
     cfg = IncidentPlanConfig(slowdown_factor=0.3)
-    res = run(net, one_spawn(0, "a0", "a3", 200), incident_plan=[spec],
-              cfg=SimConfig(**NO_NOISE), incident_cfg=cfg,
-              collect_trace=True, audit=True)
+    res, trace = traced_run(net, one_spawn(0, "a0", "a3", 200),
+                            incident_plan=[spec], cfg=SimConfig(**NO_NOISE),
+                            incident_cfg=cfg, audit=True)
     assert res.audit.ok
     assert res.arrived == 1
     cap = 0.3 * 10.0
 
     free_speeds = []
     zone_speeds = []
-    for t, slots, segs, pos, speed in res.trace:
+    for t, slots, segs, pos, speed in trace:
         if not slots.size:
             continue
         seg = sorted(net.segments)[segs[0]] if segs[0] >= 0 else None
@@ -328,9 +330,10 @@ def test_phantom_incident_caps_zone_speed():
     settled = [v for t, v in zone_speeds if t >= zone_speeds[0][0] + 2]
     assert settled and max(settled) <= cap + 1e-9
 
-    twin = run(net, one_spawn(0, "a0", "a3", 200),
-               cfg=SimConfig(**NO_NOISE), collect_trace=True)
-    assert max(linear_trace(res, 0, 200.0)) > max(linear_trace(twin, 0, 200.0))
+    _, twin = traced_run(net, one_spawn(0, "a0", "a3", 200),
+                         cfg=SimConfig(**NO_NOISE))
+    assert (max(linear_trace(trace, 0, 200.0))
+            > max(linear_trace(twin, 0, 200.0)))
 
 
 def test_incident_plan_validation():
@@ -401,7 +404,7 @@ def loop_apply_effects(state, specs, cfg, seg_ids):
             cap = cfg.slowdown_factor * net.segments[sid].speed_limit
             zone_map.setdefault(sid, []).append((lo, hi, cap))
     active_ids = {spec.id for spec in specs}
-    for slot in state.iter_active_slots():
+    for slot in (s for q in state.queues for s in q):
         if state.halted_by[slot] in active_ids:
             caps[slot] = 0.0
             continue

@@ -964,7 +964,8 @@ def test_saved_text_equals_pure_python_encoder(tmp_path):
     ens = train_tree_ensemble(X, y, small_cfg(n_trees=6,
                                               objective="multiclass"),
                               names(3))
-    det = train_tree_ensemble(X, (y > 0).astype(int), small_cfg(), names(3))
+    det = train_tree_ensemble(X, (y > 0).astype(int), small_cfg(n_trees=6),
+                              names(3))
     model = EnsembleModel(det, ens, None, ["a_rd", "b_rd", "c_rd"],
                           ["minor"], 0.5, names(3))
     path = tmp_path / "model.json"
@@ -974,6 +975,25 @@ def test_saved_text_equals_pure_python_encoder(tmp_path):
     json.dump(json.loads(text), buf)
     buf.write("\n")
     assert text == buf.getvalue()
+
+
+def test_save_rejects_a_head_fitted_under_other_settings(tmp_path):
+    """model.json states one training config, the detector's; a head
+    fitted under other settings would load back with changed ones, so
+    save_model names the head and the fields that differ, and writes no
+    file."""
+    table = gated_table(seed=4)
+    model = train_incident_ensemble(table, small_cfg(n_trees=4))
+    inc = table.label_incident
+    roads = [r for r in table.label_road if r is not None]
+    y = np.array([sorted(set(roads)).index(r) for r in roads])
+    other = small_cfg(n_trees=3, learning_rate=0.2, objective="multiclass")
+    model.localizer = train_tree_ensemble(table.X[inc], y, other, names(3))
+    path = tmp_path / "model.json"
+    with pytest.raises(ModelError, match=r"^localizer was fitted with other "
+                       r"settings than the detector: n_trees, learning_rate$"):
+        save_model(model, path)
+    assert not path.exists()
 
 
 def test_load_rejects_other_files(tmp_path):
