@@ -8,6 +8,10 @@ echoed into each output directory, so a run is reproducible from config
 plus seed.  Day-level randomness derives from (seed, day index) so days
 are independent and a later day does not shift an earlier one.
 
+The demand curve has one source: simulate, validate and sweep-sparsity
+each fit it from the counts (the config's, or validate's --counts), whose
+bins must be bin_seconds long.  fit-demand fits and prints it, to inspect.
+
 One function, `_simulate_day`, simulates and writes each day of simulate
 and sweep-sparsity and returns its day line and run result.  One training
 step, `_train`, fits the model of train and of every sweep level.
@@ -17,6 +21,7 @@ them, from tables built in memory, once per level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import os
 import sys
@@ -57,9 +62,14 @@ def _fit_counts(path: str):
 
 
 def _demand_params(cfg: ExperimentConfig) -> demand.FlowModelParams:
-    if cfg.demand_params:
-        return demand.read_params(cfg.demand_params)
-    return _fit_counts(cfg.counts_path())[2]
+    """The flow curve fitted to the config's counts.  It gives vehicles per
+    counts bin, so cfg.bin_seconds must be the bin of the counts."""
+    path = cfg.counts_path()
+    _series, avg, params = _fit_counts(path)
+    if avg.bin_duration != cfg.bin_seconds:
+        raise ConfigError(f"bin_seconds is {cfg.bin_seconds}, but {path} "
+                          f"counts {avg.bin_duration:g}-s bins")
+    return params
 
 
 def _day_seeds(seed: int, day: int):
@@ -154,11 +164,10 @@ def _print_report(rep: metrics.EvalReport) -> None:
 
 def cmd_fit_demand(args) -> int:
     series, avg, params = _fit_counts(args.counts)
-    demand.write_params(params, args.out)
     print(f"fit {len(series)} roads x {len(avg.counts)} bins "
           f"(bin={avg.bin_duration:g}s)")
-    print(f"fit_rmse={params.fit_rmse!r} alpha_sigma={params.alpha_sigma!r}")
-    print(f"params written to {args.out}")
+    print(" ".join(f"{f.name}={float(getattr(params, f.name))!r}"
+                   for f in dataclasses.fields(params)))
     return 0
 
 
@@ -193,6 +202,17 @@ def _load_placed_raw(path: str, placement) -> sensors.RawDataset:
     return raw
 
 
+def _load_network_log(path: str, net) -> list:
+    """A day's incident log, each incident on a segment of the network."""
+    log = incidents.read_incident_log(path)
+    for spec in log:
+        if spec.segment_id not in net.segments:
+            raise ConfigError(f"{path}: incident {spec.id} is on segment "
+                              f"{spec.segment_id!r}, which the network "
+                              "lacks")
+    return log
+
+
 def cmd_extract_features(args) -> int:
     cfg = load_config(args.config)
     net = load_network(cfg.network_path())
@@ -201,7 +221,7 @@ def cmd_extract_features(args) -> int:
     table = features.concat_tables([
         _table(cfg, net, placement,
                _load_placed_raw(os.path.join(dd, "raw.csv"), placement),
-               incidents.read_incident_log(os.path.join(dd, "incidents.csv")))
+               _load_network_log(os.path.join(dd, "incidents.csv"), net))
         for dd in day_dirs])
     features.write_feature_table(table, args.out)
     n_pos = int(table.label_incident.sum())
@@ -273,9 +293,9 @@ def cmd_sweep_sparsity(args) -> int:
     if max(levels) > len(full):
         raise ConfigError(f"level {max(levels)} exceeds the {len(full)} "
                           "available sensor sites")
+    params = _demand_params(cfg)
     root = os.path.join(cfg.out_dir, "sweep")
     echo_config(cfg, root)
-    params = _demand_params(cfg)
 
     # one simulation pass at the widest level serves every subset level:
     # capture is passive, so narrower deployments are column filters
@@ -325,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("fit-demand",
                        help="fit the two-sinusoid flow curve to counts")
     q.add_argument("--counts", required=True)
-    q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_fit_demand)
 
     q = sub.add_parser("simulate", help="generate per-day raw datasets")

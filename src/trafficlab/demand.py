@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import read_csv, read_key_values, roadnet
+from . import read_csv, roadnet
 
 
 class DemandError(ValueError):
@@ -320,7 +320,14 @@ def spawn_schedule(params: FlowModelParams, network, horizon: float, seed,
 
 def _od_tables(network, entry_weights, exit_weights):
     """Entries with their draw probabilities and, per entry, the reachable
-    exit list (self excluded) with renormalized probabilities."""
+    exit list (self excluded) with renormalized probabilities.  A weight
+    for a node that is not an entry (or exit) of the network is an error."""
+    for kind, weights, nodes in (("entry", entry_weights, network.entry_nodes),
+                                 ("exit", exit_weights, network.exit_nodes)):
+        unknown = sorted(set(weights or ()) - set(nodes))
+        if unknown:
+            raise DemandError(f"{kind}_weights names {', '.join(unknown)}, "
+                              f"not {kind} node(s) of the network")
     all_exits = list(network.exit_nodes)
     entries = []
     exits_per_entry = []
@@ -347,29 +354,6 @@ def _weight(weights, node_id: str) -> float:
     if weights is None:
         return 1.0
     return float(weights.get(node_id, 0.0))
-
-
-def write_params(params: FlowModelParams, path) -> None:
-    fields = ["a1", "b1", "c1", "a2", "b2", "c2", "d",
-              "alpha_sigma", "fit_rmse"]
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in fields:
-            fh.write(f"{name}={float(getattr(params, name))!r}\n")
-
-
-def read_params(path) -> FlowModelParams:
-    values = read_key_values(path, DemandError, _finite)
-    try:
-        return FlowModelParams(**values)
-    except TypeError as exc:
-        raise DemandError(f"{path}: {exc}") from exc
-
-
-def _finite(key: str, text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{key} is not finite: {text!r}")
-    return value
 
 
 SCHEDULE_HEADER = "time_s,entry,exit"

@@ -44,7 +44,6 @@ class ExperimentConfig:
     sensor_range_m: float = 50.0
     staleness_s: float = 1800.0
     threshold: float = 0.5
-    demand_params: str | None = None  # pre-fit params file, skips fitting
     window: dict = field(default_factory=dict)
     incidents: dict = field(default_factory=dict)
     sim: dict = field(default_factory=dict)
@@ -63,6 +62,11 @@ class ExperimentConfig:
             raise ConfigError("staleness_s must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
+        if self.sensors is not None and not (
+                isinstance(self.sensors, list)
+                and all(isinstance(s, str) for s in self.sensors)):
+            raise ConfigError("sensors must be a list of node ids, not "
+                              f"{self.sensors!r}")
         _check_keys(self.window, set(_WINDOW_KEYS), "window")
         _check_keys(self.incidents,
                     set(IncidentPlanConfig.__dataclass_fields__), "incidents")

@@ -195,6 +195,11 @@ def evaluate_predictions(table, predictions, incident_log=None,
                      precision(cc), f1_score(cc), auc_roc(truth, scores),
                      road_acc, sev_acc)
     if incident_log is not None:
+        # an incident log covers one day; a table of several days repeats
+        # each window end, and would credit an event with another day's flag
+        if np.any(np.diff(table.window_end) <= 0):
+            raise MetricsError("event metrics need a one-day table, whose "
+                               "window ends increase strictly")
         outcomes = event_detections(predictions, incident_log, grace_s)
         rep.n_events = len(outcomes)
         rep.events_detected = sum(o.detected for o in outcomes)

@@ -682,9 +682,11 @@ def load_model(path) -> EnsembleModel:
         classes = {h.what: list(doc[f"{h.what}_classes"]) for h in HEADS}
         subs = [_ens_from_jsonable(doc[r.name], r, config, names,
                                    classes.get(r.what)) for r in ROLES]
+        threshold = float(doc["threshold"])
+        if not 0.0 < threshold < 1.0:  # NaN included
+            raise ModelError(f"threshold {threshold!r} does not lie in (0, 1)")
         return EnsembleModel(*subs, classes["road"], classes["severity"],
-                             float(doc["threshold"]), names,
-                             doc["schema_hash"])
+                             threshold, names, doc["schema_hash"])
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None
     except KeyError as exc:

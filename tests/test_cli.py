@@ -7,8 +7,11 @@ Index:
               highway8, where a level equals the staged commands); the
               benchmark's tracers around simulate
   errors      exit code 2 on module errors, bad --sensors lists,
-              undecodable input files, malformed sub-models, argparse
-              usage failures; the exact option surface of every subcommand
+              undecodable input files, malformed sub-models, a bin_seconds
+              other than the counts', incidents off the network, weights
+              and sensors that name no usable node, event scoring of a
+              multi-day table, argparse usage failures; the exact option
+              surface of every subcommand
 """
 import argparse
 import contextlib
@@ -24,7 +27,7 @@ import pytest
 import yaml
 
 from trafficlab import demand, features, incidents, microsim, sensors
-from trafficlab.cli import build_parser, main
+from trafficlab.cli import _fit_counts, build_parser, main
 from trafficlab.expconfig import (ConfigError, ExperimentConfig, echo_config,
                                   load_config)
 from trafficlab.metrics import MetricsError, read_report
@@ -163,7 +166,6 @@ def test_echo_round_trip(tmp_path):
     # every section set, so the echo never writes a key load_config rejects
     cfg = load_config(line_experiment(
         tmp_path, seed=3, threshold=0.4, staleness_s=900.0,
-        demand_params=str(tmp_path / "params.txt"),
         sim={"accel": 2.0, "decel": 4.0, "driver_imperfection": 0.2,
              "min_gap": 2.0, "vehicle_length": 4.5},
         model={"n_trees": 30, "max_depth": 3, "learning_rate": 0.2,
@@ -179,15 +181,20 @@ def test_echo_round_trip(tmp_path):
 # -- commands -----------------------------------------------------------------
 
 
-def test_fit_demand_command(tmp_path, capsys):
-    out = str(tmp_path / "params.csv")
-    rc = main(["fit-demand", "--counts", str(bundled_path("city_counts.csv")),
-               "--out", out])
-    assert rc == 0
-    params = demand.read_params(out)
+def test_fit_demand_command(capsys):
+    """fit-demand prints the fitted curve on one line, each value the
+    repr of the float the pipeline fits."""
+    counts = str(bundled_path("city_counts.csv"))
+    assert main(["fit-demand", "--counts", counts]) == 0
+    head, line = capsys.readouterr().out.splitlines()
+    assert head == "fit 12 roads x 96 bins (bin=900s)"
+    params = _fit_counts(counts)[2]
     assert params.fit_rmse > 0.0
-    text = capsys.readouterr().out
-    assert "fit_rmse=" in text and "96 bins" in text
+    assert line == " ".join(
+        f"{key}={float(getattr(params, key))!r}"
+        for key in ("a1", "b1", "c1", "a2", "b2", "c2", "d",
+                    "alpha_sigma", "fit_rmse"))
+    assert "np.float64" not in line
 
 
 @pytest.fixture(scope="module")
@@ -281,30 +288,6 @@ def test_validate_command(sim_run, capsys):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
     text = capsys.readouterr().out
     assert "day 000: ks=" in text
-
-
-def test_validate_takes_the_configured_demand_curve(sim_run, tmp_path):
-    """With demand_params set, validate checks against that curve and not
-    a refit of --counts."""
-    tmp, cfg_path, out_dir = sim_run
-    counts_a = str(tmp / "counts.csv")
-    counts_b = write_counts_csv(tmp_path / "counts_b.csv", scale=3.0)
-    params = str(tmp_path / "params.csv")
-    assert main(["fit-demand", "--counts", counts_a, "--out", params]) == 0
-    with open(cfg_path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    cfg_params = write_yaml(tmp_path / "with_params.yaml",
-                            dict(doc, demand_params=params))
-
-    def report(cfg, counts, name):
-        out = str(tmp_path / name)
-        assert main(["validate", "--raw", out_dir, "--counts", counts,
-                     "--out", out, "--config", cfg]) == 0
-        return open(out, encoding="utf-8").read()
-
-    from_params = report(cfg_params, counts_b, "params.csv.out")
-    assert from_params == report(cfg_path, counts_a, "a.csv.out")
-    assert from_params != report(cfg_path, counts_b, "b.csv.out")
 
 
 def test_train_and_evaluate_commands(tmp_path, capsys):
@@ -561,8 +544,7 @@ def one_error_line(capsys) -> str:
 
 
 def test_module_errors_exit_2(tmp_path, capsys):
-    rc = main(["fit-demand", "--counts", str(tmp_path / "missing.csv"),
-               "--out", str(tmp_path / "p.csv")])
+    rc = main(["fit-demand", "--counts", str(tmp_path / "missing.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -726,14 +708,12 @@ def test_evaluate_rejects_a_malformed_sub_model(small_model, tmp_path,
 
 
 # (reader, its module's error, the lines before the undecodable one, the
-# undecodable line); the params case puts the bad byte past the first 8 KiB
+# undecodable line); the report case puts the bad byte past the first 8 KiB
 # the text layer decodes in one go
 UNDECODABLE = [
     (load_config, ConfigError, b"days: 2\n", b"seed: \xff\n"),
     (demand.read_counts_csv, demand.DemandError,
      b"road_label,start_time_s,bin_s,count\n", b"r\xe9,0,900,1\n"),
-    (demand.read_params, demand.DemandError, b"# filler line\n" * 1000,
-     b"a1=\xff\n"),
     (lambda p: demand.read_schedule(p, 60.0), demand.DemandError,
      b"time_s,entry,exit\n0,a0,a3\n", b"1,a0,\xc3\n"),
     (load_network, NetworkError, b"[nodes]\nid,x,y,signalized,sensor_site\n",
@@ -746,12 +726,13 @@ UNDECODABLE = [
      b"window_end_s,x,label_incident,label_road,label_severity\n",
      b"600,1.0,1,r\xff,minor\n"),
     (load_model, ModelError, b"", b'{"format": "\xff"}\n'),
-    (read_report, MetricsError, b"windows=4\n", b"auc=\xff\n"),
+    (read_report, MetricsError, b"windows=4\n" + b"# filler line\n" * 1000,
+     b"auc=\xff\n"),
 ]
 
 
 @pytest.mark.parametrize("reader, error, before, bad", UNDECODABLE, ids=[
-    "load_config", "read_counts_csv", "read_params", "read_schedule",
+    "load_config", "read_counts_csv", "read_schedule",
     "load_network", "load_raw", "read_incident_log", "read_feature_table",
     "load_model", "read_report"])
 def test_readers_name_file_and_line_of_undecodable_bytes(tmp_path, reader,
@@ -787,10 +768,6 @@ MALFORMED = {
         ",".join(["window_end_s", "x"] + features.LABEL_COLUMNS),
         "600,1.0,1,r,minor", "630,1.0,1", "expected 5 fields, got 3",
         "630,1.x,0,,", "could not convert string to float: '1.x'"),
-    "read_params": (
-        demand.read_params, demand.DemandError, None, "a1=1.0",
-        "b1 2.0", "expected key=value, got 'b1 2.0'",
-        "b1=2.x", "could not convert string to float: '2.x'"),
     "read_report": (
         read_report, MetricsError, None, "windows=4",
         "tp 1", "expected key=value, got 'tp 1'",
@@ -917,6 +894,96 @@ def test_validate_requires_each_days_spawns(sim_run, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bin_seconds_must_match_the_counts(sim_run, tmp_path, capsys):
+    """The curve counts vehicles per counts bin, so a bin_seconds other
+    than the counts' bin would scale every spawn rate; simulate and
+    validate both stop before writing a day or a report."""
+    tmp, cfg_path, out_dir = sim_run
+    counts = str(tmp / "counts.csv")
+    cfg = line_experiment(tmp_path, bin_seconds=2 * BIN, counts=counts)
+    fault = (f"error: bin_seconds is {2 * BIN}, but {counts} counts "
+             f"{BIN}-s bins\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_error_line(capsys) == fault
+    assert not os.path.exists(tmp_path / "runs")
+    out = tmp_path / "validation.csv"
+    assert main(["validate", "--raw", out_dir, "--counts", counts,
+                 "--out", str(out), "--config", cfg]) == 2
+    assert one_error_line(capsys) == fault
+    assert not out.exists()
+
+
+def test_extract_features_rejects_an_incident_off_the_network(
+        sim_run, tmp_path, capsys):
+    tmp, cfg_path, out_dir = sim_run
+    day = tmp_path / "offnet" / "day_000"
+    shutil.copytree(os.path.join(out_dir, "day_000"), day)
+    log_path = day / "incidents.csv"
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) > 1, "the day plans no incident"
+    fields = lines[1].split(",")
+    fields[5] = "nosuchseg"
+    log_path.write_text("".join([lines[0], ",".join(fields)] + lines[2:]),
+                        encoding="utf-8")
+    out = tmp_path / "f.csv"
+    assert main(["extract-features", "--raw", str(tmp_path / "offnet"),
+                 "--out", str(out), "--config", cfg_path]) == 2
+    assert one_error_line(capsys) == (
+        f"error: {log_path}: incident {fields[0]} is on segment "
+        "'nosuchseg', which the network lacks\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, weights, fault", [
+    ("entry_weights", {"a0": 1.0, "typo_a1": 5.0},
+     "entry_weights names typo_a1, not entry node(s) of the network"),
+    ("exit_weights", {"a0": 1.0, "a3": 1.0},
+     "exit_weights names a0, not exit node(s) of the network")],
+    ids=["entry", "exit"])
+def test_weights_for_nodes_that_are_not_entries_or_exits_exit_2(
+        tmp_path, capsys, key, weights, fault):
+    """A weight the draw would ignore (it gave 0 to an unknown name) is
+    rejected before any day is written."""
+    cfg = line_experiment(tmp_path, **{key: weights})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_error_line(capsys) == f"error: {fault}\n"
+    assert not os.path.exists(tmp_path / "runs" / "day_000")
+
+
+def test_sensors_that_are_not_a_list_of_node_ids_exit_2(tmp_path, capsys):
+    """A bare string would be read as a list of its characters."""
+    for value in ("a1", ["a1", 2]):
+        cfg = line_experiment(tmp_path, sensors=value)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert one_error_line(capsys) == (
+            f"error: {cfg}: sensors must be a list of node ids, not "
+            f"{value!r}\n")
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_evaluate_scores_events_on_one_day_only(small_model, sim_run,
+                                                tmp_path, capsys):
+    """An incident log is one day's: a table of two days repeats every
+    window end, and would credit an event with the other day's flags."""
+    feat, cfg, model = small_model
+    _tmp, _cfg_path, out_dir = sim_run
+    table = features.read_feature_table(feat)
+    two_days = str(tmp_path / "two_days.csv")
+    features.write_feature_table(features.concat_tables([table, table]),
+                                 two_days)
+    log = os.path.join(out_dir, "day_001", "incidents.csv")
+    report = tmp_path / "report.txt"
+    args = ["evaluate", "--model", model, "--out", str(report),
+            "--config", cfg]
+    assert main([*args, "--features", two_days, "--incidents", log]) == 2
+    assert one_error_line(capsys) == (
+        "error: event metrics need a one-day table, whose window ends "
+        "increase strictly\n")
+    assert not report.exists()
+    assert main([*args, "--features", two_days]) == 0
+    assert main([*args, "--features", feat, "--incidents", log]) == 0
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit):
         main([])
@@ -939,7 +1006,7 @@ def test_option_surface():
                             for opt in a.option_strings)
                for name, cmd in sub.choices.items()}
     assert surface == {
-        "fit-demand": ["--counts", "--out"],
+        "fit-demand": ["--counts"],
         "simulate": ["--audit", "--config"],
         "extract-features": ["--config", "--out", "--raw"],
         "validate": ["--config", "--counts", "--out", "--raw"],

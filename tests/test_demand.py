@@ -16,9 +16,8 @@ import pytest
 from trafficlab.demand import (DemandError, FlowModelParams,
                                MacroCountSeries, SpawnEvent, SpawnSchedule,
                                average_counts, eval_flow, fft_init_params,
-                               lm_fit, read_counts_csv, read_params,
-                               read_schedule, spawn_schedule, write_params,
-                               write_schedule)
+                               lm_fit, read_counts_csv, read_schedule,
+                               spawn_schedule, write_schedule)
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import shortest_route
 
@@ -395,38 +394,6 @@ def test_schedule_container_validation():
     with pytest.raises(DemandError, match="non-decreasing"):
         SpawnSchedule((SpawnEvent(5.0, "a", "b"),
                        SpawnEvent(4.0, "a", "b")), 100.0)
-
-
-def test_params_io_round_trip(tmp_path):
-    p = FlowModelParams(7.25, 1.234e-4, -0.9, 3.5, 2.5e-4, 2.25, 30.125,
-                        alpha_sigma=1.75, fit_rmse=0.6)
-    path = tmp_path / "params.txt"
-    write_params(p, path)
-    back = read_params(path)
-    assert back == p  # repr round trip keeps floats exact
-
-
-def test_params_io_rejects_malformed(tmp_path):
-    path = tmp_path / "params.txt"
-    path.write_text("a1 nonsense\n", encoding="utf-8")
-    with pytest.raises(DemandError, match=r"params\.txt:1: expected "
-                                          r"key=value, got 'a1 nonsense'"):
-        read_params(path)
-    path.write_text("# fit\nb1=2.0\na1=x\n", encoding="utf-8")
-    with pytest.raises(DemandError, match=r"params\.txt:3: could not convert"):
-        read_params(path)
-
-
-def test_params_io_rejects_non_finite_values(tmp_path):
-    path = tmp_path / "params.txt"
-    keys = ("a1", "b1", "c1", "a2", "b2", "c2", "d")
-    for key, text in (("a1", "nan"), ("d", "inf"), ("d", "-inf")):
-        path.write_text("".join(f"{k}={text if k == key else 1.0}\n"
-                                for k in keys), encoding="utf-8")
-        with pytest.raises(DemandError, match=(
-                rf"^{re.escape(str(path))}:{keys.index(key) + 1}: "
-                rf"{key} is not finite: '{text}'$")):
-            read_params(path)
 
 
 def test_schedule_io_round_trip(tmp_path, flat_params):

@@ -17,6 +17,7 @@ import copy
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1046,4 +1047,17 @@ def test_load_rejects_missing_and_ill_typed_keys(tmp_path):
         bad = dict(doc, **{key: val})
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(ModelError, match="malformed"):
+            load_model(path)
+
+
+def test_load_rejects_a_threshold_outside_0_1(tmp_path):
+    """5.0 and NaN would flag no row and -1.0 every row, so a threshold
+    outside (0, 1) is refused, as in the experiment config."""
+    path, doc = _saved_doc(tmp_path)
+    for value in (5.0, float("nan"), -1.0, 0.0, 1.0):
+        path.write_text(json.dumps(dict(doc, threshold=value)),
+                        encoding="utf-8")
+        with pytest.raises(ModelError, match=(
+                rf"^{re.escape(str(path))}: threshold {value!r} does not "
+                r"lie in \(0, 1\)$")):
             load_model(path)
