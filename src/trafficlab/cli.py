@@ -233,7 +233,7 @@ def cmd_extract_features(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config, {"counts": args.counts})
     params = _demand_params(cfg)
-    rows = []
+    results = []
     for dd in _find_day_dirs(args.raw):
         day = int(os.path.basename(dd).split("_")[1])
         schedule = demand.read_schedule(os.path.join(dd, "spawns.csv"),
@@ -243,16 +243,15 @@ def cmd_validate(args) -> int:
         # bin-center value approximates far better than the bin start
         centers = observed.times() + cfg.bin_seconds / 2.0
         expected = demand.eval_flow(params, centers)
-        rows.append(validate.DayValidation(
-            day, validate.ks_two_sample(observed.counts, expected)))
+        results.append(
+            (day, validate.ks_two_sample(observed.counts, expected)))
     out = args.out or os.path.join(args.raw, "validation.csv")
-    validate.write_validation_report(rows, out)
-    for row in rows:
-        r = row.result
-        print(f"day {row.day:03d}: ks={r.statistic:.4f} p={r.p_value:.4f} "
+    validate.write_validation_report(results, out)
+    for day, r in results:
+        print(f"day {day:03d}: ks={r.statistic:.4f} p={r.p_value:.4f} "
               f"{'pass' if r.passed else 'FAIL'}")
-    n_pass = sum(r.result.passed for r in rows)
-    print(f"{n_pass}/{len(rows)} day(s) consistent with the demand curve "
+    n_pass = sum(r.passed for _day, r in results)
+    print(f"{n_pass}/{len(results)} day(s) consistent with the demand curve "
           f"-> {out}")
     return 0
 

@@ -321,13 +321,19 @@ def spawn_schedule(params: FlowModelParams, network, horizon: float, seed,
 def _od_tables(network, entry_weights, exit_weights):
     """Entries with their draw probabilities and, per entry, the reachable
     exit list (self excluded) with renormalized probabilities.  A weight
-    for a node that is not an entry (or exit) of the network is an error."""
+    for a node that is not an entry (or exit) of the network, or one that
+    is negative or not finite, is an error."""
     for kind, weights, nodes in (("entry", entry_weights, network.entry_nodes),
                                  ("exit", exit_weights, network.exit_nodes)):
         unknown = sorted(set(weights or ()) - set(nodes))
         if unknown:
             raise DemandError(f"{kind}_weights names {', '.join(unknown)}, "
                               f"not {kind} node(s) of the network")
+        for node, w in (weights or {}).items():
+            if not 0.0 <= float(w) < math.inf:  # NaN included
+                raise DemandError(f"{kind}_weights gives {node} the weight "
+                                  f"{w!r}; weights must be finite and "
+                                  "non-negative")
     all_exits = list(network.exit_nodes)
     entries = []
     exits_per_entry = []

@@ -7,6 +7,7 @@ every output directory so a run can be reproduced from the echo alone.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -31,6 +32,24 @@ _SIM_KEYS = set(SimConfig.__dataclass_fields__) - {"seed"}
 _MODEL_KEYS = set(TreeEnsembleConfig.__dataclass_fields__) - {"objective"}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (top-level keys, test of each value, what the test asks for)
+_KINDS = ((("network", "counts", "out_dir"),
+           lambda v: isinstance(v, str), "a string"),
+          (("days", "day_seconds", "bin_seconds", "seed"),
+           lambda v: isinstance(v, int) and not isinstance(v, bool),
+           "an integer"),
+          (("sensor_range_m", "staleness_s", "threshold"), _is_number,
+           "a number"),
+          (("entry_weights", "exit_weights"),
+           lambda v: isinstance(v, dict) and all(
+               isinstance(k, str) and _is_number(w) for k, w in v.items()),
+           "a mapping of node ids to numbers"))
+
+
 @dataclass
 class ExperimentConfig:
     network: str = "grid4x4"
@@ -52,14 +71,23 @@ class ExperimentConfig:
     exit_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for names, test, what in _KINDS:
+            for name in names:
+                if not test(getattr(self, name)):
+                    raise ConfigError(f"{name} must be {what}, not "
+                                      f"{getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
         if self.days < 1:
             raise ConfigError("days must be at least 1")
         if self.day_seconds < 1:
             raise ConfigError("day_seconds must be positive")
         if self.bin_seconds < 1 or self.day_seconds % self.bin_seconds:
             raise ConfigError("bin_seconds must divide day_seconds")
-        if self.staleness_s <= 0:
+        if not self.staleness_s > 0:  # NaN included
             raise ConfigError("staleness_s must be positive")
+        if not 0 < self.sensor_range_m < math.inf:
+            raise ConfigError("sensor_range_m must be positive and finite")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         if self.sensors is not None and not (

@@ -7,12 +7,14 @@ half credit.  Event-level: per-incident detection outcomes and mean time to
 detect, measured from incident onset to the end of the first flagged
 window inside the incident's span plus a grace period.
 
-Rates with an empty denominator are reported as None (written out as
-"undefined"), never silently as zero.
+Both read the columns of `models.Predictions`.  `EvalReport` is one flat
+record whose fields, in order, are the keys of report.txt and the columns
+of the sweep summary.  Rates with an empty denominator are reported as None
+(written out as "undefined"), never silently as zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -116,8 +118,8 @@ def event_detections(predictions, incident_log, grace_s: float) -> list:
     flagged window ends inside (onset, end + grace_s]."""
     if grace_s < 0:
         raise MetricsError("grace period must be non-negative")
-    flagged = sorted(p.window_end for p in predictions if p.detected)
-    flagged_a = np.asarray(flagged, dtype=np.float64)
+    flagged_a = np.sort(
+        predictions.window_end[predictions.detected]).astype(np.float64)
     out = []
     for spec in incident_log:
         lo = np.searchsorted(flagged_a, spec.onset, side="right")
@@ -139,7 +141,11 @@ def mean_time_to_detect(outcomes):
 
 @dataclass
 class EvalReport:
-    counts: ConfusionCounts
+    windows: int
+    tp: int
+    fp: int
+    tn: int
+    fn: int
     detection_rate: float | None
     false_alarm_rate: float | None
     precision: float | None
@@ -153,47 +159,30 @@ class EvalReport:
     mttd_s: float | None = None
 
     def as_dict(self) -> dict:
-        return {"windows": self.counts.total,
-                "tp": self.counts.tp, "fp": self.counts.fp,
-                "tn": self.counts.tn, "fn": self.counts.fn,
-                "detection_rate": self.detection_rate,
-                "false_alarm_rate": self.false_alarm_rate,
-                "precision": self.precision,
-                "f1": self.f1,
-                "auc": self.auc,
-                "road_accuracy": self.road_accuracy,
-                "severity_accuracy": self.severity_accuracy,
-                "n_events": self.n_events,
-                "events_detected": self.events_detected,
-                "event_detection_rate": self.event_detection_rate,
-                "mttd_s": self.mttd_s}
+        return asdict(self)
 
 
 def evaluate_predictions(table, predictions, incident_log=None,
                          grace_s: float = 0.0) -> EvalReport:
     """Score gated predictions against a labeled feature table; optionally
     add event-level outcomes computed from the incident log."""
-    if len(predictions) != table.n_rows:
+    if predictions.detected.shape != (table.n_rows,):
         raise MetricsError("one prediction per table row required")
     truth = table.label_incident
-    pred = np.asarray([p.detected for p in predictions], dtype=bool)
-    scores = np.asarray([p.score for p in predictions], dtype=np.float64)
-    cc = confusion_from_rows(truth, pred)
+    cc = confusion_from_rows(truth, predictions.detected)
 
-    tp_rows = np.nonzero(truth & pred)[0]
+    tp_rows = np.flatnonzero(truth & predictions.detected)
     road_acc = None
     sev_acc = None
     if tp_rows.size:
-        road_hits = [predictions[i].road_label == table.label_road[i]
-                     for i in tp_rows]
-        sev_hits = [predictions[i].severity == table.label_severity[i]
-                    for i in tp_rows]
-        road_acc = float(np.mean(road_hits))
-        sev_acc = float(np.mean(sev_hits))
+        road_acc = float(np.mean(predictions.road[tp_rows] == np.asarray(
+            table.label_road, dtype=object)[tp_rows]))
+        sev_acc = float(np.mean(predictions.severity[tp_rows] == np.asarray(
+            table.label_severity, dtype=object)[tp_rows]))
 
-    rep = EvalReport(cc, detection_rate(cc), false_alarm_rate(cc),
-                     precision(cc), f1_score(cc), auc_roc(truth, scores),
-                     road_acc, sev_acc)
+    rep = EvalReport(cc.total, cc.tp, cc.fp, cc.tn, cc.fn, detection_rate(cc),
+                     false_alarm_rate(cc), precision(cc), f1_score(cc),
+                     auc_roc(truth, predictions.score), road_acc, sev_acc)
     if incident_log is not None:
         # an incident log covers one day; a table of several days repeats
         # each window end, and would credit an event with another day's flag
@@ -241,9 +230,7 @@ def _report_value(key: str, text: str):
     raise ValueError(f"{key} is not a number: {text!r}")
 
 
-# the keys of EvalReport.as_dict, in order
-REPORT_CSV_FIELDS = tuple(EvalReport(ConfusionCounts(0, 0, 0, 0),
-                                     *[None] * 7).as_dict())
+REPORT_CSV_FIELDS = tuple(f.name for f in fields(EvalReport))
 
 
 def report_csv_header(prefix_fields=()) -> str:
@@ -253,9 +240,6 @@ def report_csv_header(prefix_fields=()) -> str:
 def report_csv_row(report: EvalReport, prefix_values=()) -> str:
     """One-row summary for sweep aggregation; undefined rates stay as
     empty fields rather than zeros."""
-    d = report.as_dict()
-    cells = [str(v) for v in prefix_values]
-    for f in REPORT_CSV_FIELDS:
-        v = d[f]
-        cells.append("" if v is None else format_metric(v))
-    return ",".join(cells)
+    return ",".join([str(v) for v in prefix_values]
+                    + ["" if v is None else format_metric(v)
+                       for v in astuple(report)])

@@ -14,7 +14,9 @@ gradients only (SketchBoost's top-outputs sketch with k = 1).
 
 The incident ensemble stacks three of these: a binary detector over all
 rows, and a road localizer and severity classifier trained on positive rows
-only, consulted only when the detector fires.
+only, consulted only when the detector fires.  `infer_batch` returns its
+predictions as one `Predictions` of per-window columns, whose road and
+severity are None wherever the detector did not fire.
 """
 from __future__ import annotations
 
@@ -451,23 +453,6 @@ def training_logloss(ens: TreeEnsemble, X, y, n_trees=None,
 # -- the stacked gated ensemble ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncidentPrediction:
-    window_end: int
-    detected: bool
-    score: float
-    road_label: str | None
-    severity: str | None
-
-    def __post_init__(self):
-        populated = self.road_label is not None or self.severity is not None
-        if populated != self.detected or (
-                self.detected and (self.road_label is None
-                                   or self.severity is None)):
-            raise ModelError("gating violated: sub-predictions must be "
-                             "populated iff detected")
-
-
 class Role(NamedTuple):
     """The EnsembleModel field `name`, fitted under `objective` to the
     feature table's `label_<what>`; a head's classes are `<what>_classes`."""
@@ -551,20 +536,32 @@ def train_incident_ensemble(table, cfg: TreeEnsembleConfig,
                          severity_classes, threshold, list(table.feature_names))
 
 
-def infer_batch(model: EnsembleModel, X: np.ndarray, window_end) -> list:
-    """Gated predictions, one per row of X at its window_end: localization
-    and severity are produced only for rows the detector flags."""
+class Predictions(NamedTuple):
+    """Gated predictions as per-window columns: road and severity are the
+    heads' labels where the detector fired (detected), None elsewhere."""
+    window_end: np.ndarray  # int64
+    score: np.ndarray       # detector probability
+    detected: np.ndarray    # bool, score >= threshold
+    road: np.ndarray        # object
+    severity: np.ndarray    # object
+
+
+def infer_batch(model: EnsembleModel, X: np.ndarray,
+                window_end) -> Predictions:
+    """Gated predictions, one per row of X at its window_end: each head
+    labels only the rows the detector flags."""
     X = np.asarray(X, dtype=np.float64)
-    scores = predict_proba(model.detector, X)
-    detected = scores >= model.threshold
+    score = predict_proba(model.detector, X)
+    detected = score >= model.threshold
     hit = np.flatnonzero(detected)
-    heads = [dict(zip(hit.tolist(), _head_labels(
-                 getattr(model, h.name), getattr(model, f"{h.what}_classes"),
-                 X[hit])))
-             for h in HEADS]
-    return [IncidentPrediction(int(window_end[i]), bool(detected[i]),
-                               float(scores[i]), *(h.get(i) for h in heads))
-            for i in range(X.shape[0])]
+    heads = []
+    for h in HEADS:
+        col = np.full(X.shape[0], None, dtype=object)
+        col[hit] = _head_labels(getattr(model, h.name),
+                                getattr(model, f"{h.what}_classes"), X[hit])
+        heads.append(col)
+    return Predictions(np.asarray(window_end).astype(np.int64), score,
+                       detected, *heads)
 
 
 MODEL_FORMAT = "trafficlab-model/3"

@@ -104,17 +104,11 @@ def aggregate_bins(schedule: SpawnSchedule, bin_s: float) -> MacroCountSeries:
     return MacroCountSeries(bin_s, counts, 0.0)
 
 
-@dataclass(frozen=True)
-class DayValidation:
-    day: int
-    result: KsResult
-
-
-def write_validation_report(rows, path) -> None:
-    """Per-day `day,ks_statistic,p_value,pass` rows."""
+def write_validation_report(results, path) -> None:
+    """Per-day `day,ks_statistic,p_value,pass` rows from (day, KsResult)
+    pairs."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("day,ks_statistic,p_value,pass\n")
-        for row in rows:
-            r = row.result
-            fh.write(f"{row.day},{float(r.statistic)!r},{float(r.p_value)!r},"
+        for day, r in results:
+            fh.write(f"{day},{float(r.statistic)!r},{float(r.p_value)!r},"
                      f"{int(r.passed)}\n")

@@ -46,10 +46,10 @@ from trafficlab.validate import ks_two_sample
 from conftest import make_line_net, rng_for, traced_run
 from test_features import raw_from_sightings
 from test_incidents import spec_of
-from test_metrics import hit, pairwise_auc
+from test_metrics import columns, hit, pairwise_auc
 from test_microsim import linear_trace
-from test_models import exhaustive_best_split, gated_table, names, small_cfg, \
-    stump_data, walk, xor_data
+from test_models import assert_same_predictions, exhaustive_best_split, \
+    gated_table, names, populated, small_cfg, stump_data, walk, xor_data
 from test_validate import brute_force_ks
 
 N_BINS, BIN_S = 96, 900.0
@@ -354,7 +354,7 @@ def test_criterion_06_metrics_oracles():
         pairwise_auc(truth, scores), abs=1e-12)
 
     outcomes = event_detections(
-        [hit(1180, 0.9), hit(2220, 0.8)],
+        columns(hit(1180, 0.9), hit(2220, 0.8)),
         [spec_of(onset=1000, duration=400, sid=0),
          spec_of(onset=2000, duration=400, sid=1)], grace_s=0.0)
     assert [o.delay for o in outcomes] == [180.0, 220.0]
@@ -407,8 +407,8 @@ def test_criterion_07_learner(tmp_path):
     save_model(gated, path)
     back = load_model(path)
     tbl = gated_table(seed=8)
-    assert infer_batch(back, tbl.X, tbl.window_end) \
-        == infer_batch(gated, tbl.X, tbl.window_end)
+    assert_same_predictions(infer_batch(back, tbl.X, tbl.window_end),
+                            infer_batch(gated, tbl.X, tbl.window_end))
     np.testing.assert_array_equal(predict_margin(back.detector, tbl.X),
                                   predict_margin(gated.detector, tbl.X))
 
@@ -498,10 +498,9 @@ def test_criterion_10_gating_property(desk_run):
     model = load_model(os.path.join(root, "model.json"))
     table = read_feature_table(os.path.join(root, "eval.csv"))
     preds = infer_batch(model, table.X, table.window_end)
-    violations = sum((p.detected != (p.road_label is not None))
-                     or (p.detected != (p.severity is not None))
-                     for p in preds)
-    assert len(preds) == table.n_rows
+    violations = np.sum((preds.detected != populated(preds.road))
+                        | (preds.detected != populated(preds.severity)))
+    assert all(len(col) == table.n_rows for col in preds)
     assert violations == 0
 
     synth = gated_table(seed=11)
@@ -510,8 +509,7 @@ def test_criterion_10_gating_property(desk_run):
     X = rng.uniform(-2.0, 3.0, (2000, 3))
     X[rng.random((2000, 3)) < 0.2] = np.nan
     out = infer_batch(gated, X, np.arange(len(X)))
-    assert sum((p.detected != (p.road_label is not None))
-               or (p.detected != (p.severity is not None))
-               for p in out) == 0
-    assert any(p.detected for p in out)
-    assert any(not p.detected for p in out)
+    assert np.sum((out.detected != populated(out.road))
+                  | (out.detected != populated(out.severity))) == 0
+    assert out.detected.any()
+    assert not out.detected.all()

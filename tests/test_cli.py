@@ -129,6 +129,24 @@ def test_config_rejections(tmp_path):
     bad({"bin_seconds": 7}, "bin_seconds must divide day_seconds")
     bad({"staleness_s": 0}, "staleness_s must be positive")
     bad({"staleness_s": -60}, "staleness_s must be positive")
+    bad({"staleness_s": float("nan")}, "staleness_s must be positive")
+    # every top-level value is checked for its kind, by key
+    bad({"sensor_range_m": "x"}, "sensor_range_m must be a number, not 'x'")
+    bad({"sensor_range_m": 0}, "sensor_range_m must be positive and finite")
+    bad({"sensor_range_m": float("inf")},
+        "sensor_range_m must be positive and finite")
+    bad({"network": 5}, "network must be a string, not 5")
+    bad({"counts": 7}, "counts must be a string, not 7")
+    bad({"out_dir": 7}, "out_dir must be a string, not 7")
+    bad({"days": "x"}, "days must be an integer, not 'x'")
+    bad({"day_seconds": 3600.0}, "day_seconds must be an integer, not 3600.0")
+    bad({"threshold": True}, "threshold must be a number, not True")
+    bad({"entry_weights": ["n00"]}, "entry_weights must be a mapping of "
+        "node ids to numbers, not ['n00']")
+    bad({"exit_weights": {"n33": "x"}}, "exit_weights must be a mapping of "
+        "node ids to numbers, not {'n33': 'x'}")
+    bad({"seed": "abc"}, "seed must be an integer, not 'abc'")
+    bad({"seed": -1}, "seed must not be negative")
     # nested values are validated at load time
     bad({"window": {"window_s": 100, "stride_s": 300}},
         "stride must not exceed the window")
@@ -938,12 +956,22 @@ def test_extract_features_rejects_an_incident_off_the_network(
     ("entry_weights", {"a0": 1.0, "typo_a1": 5.0},
      "entry_weights names typo_a1, not entry node(s) of the network"),
     ("exit_weights", {"a0": 1.0, "a3": 1.0},
-     "exit_weights names a0, not exit node(s) of the network")],
-    ids=["entry", "exit"])
+     "exit_weights names a0, not exit node(s) of the network"),
+    ("entry_weights", {"a0": -1.0},
+     "entry_weights gives a0 the weight -1.0; weights must be finite and "
+     "non-negative"),
+    ("entry_weights", {"a0": float("nan")},
+     "entry_weights gives a0 the weight nan; weights must be finite and "
+     "non-negative"),
+    ("exit_weights", {"a3": float("inf")},
+     "exit_weights gives a3 the weight inf; weights must be finite and "
+     "non-negative")],
+    ids=["entry", "exit", "negative", "nan", "inf"])
 def test_weights_for_nodes_that_are_not_entries_or_exits_exit_2(
         tmp_path, capsys, key, weights, fault):
-    """A weight the draw would ignore (it gave 0 to an unknown name) is
-    rejected before any day is written."""
+    """A weight the draw would ignore (it gave 0 to an unknown name), or
+    one that is negative or not finite, is rejected by key and node before
+    any day is written."""
     cfg = line_experiment(tmp_path, **{key: weights})
     assert main(["simulate", "--config", cfg]) == 2
     assert one_error_line(capsys) == f"error: {fault}\n"

@@ -379,6 +379,18 @@ def test_spawn_weight_validation(grid_net, flat_params):
     with pytest.raises(DemandError, match="entry weights sum to zero"):
         spawn_schedule(flat_params, grid_net, 1000.0, seed=0,
                        entry_weights={})
+    entry, other = grid_net.entry_nodes[:2]
+    exit_ = grid_net.exit_nodes[0]
+    for kind, weights, node, text in (
+            ("entry", {entry: 2.0, other: -1.0}, other, "-1.0"),
+            ("entry", {entry: float("nan")}, entry, "nan"),
+            ("exit", {exit_: float("inf")}, exit_, "inf"),
+            ("exit", {exit_: -0.5}, exit_, "-0.5")):
+        with pytest.raises(DemandError, match=re.escape(
+                f"{kind}_weights gives {node} the weight {text}; weights "
+                "must be finite and non-negative")):
+            spawn_schedule(flat_params, grid_net, 1000.0, seed=0,
+                           **{f"{kind}_weights": weights})
     with pytest.raises(DemandError, match="horizon"):
         spawn_schedule(flat_params, grid_net, 0.0, seed=0)
     with pytest.raises(DemandError, match="frequencies"):

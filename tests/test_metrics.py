@@ -13,25 +13,37 @@ import numpy as np
 import pytest
 
 from trafficlab.features import FeatureTable
-from trafficlab.metrics import (ConfusionCounts, EventOutcome, MetricsError,
+from trafficlab.metrics import (REPORT_CSV_FIELDS, ConfusionCounts,
+                                EventOutcome, MetricsError,
                                 auc_roc, confusion_from_rows, detection_rate,
                                 event_detections, evaluate_predictions,
                                 f1_score, false_alarm_rate, format_metric,
                                 mean_time_to_detect, precision, read_report,
                                 report_csv_header, report_csv_row,
                                 write_report)
-from trafficlab.models import IncidentPrediction
+from trafficlab.models import Predictions
 
 from conftest import rng_for
 from test_incidents import spec_of
 
 
 def hit(we, score, road="east_rd", sev="minor"):
-    return IncidentPrediction(we, True, score, road, sev)
+    return we, score, True, road, sev
 
 
 def miss(we, score):
-    return IncidentPrediction(we, False, score, None, None)
+    return we, score, False, None, None
+
+
+def columns(*rows) -> Predictions:
+    """The Predictions of per-window (window_end, score, detected, road,
+    severity) rows, in the dtypes infer_batch gives."""
+    we, score, det, road, sev = zip(*rows)
+    return Predictions(np.array(we, dtype=np.int64),
+                       np.array(score, dtype=np.float64),
+                       np.array(det, dtype=bool),
+                       np.array(road, dtype=object),
+                       np.array(sev, dtype=object))
 
 
 # -- confusion ---------------------------------------------------------------
@@ -112,24 +124,24 @@ def test_auc_edge_values():
 
 def test_event_detection_hand_case():
     # incident spans (100, 300]; flags before onset or after grace miss it
-    preds = [hit(90, 0.9), miss(110, 0.2), hit(130, 0.8), hit(250, 0.7),
-             hit(400, 0.9)]
+    preds = columns(hit(90, 0.9), miss(110, 0.2), hit(130, 0.8),
+                    hit(250, 0.7), hit(400, 0.9))
     spec = spec_of(onset=100, duration=200, sid=7)
     out, = event_detections(preds, [spec], grace_s=60.0)
     assert out == EventOutcome(7, 100, True, 130, 30.0)
 
     # flag exactly at onset does not count, exactly at end + grace does
-    at_onset, = event_detections([hit(100, 0.9)], [spec], grace_s=60.0)
+    at_onset, = event_detections(columns(hit(100, 0.9)), [spec], grace_s=60.0)
     assert not at_onset.detected
     assert at_onset.first_alert is None and at_onset.delay is None
-    at_edge, = event_detections([hit(360, 0.9)], [spec], grace_s=60.0)
+    at_edge, = event_detections(columns(hit(360, 0.9)), [spec], grace_s=60.0)
     assert at_edge == EventOutcome(7, 100, True, 360, 260.0)
-    past_edge, = event_detections([hit(361, 0.9)], [spec], grace_s=60.0)
+    past_edge, = event_detections(columns(hit(361, 0.9)), [spec], grace_s=60.0)
     assert not past_edge.detected
 
 
 def test_event_detection_judges_incidents_independently():
-    preds = [hit(130, 0.9), hit(660, 0.8)]
+    preds = columns(hit(130, 0.9), hit(660, 0.8))
     specs = [spec_of(onset=100, duration=100, sid=0),
              spec_of(onset=600, duration=100, sid=1),
              spec_of(onset=900, duration=100, sid=2)]
@@ -158,20 +170,19 @@ def eval_fixture():
     road = [None, "east_rd", None, "west_rd", None, None]
     sev = [None, "minor", None, "severe", None, None]
     table = FeatureTable(["f0"], X, ends, inc, road, sev)
-    preds = [miss(600, 0.2),
-             hit(630, 0.9, road="east_rd", sev="severe"),  # sev wrong
-             hit(660, 0.8, road="west_rd"),                # false alarm
-             miss(690, 0.4),
-             miss(720, 0.1),
-             miss(750, 0.3)]
+    preds = columns(miss(600, 0.2),
+                    hit(630, 0.9, road="east_rd", sev="severe"),  # sev wrong
+                    hit(660, 0.8, road="west_rd"),                # false alarm
+                    miss(690, 0.4),
+                    miss(720, 0.1),
+                    miss(750, 0.3))
     return table, preds
 
 
 def test_evaluate_window_level():
     table, preds = eval_fixture()
     rep = evaluate_predictions(table, preds)
-    assert (rep.counts.tp, rep.counts.fp, rep.counts.tn,
-            rep.counts.fn) == (1, 1, 3, 1)
+    assert (rep.windows, rep.tp, rep.fp, rep.tn, rep.fn) == (6, 1, 1, 3, 1)
     assert rep.detection_rate == 0.5
     assert rep.false_alarm_rate == 0.25
     assert rep.precision == 0.5
@@ -183,7 +194,7 @@ def test_evaluate_window_level():
     assert rep.n_events == 0
     assert rep.event_detection_rate is None
     with pytest.raises(MetricsError, match="per table row"):
-        evaluate_predictions(table, preds[:-1])
+        evaluate_predictions(table, Predictions(*(c[:-1] for c in preds)))
 
 
 def test_evaluate_event_level():
@@ -199,9 +210,9 @@ def test_evaluate_event_level():
 
 def test_evaluate_without_true_positives():
     table, _ = eval_fixture()
-    preds = [miss(we, 0.1) for we in table.window_end]
+    preds = columns(*(miss(we, 0.1) for we in table.window_end))
     rep = evaluate_predictions(table, preds)
-    assert rep.counts.tp == 0
+    assert rep.tp == 0
     assert rep.road_accuracy is None
     assert rep.severity_accuracy is None
     assert rep.precision is None
@@ -234,10 +245,31 @@ def test_report_round_trip(tmp_path):
     empty = evaluate_predictions(
         FeatureTable(["f0"], np.zeros((2, 1)), np.array([600.0, 630.0]),
                      np.zeros(2, dtype=bool), [None, None], [None, None]),
-        [miss(600, 0.1), miss(630, 0.2)])
+        columns(miss(600, 0.1), miss(630, 0.2)))
     write_report(empty, path)
     assert "detection_rate=undefined" in path.read_text(encoding="utf-8")
     assert read_report(path)["detection_rate"] is None
+
+
+REPORT_KEYS = ["windows", "tp", "fp", "tn", "fn", "detection_rate",
+               "false_alarm_rate", "precision", "f1", "auc", "road_accuracy",
+               "severity_accuracy", "n_events", "events_detected",
+               "event_detection_rate", "mttd_s"]
+
+
+def test_report_key_order(tmp_path):
+    """report.txt's lines and the sweep summary's columns follow one fixed
+    key order: the fields of EvalReport."""
+    table, preds = eval_fixture()
+    rep = evaluate_predictions(table, preds,
+                               incident_log=[spec_of(onset=615, duration=60,
+                                                     sid=0)])
+    path = tmp_path / "report.txt"
+    write_report(rep, path)
+    keys = [line.split("=", 1)[0]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+    assert keys == REPORT_KEYS
+    assert list(REPORT_CSV_FIELDS) == REPORT_KEYS
 
 
 def test_report_reader_names_file_and_line(tmp_path):

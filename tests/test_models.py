@@ -24,7 +24,7 @@ import pytest
 
 from trafficlab import kernels, models
 from trafficlab.features import FeatureTable
-from trafficlab.models import (EnsembleModel, IncidentPrediction, ModelError,
+from trafficlab.models import (EnsembleModel, ModelError, Predictions,
                                TreeEnsembleConfig, infer_batch,
                                load_model, predict_margin, predict_proba,
                                save_model, train_incident_ensemble,
@@ -822,6 +822,18 @@ def test_target_validation():
 # -- gating ------------------------------------------------------------------
 
 
+def populated(column) -> np.ndarray:
+    """Which entries of a Predictions label column hold a label."""
+    return np.array([v is not None for v in column], dtype=bool)
+
+
+def assert_same_predictions(a: Predictions, b: Predictions) -> None:
+    """Every column equal, window by window."""
+    for name, col_a, col_b in zip(Predictions._fields, a, b):
+        assert col_a.dtype == col_b.dtype, name
+        assert col_a.tolist() == col_b.tolist(), name
+
+
 def gated_table(n=400, seed=0, single_road=False, single_severity=False):
     rng = rng_for("gated", seed)
     X = rng.uniform(0.0, 1.0, (n, 3))
@@ -843,27 +855,26 @@ def test_gated_ensemble_learns_and_respects_threshold():
     assert model.road_classes == ["east_rd", "west_rd"]
     assert model.severity_classes == ["minor", "severe"]
     preds = infer_batch(model, table.X, table.window_end)
-    correct = 0
-    for p, want_inc, want_road, want_sev in zip(
-            preds, table.label_incident, table.label_road,
-            table.label_severity):
-        assert p.detected == (p.score >= 0.5)
-        assert (p.road_label is not None) == p.detected
-        assert (p.severity is not None) == p.detected
-        if p.detected and want_inc:
-            correct += (p.road_label == want_road
-                        and p.severity == want_sev)
+    assert isinstance(preds, Predictions)
+    assert all(len(col) == table.n_rows for col in preds)
+    np.testing.assert_array_equal(preds.window_end, table.window_end)
+    np.testing.assert_array_equal(preds.detected, preds.score >= 0.5)
+    np.testing.assert_array_equal(populated(preds.road), preds.detected)
+    np.testing.assert_array_equal(populated(preds.severity), preds.detected)
+    road = np.asarray(table.label_road, dtype=object)
+    sev = np.asarray(table.label_severity, dtype=object)
+    correct = np.sum(preds.detected & table.label_incident
+                     & (preds.road == road) & (preds.severity == sev))
     assert correct >= 0.85 * int(table.label_incident.sum())
-    det_acc = np.mean([p.detected == want for p, want
-                       in zip(preds, table.label_incident)])
+    det_acc = np.mean(preds.detected == table.label_incident)
     assert det_acc >= 0.95
 
     strict = train_incident_ensemble(table, small_cfg(n_trees=30),
                                      threshold=0.95)
-    loose_hits = {p.window_end for p in preds if p.detected}
-    strict_hits = {p.window_end
-                   for p in infer_batch(strict, table.X, table.window_end)
-                   if p.detected}
+    loose_hits = set(preds.window_end[preds.detected].tolist())
+    strict_preds = infer_batch(strict, table.X, table.window_end)
+    strict_hits = set(
+        strict_preds.window_end[strict_preds.detected].tolist())
     assert strict_hits <= loose_hits
 
 
@@ -874,22 +885,14 @@ def test_degenerate_submodels_emit_constants():
     assert model.severity is None
     assert model.road_classes == ["east_rd"]
     assert model.severity_classes == ["minor"]
-    hits = [p for p in infer_batch(model, table.X, table.window_end)
-            if p.detected]
-    assert hits
-    assert all(p.road_label == "east_rd" for p in hits)
-    assert all(p.severity == "minor" for p in hits)
-
-
-def test_prediction_container_enforces_gating():
-    with pytest.raises(ModelError, match="gating"):
-        IncidentPrediction(0, True, 0.9, None, None)
-    with pytest.raises(ModelError, match="gating"):
-        IncidentPrediction(0, True, 0.9, "east_rd", None)
-    with pytest.raises(ModelError, match="gating"):
-        IncidentPrediction(0, False, 0.1, "east_rd", "minor")
-    IncidentPrediction(0, True, 0.9, "east_rd", "minor")
-    IncidentPrediction(0, False, 0.1, None, None)
+    preds = infer_batch(model, table.X, table.window_end)
+    assert preds.detected.any()
+    assert preds.road[preds.detected].tolist() == \
+        ["east_rd"] * int(preds.detected.sum())
+    assert preds.severity[preds.detected].tolist() == \
+        ["minor"] * int(preds.detected.sum())
+    np.testing.assert_array_equal(populated(preds.road), preds.detected)
+    np.testing.assert_array_equal(populated(preds.severity), preds.detected)
 
 
 def test_ensemble_label_requirements():
@@ -932,8 +935,8 @@ def test_model_round_trip(tmp_path):
     assert [back.detector.config.objective, back.localizer.config.objective,
             back.severity.config.objective] == ["binary", "multiclass",
                                                 "binary"]
-    assert infer_batch(back, table.X, table.window_end) == \
-        infer_batch(model, table.X, table.window_end)
+    assert_same_predictions(infer_batch(back, table.X, table.window_end),
+                            infer_batch(model, table.X, table.window_end))
     # the schema and the settings are stated once, at the top
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["format"] == "trafficlab-model/3"

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from trafficlab.demand import SpawnEvent, SpawnSchedule
-from trafficlab.validate import (DayValidation, KsResult, PASS_LEVEL,
-                                 ValidationError, _kolmogorov_sf,
-                                 aggregate_bins, ks_two_sample,
-                                 write_validation_report)
+from trafficlab.validate import (KsResult, PASS_LEVEL, ValidationError,
+                                 _kolmogorov_sf, aggregate_bins,
+                                 ks_two_sample, write_validation_report)
 
 from conftest import rng_for
 
@@ -168,10 +167,10 @@ def test_aggregate_bins_validation():
 
 
 def test_validation_report_format(tmp_path):
-    rows = [DayValidation(0, KsResult(0.125, 0.25, 96, 96)),
-            DayValidation(1, KsResult(0.5, 0.001, 96, 96))]
+    results = [(0, KsResult(0.125, 0.25, 96, 96)),
+               (1, KsResult(0.5, 0.001, 96, 96))]
     path = tmp_path / "validation.csv"
-    write_validation_report(rows, path)
+    write_validation_report(results, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "day,ks_statistic,p_value,pass"
     assert lines[1] == "0,0.125,0.25,1"
