@@ -24,12 +24,19 @@ class ConfigError(ValueError):
     pass
 
 
+# each nested section's keys, mapped to the names of their config fields
 _WINDOW_KEYS = {"window_s": "window", "stride_s": "stride",
                 "label_mode": "label_mode"}
+_INCIDENT_KEYS = {f: f for f in IncidentPlanConfig.__dataclass_fields__}
 # the simulator seed comes from each day's (seed, day) stream, and the
 # learner's objective from the sub-model being trained; neither is a key
-_SIM_KEYS = set(SimConfig.__dataclass_fields__) - {"seed"}
-_MODEL_KEYS = set(TreeEnsembleConfig.__dataclass_fields__) - {"objective"}
+_SIM_KEYS = {f: f for f in SimConfig.__dataclass_fields__ if f != "seed"}
+_MODEL_KEYS = {f: f for f in TreeEnsembleConfig.__dataclass_fields__
+               if f != "objective"}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:
@@ -39,8 +46,7 @@ def _is_number(v) -> bool:
 # (top-level keys, test of each value, what the test asks for)
 _KINDS = ((("network", "counts", "out_dir"),
            lambda v: isinstance(v, str), "a string"),
-          (("days", "day_seconds", "bin_seconds", "seed"),
-           lambda v: isinstance(v, int) and not isinstance(v, bool),
+          (("days", "day_seconds", "bin_seconds", "seed"), _is_int,
            "an integer"),
           (("sensor_range_m", "staleness_s", "threshold"), _is_number,
            "a number"),
@@ -95,11 +101,14 @@ class ExperimentConfig:
                 and all(isinstance(s, str) for s in self.sensors)):
             raise ConfigError("sensors must be a list of node ids, not "
                               f"{self.sensors!r}")
-        _check_keys(self.window, set(_WINDOW_KEYS), "window")
-        _check_keys(self.incidents,
-                    set(IncidentPlanConfig.__dataclass_fields__), "incidents")
-        _check_keys(self.sim, _SIM_KEYS, "sim")
-        _check_keys(self.model, _MODEL_KEYS, "model")
+        for section, cls, keys in (
+                ("window", WindowConfig, _WINDOW_KEYS),
+                ("incidents", IncidentPlanConfig, _INCIDENT_KEYS),
+                ("sim", SimConfig, _SIM_KEYS),
+                ("model", TreeEnsembleConfig, _MODEL_KEYS)):
+            _check_section(getattr(self, section), cls, keys, section)
+        if self.model.get("seed", 0) < 0:
+            raise ConfigError("model.seed must not be negative")
         # constructing each config validates the override values early
         self.window_config()
         self.incident_config()
@@ -157,6 +166,27 @@ def _check_keys(d: dict, allowed: set, section: str) -> None:
     if unknown:
         raise ConfigError(
             f"unknown keys in {section!r}: {', '.join(sorted(unknown))}")
+
+
+def _check_section(d: dict, cls, keys: dict, section: str) -> None:
+    """A nested section's keys must be among `keys`, and each value of the
+    kind of its field's default in `cls`: an integer, a number, a string or
+    a pair of numbers."""
+    _check_keys(d, set(keys), section)
+    for key, value in d.items():
+        default = cls.__dataclass_fields__[keys[key]].default
+        if isinstance(default, int):
+            ok, what = _is_int(value), "an integer"
+        elif isinstance(default, float):
+            ok, what = _is_number(value), "a number"
+        elif isinstance(default, str):
+            ok, what = isinstance(value, str), "a string"
+        else:
+            ok, what = (isinstance(value, (list, tuple)) and len(value) == 2
+                        and all(map(_is_number, value))), "a pair of numbers"
+        if not ok:
+            raise ConfigError(f"{section}.{key} must be {what}, not "
+                              f"{value!r}")
 
 
 def _resolve_input(name: str, suffix: str) -> str:

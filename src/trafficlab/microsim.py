@@ -489,10 +489,10 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
     builder = (None if sim.rig is None
                else RawDatasetBuilder(sim.rig.sensor_ids))
     st = sim.state
-    for t in range(sim.horizon):
+    for _ in range(sim.horizon):
         sim.step(report)
         if builder is not None:
-            builder.add_step(sim.rig.observe(st, t))
+            sim.rig.capture(st, builder)
     raw = None if builder is None else builder.build(sim.horizon)
     return RunResult(raw=raw, incident_log=list(sim.incident_plan),
                      spawned=st.spawned, arrived=st.arrived,

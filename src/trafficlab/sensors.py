@@ -4,9 +4,11 @@ A sensor at a node observes every vehicle whose along-road distance to the
 node is at most the capture range, on any segment incident to that node
 (approaching vehicles by distance-to-go, departing ones by distance-from).
 Each (sensor, second) yields exactly one reading, zero-count seconds
-included.  Capture reads the state's lane queues (`lane_queues[seg_id]`,
-one deque of vehicle slots per lane) of the watched segments directly and
-scans every vehicle on them, reading positions and speeds from the state lists.
+included.  Capture walks each watched segment's lane queues
+(`lane_queues[seg_id]`, one deque of vehicle slots per lane) once per
+second, testing every vehicle against the sensor the segment approaches and
+the one it departs from, and appends each sensor's count, mean speed,
+occupancy and sorted vehicle ids straight to the raw table's columns.
 A reading's mean speed is `exact_mean` of the seen vehicles' speeds in slot
 order, which equals `float(np.mean(...))` bit for bit.
 
@@ -42,14 +44,9 @@ class SensorReading(NamedTuple):
 
 
 def _pairwise_sum(xs: list, lo: int, n: int) -> float:
-    """Sum of xs[lo:lo + n] in numpy's float64 pairwise order: one running
-    sum below 8 values, eight interleaved partial sums up to 128, and above
-    that a split at n // 2 rounded down to a multiple of 8."""
-    if n < 8:
-        s = 0.0
-        for i in range(lo, lo + n):
-            s += xs[i]
-        return s
+    """Sum of xs[lo:lo + n], n >= 8, in numpy's float64 pairwise order:
+    eight interleaved partial sums up to 128 values, and above that a split
+    at n // 2 rounded down to a multiple of 8 (so no part is below 64)."""
     if n <= 128:
         r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
         end = lo + n - n % 8
@@ -74,67 +71,103 @@ def _pairwise_sum(xs: list, lo: int, n: int) -> float:
 
 def exact_mean(xs: list) -> float:
     """`float(np.mean(np.asarray(xs)))` for a non-empty list of floats,
-    bit for bit, without building an array: numpy's add.reduce starts from
-    +0.0 (so an all -0.0 input sums to 0.0) and adds the pairwise sum."""
-    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
+    bit for bit, without building an array.  Below 8 values numpy keeps one
+    running sum; add.reduce starts from +0.0, so an all -0.0 input sums to
+    0.0."""
+    n = len(xs)
+    if n < 8:
+        s = 0.0
+        for x in xs:
+            s += x
+        return s / n
+    return (0.0 + _pairwise_sum(xs, 0, n)) / n
 
 
 class SensorRig:
-    """Observation geometry precomputed once per (network, placement)."""
+    """Observation geometry precomputed once per (network, placement).
+
+    `plan` lists each watched segment once, as (segment id, length, column
+    of the sensor it approaches, column of the sensor it departs from),
+    None where no sensor watches that end; a column is the sensor's index
+    in `sensor_ids`.  So a segment between two sensors is walked once per
+    second, not once per sensor, as SUMO attaches lane-area detectors to
+    lanes (Lopez et al., ITSC 2018)."""
 
     def __init__(self, network: RoadNetwork, placement: SensorPlacement):
         validate_placement(network, placement)
         self.network = network
         self.sensor_ids = placement.sensor_ids
         self.range_m = placement.range_m
-        # per sensor: [(segment_id, approaching?, length)] and total
-        # monitored length
-        self.watch: dict = {}
+        # per sensor, in sensor_ids order: the monitored lane length
         self.monitored: dict = {}
-        for sid in self.sensor_ids:
-            segs = []
+        ends: dict = {}  # segment id -> [approached column, departed column]
+        for col, sid in enumerate(self.sensor_ids):
             total = 0.0
-            for approaching, seg_ids in ((True, network.incoming(sid)),
-                                         (False, network.outgoing(sid))):
+            for end, seg_ids in ((0, network.incoming(sid)),
+                                 (1, network.outgoing(sid))):
                 for seg_id in seg_ids:
                     seg = network.segments[seg_id]
-                    segs.append((seg_id, approaching, seg.length))
+                    ends.setdefault(seg_id, [None, None])[end] = col
                     total += min(self.range_m, seg.length) * seg.lanes
             if total <= 0:
                 raise SensorError(f"sensor {sid!r} monitors no road length")
-            self.watch[sid] = segs
             self.monitored[sid] = total
+        self.plan = tuple((seg_id, network.segments[seg_id].length, ahead,
+                           behind)
+                          for seg_id, (ahead, behind) in ends.items())
 
-    def observe(self, state, t: int) -> list:
-        """One SensorReading per sensor for the state's current second."""
-        readings = []
-        t = int(t)
-        vlen = state.cfg.vehicle_length
+    def capture(self, state, builder: RawDatasetBuilder) -> None:
+        """Append the state's current second to the builder's columns: one
+        row per sensor, in sensor_ids order."""
         range_m = self.range_m
         pos = state.pos
+        lane_queues = state.lane_queues
+        seen: list = [[] for _ in self.sensor_ids]
+        for seg_id, seg_len, ahead, behind in self.plan:
+            if behind is None:
+                near_end = seen[ahead]
+                for q in lane_queues[seg_id]:
+                    for slot in q:
+                        if seg_len - pos[slot] <= range_m:
+                            near_end.append(slot)
+            elif ahead is None:
+                near_start = seen[behind]
+                for q in lane_queues[seg_id]:
+                    for slot in q:
+                        if pos[slot] <= range_m:
+                            near_start.append(slot)
+            else:
+                near_end, near_start = seen[ahead], seen[behind]
+                for q in lane_queues[seg_id]:
+                    for slot in q:
+                        p = pos[slot]
+                        if seg_len - p <= range_m:
+                            near_end.append(slot)
+                        if p <= range_m:
+                            near_start.append(slot)
         speed = state.speed
-        for sid in self.sensor_ids:
-            seen: list = []
-            for seg_id, approaching, seg_len in self.watch[sid]:
-                for q in state.lane_queues[seg_id]:
-                    if not q:
-                        continue
-                    if approaching:
-                        for slot in q:
-                            if seg_len - pos[slot] <= range_m:
-                                seen.append(slot)
-                    else:
-                        for slot in q:
-                            if pos[slot] <= range_m:
-                                seen.append(slot)
-            seen.sort()
-            count = len(seen)
-            mean_speed = (exact_mean([speed[slot] for slot in seen])
-                          if seen else 0.0)
-            occupancy = count * vlen / self.monitored[sid]
-            readings.append(SensorReading(sid, t, tuple(seen), count,
-                                          mean_speed, occupancy))
-        return readings
+        vlen = state.cfg.vehicle_length
+        for slots in seen:
+            slots.sort()
+        builder.count.extend(map(len, seen))
+        builder.mean_speed.extend([
+            exact_mean([speed[slot] for slot in slots]) if slots else 0.0
+            for slots in seen])
+        builder.occupancy.extend([
+            len(slots) * vlen / monitored
+            for slots, monitored in zip(seen, self.monitored.values())])
+        builder.vehicle_ids.extend(map(tuple, seen))
+
+    def observe(self, state, t: int) -> list:
+        """One SensorReading per sensor for the state's current second: the
+        row `capture` appends, as records."""
+        one = RawDatasetBuilder(self.sensor_ids)
+        self.capture(state, one)
+        t = int(t)
+        return [SensorReading(sid, t, ids, count, speed, occupancy)
+                for sid, count, speed, occupancy, ids in zip(
+                    self.sensor_ids, one.count, one.mean_speed,
+                    one.occupancy, one.vehicle_ids)]
 
 
 @dataclass
@@ -177,8 +210,10 @@ class RawDataset:
 
 
 class RawDatasetBuilder:
-    """Collects one step's readings at a time; each step must hold one
-    reading per sensor, in sensor_ids order, as SensorRig.observe gives."""
+    """The raw table's four columns as lists, one step at a time: each step
+    holds one row per sensor, in sensor_ids order.  `SensorRig.capture`
+    appends to the lists directly; `add_step` takes a step's
+    SensorReadings, as `SensorRig.observe` gives them."""
 
     def __init__(self, sensor_ids: tuple):
         self.sensor_ids = tuple(sensor_ids)

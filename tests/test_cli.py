@@ -151,6 +151,19 @@ def test_config_rejections(tmp_path):
     bad({"window": {"window_s": 100, "stride_s": 300}},
         "stride must not exceed the window")
     bad({"model": {"n_trees": 0}}, "need at least one tree")
+    # and each by its kind, named section.key with the bad value
+    bad({"model": {"seed": "abc"}}, "model.seed must be an integer, not 'abc'")
+    bad({"model": {"seed": -1}}, "model.seed must not be negative")
+    bad({"model": {"seed": True}}, "model.seed must be an integer, not True")
+    bad({"sim": {"accel": "x"}}, "sim.accel must be a number, not 'x'")
+    bad({"window": {"window_s": "x"}},
+        "window.window_s must be an integer, not 'x'")
+    bad({"incidents": {"p_incident": "x"}},
+        "incidents.p_incident must be a number, not 'x'")
+    bad({"incidents": {"minor_duration_s": 300}},
+        "incidents.minor_duration_s must be a pair of numbers, not 300")
+    bad({"window": {"label_mode": 1}},
+        "window.label_mode must be a string, not 1")
     with pytest.raises(ConfigError,
                        match=r"list\.yaml: top level must be a mapping"):
         p = tmp_path / "list.yaml"
@@ -573,6 +586,14 @@ def test_module_errors_exit_2(tmp_path, capsys):
                          {"sim": {"engine": "compiled"}})
     assert main(["simulate", "--config", removed]) == 2
     assert "unknown keys in 'sim'" in one_error_line(capsys)
+    # a model seed numpy would refuse only at train time stops at load
+    for seed in ("abc", -1):
+        seeded = write_yaml(tmp_path / "seed.yaml", {"model": {"seed": seed}})
+        assert main(["train", "--features", str(tmp_path / "f.csv"),
+                     "--out", str(tmp_path / "m.json"),
+                     "--config", seeded]) == 2
+        assert one_error_line(capsys).startswith(
+            f"error: {seeded}: model.seed must ")
 
     cfg_path = line_experiment(tmp_path)
     assert main(["sweep-sparsity", "--config", cfg_path,

@@ -28,7 +28,8 @@ from trafficlab.microsim import (AuditReport, SimConfig, SimError,
                                  Simulation, run)
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import SensorPlacement, load_network
-from trafficlab.sensors import SensorReading
+from trafficlab.sensors import (RawDataset, RawDatasetBuilder,
+                                SensorReading, SensorRig)
 
 from conftest import make_line_net, make_signal_line_net, traced_run
 from test_kernels import vector_follow_speeds
@@ -493,6 +494,73 @@ def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
     assert seen["calls"] > 300
     assert seen["capped"] > 100 and seen["halted"] > 100
     assert sightings > 1000
+
+
+def test_run_builds_its_table_without_observe_or_add_step(grid_net,
+                                                         monkeypatch):
+    # run writes the raw columns through SensorRig.capture alone; its table
+    # equals one stacked from the per-second reference readings
+    sites = tuple(sorted(n for n, node in grid_net.nodes.items()
+                         if node.sensor_site))
+    assert len(sites) == 16
+    busy = FlowModelParams(a1=0.0, b1=1.0, c1=0.0, a2=0.0, b2=2.0, c2=0.0,
+                           d=20.0, alpha_sigma=0.0)
+    sched = spawn_schedule(busy, grid_net, 900.0, seed=5,
+                           bin_duration=100.0)
+    icfg = IncidentPlanConfig(p_incident=0.03, p_severe=0.5,
+                              minor_duration_s=(200.0, 400.0),
+                              severe_duration_s=(400.0, 600.0),
+                              base_radius_m=150.0, slowdown_factor=0.2)
+    plan = plan_incidents(sched, icfg, grid_net, seed=5)
+    assert plan
+    placement = SensorPlacement(sites, 60.0)
+    cfg = SimConfig(seed=5)
+    sim = Simulation(grid_net, sched, plan, placement, cfg, icfg)
+    count, speed, occupancy, ids = [], [], [], []
+    for t in range(sim.horizon):
+        sim.step()
+        for r in loop_observe(sim.rig, sim.state, t):
+            count.append(r.count)
+            speed.append(r.mean_speed)
+            occupancy.append(r.occupancy)
+            ids.append(r.vehicle_ids)
+    want = RawDataset(sim.horizon, sites, np.asarray(count, dtype=np.int32),
+                      np.asarray(speed), np.asarray(occupancy), ids)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run went through the per-reading path")
+
+    monkeypatch.setattr(SensorRig, "observe", refuse)
+    monkeypatch.setattr(RawDatasetBuilder, "add_step", refuse)
+    raw = run(grid_net, sched, plan, placement, cfg, icfg).raw
+    assert raw.data_equal(want)
+    assert sum(count) > 500
+
+
+def test_capture_when_both_end_sensors_see_one_vehicle():
+    net = make_line_net()  # a0 -s0-> a1 -s1-> a2 -s2-> a3, 200 m each
+    sched = SpawnSchedule(tuple(SpawnEvent(0.0, "a0", "a3")
+                                for _ in range(3)), 60.0)
+    # a range of half a segment: s1's midpoint is in range of both ends
+    sim = Simulation(net, sched, placement=SensorPlacement(("a1", "a2"),
+                                                           100.0))
+    rig, st = sim.rig, sim.state
+    # each watched segment once: (id, length, approached, departed column)
+    assert rig.plan == (("s0", 200.0, 0, None), ("s1", 200.0, 1, 0),
+                        ("s2", 200.0, None, 1))
+    empty = RawDatasetBuilder(rig.sensor_ids)
+    rig.capture(st, empty)
+    assert list(zip(empty.count, empty.mean_speed, empty.occupancy,
+                    empty.vehicle_ids)) == [(0, 0.0, 0.0, ())] * 2
+    assert rig.observe(st, 0) == loop_observe(rig, st, 0)
+
+    place(sim, 0, seg=1, pos=100.0, speed=4.0)  # 100 m from a1 and a2
+    place(sim, 1, seg=0, pos=110.0, speed=6.0)  # 90 m before a1
+    place(sim, 2, seg=2, pos=100.0, speed=3.0)  # 100 m past a2
+    got = rig.observe(st, 5)
+    assert got == loop_observe(rig, st, 5)
+    assert [r.vehicle_ids for r in got] == [(0, 1), (0, 2)]
+    assert [r.mean_speed for r in got] == [5.0, 3.5]
 
 
 # -- step --------------------------------------------------------------------------
