@@ -85,16 +85,17 @@ def _simulate_day(cfg: ExperimentConfig, net, placement, params, root: str,
     under root/day_NNN, and return (its day line, its RunResult).  Day
     cfg.days is the held-out evaluation day.  With audit, every step is
     audited and the day line gives the audit's counts."""
-    inc_cfg = cfg.incident_config()
     spawn_seed, inc_seed, sim_seed = _day_seeds(cfg.seed, day)
     schedule = demand.spawn_schedule(
         params, net, cfg.day_seconds, seed=spawn_seed,
         bin_duration=cfg.bin_seconds,
         entry_weights=cfg.entry_weights or None,
         exit_weights=cfg.exit_weights or None)
-    plan = incidents.plan_incidents(schedule, inc_cfg, net, seed=inc_seed)
-    result = run(net, schedule, plan, placement, cfg.sim_config(sim_seed),
-                 incident_cfg=inc_cfg, audit=audit)
+    plan = incidents.plan_incidents(schedule, cfg.incidents, net,
+                                    seed=inc_seed)
+    result = run(net, schedule, plan, placement,
+                 dataclasses.replace(cfg.sim, seed=sim_seed),
+                 incident_cfg=cfg.incidents, audit=audit)
     out = os.path.join(root, f"day_{day:03d}")
     os.makedirs(out, exist_ok=True)
     sensors.emit_raw(result.raw, result.incident_log,
@@ -123,34 +124,32 @@ def _table(cfg: ExperimentConfig, net, placement, raw: sensors.RawDataset,
     pairs = contiguous_sensor_pairs(net, placement)
     recs = features.reidentify_travel_times(raw, pairs,
                                             staleness=cfg.staleness_s)
-    return features.build_feature_rows(raw, recs, cfg.window_config(), log,
-                                       net, pairs=pairs)
+    return features.build_feature_rows(raw, recs, cfg.window, log, net,
+                                       pairs=pairs)
 
 
 def _evaluate(cfg: ExperimentConfig, model, table, incident_log=None):
     if model.feature_names != table.feature_names:
         raise ConfigError("model and feature table schemas differ")
     preds = models.infer_batch(model, table.X, table.window_end)
-    grace = cfg.window_config().window
     return metrics.evaluate_predictions(table, preds, incident_log,
-                                        grace_s=grace)
+                                        grace_s=cfg.window.window_s)
 
 
 def _train(cfg: ExperimentConfig, table) -> models.EnsembleModel:
     """Fit the gated ensemble on table: the one training step of train and
     of every sweep level.  Prints a summary line, and a warning: line when
     the detector has fewer negative rows than min_samples_leaf."""
-    model_cfg = cfg.model_config()
-    model = models.train_incident_ensemble(table, model_cfg,
+    model = models.train_incident_ensemble(table, cfg.model,
                                            threshold=cfg.threshold)
     n_pos = int(table.label_incident.sum())
     n_neg = table.n_rows - n_pos
     print(f"trained on {table.n_rows} windows ({n_pos} positive); "
           f"roads={len(model.road_classes)} "
           f"severities={len(model.severity_classes)}")
-    if n_neg < model_cfg.min_samples_leaf:
+    if n_neg < cfg.model.min_samples_leaf:
         print(f"warning: the detector has {n_neg} negative rows, fewer "
-              f"than min_samples_leaf={model_cfg.min_samples_leaf}")
+              f"than min_samples_leaf={cfg.model.min_samples_leaf}")
     return model
 
 

@@ -1,12 +1,21 @@
 """Experiment configuration: one YAML document drives the whole pipeline.
 
-Nested sections map onto the per-module config dataclasses; anything left
-out takes that dataclass's default, and unknown keys are rejected rather
-than ignored.  The resolved document (defaults filled in) is echoed into
-every output directory so a run can be reproduced from the echo alone.
+Each nested section is its module's config object, built once when the
+config is constructed: `window` is a `WindowConfig`, `incidents` an
+`IncidentPlanConfig`, `sim` a `SimConfig` and `model` a
+`TreeEnsembleConfig`.  A section's keys are the field names of its class,
+except `sim.seed` (each day's simulator seed comes from its (seed, day)
+stream) and `model.objective` (each sub-model sets its own); `model.seed`
+defaults to the top-level `seed`.  One kind rule, taken from each field's
+default, checks the top level and every section, and each range check
+lives in the dataclass that owns the setting.  Anything left out takes its
+default, and unknown keys are rejected rather than ignored.  The resolved
+document (defaults filled in) is echoed into every output directory so a
+run can be reproduced from the echo alone.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,15 +33,9 @@ class ConfigError(ValueError):
     pass
 
 
-# each nested section's keys, mapped to the names of their config fields
-_WINDOW_KEYS = {"window_s": "window", "stride_s": "stride",
-                "label_mode": "label_mode"}
-_INCIDENT_KEYS = {f: f for f in IncidentPlanConfig.__dataclass_fields__}
-# the simulator seed comes from each day's (seed, day) stream, and the
-# learner's objective from the sub-model being trained; neither is a key
-_SIM_KEYS = {f: f for f in SimConfig.__dataclass_fields__ if f != "seed"}
-_MODEL_KEYS = {f: f for f in TreeEnsembleConfig.__dataclass_fields__
-               if f != "objective"}
+# the one field of a section that is not a key: the simulator seed comes
+# from each day's (seed, day) stream, the objective from the sub-model
+_DERIVED = {"sim": "seed", "model": "objective"}
 
 
 def _is_int(v) -> bool:
@@ -43,17 +46,34 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# (top-level keys, test of each value, what the test asks for)
-_KINDS = ((("network", "counts", "out_dir"),
-           lambda v: isinstance(v, str), "a string"),
-          (("days", "day_seconds", "bin_seconds", "seed"), _is_int,
-           "an integer"),
-          (("sensor_range_m", "staleness_s", "threshold"), _is_number,
-           "a number"),
-          (("entry_weights", "exit_weights"),
-           lambda v: isinstance(v, dict) and all(
-               isinstance(k, str) and _is_number(w) for k, w in v.items()),
-           "a mapping of node ids to numbers"))
+def _check_kinds(values: dict, cls, prefix: str = "") -> None:
+    """Each value must be of the kind of its field's default in `cls`: an
+    integer, a number, a string or a pair of numbers.  A field with no such
+    default (`sensors`, the weights, the sections) has its own check."""
+    for key, value in values.items():
+        default = cls.__dataclass_fields__[key].default
+        if isinstance(default, int):
+            ok, what = _is_int(value), "an integer"
+        elif isinstance(default, float):
+            ok, what = _is_number(value), "a number"
+        elif isinstance(default, str):
+            ok, what = isinstance(value, str), "a string"
+        elif isinstance(default, tuple):
+            ok, what = (isinstance(value, (list, tuple)) and len(value) == 2
+                        and all(map(_is_number, value))), "a pair of numbers"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{prefix}{key} must be {what}, not {value!r}")
+
+
+def _section(name: str, value, cls, **defaults):
+    """The config object of section `name`, built from its mapping."""
+    _check_keys(value, set(cls.__dataclass_fields__) - {_DERIVED.get(name)},
+                name)
+    _check_kinds(value, cls, name + ".")
+    return cls(**{**defaults, **{k: tuple(v) if isinstance(v, list) else v
+                                 for k, v in value.items()}})
 
 
 @dataclass
@@ -69,19 +89,23 @@ class ExperimentConfig:
     sensor_range_m: float = 50.0
     staleness_s: float = 1800.0
     threshold: float = 0.5
-    window: dict = field(default_factory=dict)
-    incidents: dict = field(default_factory=dict)
-    sim: dict = field(default_factory=dict)
-    model: dict = field(default_factory=dict)
+    # each section is given as a mapping and built into its config object
+    window: WindowConfig = field(default_factory=dict)
+    incidents: IncidentPlanConfig = field(default_factory=dict)
+    sim: SimConfig = field(default_factory=dict)
+    model: TreeEnsembleConfig = field(default_factory=dict)
     entry_weights: dict = field(default_factory=dict)
     exit_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for names, test, what in _KINDS:
-            for name in names:
-                if not test(getattr(self, name)):
-                    raise ConfigError(f"{name} must be {what}, not "
-                                      f"{getattr(self, name)!r}")
+        _check_kinds(vars(self), ExperimentConfig)
+        for name in ("entry_weights", "exit_weights"):
+            w = getattr(self, name)
+            if not (isinstance(w, dict) and all(
+                    isinstance(k, str) and _is_number(v)
+                    for k, v in w.items())):
+                raise ConfigError(f"{name} must be a mapping of node ids to "
+                                  f"numbers, not {w!r}")
         if self.seed < 0:
             raise ConfigError("seed must not be negative")
         if self.days < 1:
@@ -101,38 +125,12 @@ class ExperimentConfig:
                 and all(isinstance(s, str) for s in self.sensors)):
             raise ConfigError("sensors must be a list of node ids, not "
                               f"{self.sensors!r}")
-        for section, cls, keys in (
-                ("window", WindowConfig, _WINDOW_KEYS),
-                ("incidents", IncidentPlanConfig, _INCIDENT_KEYS),
-                ("sim", SimConfig, _SIM_KEYS),
-                ("model", TreeEnsembleConfig, _MODEL_KEYS)):
-            _check_section(getattr(self, section), cls, keys, section)
-        if self.model.get("seed", 0) < 0:
-            raise ConfigError("model.seed must not be negative")
-        # constructing each config validates the override values early
-        self.window_config()
-        self.incident_config()
-        self.sim_config(0)
-        self.model_config()
-
-    def window_config(self) -> WindowConfig:
-        kw = {_WINDOW_KEYS[k]: v for k, v in self.window.items()}
-        return WindowConfig(**kw)
-
-    def incident_config(self) -> IncidentPlanConfig:
-        kw = dict(self.incidents)
-        for key in ("minor_duration_s", "severe_duration_s"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        return IncidentPlanConfig(**kw)
-
-    def sim_config(self, seed: int) -> SimConfig:
-        return SimConfig(seed=seed, **self.sim)
-
-    def model_config(self) -> TreeEnsembleConfig:
-        kw = dict(self.model)
-        kw.setdefault("seed", self.seed)
-        return TreeEnsembleConfig(**kw)
+        self.window = _section("window", self.window, WindowConfig)
+        self.incidents = _section("incidents", self.incidents,
+                                  IncidentPlanConfig)
+        self.sim = _section("sim", self.sim, SimConfig)
+        self.model = _section("model", self.model, TreeEnsembleConfig,
+                              seed=self.seed)
 
     def network_path(self) -> str:
         return _resolve_input(self.network, ".net")
@@ -141,21 +139,10 @@ class ExperimentConfig:
         return _resolve_input(self.counts, ".csv")
 
     def resolved_dict(self) -> dict:
-        doc = {}
-        for name in self.__dataclass_fields__:
-            val = getattr(self, name)
-            doc[name] = dict(val) if isinstance(val, dict) else val
-        doc["window"] = {k: getattr(self.window_config(), v)
-                         for k, v in _WINDOW_KEYS.items()}
-        inc = self.incident_config()
-        doc["incidents"] = {k: (list(v) if isinstance(v, tuple) else v)
-                            for k, v in
-                            ((f, getattr(inc, f))
-                             for f in inc.__dataclass_fields__)}
-        sim = self.sim_config(0)
-        doc["sim"] = {f: getattr(sim, f) for f in _SIM_KEYS}
-        mdl = self.model_config()
-        doc["model"] = {f: getattr(mdl, f) for f in _MODEL_KEYS}
+        doc = dataclasses.asdict(self, dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v for k, v in items})
+        for section, derived in _DERIVED.items():
+            del doc[section][derived]
         return doc
 
 
@@ -166,27 +153,6 @@ def _check_keys(d: dict, allowed: set, section: str) -> None:
     if unknown:
         raise ConfigError(
             f"unknown keys in {section!r}: {', '.join(sorted(unknown))}")
-
-
-def _check_section(d: dict, cls, keys: dict, section: str) -> None:
-    """A nested section's keys must be among `keys`, and each value of the
-    kind of its field's default in `cls`: an integer, a number, a string or
-    a pair of numbers."""
-    _check_keys(d, set(keys), section)
-    for key, value in d.items():
-        default = cls.__dataclass_fields__[keys[key]].default
-        if isinstance(default, int):
-            ok, what = _is_int(value), "an integer"
-        elif isinstance(default, float):
-            ok, what = _is_number(value), "a number"
-        elif isinstance(default, str):
-            ok, what = isinstance(value, str), "a string"
-        else:
-            ok, what = (isinstance(value, (list, tuple)) and len(value) == 2
-                        and all(map(_is_number, value))), "a pair of numbers"
-        if not ok:
-            raise ConfigError(f"{section}.{key} must be {what}, not "
-                              f"{value!r}")
 
 
 def _resolve_input(name: str, suffix: str) -> str:

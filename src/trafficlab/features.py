@@ -47,14 +47,14 @@ class TravelTimeRecord:
 
 @dataclass
 class WindowConfig:
-    window: int = 600
-    stride: int = 30
+    window_s: int = 600
+    stride_s: int = 30
     label_mode: str = "stride"  # "stride" or "window" overlap labeling
 
     def __post_init__(self):
-        if self.window < 1 or self.stride < 1:
+        if self.window_s < 1 or self.stride_s < 1:
             raise FeatureError("window and stride must be positive")
-        if self.stride > self.window:
+        if self.stride_s > self.window_s:
             raise FeatureError("stride must not exceed the window")
         if self.label_mode not in ("stride", "window"):
             raise FeatureError(f"unknown label mode {self.label_mode!r}")
@@ -176,10 +176,11 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
     label interval is the last stride (default) or the whole window,
     depending on cfg.label_mode.
     """
-    if raw.horizon < cfg.window:
+    if raw.horizon < cfg.window_s:
         raise FeatureError("horizon shorter than one window")
-    ends = np.arange(cfg.window, raw.horizon + 1, cfg.stride, dtype=np.int64)
-    starts = ends - cfg.window
+    ends = np.arange(cfg.window_s, raw.horizon + 1, cfg.stride_s,
+                     dtype=np.int64)
+    starts = ends - cfg.window_s
     n = len(ends)
 
     names: list = []
@@ -188,7 +189,7 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
                            ("occupancy", "occ_mean")):
         mat = np.ascontiguousarray(raw.sensor_matrix(fieldname).T
                                    .astype(np.float64))
-        means = _window_means_exact(mat, cfg.window, starts)
+        means = _window_means_exact(mat, cfg.window_s, starts)
         for k, sid in enumerate(raw.sensor_ids):
             names.append(f"{tag}_{sid}")
             blocks.append(means[k])
@@ -214,7 +215,7 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
     feature_names = ["time_of_day"] + names
     X = np.column_stack([tod] + blocks)
 
-    span = cfg.stride if cfg.label_mode == "stride" else cfg.window
+    span = cfg.stride_s if cfg.label_mode == "stride" else cfg.window_s
     lab_inc = np.zeros(n, dtype=bool)
     lab_road: list = [None] * n
     lab_sev: list = [None] * n

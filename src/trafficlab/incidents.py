@@ -81,10 +81,15 @@ class IncidentPlanConfig:
             if not 0.0 <= p <= 1.0:
                 raise IncidentError("probabilities must lie in [0, 1]")
         for lo, hi in (self.minor_duration_s, self.severe_duration_s):
-            if not 0 < lo <= hi:
-                raise IncidentError("duration ranges must be positive, ordered")
+            if not 0 < lo <= hi < math.inf:
+                raise IncidentError("duration ranges must be positive, "
+                                    "ordered and finite")
         if not 0.0 < self.slowdown_factor <= 1.0:
             raise IncidentError("slowdown factor must be in (0, 1]")
+        for name in ("base_radius_m", "severe_radius_multiplier",
+                     "min_duration_s"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN included
+                raise IncidentError(f"{name} must be non-negative and finite")
 
 
 def _route_point(net: RoadNetwork, route, fraction: float):

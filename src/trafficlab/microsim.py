@@ -57,12 +57,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.accel <= 0 or self.decel <= 0:
-            raise SimError("accel and decel must be positive")
+        for name in ("accel", "decel", "vehicle_length"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN included
+                raise SimError(f"{name} must be positive and finite")
+        if not 0.0 <= self.min_gap < math.inf:
+            raise SimError("min_gap must be non-negative and finite")
         if not 0.0 <= self.driver_imperfection < 1.0:
             raise SimError("driver imperfection must lie in [0, 1)")
-        if self.min_gap < 0 or self.vehicle_length <= 0:
-            raise SimError("bad geometry parameters")
 
 
 @dataclass

@@ -60,6 +60,12 @@ class TreeEnsembleConfig:
             raise ModelError(f"unknown objective {self.objective!r}")
         if not 2 <= self.max_bins <= 256:
             raise ModelError("max_bins must be in [2, 256]")
+        if self.min_samples_leaf < 1:
+            raise ModelError("min_samples_leaf must be at least 1")
+        if not 0.0 <= self.reg_lambda < math.inf:  # NaN included
+            raise ModelError("reg_lambda must be non-negative and finite")
+        if self.seed < 0:
+            raise ModelError("model.seed must not be negative")
 
 
 @dataclass

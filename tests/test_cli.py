@@ -1,7 +1,9 @@
 """Experiment config and command-line pipeline tests.
 
 Index:
-  expconfig   YAML parsing, defaults, key rejection, echo round trip
+  expconfig   YAML parsing, defaults, key, kind and range rejection, echo
+              round trip, the pinned echo of an empty config, the README
+              example
   commands    fit-demand, simulate, extract-features, validate,
               train, evaluate, sweep-sparsity (on the line network and on
               highway8, where a level equals the staged commands); the
@@ -10,11 +12,13 @@ Index:
               undecodable input files, malformed sub-models, a bin_seconds
               other than the counts', incidents off the network, weights
               and sensors that name no usable node, event scoring of a
-              multi-day table, argparse usage failures; the exact option
-              surface of every subcommand
+              multi-day table, an unbounded incident duration range, a
+              model.json training config out of range, argparse usage
+              failures; the exact option surface of every subcommand
 """
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -90,24 +94,24 @@ def test_empty_config_takes_defaults(tmp_path):
     assert cfg.days == 31
     assert cfg.day_seconds == 86400
     assert cfg.sensors is None
-    assert cfg.window_config().window == 600
-    assert cfg.incident_config().p_incident == 1e-4
-    assert cfg.model_config().seed == cfg.seed
+    assert cfg.window.window_s == 600
+    assert cfg.incidents.p_incident == 1e-4
+    assert cfg.model.seed == cfg.seed
 
 
 def test_nested_sections_reach_module_configs(tmp_path):
     path = line_experiment(tmp_path, seed=9)
     cfg = load_config(path)
-    w = cfg.window_config()
-    assert (w.window, w.stride, w.label_mode) == (600, 150, "window")
-    inc = cfg.incident_config()
+    w = cfg.window
+    assert (w.window_s, w.stride_s, w.label_mode) == (600, 150, "window")
+    inc = cfg.incidents
     assert inc.minor_duration_s == (300, 600)  # lists become tuples
     assert inc.p_incident == 0.02
-    assert cfg.model_config().n_trees == 30
-    assert cfg.model_config().seed == 9      # inherits the experiment seed
-    assert cfg.sim_config(seed=4).seed == 4
+    assert cfg.model.n_trees == 30
+    assert cfg.model.seed == 9      # inherits the experiment seed
+    assert dataclasses.replace(cfg.sim, seed=4).seed == 4
     mdl = load_config(path, {"model": {"n_trees": 5, "seed": 2}})
-    assert (mdl.model_config().n_trees, mdl.model_config().seed) == (5, 2)
+    assert (mdl.model.n_trees, mdl.model.seed) == (5, 2)
 
 
 def test_config_rejections(tmp_path):
@@ -164,6 +168,26 @@ def test_config_rejections(tmp_path):
         "incidents.minor_duration_s must be a pair of numbers, not 300")
     bad({"window": {"label_mode": 1}},
         "window.label_mode must be a string, not 1")
+    # each range is checked by the dataclass that owns the setting, NaN and
+    # infinities included
+    nan, inf = float("nan"), float("inf")
+    bad({"sim": {"accel": inf}}, "accel must be positive and finite")
+    bad({"sim": {"decel": nan}}, "decel must be positive and finite")
+    bad({"sim": {"vehicle_length": 0.0}},
+        "vehicle_length must be positive and finite")
+    bad({"sim": {"min_gap": nan}}, "min_gap must be non-negative and finite")
+    bad({"incidents": {"base_radius_m": nan}},
+        "base_radius_m must be non-negative and finite")
+    bad({"incidents": {"severe_radius_multiplier": inf}},
+        "severe_radius_multiplier must be non-negative and finite")
+    bad({"incidents": {"min_duration_s": nan}},
+        "min_duration_s must be non-negative and finite")
+    bad({"incidents": {"severe_duration_s": [900, inf]}},
+        "duration ranges must be positive, ordered and finite")
+    bad({"model": {"reg_lambda": nan}},
+        "reg_lambda must be non-negative and finite")
+    bad({"model": {"min_samples_leaf": 0}},
+        "min_samples_leaf must be at least 1")
     with pytest.raises(ConfigError,
                        match=r"list\.yaml: top level must be a mapping"):
         p = tmp_path / "list.yaml"
@@ -191,6 +215,78 @@ def assert_echo_reloads(path):
         doc = yaml.safe_load(fh)
     assert "seed" not in doc["sim"] and "objective" not in doc["model"]
     assert load_config(path).resolved_dict() == doc
+
+
+# the echo of an empty config: a changed default, key or order shows here
+EMPTY_ECHO = """\
+bin_seconds: 900
+counts: city_counts
+day_seconds: 86400
+days: 31
+entry_weights: {}
+exit_weights: {}
+incidents:
+  base_radius_m: 50.0
+  min_duration_s: 60.0
+  minor_duration_s:
+  - 300.0
+  - 900.0
+  p_crash_given_incident: 0.5
+  p_incident: 0.0001
+  p_severe: 0.3
+  severe_duration_s:
+  - 900.0
+  - 2700.0
+  severe_radius_multiplier: 2.0
+  slowdown_factor: 0.3
+model:
+  learning_rate: 0.1
+  max_bins: 256
+  max_depth: 6
+  min_samples_leaf: 20
+  n_trees: 200
+  reg_lambda: 1.0
+  seed: 0
+  subsample: 0.8
+network: grid4x4
+out_dir: runs/experiment
+seed: 0
+sensor_range_m: 50.0
+sensors: null
+sim:
+  accel: 2.6
+  decel: 4.5
+  driver_imperfection: 0.1
+  min_gap: 2.5
+  vehicle_length: 5.0
+staleness_s: 1800.0
+threshold: 0.5
+window:
+  label_mode: stride
+  stride_s: 30
+  window_s: 600
+"""
+
+
+def test_empty_config_echo_is_pinned(tmp_path):
+    cfg = load_config(write_yaml(tmp_path / "c.yaml", {}))
+    with open(echo_config(cfg, tmp_path / "out"), encoding="utf-8") as fh:
+        assert fh.read() == EMPTY_ECHO
+
+
+def test_readme_example_loads_and_reloads_from_its_echo(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"```yaml\n(# experiment\.yaml\n.*?)```",
+                          fh.read(), re.S).group(1)
+    path = tmp_path / "experiment.yaml"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.sensors == ["n01", "n13", "n20", "n32"]
+    assert cfg.window.label_mode == "window"
+    echo = echo_config(cfg, tmp_path / "out")
+    assert_echo_reloads(echo)
+    assert load_config(echo) == cfg
 
 
 def test_echo_round_trip(tmp_path):
@@ -651,6 +747,19 @@ def test_nonpositive_staleness_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "f.csv")
 
 
+def test_infinite_incident_duration_exits_2(tmp_path, capsys):
+    """An unbounded duration range is rejected with the config, before
+    config_used.yaml is written, not by rng.uniform while planning."""
+    path = line_experiment(tmp_path, incidents={
+        "p_incident": 0.02, "p_severe": 0.0,
+        "minor_duration_s": [300, math.inf]})
+    assert main(["simulate", "--config", path]) == 2
+    assert one_error_line(capsys) == (
+        f"error: {path}: duration ranges must be positive, ordered and "
+        "finite\n")
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("days: [1, 2\n", encoding="utf-8")
@@ -744,6 +853,27 @@ def test_evaluate_rejects_a_malformed_sub_model(small_model, tmp_path,
     assert one_error_line(capsys).startswith(
         f"error: {bad}: {sub}: " + fault.format(n=n))
     assert not report.exists()
+
+
+def test_evaluate_rejects_a_training_config_out_of_range(small_model,
+                                                        tmp_path, capsys):
+    """model.json's training config is checked by the dataclass that
+    checks the experiment's model section."""
+    feat, cfg, model_path = small_model
+    for key, value, fault in (
+            ("seed", -1, "model.seed must not be negative"),
+            ("reg_lambda", math.nan,
+             "reg_lambda must be non-negative and finite"),
+            ("min_samples_leaf", 0, "min_samples_leaf must be at least 1")):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["config"][key] = value
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["evaluate", "--model", str(bad), "--features", feat,
+                     "--out", str(tmp_path / "report.txt"),
+                     "--config", cfg]) == 2
+        assert one_error_line(capsys) == f"error: {bad}: {fault}\n"
 
 
 # (reader, its module's error, the lines before the undecodable one, the

@@ -187,7 +187,7 @@ def synthetic_table(label_mode="stride"):
     recs = reidentify_travel_times(raw, [("p", "q")])
     net = make_line_net()
     log = [spec_of(seg="s1", onset=5, duration=4, radius=30.0)]
-    cfg = WindowConfig(window=4, stride=2, label_mode=label_mode)
+    cfg = WindowConfig(window_s=4, stride_s=2, label_mode=label_mode)
     return raw, recs, build_feature_rows(raw, recs, cfg, log, net,
                                          [("p", "q")])
 
@@ -221,7 +221,7 @@ def test_travel_time_column_nan_when_quiet():
     raw = raw_from_sightings(("p", "q"), 10, {("p", 1): (1,),
                                               ("q", 2): (1,)})
     recs = reidentify_travel_times(raw, [("p", "q")])
-    table = build_feature_rows(raw, recs, WindowConfig(window=4, stride=2),
+    table = build_feature_rows(raw, recs, WindowConfig(window_s=4, stride_s=2),
                                [], make_line_net(), [("p", "q")])
     col = table.X[:, table.feature_names.index("tt_p__q")]
     # the t=2 arrival lands in windows [0,4) and [2,6); nothing after
@@ -243,16 +243,16 @@ def test_time_of_day_column_and_schema_order():
 
 def test_config_validation_and_short_horizon():
     with pytest.raises(FeatureError, match="positive"):
-        WindowConfig(window=0)
+        WindowConfig(window_s=0)
     with pytest.raises(FeatureError, match="exceed"):
-        WindowConfig(window=10, stride=20)
+        WindowConfig(window_s=10, stride_s=20)
     with pytest.raises(FeatureError, match="label mode"):
         WindowConfig(label_mode="midpoint")
     with pytest.raises(FeatureError, match="after departure"):
         TravelTimeRecord(("p", "q"), 1, 5, 5)
     raw = raw_from_sightings(("p",), 5, {})
     with pytest.raises(FeatureError, match="shorter than one window"):
-        build_feature_rows(raw, [], WindowConfig(window=10, stride=5),
+        build_feature_rows(raw, [], WindowConfig(window_s=10, stride_s=5),
                            [], make_line_net(), [])
 
 

@@ -251,7 +251,7 @@ def test_report_round_trip(tmp_path):
     assert read_report(path)["detection_rate"] is None
 
 
-REPORT_KEYS = ["windows", "tp", "fp", "tn", "fn", "detection_rate",
+REPORT_FIELD_NAMES = ["windows", "tp", "fp", "tn", "fn", "detection_rate",
                "false_alarm_rate", "precision", "f1", "auc", "road_accuracy",
                "severity_accuracy", "n_events", "events_detected",
                "event_detection_rate", "mttd_s"]
@@ -268,8 +268,8 @@ def test_report_key_order(tmp_path):
     write_report(rep, path)
     keys = [line.split("=", 1)[0]
             for line in path.read_text(encoding="utf-8").splitlines()]
-    assert keys == REPORT_KEYS
-    assert list(REPORT_CSV_FIELDS) == REPORT_KEYS
+    assert keys == REPORT_FIELD_NAMES
+    assert list(REPORT_CSV_FIELDS) == REPORT_FIELD_NAMES
 
 
 def test_report_reader_names_file_and_line(tmp_path):

@@ -63,8 +63,13 @@ def test_config_validation():
         SimConfig(accel=0.0)
     with pytest.raises(SimError, match="imperfection"):
         SimConfig(driver_imperfection=1.0)
-    with pytest.raises(SimError, match="geometry"):
+    with pytest.raises(SimError, match="vehicle_length must be positive"):
         SimConfig(vehicle_length=0.0)
+    # NaN and infinities fail every comparison, so each is rejected too
+    with pytest.raises(SimError, match="decel must be positive and finite"):
+        SimConfig(decel=float("nan"))
+    with pytest.raises(SimError, match="min_gap must be non-negative"):
+        SimConfig(min_gap=float("inf"))
 
 
 # -- trajectory ----------------------------------------------------------------

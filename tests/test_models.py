@@ -61,6 +61,15 @@ def test_config_validation():
         TreeEnsembleConfig(objective="ranking")
     with pytest.raises(ModelError, match="max_bins"):
         TreeEnsembleConfig(max_bins=300)
+    with pytest.raises(ModelError, match="min_samples_leaf must be at least"):
+        TreeEnsembleConfig(min_samples_leaf=0)
+    # a NaN reg_lambda would fit trees with no split and NaN leaves
+    for lam in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ModelError, match="reg_lambda must be non-neg"):
+            TreeEnsembleConfig(reg_lambda=lam)
+    with pytest.raises(ModelError, match="model.seed must not be negative"):
+        TreeEnsembleConfig(seed=-1)
+    assert TreeEnsembleConfig(reg_lambda=0.0).reg_lambda == 0.0
 
 
 # -- splits ------------------------------------------------------------------
