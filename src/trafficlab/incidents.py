@@ -6,8 +6,9 @@ severity-scaled duration; every other vehicle within the radius of impact
 is capped to a fraction of its segment's speed limit.
 
 Each incident designates its halted vehicles and resolves its impact zone
-once, on activation, into rows of (lane queues, lo, hi, cap); each second
-then only walks the vehicles queued on the zone's segments.
+once, on activation, into one row of (lane deque, lo, hi, cap) per lane
+queue of each zone interval; each second then skips the empty queues and
+walks only the vehicles queued in the others.
 """
 from __future__ import annotations
 
@@ -233,19 +234,20 @@ def compute_impact_zones(net: RoadNetwork, spec: IncidentSpec) -> list:
 
 class ActiveIncident(NamedTuple):
     spec: IncidentSpec
-    zone: tuple  # rows (lane deques, lo, hi, cap), one per zone interval
+    zone: tuple  # rows (lane deque, lo, hi, cap), one per lane per interval
     halted: list  # the slots designated at onset, nearest first
 
 
 def activate(state, spec: IncidentSpec,
              cfg: IncidentPlanConfig) -> ActiveIncident:
-    """Designate the spec's halted vehicles and resolve its impact zone."""
+    """Designate the spec's halted vehicles and resolve its impact zone to
+    one row per lane queue of each zone interval."""
     net = state.network
-    zone = tuple(
-        (state.lane_queues[sid], lo, hi,
-         float(cfg.slowdown_factor * net.segments[sid].speed_limit))
-        for sid, lo, hi in compute_impact_zones(net, spec))
-    return ActiveIncident(spec, zone, designate_vehicles(state, spec))
+    zone: list = []
+    for sid, lo, hi in compute_impact_zones(net, spec):
+        cap = float(cfg.slowdown_factor * net.segments[sid].speed_limit)
+        zone.extend((q, lo, hi, cap) for q in state.lane_queues[sid])
+    return ActiveIncident(spec, tuple(zone), designate_vehicles(state, spec))
 
 
 def apply_effects(state, active) -> dict:
@@ -257,8 +259,8 @@ def apply_effects(state, active) -> dict:
     caps: dict = {}
     cap_of = caps.get
     for inc in active:
-        for lanes, lo, hi, cap in inc.zone:
-            for q in lanes:
+        for q, lo, hi, cap in inc.zone:
+            if q:
                 for slot in q:
                     if lo <= pos[slot] <= hi and cap < cap_of(slot, math.inf):
                         caps[slot] = cap

@@ -87,6 +87,17 @@ class _Tree:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "_Tree":
+        """The stored tree.  `feature`, `left` and `right` must be lists of
+        JSON integers that fit 32 bits, bools refused: the int32 cast would
+        truncate a fraction and overflow on an infinity."""
+        for name in ("feature", "left", "right"):
+            v = d[name]
+            bad = ([x for x in v if type(x) is not int
+                    or not -2**31 <= x < 2**31]
+                   if isinstance(v, list) else [v])
+            if bad:
+                raise ModelError(f"{name} holds {json.dumps(bad[0])}, "
+                                 f"expected a list of 32-bit integers")
         return cls(np.asarray(d["feature"], dtype=np.int32),
                    np.asarray(d["threshold"], dtype=np.float64),
                    np.asarray(d["missing_left"], dtype=bool),
@@ -624,15 +635,19 @@ def _ens_from_jsonable(d, role: Role, config: TreeEnsembleConfig,
         k = 1 if role.objective == "binary" else len(classes)
         ens = TreeEnsemble(replace(config, objective=role.objective),
                            feature_names, k,
-                           np.asarray(d["base_score"], dtype=np.float64),
-                           [_Tree.from_jsonable(t) for t in d["trees"]])
+                           np.asarray(d["base_score"], dtype=np.float64), [])
         if ens.base_score.shape != (k,):
             raise ModelError(f"base_score has shape {ens.base_score.shape}, "
                              f"expected ({k},)")
-        for i, tree in enumerate(ens.trees):
-            fault = _tree_fault(tree, len(feature_names), k)
-            if fault:
-                raise ModelError(f"tree {i}: {fault}")
+        for i, t in enumerate(d["trees"]):
+            try:
+                tree = _Tree.from_jsonable(t)
+                fault = _tree_fault(tree, len(feature_names), k)
+                if fault:
+                    raise ModelError(fault)
+            except ModelError as exc:
+                raise ModelError(f"tree {i}: {exc}") from None
+            ens.trees.append(tree)
     except ModelError as exc:
         raise ModelError(f"{role.name}: {exc}") from None
     return ens

@@ -4,19 +4,23 @@ A sensor at a node observes every vehicle whose along-road distance to the
 node is at most the capture range, on any segment incident to that node
 (approaching vehicles by distance-to-go, departing ones by distance-from).
 Each (sensor, second) yields exactly one reading, zero-count seconds
-included.  Capture walks each watched segment's lane queues
-(`lane_queues[seg_id]`, one deque of vehicle slots per lane) once per
-second, testing every vehicle against the sensor the segment approaches and
-the one it departs from, and appends each sensor's count, mean speed,
-occupancy and sorted vehicle ids straight to the raw table's columns.
-A reading's mean speed is `exact_mean` of the seen vehicles' speeds in slot
-order, which equals `float(np.mean(...))` bit for bit.
+included.  Capture resolves its plan once per run to one row per lane
+queue of each watched segment (the deque of vehicle slots in that lane).
+Each second it skips the empty queues, walks the others once, testing every
+vehicle against the sensor the segment approaches and the one it departs
+from, and appends each sensor's count, mean speed, occupancy and sorted
+vehicle ids straight to the raw table's columns.  A reading's mean speed is
+`exact_mean` of the seen vehicles' speeds in slot order, which equals
+`float(np.mean(...))` bit for bit.
 
 The raw table holds one row per (second, sensor), time-major with sensors
 in sorted id order, and that row order is its only index: row i is second
 i // n at the i % n-th sensor, in memory as in raw.csv.  `load_raw` rejects
 a file whose rows are duplicated or out of that order, or whose count
-differs from its number of vehicle ids.
+differs from its number of vehicle ids.  Ids and occupancies repeat a lot
+from second to second, so `emit_raw` formats each distinct id tuple and
+occupancy once, and `load_raw` parses each distinct time, count, occupancy
+and id text once; rows with the same id text share one tuple.
 """
 from __future__ import annotations
 
@@ -91,7 +95,8 @@ class SensorRig:
     None where no sensor watches that end; a column is the sensor's index
     in `sensor_ids`.  So a segment between two sensors is walked once per
     second, not once per sensor, as SUMO attaches lane-area detectors to
-    lanes (Lopez et al., ITSC 2018)."""
+    lanes (Lopez et al., ITSC 2018).  `capture` walks the plan resolved to
+    the state's lane queues, one row per lane."""
 
     def __init__(self, network: RoadNetwork, placement: SensorPlacement):
         validate_placement(network, placement)
@@ -115,36 +120,47 @@ class SensorRig:
         self.plan = tuple((seg_id, network.segments[seg_id].length, ahead,
                            behind)
                           for seg_id, (ahead, behind) in ends.items())
+        self._queues = None  # the lane_queues `_lanes` was resolved against
+        self._lanes: tuple = ()
+
+    def _lane_plan(self, lane_queues) -> tuple:
+        """`plan` resolved to one (lane deque, length, approached column,
+        departed column) row per lane queue of each watched segment.  The
+        deques live as long as the state, so this runs once per run."""
+        if lane_queues is not self._queues:
+            self._queues = lane_queues
+            self._lanes = tuple((q, seg_len, ahead, behind)
+                                for seg_id, seg_len, ahead, behind in self.plan
+                                for q in lane_queues[seg_id])
+        return self._lanes
 
     def capture(self, state, builder: RawDatasetBuilder) -> None:
         """Append the state's current second to the builder's columns: one
         row per sensor, in sensor_ids order."""
         range_m = self.range_m
         pos = state.pos
-        lane_queues = state.lane_queues
         seen: list = [[] for _ in self.sensor_ids]
-        for seg_id, seg_len, ahead, behind in self.plan:
+        for q, seg_len, ahead, behind in self._lane_plan(state.lane_queues):
+            if not q:
+                continue
             if behind is None:
                 near_end = seen[ahead]
-                for q in lane_queues[seg_id]:
-                    for slot in q:
-                        if seg_len - pos[slot] <= range_m:
-                            near_end.append(slot)
+                for slot in q:
+                    if seg_len - pos[slot] <= range_m:
+                        near_end.append(slot)
             elif ahead is None:
                 near_start = seen[behind]
-                for q in lane_queues[seg_id]:
-                    for slot in q:
-                        if pos[slot] <= range_m:
-                            near_start.append(slot)
+                for slot in q:
+                    if pos[slot] <= range_m:
+                        near_start.append(slot)
             else:
                 near_end, near_start = seen[ahead], seen[behind]
-                for q in lane_queues[seg_id]:
-                    for slot in q:
-                        p = pos[slot]
-                        if seg_len - p <= range_m:
-                            near_end.append(slot)
-                        if p <= range_m:
-                            near_start.append(slot)
+                for slot in q:
+                    p = pos[slot]
+                    if seg_len - p <= range_m:
+                        near_end.append(slot)
+                    if p <= range_m:
+                        near_start.append(slot)
         speed = state.speed
         vlen = state.cfg.vehicle_length
         for slots in seen:
@@ -241,19 +257,47 @@ RAW_HEADER = "time_s,sensor_id,count,mean_speed_mps,occupancy,vehicle_ids"
 _WRITE_ROWS = 4096  # rows formatted per write, to bound the text held
 
 
+class _Memo(dict):
+    """`memo[key]` is `make(key)`, made on the first lookup of each key and
+    shared by every later one.  A key whose make raises is not stored."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _ids_text(ids: tuple) -> str:
+    return ";".join(map(str, ids))
+
+
+def _parse_ids(text: str) -> tuple:
+    text = text.rstrip()
+    return tuple(map(int, text.split(";"))) if text else ()
+
+
 def emit_raw(dataset: RawDataset, incident_log, raw_path,
              incidents_path) -> None:
     """Write the raw table and the incident log.  Floats are written as
-    their shortest round-trip `repr`."""
+    their shortest round-trip `repr`.  Each distinct id tuple is formatted
+    once, and each distinct occupancy, told apart by its bits so that -0.0
+    and 0.0 keep their own text."""
     from .incidents import write_incident_log
 
+    occupancy = np.ascontiguousarray(dataset.occupancy, dtype=np.float64)
+    bits, which = np.unique(occupancy.view(np.int64), return_inverse=True)
+    occ_text = list(map(repr, bits.view(np.float64).tolist()))
     rows = zip(product(range(dataset.horizon), dataset.sensor_ids),
                dataset.count.tolist(), dataset.mean_speed.tolist(),
-               dataset.occupancy.tolist(), dataset.vehicle_ids)
+               map(occ_text.__getitem__, which.tolist()),
+               map(_Memo(_ids_text).__getitem__, dataset.vehicle_ids))
     with open(raw_path, "w", encoding="utf-8") as fh:
         fh.write(RAW_HEADER + "\n")
         while chunk := "".join([
-                f"{t},{s},{c},{m!r},{o!r},{';'.join(map(str, v))}\n"
+                f"{t},{s},{c},{m!r},{o},{v}\n"
                 for (t, s), c, m, o, v in islice(rows, _WRITE_ROWS)]):
             fh.write(chunk)
     write_incident_log(incident_log, incidents_path)
@@ -262,13 +306,17 @@ def emit_raw(dataset: RawDataset, incident_log, raw_path,
 def load_raw(path) -> RawDataset:
     """Load a raw table.  Rows must hold every sensor once per second, in
     (time, sensor_id) order, and each count must equal the number of
-    vehicle ids on its row; anything else raises SensorError."""
+    vehicle ids on its row; anything else raises SensorError.  Each column
+    parses each distinct text once: rows with the same id text share one
+    tuple, and rows of one sensor one id string."""
     times: list = []
     sensors: list = []
     counts: list = []
     speeds: list = []
     occs: list = []
     vids: list = []
+    time_of, sensor_of = _Memo(int), _Memo(str)
+    count_of, occ_of, ids_of = _Memo(int), _Memo(float), _Memo(_parse_ids)
     with open_text(path, SensorError) as fh:
         header = fh.readline().strip()
         if header != RAW_HEADER:
@@ -280,11 +328,10 @@ def load_raw(path) -> RawDataset:
                     continue
                 raise SensorError(f"{path}:{lineno}: expected 6 fields")
             t, sensor, count, speed, occ, ids = parts
-            ids = ids.rstrip()
             try:
-                t, count = int(t), int(count)
-                speed, occ = float(speed), float(occ)
-                row_ids = tuple(map(int, ids.split(";"))) if ids else ()
+                t, count = time_of[t], count_of[count]
+                speed, occ = float(speed), occ_of[occ]
+                row_ids = ids_of[ids]
             except ValueError as exc:
                 raise SensorError(f"{path}:{lineno}: {exc}") from None
             if count != len(row_ids):
@@ -292,7 +339,7 @@ def load_raw(path) -> RawDataset:
                     f"{path}:{lineno}: count {count} but {len(row_ids)} "
                     f"vehicle ids")
             times.append(t)
-            sensors.append(sensor)
+            sensors.append(sensor_of[sensor])
             counts.append(count)
             speeds.append(speed)
             occs.append(occ)

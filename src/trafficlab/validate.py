@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import read_csv
 from .demand import MacroCountSeries, SpawnSchedule
 
 PASS_LEVEL = 0.05
@@ -104,11 +105,29 @@ def aggregate_bins(schedule: SpawnSchedule, bin_s: float) -> MacroCountSeries:
     return MacroCountSeries(bin_s, counts, 0.0)
 
 
+VALIDATION_HEADER = "day,ks_statistic,p_value,pass"
+
+
 def write_validation_report(results, path) -> None:
     """Per-day `day,ks_statistic,p_value,pass` rows from (day, KsResult)
     pairs."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("day,ks_statistic,p_value,pass\n")
+        fh.write(VALIDATION_HEADER + "\n")
         for day, r in results:
             fh.write(f"{day},{float(r.statistic)!r},{float(r.p_value)!r},"
                      f"{int(r.passed)}\n")
+
+
+def read_validation_report(path) -> list:
+    """The (day, statistic, p_value, passed) rows of a report that
+    write_validation_report wrote, equal to what it was given; a pass field
+    other than 0 or 1 raises ValidationError."""
+    rows: list = []
+
+    def parse(f):
+        if f[3] not in ("0", "1"):
+            raise ValueError(f"pass is {f[3]!r}, expected 0 or 1")
+        rows.append((int(f[0]), float(f[1]), float(f[2]), f[3] == "1"))
+
+    read_csv(path, ValidationError, VALIDATION_HEADER, parse)
+    return rows

@@ -38,6 +38,7 @@ from trafficlab.metrics import MetricsError, read_report
 from trafficlab.models import ModelError, load_model
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import NetworkError, load_network, save_network
+from trafficlab.validate import PASS_LEVEL, read_validation_report
 
 from conftest import make_line_net
 from test_models import gated_table
@@ -409,10 +410,9 @@ def test_validate_command(sim_run, capsys):
                "--counts", str(tmp / "counts.csv"),
                "--out", out, "--config", cfg_path])
     assert rc == 0
-    lines = open(out).read().splitlines()
-    assert lines[0] == "day,ks_statistic,p_value,pass"
-    assert len(lines) == 3
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
+    rows = read_validation_report(out)
+    assert [day for day, *_ in rows] == [0, 1]
+    assert all(passed == (p >= PASS_LEVEL) for _, _, p, passed in rows)
     text = capsys.readouterr().out
     assert "day 000: ks=" in text
 
@@ -853,6 +853,33 @@ def test_evaluate_rejects_a_malformed_sub_model(small_model, tmp_path,
     assert one_error_line(capsys).startswith(
         f"error: {bad}: {sub}: " + fault.format(n=n))
     assert not report.exists()
+
+
+@pytest.mark.parametrize("field, entry, shown", [
+    ("feature", "1e400", "Infinity"), ("feature", "3.5", "3.5"),
+    ("feature", "true", "true"), ("left", "1.5", "1.5"),
+    ("right", "2147483648", "2147483648")],
+    ids=["feature_overflows", "feature_fraction", "feature_bool",
+         "left_fraction", "right_past_int32"])
+def test_evaluate_rejects_a_tree_index_that_is_not_an_integer(
+        small_model, tmp_path, capsys, field, entry, shown):
+    """A tree's feature and child indices must be 32-bit JSON integers:
+    cast to int32, 1e400 and 2**31 would overflow, a fraction would be
+    truncated and true would read as 1."""
+    feat, cfg, model_path = small_model
+    with open(model_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tree = doc["detector"]["trees"][0]
+    tree[field][0] = "ENTRY"
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc).replace('"ENTRY"', entry),
+                   encoding="utf-8")
+    assert main(["evaluate", "--model", str(bad), "--features", feat,
+                 "--out", str(tmp_path / "report.txt"),
+                 "--config", cfg]) == 2
+    assert one_error_line(capsys) == (
+        f"error: {bad}: detector: tree 0: {field} holds {shown}, expected "
+        f"a list of 32-bit integers\n")
 
 
 def test_evaluate_rejects_a_training_config_out_of_range(small_model,

@@ -451,8 +451,10 @@ def test_zone_caps_include_interval_edges():
     st = sim.state
     active = [activate(st, spec, icfg)]
     assert active[0].halted == [2] and st.halted_by == [-1, -1, 0, -1, -1]
-    assert [(lo, hi, cap) for _lanes, lo, hi, cap in active[0].zone] == [
-        (60.0, 140.0, 5.0)]
+    # one row per lane queue: s1's single lane, its deque itself
+    (row,) = active[0].zone
+    assert row[1:] == (60.0, 140.0, 5.0)
+    assert row[0] is st.lane_queues["s1"][0]
     caps = apply_effects(st, active)
     # both interval ends are inside; the designated vehicle stops
     assert caps == {1: 5.0, 2: 0.0, 3: 5.0}

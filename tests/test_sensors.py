@@ -205,7 +205,11 @@ def reference_emit_raw(dataset, raw_path):
 
 def awkward_dataset(horizon=2100):
     """Two sensors, more rows than one write chunk: empty id tuples, long
-    id lists, speeds that need 17 significant digits, zero occupancy."""
+    id lists, speeds that need 17 significant digits, zero occupancy; one
+    id tuple held by sensor a1 over seconds 10-14 and by b2 in second 10,
+    as equal but distinct tuples; occupancy -0.0 on row 5 next to 0.0 on
+    row 3, and a mean speed of -0.0 on row 7.  A writer that caches text
+    by value must keep -0.0 apart from 0.0: they compare and hash equal."""
     rng = rng_for("awkward-raw")
     sensor_ids = ("a1", "b2")
     n = horizon * len(sensor_ids)
@@ -214,14 +218,18 @@ def awkward_dataset(horizon=2100):
         k = int(rng.integers(0, 4))
         size = (0, 1, 3, 40)[k]
         vids.append(tuple(int(v) for v in rng.integers(0, 100000, size)))
+    for row in (20, 21, 22, 24, 26, 28):
+        vids[row] = tuple([7, 11, 13])
     count = np.asarray([len(v) for v in vids], dtype=np.int32)
     speed = rng.uniform(0.0, 30.0, n)
     speed[0] = 0.1 + 0.2          # 0.30000000000000004
     speed[1] = 1.0 / 3.0
     speed[2] = 2.0 ** -40
     speed[count == 0] = 0.0
+    speed[7] = -0.0
     occupancy = count * 5.0 / 120.0
     occupancy[3] = 0.0
+    occupancy[5] = -0.0
     return RawDataset(horizon, sensor_ids, count, speed, occupancy, vids)
 
 
@@ -232,6 +240,11 @@ def test_emit_raw_matches_reference_writer(tmp_path):
     assert max(len(v) for v in data.vehicle_ids) == 40
     assert len(repr(float(data.mean_speed[0]))) == 19  # 17 digits
     assert np.any(data.occupancy == 0.0) and np.any(data.occupancy > 0.0)
+    repeated = [data.vehicle_ids[row] for row in (20, 21, 22, 24, 26, 28)]
+    assert len({id(v) for v in repeated}) == 6 and len(set(repeated)) == 1
+    assert np.signbit(data.occupancy[5]) and data.occupancy[3] == 0.0
+    assert not np.signbit(data.occupancy[3])
+    assert np.signbit(data.mean_speed[7]) and data.mean_speed[7] == 0.0
     emit_raw(data, [], tmp_path / "raw.csv", tmp_path / "incidents.csv")
     reference_emit_raw(data, tmp_path / "ref.csv")
     got = (tmp_path / "raw.csv").read_bytes()
@@ -254,6 +267,19 @@ def test_load_raw_rejects_malformed(tmp_path):
     p.write_text(raw_text("0,a1,1,2.0,0.1,7", "x,a1,0,0.0,0.0,"),
                  encoding="utf-8")
     with pytest.raises(SensorError, match=r"raw\.csv:3: invalid literal"):
+        load_raw(p)
+    # each column parses its own texts: "1.0", a speed on line 2, is no
+    # count on line 3
+    p.write_text(raw_text("0,a1,1,1.0,0.1,7", "1,a1,1.0,0.0,0.0,7"),
+                 encoding="utf-8")
+    with pytest.raises(SensorError, match=r"raw\.csv:3: invalid literal "
+                                          r"for int.*'1\.0'"):
+        load_raw(p)
+    # a bad field on two lines is named on the first
+    p.write_text(raw_text("0,a1,1,2.0,0.1,7", "1,a1,2,2.0,0.1,7;x",
+                          "2,a1,2,2.0,0.1,7;x"), encoding="utf-8")
+    with pytest.raises(SensorError, match=r"raw\.csv:3: invalid literal "
+                                          r"for int.*'x'"):
         load_raw(p)
 
 
@@ -293,6 +319,12 @@ def test_load_raw_rejects_count_that_differs_from_ids(tmp_path):
     p.write_text(raw_text("0,a,1,2.0,0.1,7", "0,b,1,0.0,0.0,"),
                  encoding="utf-8")
     with pytest.raises(SensorError, match=r"raw\.csv:3: count 1 but 0"):
+        load_raw(p)
+    # the id text of lines 2 and 3 again on line 4, with another count
+    p.write_text(raw_text("0,a,2,2.0,0.1,7;9", "0,b,2,2.0,0.1,7;9",
+                          "1,a,3,2.0,0.1,7;9"), encoding="utf-8")
+    with pytest.raises(SensorError, match=r"raw\.csv:4: count 3 but 2 "
+                                          r"vehicle ids"):
         load_raw(p)
 
 

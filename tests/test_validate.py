@@ -15,7 +15,8 @@ import pytest
 from trafficlab.demand import SpawnEvent, SpawnSchedule
 from trafficlab.validate import (KsResult, PASS_LEVEL, ValidationError,
                                  _kolmogorov_sf, aggregate_bins,
-                                 ks_two_sample, write_validation_report)
+                                 ks_two_sample, read_validation_report,
+                                 write_validation_report)
 
 from conftest import rng_for
 
@@ -171,8 +172,17 @@ def test_validation_report_format(tmp_path):
                (1, KsResult(0.5, 0.001, 96, 96))]
     path = tmp_path / "validation.csv"
     write_validation_report(results, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "day,ks_statistic,p_value,pass"
-    assert lines[1] == "0,0.125,0.25,1"
-    assert lines[2] == "1,0.5,0.001,0"
-    assert "np.float64" not in "\n".join(lines)
+    assert path.read_text(encoding="utf-8") == (
+        "day,ks_statistic,p_value,pass\n0,0.125,0.25,1\n1,0.5,0.001,0\n")
+    assert read_validation_report(path) == [(0, 0.125, 0.25, True),
+                                            (1, 0.5, 0.001, False)]
+    # 17-digit floats and numpy scalars read back equal
+    results = [(3, KsResult(np.float64(0.1 + 0.2), 1.0 / 3.0, 96, 96))]
+    write_validation_report(results, path)
+    assert read_validation_report(path) == [
+        (3, 0.30000000000000004, 1.0 / 3.0, True)]
+    path.write_text("day,ks_statistic,p_value,pass\n0,0.1,0.5,yes\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"validation\.csv:2: pass is "
+                                              r"'yes', expected 0 or 1"):
+        read_validation_report(path)
