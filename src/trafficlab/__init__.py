@@ -7,6 +7,7 @@ validate synthetic demand against the source counts, and train/evaluate a
 gated boosted-tree detector ensemble.
 """
 from contextlib import contextmanager
+from itertools import islice
 
 __version__ = "0.1.0"
 
@@ -31,6 +32,15 @@ def open_text(path, error):
             raise error(f"{path}:{line}: byte 0x{data[exc.start]:02x} is "
                         f"not UTF-8 ({exc.reason})") from None
         raise
+
+
+def write_lines(path, lines) -> None:
+    """Write `lines` to `path` as UTF-8, each ended by one newline, joined
+    4096 at a time so a long file is never held as one string."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        while chunk := list(islice(lines, 4096)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def read_csv(path, error, header, parse):

@@ -303,7 +303,7 @@ def cmd_sweep_sparsity(args) -> int:
         line, result = _simulate_day(cfg, net, widest, params, root, day)
         print(line)
         days.append((result.raw, result.incident_log))
-    lines = [metrics.report_csv_header(("n_sensors",))]
+    rows = []
     for level in levels:
         ids = full[:level]
         placement = _placement(cfg, net, ids)
@@ -318,14 +318,13 @@ def cmd_sweep_sparsity(args) -> int:
         os.makedirs(out, exist_ok=True)
         metrics.write_report(rep, os.path.join(out, "report.txt"))
         models.save_model(model, os.path.join(out, "model.json"))
-        lines.append(metrics.report_csv_row(rep, (level,)))
+        rows.append((level, rep))
         print(f"level {level}: "
               f"event_dr={metrics.format_metric(rep.event_detection_rate)} "
               f"far={metrics.format_metric(rep.false_alarm_rate)} "
               f"mttd={metrics.format_metric(rep.mttd_s)}")
     out_csv = os.path.join(root, "sweep.csv")
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    metrics.write_sweep(rows, out_csv)
     print(f"sweep table written to {out_csv}")
     return 0
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from . import read_csv, roadnet
+from . import read_csv, roadnet, write_lines
 
 
 class DemandError(ValueError):
@@ -366,10 +367,9 @@ SCHEDULE_HEADER = "time_s,entry,exit"
 
 
 def write_schedule(schedule: SpawnSchedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SCHEDULE_HEADER + "\n")
-        for ev in schedule.events:
-            fh.write(f"{roadnet._fmt(ev.time)},{ev.entry},{ev.exit}\n")
+    write_lines(path, chain([SCHEDULE_HEADER], (
+        f"{roadnet._fmt(ev.time)},{ev.entry},{ev.exit}"
+        for ev in schedule.events)))
 
 
 def read_schedule(path, horizon: float) -> SpawnSchedule:

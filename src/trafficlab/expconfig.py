@@ -26,7 +26,7 @@ from .features import WindowConfig
 from .incidents import IncidentPlanConfig
 from .microsim import SimConfig
 from .models import TreeEnsembleConfig
-from . import netgen, open_text
+from . import netgen, open_text, write_lines
 
 
 class ConfigError(ValueError):
@@ -190,6 +190,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 def echo_config(cfg: ExperimentConfig, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config_used.yaml")
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg.resolved_dict(), fh, sort_keys=True)
+    write_lines(path, yaml.safe_dump(cfg.resolved_dict(),
+                                     sort_keys=True).splitlines())
     return path

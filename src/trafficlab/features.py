@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
-from . import read_csv
+from . import read_csv, write_lines
 from .roadnet import RoadNetwork
 from .sensors import RawDataset
 
@@ -230,17 +230,13 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
 
 def write_feature_table(table: FeatureTable, path) -> None:
     """CSV with an empty field as the missing marker."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(table.columns) + "\n")
-        for i in range(table.n_rows):
-            vals = [str(int(table.window_end[i]))]
-            for j in range(len(table.feature_names)):
-                x = table.X[i, j]
-                vals.append("" if math.isnan(x) else repr(float(x)))
-            vals.append("1" if table.label_incident[i] else "0")
-            vals.append(table.label_road[i] or "")
-            vals.append(table.label_severity[i] or "")
-            fh.write(",".join(vals) + "\n")
+    X = np.asarray(table.X, dtype=np.float64)
+    rows = zip(map(int, table.window_end), map(np.ndarray.tolist, X),
+               table.label_incident, table.label_road, table.label_severity)
+    write_lines(path, chain([",".join(table.columns)], (
+        ",".join([str(end)] + ["" if math.isnan(x) else repr(x) for x in xs]
+                 + ["1" if inc else "0", road or "", sev or ""])
+        for end, xs, inc, road, sev in rows)))
 
 
 def read_feature_table(path) -> FeatureTable:

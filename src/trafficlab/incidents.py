@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import read_csv
+from . import read_csv, write_lines
 from .roadnet import RoadNetwork, shortest_route
 
 
@@ -296,12 +296,10 @@ LOG_HEADER = ("id,type,severity,onset_s,duration_s,segment_id,offset_m,"
 def write_incident_log(specs, path) -> None:
     """Offsets and radii are written as their shortest round-trip `repr`,
     so the log reads back to equal specs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LOG_HEADER + "\n")
-        for s in specs:
-            fh.write(f"{s.id},{s.type.value},{s.severity.value},{s.onset},"
-                     f"{s.duration},{s.segment_id},{float(s.offset)!r},"
-                     f"{s.n_vehicles},{float(s.radius)!r}\n")
+    write_lines(path, [LOG_HEADER] + [
+        f"{s.id},{s.type.value},{s.severity.value},{s.onset},{s.duration},"
+        f"{s.segment_id},{float(s.offset)!r},{s.n_vehicles},"
+        f"{float(s.radius)!r}" for s in specs])
 
 
 def read_incident_log(path) -> list:

@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from . import read_key_values
+from . import read_csv, read_key_values, write_lines
 
 
 class MetricsError(ValueError):
@@ -200,17 +200,14 @@ def evaluate_predictions(table, predictions, incident_log=None,
 def format_metric(v) -> str:
     if v is None:
         return "undefined"
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v)).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
 
 
 def write_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in report.as_dict().items():
-            fh.write(f"{key}={format_metric(val)}\n")
+    write_lines(path, [f"{key}={format_metric(val)}"
+                       for key, val in report.as_dict().items()])
 
 
 def read_report(path) -> dict:
@@ -230,16 +227,27 @@ def _report_value(key: str, text: str):
     raise ValueError(f"{key} is not a number: {text!r}")
 
 
-REPORT_CSV_FIELDS = tuple(f.name for f in fields(EvalReport))
+SWEEP_HEADER = ",".join(["n_sensors"] + [f.name for f in fields(EvalReport)])
 
 
-def report_csv_header(prefix_fields=()) -> str:
-    return ",".join(tuple(prefix_fields) + REPORT_CSV_FIELDS)
+def write_sweep(rows, path) -> None:
+    """sweep.csv: one line per (n_sensors, EvalReport) row, in the report's
+    key order; an undefined value is an empty field, not a zero."""
+    write_lines(path, [SWEEP_HEADER] + [
+        ",".join([str(n)] + ["" if v is None else format_metric(v)
+                             for v in astuple(rep)])
+        for n, rep in rows])
 
 
-def report_csv_row(report: EvalReport, prefix_values=()) -> str:
-    """One-row summary for sweep aggregation; undefined rates stay as
-    empty fields rather than zeros."""
-    return ",".join([str(v) for v in prefix_values]
-                    + ["" if v is None else format_metric(v)
-                       for v in astuple(report)])
+def read_sweep(path) -> list:
+    """The (n_sensors, EvalReport) rows of a sweep.csv, equal to what
+    write_sweep was given; a bad field raises MetricsError at path:line."""
+    rows: list = []
+
+    def parse(cells):
+        rows.append((int(cells[0]), EvalReport(*[
+            None if text == "" else _report_value(f.name, text)
+            for f, text in zip(fields(EvalReport), cells[1:])])))
+
+    read_csv(path, MetricsError, SWEEP_HEADER, parse)
+    return rows

@@ -23,12 +23,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, open_text
+from . import kernels, open_text, write_lines
 
 
 class ModelError(ValueError):
@@ -68,6 +69,26 @@ class TreeEnsembleConfig:
             raise ModelError("model.seed must not be negative")
 
 
+def _is_int32(x) -> bool:
+    return type(x) is int and -2**31 <= x < 2**31
+
+
+def _is_finite(x) -> bool:
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max  # not NaN
+
+
+# (field, test of one of its entries, what the entries must be)
+_TREE_ENTRIES = (
+    ("feature", _is_int32, "32-bit integers"),
+    ("threshold", _is_finite, "finite numbers"),
+    ("missing_left", lambda x: type(x) is int and x in (0, 1), "0s and 1s"),
+    ("left", _is_int32, "32-bit integers"),
+    ("right", _is_int32, "32-bit integers"),
+    ("value", lambda row: _is_finite(row)  # _tree_fault refuses 1-d value
+     or type(row) is list and all(map(_is_finite, row)),
+     "lists of finite numbers"))
+
+
 @dataclass
 class _Tree:
     feature: np.ndarray   # int32; -1 marks a leaf
@@ -87,17 +108,16 @@ class _Tree:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "_Tree":
-        """The stored tree.  `feature`, `left` and `right` must be lists of
-        JSON integers that fit 32 bits, bools refused: the int32 cast would
-        truncate a fraction and overflow on an infinity."""
-        for name in ("feature", "left", "right"):
+        """The stored tree, each field a list of what to_jsonable writes
+        (_TREE_ENTRIES).  Bools and strings are refused: the casts would
+        read true as 1 and "0.5" as 0.5, truncate a fraction and overflow
+        on an infinity."""
+        for name, ok, kind in _TREE_ENTRIES:
             v = d[name]
-            bad = ([x for x in v if type(x) is not int
-                    or not -2**31 <= x < 2**31]
-                   if isinstance(v, list) else [v])
+            bad = [x for x in v if not ok(x)] if isinstance(v, list) else [v]
             if bad:
                 raise ModelError(f"{name} holds {json.dumps(bad[0])}, "
-                                 f"expected a list of 32-bit integers")
+                                 f"expected a list of {kind}")
         return cls(np.asarray(d["feature"], dtype=np.int32),
                    np.asarray(d["threshold"], dtype=np.float64),
                    np.asarray(d["missing_left"], dtype=bool),
@@ -423,15 +443,6 @@ def _subsample_rows(rng, n: int, fraction: float) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int32)
 
 
-def _margins(ens: TreeEnsemble, X: np.ndarray, n_trees=None) -> np.ndarray:
-    """(n, K) raw scores from the first n_trees trees, one per boosting
-    round (all of them by default)."""
-    out = np.tile(ens.base_score, (X.shape[0], 1))
-    for tree in ens.trees[:n_trees]:
-        out += _tree_predict(tree, X)
-    return out
-
-
 def predict_margin(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     """Raw additive scores: (n,) for binary, (n, K) for multiclass."""
     X = np.asarray(X, dtype=np.float64)
@@ -439,32 +450,15 @@ def predict_margin(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"expected {len(ens.feature_names)} feature columns, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-2d'}")
-    m = _margins(ens, X)
+    m = np.tile(ens.base_score, (X.shape[0], 1))
+    for tree in ens.trees:
+        m += _tree_predict(tree, X)
     return m[:, 0] if ens.n_classes == 1 else m
 
 
 def predict_proba(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     m = predict_margin(ens, X)
     return _sigmoid(m) if ens.n_classes == 1 else _softmax(m)
-
-
-def training_logloss(ens: TreeEnsemble, X, y, n_trees=None,
-                     sample_weight=None) -> float:
-    """Weighted mean logistic/softmax loss using the first n_trees trees,
-    which are rounds; the boosting-monotonicity checks use this."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    w = (np.ones(X.shape[0]) if sample_weight is None
-         else np.asarray(sample_weight, dtype=np.float64))
-    m = _margins(ens, X, n_trees)
-    if ens.n_classes == 1:
-        p = np.clip(_sigmoid(m[:, 0]), 1e-12, 1 - 1e-12)
-        yf = y.astype(np.float64)
-        ll = -(yf * np.log(p) + (1 - yf) * np.log(1 - p))
-    else:
-        p = np.clip(_softmax(m), 1e-12, None)
-        ll = -np.log(p[np.arange(X.shape[0]), y.astype(int)])
-    return float((w * ll).sum() / w.sum())
 
 
 # -- the stacked gated ensemble ----------------------------------------------
@@ -680,8 +674,7 @@ def save_model(model: EnsembleModel, path) -> None:
             "trees": [t.to_jsonable() for t in ens.trees]}
     # json.dumps runs the C encoder; json.dump streams through the pure-
     # Python one, about 3x slower for the same text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    write_lines(path, [json.dumps(doc)])
 
 
 def load_model(path) -> EnsembleModel:
@@ -709,5 +702,5 @@ def load_model(path) -> EnsembleModel:
         raise ModelError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ModelError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{path}: malformed model: {exc}") from exc

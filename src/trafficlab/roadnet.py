@@ -11,7 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from . import open_text
+from . import open_text, write_lines
 
 
 class NetworkError(ValueError):
@@ -170,6 +170,9 @@ def load_network(path) -> RoadNetwork:
                     sid = fields[0]
                     if sid in segments:
                         raise NetworkError(f"{where}: duplicate segment id {sid!r}")
+                    if not fields[6]:  # features.csv reads "" back as None
+                        raise NetworkError(f"{where}: segment {sid!r} has an "
+                                           "empty road_label")
                     segments[sid] = Segment(sid, fields[1], fields[2],
                                             float(fields[3]), int(fields[4]),
                                             float(fields[5]), fields[6])
@@ -247,8 +250,7 @@ def save_network(net: RoadNetwork, path) -> None:
         lines.append(f"entry,{nid}")
     for nid in net.exit_nodes:
         lines.append(f"exit,{nid}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def validate_network(net: RoadNetwork) -> None:

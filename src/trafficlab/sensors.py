@@ -25,12 +25,12 @@ and id text once; rows with the same id text share one tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, product
 from typing import NamedTuple
 
 import numpy as np
 
-from . import open_text
+from . import open_text, write_lines
 from .roadnet import RoadNetwork, SensorPlacement, validate_placement
 
 
@@ -254,7 +254,6 @@ class RawDatasetBuilder:
 
 
 RAW_HEADER = "time_s,sensor_id,count,mean_speed_mps,occupancy,vehicle_ids"
-_WRITE_ROWS = 4096  # rows formatted per write, to bound the text held
 
 
 class _Memo(dict):
@@ -294,12 +293,8 @@ def emit_raw(dataset: RawDataset, incident_log, raw_path,
                dataset.count.tolist(), dataset.mean_speed.tolist(),
                map(occ_text.__getitem__, which.tolist()),
                map(_Memo(_ids_text).__getitem__, dataset.vehicle_ids))
-    with open(raw_path, "w", encoding="utf-8") as fh:
-        fh.write(RAW_HEADER + "\n")
-        while chunk := "".join([
-                f"{t},{s},{c},{m!r},{o},{v}\n"
-                for (t, s), c, m, o, v in islice(rows, _WRITE_ROWS)]):
-            fh.write(chunk)
+    write_lines(raw_path, chain([RAW_HEADER], (
+        f"{t},{s},{c},{m!r},{o},{v}" for (t, s), c, m, o, v in rows)))
     write_incident_log(incident_log, incidents_path)
 
 

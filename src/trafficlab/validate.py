@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import read_csv
+from . import read_csv, write_lines
 from .demand import MacroCountSeries, SpawnSchedule
 
 PASS_LEVEL = 0.05
@@ -111,11 +111,9 @@ VALIDATION_HEADER = "day,ks_statistic,p_value,pass"
 def write_validation_report(results, path) -> None:
     """Per-day `day,ks_statistic,p_value,pass` rows from (day, KsResult)
     pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(VALIDATION_HEADER + "\n")
-        for day, r in results:
-            fh.write(f"{day},{float(r.statistic)!r},{float(r.p_value)!r},"
-                     f"{int(r.passed)}\n")
+    write_lines(path, [VALIDATION_HEADER] + [
+        f"{day},{float(r.statistic)!r},{float(r.p_value)!r},{int(r.passed)}"
+        for day, r in results])
 
 
 def read_validation_report(path) -> list:

@@ -32,7 +32,8 @@ from trafficlab.incidents import (IncidentPlanConfig, SeverityClass,
                                   compute_impact_zones, plan_incidents)
 from trafficlab.metrics import (auc_roc, confusion_from_rows, detection_rate,
                                 event_detections, f1_score, false_alarm_rate,
-                                mean_time_to_detect, precision, read_report)
+                                mean_time_to_detect, precision, read_report,
+                                read_sweep)
 from trafficlab.microsim import SimConfig, run
 from trafficlab.models import (infer_batch, load_model, predict_margin,
                                predict_proba, save_model,
@@ -472,19 +473,17 @@ def test_criterion_09_sparsity_sweep(tmp_path):
     assert main(["sweep-sparsity", "--config", cfg,
                  "--sensors", "8,7,6,5,4,3"]) == 0
     root = tmp_path / "out" / "sweep"
-    lines = (root / "sweep.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-    assert [r["n_sensors"] for r in rows] == ["8", "7", "6", "5", "4", "3"]
-    for r in rows:
-        assert int(r["windows"]) > 0
-        assert r["event_detection_rate"] != ""
-        assert 0.0 <= float(r["false_alarm_rate"]) <= 1.0
-        level_dir = root / f"level_{int(r['n_sensors']):02d}"
+    rows = read_sweep(root / "sweep.csv")
+    assert [n for n, _rep in rows] == [8, 7, 6, 5, 4, 3]
+    for n, rep in rows:
+        assert rep.windows > 0
+        assert rep.event_detection_rate is not None
+        assert 0.0 <= rep.false_alarm_rate <= 1.0
+        level_dir = root / f"level_{n:02d}"
         assert (level_dir / "report.txt").exists()
         assert (level_dir / "model.json").exists()
-    sparsest = rows[-1]
-    assert float(sparsest["event_detection_rate"]) >= 0.5
+    _n, sparsest = rows[-1]
+    assert sparsest.event_detection_rate >= 0.5
 
 
 # -- criterion 10 --------------------------------------------------------------

@@ -8,6 +8,9 @@ Index:
               train, evaluate, sweep-sparsity (on the line network and on
               highway8, where a level equals the staged commands); the
               benchmark's tracers around simulate
+  round trip  each of the nine files one pipeline run writes, read by its
+              reader and written by its writer, gives back its own bytes;
+              write_lines is the package's one writer
   errors      exit code 2 on module errors, bad --sensors lists,
               undecodable input files, malformed sub-models, a bin_seconds
               other than the counts', incidents off the network, weights
@@ -17,8 +20,10 @@ Index:
               failures; the exact option surface of every subcommand
 """
 import argparse
+import ast
 import contextlib
 import dataclasses
+import glob
 import io
 import json
 import math
@@ -30,11 +35,12 @@ import numpy as np
 import pytest
 import yaml
 
-from trafficlab import demand, features, incidents, microsim, sensors
+from trafficlab import (demand, features, incidents, metrics, microsim,
+                        models, sensors, validate)
 from trafficlab.cli import _fit_counts, build_parser, main
 from trafficlab.expconfig import (ConfigError, ExperimentConfig, echo_config,
                                   load_config)
-from trafficlab.metrics import MetricsError, read_report
+from trafficlab.metrics import MetricsError, read_report, read_sweep
 from trafficlab.models import ModelError, load_model
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import NetworkError, load_network, save_network
@@ -540,10 +546,8 @@ def test_sweep_sparsity_command(tmp_path, capsys):
     rc = main(["sweep-sparsity", "--config", cfg_path, "--sensors", "2,1"])
     assert rc == 0
     root = str(tmp_path / "runs" / "sweep")
-    lines = open(os.path.join(root, "sweep.csv")).read().splitlines()
-    assert lines[0].startswith("n_sensors,windows,tp,fp,tn,fn,")
-    assert len(lines) == 3
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["2", "1"]
+    rows = read_sweep(os.path.join(root, "sweep.csv"))
+    assert [n for n, _rep in rows] == [2, 1]
     for level in ("level_02", "level_01"):
         assert os.path.exists(os.path.join(root, level, "report.txt"))
         assert os.path.exists(os.path.join(root, level, "model.json"))
@@ -658,6 +662,107 @@ def test_benchmark_tracers_wrap_every_target(tmp_path, monkeypatch):
     assert full.counts["microsim.vehicle_steps"] > 0
     assert full.calls["kernels.follow_speeds"] > 0
     assert stage.calls["microsim.run"] == 1
+
+
+# -- round trip ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """The directory of one small pipeline run that writes all nine kinds
+    of file: a one-level sweep, then extract-features and validate over
+    its days."""
+    tmp = tmp_path_factory.mktemp("round_trip")
+    cfg = line_experiment(tmp)
+    days = str(tmp / "runs" / "sweep")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep-sparsity", "--config", cfg, "--sensors", "2"]) == 0
+        assert main(["extract-features", "--raw", days, "--out",
+                     str(tmp / "features.csv"), "--config", cfg]) == 0
+        assert main(["validate", "--raw", days, "--counts",
+                     str(tmp / "counts.csv"), "--config", cfg]) == 0
+    return tmp
+
+
+def _validation_back(src, dst):
+    # the file keeps no sample sizes, and the writer reads none
+    validate.write_validation_report(
+        [(day, validate.KsResult(stat, p, 0, 0))
+         for day, stat, p, _passed in validate.read_validation_report(src)],
+        dst)
+
+
+# file name: (its path in the run, the reader then the writer, src to dst)
+ROUND_TRIPS = {
+    "raw.csv": ("runs/sweep/day_000/raw.csv", lambda src, dst:
+                sensors.emit_raw(sensors.load_raw(src), [], dst,
+                                 dst + ".log")),
+    "incidents.csv": ("runs/sweep/day_000/incidents.csv", lambda src, dst:
+                      incidents.write_incident_log(
+                          incidents.read_incident_log(src), dst)),
+    "spawns.csv": ("runs/sweep/day_000/spawns.csv", lambda src, dst:
+                   demand.write_schedule(demand.read_schedule(src, DAY),
+                                         dst)),
+    "features.csv": ("features.csv", lambda src, dst:
+                     features.write_feature_table(
+                         features.read_feature_table(src), dst)),
+    "model.json": ("runs/sweep/level_02/model.json", lambda src, dst:
+                   models.save_model(load_model(src), dst)),
+    "report.txt": ("runs/sweep/level_02/report.txt", lambda src, dst:
+                   metrics.write_report(
+                       metrics.EvalReport(**read_report(src)), dst)),
+    "validation.csv": ("runs/sweep/validation.csv", _validation_back),
+    "sweep.csv": ("runs/sweep/sweep.csv", lambda src, dst:
+                  metrics.write_sweep(read_sweep(src), dst)),
+    "config_used.yaml": ("runs/sweep/config_used.yaml", lambda src, dst:
+                         echo_config(load_config(src),
+                                     os.path.dirname(dst))),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+def test_every_pipeline_file_reads_back_to_its_own_bytes(pipeline_run,
+                                                         tmp_path, name):
+    """What a file's reader gives back, its writer writes to the same
+    bytes: no file loses or changes a value on the way through memory."""
+    where, read_then_write = ROUND_TRIPS[name]
+    src, dst = pipeline_run / where, tmp_path / name
+    read_then_write(str(src), str(dst))
+    assert dst.read_bytes() == src.read_bytes()
+
+
+def _opens_to_write(node) -> bool:
+    """Whether node is an open( call whose mode is not a read-only
+    literal."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    mode = node.args[1:2] or [k.value for k in node.keywords
+                              if k.arg == "mode"]
+    return bool(mode) and not (isinstance(mode[0], ast.Constant)
+                               and set(mode[0].value) <= set("rbt"))
+
+
+def test_write_lines_holds_the_only_write_mode_open():
+    """Every file the package writes goes through trafficlab.write_lines,
+    so the text policy of its output is decided in one place."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    inside, outside = [], []
+    for path in sorted(glob.glob(os.path.join(root, "src", "trafficlab",
+                                              "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        allowed = {id(n) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and fn.name == "write_lines" for n in ast.walk(fn)}
+        name = os.path.basename(path)
+        for node in filter(_opens_to_write, ast.walk(tree)):
+            if id(node) in allowed:
+                inside.append(name)
+            else:
+                outside.append(f"{name}:{node.lineno}")
+    assert outside == []
+    assert inside == ["__init__.py"]
 
 
 # -- errors -------------------------------------------------------------------
@@ -855,17 +960,28 @@ def test_evaluate_rejects_a_malformed_sub_model(small_model, tmp_path,
     assert not report.exists()
 
 
-@pytest.mark.parametrize("field, entry, shown", [
-    ("feature", "1e400", "Infinity"), ("feature", "3.5", "3.5"),
-    ("feature", "true", "true"), ("left", "1.5", "1.5"),
-    ("right", "2147483648", "2147483648")],
+INT32 = "32-bit integers"
+
+
+@pytest.mark.parametrize("field, entry, shown, kind", [
+    ("feature", "1e400", "Infinity", INT32), ("feature", "3.5", "3.5", INT32),
+    ("feature", "true", "true", INT32), ("left", "1.5", "1.5", INT32),
+    ("right", "2147483648", "2147483648", INT32),
+    ("threshold", '"0.703732201696138"', '"0.703732201696138"',
+     "finite numbers"),
+    ("missing_left", '"no"', '"no"', "0s and 1s"),
+    ("missing_left", "7", "7", "0s and 1s"),
+    ("value", '["0.25"]', '["0.25"]', "lists of finite numbers")],
     ids=["feature_overflows", "feature_fraction", "feature_bool",
-         "left_fraction", "right_past_int32"])
+         "left_fraction", "right_past_int32", "threshold_string",
+         "missing_left_word", "missing_left_seven", "value_string"])
 def test_evaluate_rejects_a_tree_index_that_is_not_an_integer(
-        small_model, tmp_path, capsys, field, entry, shown):
-    """A tree's feature and child indices must be 32-bit JSON integers:
-    cast to int32, 1e400 and 2**31 would overflow, a fraction would be
-    truncated and true would read as 1."""
+        small_model, tmp_path, capsys, field, entry, shown, kind):
+    """A tree's fields must hold what to_jsonable writes: its feature and
+    child indices 32-bit JSON integers, its thresholds and leaf values
+    finite numbers and its missing sides 0 or 1.  Cast to int32, 1e400 and
+    2**31 would overflow, a fraction would be truncated and true would
+    read as 1; cast to float or bool, a string or a 7 would load."""
     feat, cfg, model_path = small_model
     with open(model_path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -879,7 +995,29 @@ def test_evaluate_rejects_a_tree_index_that_is_not_an_integer(
                  "--config", cfg]) == 2
     assert one_error_line(capsys) == (
         f"error: {bad}: detector: tree 0: {field} holds {shown}, expected "
-        f"a list of 32-bit integers\n")
+        f"a list of {kind}\n")
+
+
+def test_evaluate_rejects_a_number_past_the_float_range(small_model,
+                                                        tmp_path, capsys):
+    """A JSON integer too large for a float, where model.json holds a
+    float, exits 2 naming the file: float() raises OverflowError, which is
+    not a ValueError."""
+    feat, cfg, model_path = small_model
+    for put in (lambda doc: doc["detector"].update(base_score=["HUGE"]),
+                lambda doc: doc.update(threshold="HUGE")):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        put(doc)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 400),
+                       encoding="utf-8")
+        assert main(["evaluate", "--model", str(bad), "--features", feat,
+                     "--out", str(tmp_path / "report.txt"),
+                     "--config", cfg]) == 2
+        assert one_error_line(capsys) == (
+            f"error: {bad}: malformed model: int too large to convert to "
+            "float\n")
 
 
 def test_evaluate_rejects_a_training_config_out_of_range(small_model,
@@ -968,6 +1106,12 @@ MALFORMED = {
         read_report, MetricsError, None, "windows=4",
         "tp 1", "expected key=value, got 'tp 1'",
         "tp=1.x", "tp is not a number: '1.x'"),
+    "read_sweep": (
+        read_sweep, MetricsError, metrics.SWEEP_HEADER,
+        "4,6,1,1,3,1,0.5,0.25,0.5,0.5,0.75,,,0,0,,", "3,6,1",
+        "expected 17 fields, got 3",
+        "3,6,1,1,3,1,0.5,0.25,0.5,0.5,0.x,,,0,0,,",
+        "auc is not a number: '0.x'"),
 }
 
 

@@ -5,7 +5,7 @@ Index:
   auc         midrank AUC against a pairwise-count oracle
   events      per-incident outcomes, grace window, mean delay
   evaluate    end-to-end scoring of gated predictions
-  io          report file round trip, CSV summary rows
+  io          report file round trip, sweep.csv rows
 """
 import re
 
@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from trafficlab.features import FeatureTable
-from trafficlab.metrics import (REPORT_CSV_FIELDS, ConfusionCounts,
-                                EventOutcome, MetricsError,
+from trafficlab.metrics import (ConfusionCounts, EventOutcome, MetricsError,
                                 auc_roc, confusion_from_rows, detection_rate,
                                 event_detections, evaluate_predictions,
                                 f1_score, false_alarm_rate, format_metric,
                                 mean_time_to_detect, precision, read_report,
-                                report_csv_header, report_csv_row,
-                                write_report)
+                                read_sweep, write_report, write_sweep)
 from trafficlab.models import Predictions
 
 from conftest import rng_for
@@ -269,7 +267,10 @@ def test_report_key_order(tmp_path):
     keys = [line.split("=", 1)[0]
             for line in path.read_text(encoding="utf-8").splitlines()]
     assert keys == REPORT_FIELD_NAMES
-    assert list(REPORT_CSV_FIELDS) == REPORT_FIELD_NAMES
+    sweep = tmp_path / "sweep.csv"
+    write_sweep([(4, rep)], sweep)
+    header = sweep.read_text(encoding="utf-8").splitlines()[0]
+    assert header.split(",") == ["n_sensors"] + REPORT_FIELD_NAMES
 
 
 def test_report_reader_names_file_and_line(tmp_path):
@@ -282,12 +283,15 @@ def test_report_reader_names_file_and_line(tmp_path):
             read_report(path)
 
 
-def test_csv_summary_row():
+def test_csv_summary_row(tmp_path):
+    """sweep.csv holds one row per level, undefined fields empty, and reads
+    back through read_sweep to the reports it was written from."""
     table, preds = eval_fixture()
     rep = evaluate_predictions(table, preds)
-    header = report_csv_header(("n_sensors",))
+    path = tmp_path / "sweep.csv"
+    write_sweep([(4, rep)], path)
+    header, row = path.read_text(encoding="utf-8").splitlines()
     assert header.startswith("n_sensors,windows,tp,fp,tn,fn,")
-    row = report_csv_row(rep, (4,))
     cells = row.split(",")
     assert len(cells) == len(header.split(","))
     assert cells[0] == "4"
@@ -295,3 +299,4 @@ def test_csv_summary_row():
     # undefined event fields stay empty, not zero
     assert cells[-1] == "" and cells[-2] == ""
     assert "np.float64" not in row
+    assert read_sweep(path) == [(4, rep)]

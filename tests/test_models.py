@@ -14,6 +14,7 @@ Index:
               tampered files
 """
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from trafficlab.models import (EnsembleModel, ModelError, Predictions,
                                TreeEnsembleConfig, infer_batch,
                                load_model, predict_margin, predict_proba,
                                save_model, train_incident_ensemble,
-                               train_tree_ensemble, training_logloss)
+                               train_tree_ensemble)
 
 from conftest import rng_for
 from test_kernels import bincount_hist_build, zero_fill_hist_build
@@ -736,6 +737,17 @@ def test_xor_is_learnable():
     ens = train_tree_ensemble(X, y, small_cfg(n_trees=40), names(3))
     acc = ((predict_proba(ens, X) >= 0.5).astype(int) == y).mean()
     assert acc >= 0.99
+
+
+def training_logloss(ens, X, y, n_trees: int) -> float:
+    """Mean logistic or softmax loss of the first n_trees trees, which are
+    the first n_trees boosting rounds."""
+    p = predict_proba(dataclasses.replace(ens, trees=ens.trees[:n_trees]), X)
+    if ens.n_classes == 1:
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        return float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
+    p = np.clip(p, 1e-12, None)
+    return float(np.mean(-np.log(p[np.arange(len(y)), y])))
 
 
 def test_training_loss_is_monotone_without_subsampling():

@@ -6,7 +6,9 @@ Index:
   sensor pairs contiguous-pair discovery against hand-drawn cases
   routing      shortest routes against exhaustive path enumeration
 """
+import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -48,6 +50,21 @@ def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("[nodes]\nid,x,y\n")
     with pytest.raises(NetworkError):
+        load_network(p)
+
+
+def test_load_rejects_an_empty_road_label(tmp_path):
+    """A road label is a class name, and features.csv writes a missing
+    label as an empty field: an empty label would read back as None."""
+    net = make_line_net()
+    for sid, seg in net.segments.items():
+        net.segments[sid] = dataclasses.replace(seg, road_label="")
+    p = tmp_path / "net.txt"
+    save_network(net, p)
+    lineno = p.read_text(encoding="utf-8").splitlines().index(
+        "s0,a0,a1,200,1,10,") + 1
+    with pytest.raises(NetworkError, match=rf"^{re.escape(str(p))}:{lineno}: "
+                       r"segment 's0' has an empty road_label$"):
         load_network(p)
 
 
