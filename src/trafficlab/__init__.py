@@ -6,7 +6,7 @@ sparse roadside sensor readings, assemble rolling-window feature tables,
 validate synthetic demand against the source counts, and train/evaluate a
 gated boosted-tree detector ensemble.
 """
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from itertools import islice
 
 __version__ = "0.1.0"
@@ -43,22 +43,29 @@ def write_lines(path, lines) -> None:
             fh.write("\n".join(chunk) + "\n")
 
 
-def read_csv(path, error, header, parse):
-    """Call `parse(fields)` on every row of the headed comma-separated file
-    at `path`, and return the header's column names.
+def read_csv(path, error, header, parse, section=None):
+    """`(columns, rows)` of the headed comma-separated file at `path`: the
+    header's column names, and `parse(fields)` of each row.
 
     `header` is the line the file must start with, or, for a file whose
     columns vary, a predicate on the column names; spaces in the header are
-    ignored.  Lines are stripped and blank ones skipped, a row must have as
-    many fields as the header, and a ValueError from `parse` is raised as
-    `error` naming the path and the line."""
-    with open_text(path, error) as fh:
-        got = fh.readline().strip()
+    ignored.  `section`, if given, holds the `(line number, line)` pairs of
+    one section of `path`, read in place of the whole file.  Lines are
+    stripped and blank ones skipped, a row must have as many fields as the
+    header, and a ValueError from `parse` is raised as `error` naming the
+    path and the line."""
+    rows = []
+    with ExitStack() as stack:
+        lines = iter(section if section is not None else enumerate(
+            stack.enter_context(open_text(path, error)), start=1))
+        lineno, got = next(lines, (1, ""))
+        got = got.strip()
         cols = got.replace(" ", "").split(",")
         if not (header(cols) if callable(header)
                 else ",".join(cols) == header):
-            raise error(f"{path}: unexpected header {got!r}")
-        for lineno, raw in enumerate(fh, start=2):
+            where = path if section is None else f"{path}:{lineno}"
+            raise error(f"{where}: unexpected header {got!r}")
+        for lineno, raw in lines:
             line = raw.strip()
             if not line:
                 continue
@@ -67,10 +74,10 @@ def read_csv(path, error, header, parse):
                 raise error(f"{path}:{lineno}: expected {len(cols)} fields, "
                             f"got {len(fields)}")
             try:
-                parse(fields)
+                rows.append(parse(fields))
             except ValueError as exc:
                 raise error(f"{path}:{lineno}: {exc}") from None
-    return cols
+    return cols, rows
 
 
 def read_key_values(path, error, parse) -> dict:

@@ -95,12 +95,9 @@ def read_counts_csv(path) -> dict:
     """Parse `road_label,start_time_s,bin_s,count` rows into one
     MacroCountSeries per road, bins sorted and contiguity-checked."""
     rows: dict = {}
-
-    def parse(f):
-        rows.setdefault(f[0].strip(), []).append(
-            (float(f[1]), float(f[2]), float(f[3])))
-
-    read_csv(path, DemandError, COUNTS_HEADER, parse)
+    for label, rec in read_csv(path, DemandError, COUNTS_HEADER, lambda f: (
+            f[0].strip(), (float(f[1]), float(f[2]), float(f[3]))))[1]:
+        rows.setdefault(label, []).append(rec)
     if not rows:
         raise DemandError(f"{path}: no count rows")
     out = {}
@@ -373,9 +370,8 @@ def write_schedule(schedule: SpawnSchedule, path) -> None:
 
 
 def read_schedule(path, horizon: float) -> SpawnSchedule:
-    events = []
-    read_csv(path, DemandError, SCHEDULE_HEADER,
-             lambda f: events.append(SpawnEvent(float(f[0]), f[1], f[2])))
+    events = read_csv(path, DemandError, SCHEDULE_HEADER,
+                      lambda f: SpawnEvent(float(f[0]), f[1], f[2]))[1]
     try:
         return SpawnSchedule(tuple(events), horizon)
     except DemandError as exc:

@@ -240,30 +240,23 @@ def write_feature_table(table: FeatureTable, path) -> None:
 
 
 def read_feature_table(path) -> FeatureTable:
-    we: list = []
-    rows: list = []
-    lab_i: list = []
-    lab_r: list = []
-    lab_s: list = []
-
     def parse(f):
-        we.append(int(f[0]))
-        rows.append([float(p) if p else np.nan for p in f[1:-3]])
+        row = (int(f[0]), [float(p) if p else np.nan for p in f[1:-3]])
         if f[-3] not in ("0", "1"):
             raise ValueError(f"label_incident {f[-3]!r} is not 0 or 1")
-        lab_i.append(f[-3] == "1")
-        lab_r.append(f[-2] or None)
-        lab_s.append(f[-1] or None)
+        return row + (f[-3] == "1", f[-2] or None, f[-1] or None)
 
-    cols = read_csv(path, FeatureError,
-                    lambda c: c[:1] == ["window_end_s"]
-                    and c[-3:] == LABEL_COLUMNS, parse)
+    cols, rows = read_csv(path, FeatureError,
+                          lambda c: c[:1] == ["window_end_s"]
+                          and c[-3:] == LABEL_COLUMNS, parse)
     feature_names = cols[1:-3]
-    X = (np.asarray(rows, dtype=np.float64) if rows
+    we, xs, lab_i, lab_r, lab_s = zip(*rows) if rows else ((),) * 5
+    X = (np.asarray(xs, dtype=np.float64) if rows
          else np.empty((0, len(feature_names))))
     return FeatureTable(feature_names, X,
                         np.asarray(we, dtype=np.int64),
-                        np.asarray(lab_i, dtype=bool), lab_r, lab_s)
+                        np.asarray(lab_i, dtype=bool), list(lab_r),
+                        list(lab_s))
 
 
 def concat_tables(tables) -> FeatureTable:

@@ -303,9 +303,6 @@ def write_incident_log(specs, path) -> None:
 
 
 def read_incident_log(path) -> list:
-    specs = []
-    read_csv(path, IncidentError, LOG_HEADER, lambda f: specs.append(
-        IncidentSpec(int(f[0]), IncidentType(f[1]), SeverityClass(f[2]),
-                     int(f[3]), int(f[4]), f[5], float(f[6]), int(f[7]),
-                     float(f[8]))))
-    return specs
+    return read_csv(path, IncidentError, LOG_HEADER, lambda f: IncidentSpec(
+        int(f[0]), IncidentType(f[1]), SeverityClass(f[2]), int(f[3]),
+        int(f[4]), f[5], float(f[6]), int(f[7]), float(f[8])))[1]

@@ -242,12 +242,7 @@ def write_sweep(rows, path) -> None:
 def read_sweep(path) -> list:
     """The (n_sensors, EvalReport) rows of a sweep.csv, equal to what
     write_sweep was given; a bad field raises MetricsError at path:line."""
-    rows: list = []
-
-    def parse(cells):
-        rows.append((int(cells[0]), EvalReport(*[
+    return read_csv(path, MetricsError, SWEEP_HEADER, lambda cells: (
+        int(cells[0]), EvalReport(*[
             None if text == "" else _report_value(f.name, text)
-            for f, text in zip(fields(EvalReport), cells[1:])])))
-
-    read_csv(path, MetricsError, SWEEP_HEADER, parse)
-    return rows
+            for f, text in zip(fields(EvalReport), cells[1:])])))[1]

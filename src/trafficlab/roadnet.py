@@ -11,7 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from . import open_text, write_lines
+from . import open_text, read_csv, write_lines
 
 
 class NetworkError(ValueError):
@@ -97,13 +97,19 @@ class RoadNetwork:
         return self.in_segments[node_id]
 
 
-def _parse_bool(token: str, where: str) -> bool:
-    t = token.strip().lower()
+def _parse_bool(token: str) -> bool:
+    t = token.lower()
     if t in ("1", "true", "yes"):
         return True
     if t in ("0", "false", "no"):
         return False
-    raise NetworkError(f"{where}: expected boolean flag, got {token!r}")
+    raise ValueError(f"expected boolean flag, got {token!r}")
+
+
+def _add(table: dict, kind: str, item) -> None:
+    if item.id in table:
+        raise ValueError(f"duplicate {kind} id {item.id!r}")
+    table[item.id] = item
 
 
 _SECTION_HEADERS = {
@@ -121,95 +127,72 @@ def load_network(path) -> RoadNetwork:
     an optional [endpoints] section of kind,node_id rows with kind in
     {entry, exit}.  When [endpoints] is absent, nodes with zero in-degree are
     entries and nodes with zero out-degree are exits; if neither exists every
-    node serves as both.
+    node serves as both.  Each section is a headed table read by read_csv;
+    blank lines and `#` comments are skipped.
     """
-    nodes: dict = {}
-    segments: dict = {}
-    raw_signals: dict = {}
-    endpoints_given = False
-    entries: list = []
-    exits: list = []
-
-    section = None
-    expect_header = False
+    sections: dict = {}
     with open_text(path, NetworkError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            tag = line.lower()
             if not line or line.startswith("#"):
                 continue
-            where = f"{path}:{lineno}"
-            if line.lower() in _SECTION_HEADERS:
-                section = line.lower()
-                expect_header = True
-                if section == "[endpoints]":
-                    endpoints_given = True
-                continue
-            if section is None:
-                raise NetworkError(f"{where}: data before any section header")
-            if expect_header:
-                if line.replace(" ", "") != _SECTION_HEADERS[section]:
-                    raise NetworkError(
-                        f"{where}: expected header {_SECTION_HEADERS[section]!r} "
-                        f"for section {section}")
-                expect_header = False
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            try:
-                if section == "[nodes]":
-                    if len(fields) != 5:
-                        raise NetworkError(f"{where}: node row needs 5 fields")
-                    nid = fields[0]
-                    if nid in nodes:
-                        raise NetworkError(f"{where}: duplicate node id {nid!r}")
-                    nodes[nid] = Node(nid, float(fields[1]), float(fields[2]),
-                                      _parse_bool(fields[3], where),
-                                      _parse_bool(fields[4], where))
-                elif section == "[segments]":
-                    if len(fields) != 7:
-                        raise NetworkError(f"{where}: segment row needs 7 fields")
-                    sid = fields[0]
-                    if sid in segments:
-                        raise NetworkError(f"{where}: duplicate segment id {sid!r}")
-                    if not fields[6]:  # features.csv reads "" back as None
-                        raise NetworkError(f"{where}: segment {sid!r} has an "
-                                           "empty road_label")
-                    segments[sid] = Segment(sid, fields[1], fields[2],
-                                            float(fields[3]), int(fields[4]),
-                                            float(fields[5]), fields[6])
-                elif section == "[signals]":
-                    if len(fields) != 4:
-                        raise NetworkError(f"{where}: signal row needs 4 fields")
-                    nid, idx = fields[0], int(fields[1])
-                    permitted = frozenset(
-                        s for s in fields[2].split(";") if s)
-                    raw_signals.setdefault(nid, []).append(
-                        (idx, SignalPhase(permitted, float(fields[3]))))
-                else:  # [endpoints]
-                    if len(fields) != 2:
-                        raise NetworkError(f"{where}: endpoint row needs 2 fields")
-                    kind, nid = fields
-                    if kind == "entry":
-                        entries.append(nid)
-                    elif kind == "exit":
-                        exits.append(nid)
-                    else:
-                        raise NetworkError(
-                            f"{where}: endpoint kind must be entry or exit")
-            except ValueError as exc:
-                if isinstance(exc, NetworkError):
-                    raise
-                raise NetworkError(f"{where}: {exc}") from exc
+            if tag in sections:
+                raise NetworkError(
+                    f"{path}:{lineno}: section {tag} given twice")
+            if tag in _SECTION_HEADERS:
+                body = sections[tag] = []
+            elif not sections:
+                raise NetworkError(
+                    f"{path}:{lineno}: data before any section header")
+            else:  # fields are stripped of the spaces around them
+                body.append((lineno, ",".join(
+                    f.strip() for f in line.split(","))))
 
+    nodes: dict = {}
+    segments: dict = {}
+
+    def segment(f):
+        if not f[6]:  # features.csv reads "" back as None
+            raise ValueError(f"segment {f[0]!r} has an empty road_label")
+        _add(segments, "segment", Segment(f[0], f[1], f[2], float(f[3]),
+                                          int(f[4]), float(f[5]), f[6]))
+
+    def endpoint(f):
+        if f[0] not in ("entry", "exit"):
+            raise ValueError("endpoint kind must be entry or exit")
+        return f
+
+    parsers = {
+        "[nodes]": lambda f: _add(nodes, "node", Node(
+            f[0], float(f[1]), float(f[2]), _parse_bool(f[3]),
+            _parse_bool(f[4]))),
+        "[segments]": segment,
+        "[signals]": lambda f: (f[0], int(f[1]), SignalPhase(
+            frozenset(s for s in f[2].split(";") if s), float(f[3]))),
+        "[endpoints]": endpoint,
+    }
+    rows = {tag: read_csv(path, NetworkError, _SECTION_HEADERS[tag],
+                          parsers[tag], body)[1]
+            for tag, body in sections.items() if body}
+
+    raw_signals: dict = {}
+    for nid, idx, phase in rows.get("[signals]", ()):
+        raw_signals.setdefault(nid, []).append((idx, phase))
     signal_plans = {}
     for nid, phases in raw_signals.items():
         phases.sort(key=lambda p: p[0])
         indices = [p[0] for p in phases]
         if indices != list(range(len(phases))):
-            raise NetworkError(
-                f"signal plan for node {nid!r}: phase indices must be 0..k-1")
+            raise NetworkError(f"{path}: signal plan for node {nid!r}: "
+                               "phase indices must be 0..k-1")
         signal_plans[nid] = tuple(p[1] for p in phases)
 
-    if not endpoints_given:
+    if "[endpoints]" in sections:
+        ends = rows.get("[endpoints]", ())
+        entries = [nid for kind, nid in ends if kind == "entry"]
+        exits = [nid for kind, nid in ends if kind == "exit"]
+    else:
         has_in = {s.to_node for s in segments.values()}
         has_out = {s.from_node for s in segments.values()}
         entries = [nid for nid in nodes if nid not in has_in]
@@ -220,7 +203,10 @@ def load_network(path) -> RoadNetwork:
 
     net = RoadNetwork(nodes, segments, signal_plans,
                       tuple(entries), tuple(exits))
-    validate_network(net)
+    try:
+        validate_network(net)
+    except NetworkError as exc:
+        raise NetworkError(f"{path}: {exc}") from None
     return net
 
 
@@ -229,49 +215,58 @@ def _fmt(x: float) -> str:
 
 
 def save_network(net: RoadNetwork, path) -> None:
-    lines = ["[nodes]", "id,x,y,signalized,sensor_site"]
-    for nid in sorted(net.nodes):
-        n = net.nodes[nid]
-        lines.append(f"{n.id},{_fmt(n.x)},{_fmt(n.y)},"
-                     f"{int(n.signalized)},{int(n.sensor_site)}")
-    lines += ["", "[segments]",
-              "id,from,to,length_m,lanes,speed_limit_mps,road_label"]
-    for sid in sorted(net.segments):
-        s = net.segments[sid]
-        lines.append(f"{s.id},{s.from_node},{s.to_node},{_fmt(s.length)},"
-                     f"{s.lanes},{_fmt(s.speed_limit)},{s.road_label}")
-    lines += ["", "[signals]", "node_id,phase_index,permitted_segment_ids,duration_s"]
-    for nid in sorted(net.signal_plans):
-        for i, phase in enumerate(net.signal_plans[nid]):
-            perm = ";".join(sorted(phase.permitted))
-            lines.append(f"{nid},{i},{perm},{_fmt(phase.duration)}")
-    lines += ["", "[endpoints]", "kind,node_id"]
-    for nid in net.entry_nodes:
-        lines.append(f"entry,{nid}")
-    for nid in net.exit_nodes:
-        lines.append(f"exit,{nid}")
-    write_lines(path, lines)
+    """Write `net` as load_network reads it: each section of
+    _SECTION_HEADERS in turn, under its tag and header, with a blank line
+    between sections."""
+    rows = {
+        "[nodes]": [f"{n.id},{_fmt(n.x)},{_fmt(n.y)},"
+                    f"{int(n.signalized)},{int(n.sensor_site)}"
+                    for n in (net.nodes[nid] for nid in sorted(net.nodes))],
+        "[segments]": [
+            f"{s.id},{s.from_node},{s.to_node},{_fmt(s.length)},"
+            f"{s.lanes},{_fmt(s.speed_limit)},{s.road_label}"
+            for s in (net.segments[sid] for sid in sorted(net.segments))],
+        "[signals]": [f"{nid},{i},{';'.join(sorted(phase.permitted))},"
+                      f"{_fmt(phase.duration)}"
+                      for nid in sorted(net.signal_plans)
+                      for i, phase in enumerate(net.signal_plans[nid])],
+        "[endpoints]": ([f"entry,{nid}" for nid in net.entry_nodes]
+                        + [f"exit,{nid}" for nid in net.exit_nodes]),
+    }
+    lines = []
+    for tag, header in _SECTION_HEADERS.items():
+        lines += [tag, header, *rows[tag], ""]
+    write_lines(path, lines[:-1])
 
 
 def validate_network(net: RoadNetwork) -> None:
     if not net.nodes:
         raise NetworkError("network has no nodes")
     for nid, node in net.nodes.items():
+        if not nid:
+            raise NetworkError("a node has an empty id")
         if not (math.isfinite(node.x) and math.isfinite(node.y)):
             raise NetworkError(f"node {nid!r} has non-finite coordinates")
     for sid, seg in net.segments.items():
+        if not sid:
+            raise NetworkError("a segment has an empty id")
+        if not seg.road_label:
+            raise NetworkError(f"segment {sid!r} has an empty road_label")
         for endpoint in (seg.from_node, seg.to_node):
             if endpoint not in net.nodes:
                 raise NetworkError(
                     f"segment {sid!r} references missing node {endpoint!r}")
         if seg.from_node == seg.to_node:
             raise NetworkError(f"segment {sid!r} is a self-loop")
-        if seg.length <= 0:
-            raise NetworkError(f"segment {sid!r} has non-positive length")
+        if not 0 < seg.length < math.inf:
+            raise NetworkError(f"segment {sid!r} has length {seg.length}, "
+                               "not a positive finite number")
         if seg.lanes < 1:
             raise NetworkError(f"segment {sid!r} has lanes < 1")
-        if seg.speed_limit <= 0:
-            raise NetworkError(f"segment {sid!r} has non-positive speed limit")
+        if not 0 < seg.speed_limit < math.inf:
+            raise NetworkError(f"segment {sid!r} has speed limit "
+                               f"{seg.speed_limit}, not a positive finite "
+                               "number")
         a, b = net.nodes[seg.from_node], net.nodes[seg.to_node]
         dist = math.hypot(a.x - b.x, a.y - b.y)
         if dist == 0:
@@ -317,9 +312,10 @@ def validate_network(net: RoadNetwork) -> None:
         incoming = set(net.incoming(nid))
         covered: set = set()
         for i, phase in enumerate(plan):
-            if phase.duration <= 0:
+            if not 0 < phase.duration < math.inf:
                 raise NetworkError(
-                    f"node {nid!r} phase {i} has non-positive duration")
+                    f"node {nid!r} phase {i} has duration {phase.duration}, "
+                    "not a positive finite number")
             extra = phase.permitted - incoming
             if extra:
                 raise NetworkError(

@@ -303,7 +303,9 @@ def load_raw(path) -> RawDataset:
     (time, sensor_id) order, and each count must equal the number of
     vehicle ids on its row; anything else raises SensorError.  Each column
     parses each distinct text once: rows with the same id text share one
-    tuple, and rows of one sensor one id string."""
+    tuple, and rows of one sensor one id string.  It keeps its own row
+    loop instead of read_csv's: the raw table is the largest input, and a
+    parse call and row tuple per line measured slower on it."""
     times: list = []
     sensors: list = []
     counts: list = []

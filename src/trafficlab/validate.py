@@ -120,12 +120,9 @@ def read_validation_report(path) -> list:
     """The (day, statistic, p_value, passed) rows of a report that
     write_validation_report wrote, equal to what it was given; a pass field
     other than 0 or 1 raises ValidationError."""
-    rows: list = []
-
     def parse(f):
         if f[3] not in ("0", "1"):
             raise ValueError(f"pass is {f[3]!r}, expected 0 or 1")
-        rows.append((int(f[0]), float(f[1]), float(f[2]), f[3] == "1"))
+        return int(f[0]), float(f[1]), float(f[2]), f[3] == "1"
 
-    read_csv(path, ValidationError, VALIDATION_HEADER, parse)
-    return rows
+    return read_csv(path, ValidationError, VALIDATION_HEADER, parse)[1]

@@ -44,7 +44,8 @@ from trafficlab.metrics import MetricsError, read_report, read_sweep
 from trafficlab.models import ModelError, load_model
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import NetworkError, load_network, save_network
-from trafficlab.validate import PASS_LEVEL, read_validation_report
+from trafficlab.validate import (PASS_LEVEL, VALIDATION_HEADER,
+                                 ValidationError, read_validation_report)
 
 from conftest import make_line_net
 from test_models import gated_table
@@ -1112,21 +1113,38 @@ MALFORMED = {
         "expected 17 fields, got 3",
         "3,6,1,1,3,1,0.5,0.25,0.5,0.5,0.x,,,0,0,,",
         "auc is not a number: '0.x'"),
+    "read_validation_report": (
+        read_validation_report, ValidationError, VALIDATION_HEADER,
+        "0,0.25,0.5,1", "1,0.25", "expected 4 fields, got 2",
+        "1,0.x,0.5,1", "could not convert string to float: '0.x'"),
+    "load_network": (
+        load_network, NetworkError,
+        "id,from,to,length_m,lanes,speed_limit_mps,road_label",
+        "s0,a0,a1,200,1,10,main", "s1,a1,a2,200,1",
+        "expected 7 fields, got 5", "s1,a1,a2,2x0,1,10,main",
+        "could not convert string to float: '2x0'"),
 }
+
+# the tag line a reader's rows follow, for a section of a sectioned file
+SECTION = {"load_network": "[segments]\n"}
 
 
 def _malformed_cases():
     for name, (reader, error, header, good, short, short_fault, bad,
                bad_fault) in MALFORMED.items():
-        head = "" if header is None else header + "\n"
+        tag = SECTION.get(name, "")
+        head = tag + ("" if header is None else header + "\n")
         line = head.count("\n") + 2
         yield pytest.param(reader, error, f"{head}{good}\n{short}\n",
                            f"{line}: {short_fault}", id=f"{name}-short-row")
         yield pytest.param(reader, error, f"{head}{good}\n{bad}\n",
                            f"{line}: {bad_fault}", id=f"{name}-bad-number")
         if header is not None:
-            yield pytest.param(reader, error, f"wrong,{header}\n{good}\n",
-                               f" unexpected header 'wrong,{header}'",
+            # a section's header is named by its line, a file's by the path
+            where = f"{line - 2}:" if tag else ""
+            yield pytest.param(reader, error,
+                               f"{tag}wrong,{header}\n{good}\n",
+                               f"{where} unexpected header 'wrong,{header}'",
                                id=f"{name}-wrong-header")
         else:
             key = good.partition("=")[0]

@@ -8,6 +8,7 @@ Index:
 """
 import dataclasses
 import itertools
+import math
 import re
 
 import pytest
@@ -66,6 +67,76 @@ def test_load_rejects_an_empty_road_label(tmp_path):
     with pytest.raises(NetworkError, match=rf"^{re.escape(str(p))}:{lineno}: "
                        r"segment 's0' has an empty road_label$"):
         load_network(p)
+
+
+def test_load_names_the_line_of_a_duplicate_id_or_section(tmp_path):
+    """A duplicate id or a section tag given twice is refused at its line;
+    a second [nodes] block used to be merged into the first."""
+    p = tmp_path / "net.txt"
+    save_network(make_line_net(), p)
+    text = p.read_text(encoding="utf-8")
+    for tag, extra, fault in (
+            ("[nodes]", "a0,5,5,0,0", "duplicate node id 'a0'"),
+            ("[segments]", "s0,a0,a1,200,1,10,line_0",
+             "duplicate segment id 's0'")):
+        lines = text.splitlines()
+        at = lines.index(tag) + 3  # after the section's first row
+        p.write_text("\n".join(lines[:at] + [extra] + lines[at:]) + "\n",
+                     encoding="utf-8")
+        with pytest.raises(NetworkError, match=rf"^{re.escape(str(p))}:"
+                           rf"{at + 1}: {re.escape(fault)}$"):
+            load_network(p)
+    lineno = text.count("\n") + 2
+    p.write_text(text + "\n[nodes]\nid,x,y,signalized,sensor_site\n"
+                 "z,0,100,0,0\n", encoding="utf-8")
+    with pytest.raises(NetworkError, match=rf"^{re.escape(str(p))}:{lineno}: "
+                       r"section \[nodes\] given twice$"):
+        load_network(p)
+
+
+BAD_VALUES = ("", "nan", "inf", "-inf", "-1", "x", "1e400", "0", "2.5")
+
+
+def _mutations(text):
+    """Each field of the first, middle and last data row of every section
+    of a network file's text, set in turn to each of BAD_VALUES."""
+    lines = text.splitlines()
+    tags = [i for i, line in enumerate(lines) if line.startswith("[")]
+    for start, end in zip(tags, tags[1:] + [len(lines)]):
+        rows = [i for i in range(start + 2, end) if lines[i]]
+        for i in sorted({rows[0], rows[len(rows) // 2], rows[-1]}
+                        if rows else ()):
+            fields = lines[i].split(",")
+            for j, value in itertools.product(range(len(fields)),
+                                              BAD_VALUES):
+                cut = fields[:j] + [value] + fields[j + 1:]
+                yield "\n".join(lines[:i] + [",".join(cut)]
+                                 + lines[i + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("name", ["grid4x4.net", "highway8.net"])
+def test_mutated_network_loads_finite_or_is_refused_naming_the_file(
+        tmp_path, name):
+    """A bad value anywhere in a network file either still makes a network
+    whose every number is finite, or is refused naming the file: a NaN
+    length or an infinite speed limit or phase duration used to load."""
+    p = tmp_path / name
+    count = 0
+    for text in _mutations(bundled_path(name).read_text(encoding="utf-8")):
+        count += 1
+        p.write_text(text, encoding="utf-8")
+        try:
+            net = load_network(p)
+        except NetworkError as exc:
+            assert str(exc).startswith(f"{p}:"), str(exc)
+            continue
+        numbers = [v for n in net.nodes.values() for v in (n.x, n.y)]
+        numbers += [v for s in net.segments.values()
+                    for v in (s.length, s.lanes, s.speed_limit)]
+        numbers += [phase.duration for plan in net.signal_plans.values()
+                    for phase in plan]
+        assert all(math.isfinite(v) for v in numbers), text
+    assert count == {"grid4x4.net": 486, "highway8.net": 378}[name]
 
 
 def test_bundled_networks_validate():
@@ -165,6 +236,61 @@ def test_validate_rejects_uncovered_approach():
                          net.exit_nodes)
     with pytest.raises(NetworkError, match="permitted|deadlock"):
         validate_network(broken)
+
+
+def _not_positive_finite(what, value):
+    return f"{what} {value}, not a positive finite number"
+
+
+OUT_OF_RANGE = [
+    ("length", math.nan,
+     _not_positive_finite("segment 's0' has length", "nan")),
+    ("length", math.inf,
+     _not_positive_finite("segment 's0' has length", "inf")),
+    ("length", 0.0, _not_positive_finite("segment 's0' has length", "0.0")),
+    ("speed_limit", math.nan,
+     _not_positive_finite("segment 's0' has speed limit", "nan")),
+    ("speed_limit", float("1e400"),
+     _not_positive_finite("segment 's0' has speed limit", "inf")),
+    ("speed_limit", -1.0,
+     _not_positive_finite("segment 's0' has speed limit", "-1.0")),
+    ("duration", math.nan,
+     _not_positive_finite("node 'a1' phase 0 has duration", "nan")),
+    ("duration", math.inf,
+     _not_positive_finite("node 'a1' phase 0 has duration", "inf")),
+    ("road_label", "", "segment 's0' has an empty road_label"),
+]
+
+
+@pytest.mark.parametrize("field, value, fault", OUT_OF_RANGE,
+                         ids=[f"{f}={v!r}" for f, v, _ in OUT_OF_RANGE])
+def test_validate_rejects_a_value_out_of_range(field, value, fault):
+    """A network built in code is held to the rules a loaded one is: a NaN
+    length or an infinite phase duration used to pass, and an empty road
+    label was refused only by load_network."""
+    net = make_signal_line_net()
+    segments, plans = dict(net.segments), dict(net.signal_plans)
+    if field == "duration":
+        first, *rest = plans["a1"]
+        plans["a1"] = (dataclasses.replace(first, duration=value), *rest)
+    else:
+        segments["s0"] = dataclasses.replace(segments["s0"], **{field: value})
+    with pytest.raises(NetworkError, match=f"^{re.escape(fault)}$"):
+        validate_network(RoadNetwork(net.nodes, segments, plans,
+                                     net.entry_nodes, net.exit_nodes))
+
+
+def test_validate_rejects_an_empty_node_or_segment_id():
+    net = make_line_net()
+    nodes = dict(net.nodes, **{"": Node("", 0.0, 50.0)})
+    with pytest.raises(NetworkError, match="^a node has an empty id$"):
+        validate_network(RoadNetwork(nodes, net.segments, {},
+                                     net.entry_nodes, net.exit_nodes))
+    segments = dict(net.segments,
+                    **{"": Segment("", "a0", "a1", 200.0, 1, 10.0, "line_0")})
+    with pytest.raises(NetworkError, match="^a segment has an empty id$"):
+        validate_network(RoadNetwork(net.nodes, segments, {},
+                                     net.entry_nodes, net.exit_nodes))
 
 
 def test_validate_placement_unknown_sensor(grid_net):
