@@ -240,15 +240,26 @@ def write_feature_table(table: FeatureTable, path) -> None:
 
 
 def read_feature_table(path) -> FeatureTable:
+    """The table write_feature_table wrote.  A feature field is empty, the
+    missing marker, or a finite number; anything else, `nan` included,
+    raises FeatureError naming the line and the column."""
+    names = []
+
+    def header(cols):
+        names[:] = cols[1:-3]
+        return cols[:1] == ["window_end_s"] and cols[-3:] == LABEL_COLUMNS
+
     def parse(f):
-        row = (int(f[0]), [float(p) if p else np.nan for p in f[1:-3]])
+        xs = [float(p) if p else np.nan for p in f[1:-3]]
+        for name, p, x in zip(names, f[1:-3], xs):
+            if p and not math.isfinite(x):
+                raise ValueError(f"{name} is {p!r}, expected a finite "
+                                 f"number or an empty field")
         if f[-3] not in ("0", "1"):
             raise ValueError(f"label_incident {f[-3]!r} is not 0 or 1")
-        return row + (f[-3] == "1", f[-2] or None, f[-1] or None)
+        return int(f[0]), xs, f[-3] == "1", f[-2] or None, f[-1] or None
 
-    cols, rows = read_csv(path, FeatureError,
-                          lambda c: c[:1] == ["window_end_s"]
-                          and c[-3:] == LABEL_COLUMNS, parse)
+    cols, rows = read_csv(path, FeatureError, header, parse)
     feature_names = cols[1:-3]
     we, xs, lab_i, lab_r, lab_s = zip(*rows) if rows else ((),) * 5
     X = (np.asarray(xs, dtype=np.float64) if rows

@@ -52,8 +52,10 @@ class IncidentSpec:
     def __post_init__(self):
         if self.duration <= 0:
             raise IncidentError("incident duration must be positive")
-        if self.radius < 0:
-            raise IncidentError("incident radius must be non-negative")
+        for name in ("offset", "radius"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN included
+                raise IncidentError(
+                    f"incident {name} must be non-negative and finite")
         if self.type is IncidentType.STALLED_VEHICLE and self.n_vehicles != 1:
             raise IncidentError("a stalled vehicle halts exactly one vehicle")
         if (self.type is IncidentType.MULTI_VEHICLE_CRASH

@@ -86,17 +86,12 @@ def auc_roc(truth, scores):
     n_neg = int(t.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(t.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < t.size:
-        j = i
-        while j + 1 < t.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum = float(ranks[t].sum())
+    _, block, ties = np.unique(s, return_inverse=True, return_counts=True,
+                               equal_nan=False)
+    # a block of k ties from sorted position i has 1-based midrank
+    # i + (k - 1) / 2 + 1
+    midranks = np.cumsum(ties) - ties + 0.5 * (ties - 1) + 1.0
+    rank_sum = float(midranks[block][t].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -61,8 +61,8 @@ class SensorPlacement:
         dup = sorted({s for s in ids if ids.count(s) > 1})
         if dup:
             raise NetworkError(f"duplicate sensor ids: {', '.join(dup)}")
-        if self.range_m <= 0:
-            raise NetworkError("sensor range must be positive")
+        if not 0 < self.range_m < math.inf:  # NaN included
+            raise NetworkError("sensor range must be positive and finite")
 
 
 @dataclass

@@ -10,8 +10,9 @@ Each second it skips the empty queues, walks the others once, testing every
 vehicle against the sensor the segment approaches and the one it departs
 from, and appends each sensor's count, mean speed, occupancy and sorted
 vehicle ids straight to the raw table's columns.  A reading's mean speed is
-`exact_mean` of the seen vehicles' speeds in slot order, which equals
-`float(np.mean(...))` bit for bit.
+`exact_mean` of the seen vehicles' speeds in slot order: a running sum
+below 8 values and numpy's sum from 8 up, so it equals `float(np.mean(...))`
+bit for bit.
 
 The raw table holds one row per (second, sensor), time-major with sensors
 in sorted id order, and that row order is its only index: row i is second
@@ -47,44 +48,18 @@ class SensorReading(NamedTuple):
     occupancy: float
 
 
-def _pairwise_sum(xs: list, lo: int, n: int) -> float:
-    """Sum of xs[lo:lo + n], n >= 8, in numpy's float64 pairwise order:
-    eight interleaved partial sums up to 128 values, and above that a split
-    at n // 2 rounded down to a multiple of 8 (so no part is below 64)."""
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            r0 += xs[i]
-            r1 += xs[i + 1]
-            r2 += xs[i + 2]
-            r3 += xs[i + 3]
-            r4 += xs[i + 4]
-            r5 += xs[i + 5]
-            r6 += xs[i + 6]
-            r7 += xs[i + 7]
-        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, lo + n):
-            s += xs[i]
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half,
-                                                       n - half)
-
-
 def exact_mean(xs: list) -> float:
     """`float(np.mean(np.asarray(xs)))` for a non-empty list of floats,
-    bit for bit, without building an array.  Below 8 values numpy keeps one
-    running sum; add.reduce starts from +0.0, so an all -0.0 input sums to
-    0.0."""
+    bit for bit.  Below 8 values numpy keeps one running sum from +0.0 (so
+    an all -0.0 input sums to 0.0), and so does this, without building an
+    array; from 8 values up it is numpy's own pairwise sum."""
     n = len(xs)
     if n < 8:
         s = 0.0
         for x in xs:
             s += x
         return s / n
-    return (0.0 + _pairwise_sum(xs, 0, n)) / n
+    return float(np.add.reduce(xs)) / n
 
 
 class SensorRig:
@@ -206,6 +181,16 @@ class RawDataset:
                 raise SensorError(
                     f"raw table has {got} {name} entries, expected "
                     f"horizon*sensors = {n}")
+        # NaN fails both comparisons; -0.0 passes
+        ok = ((self.mean_speed >= 0) & (self.mean_speed < np.inf)
+              & (self.occupancy >= 0) & (self.occupancy < np.inf))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise SensorError(
+                f"data row {i + 1} has mean_speed_mps "
+                f"{float(self.mean_speed[i])!r} and occupancy "
+                f"{float(self.occupancy[i])!r}: both must be finite and "
+                f"non-negative")
 
     @property
     def n_rows(self) -> int:
@@ -300,8 +285,9 @@ def emit_raw(dataset: RawDataset, incident_log, raw_path,
 
 def load_raw(path) -> RawDataset:
     """Load a raw table.  Rows must hold every sensor once per second, in
-    (time, sensor_id) order, and each count must equal the number of
-    vehicle ids on its row; anything else raises SensorError.  Each column
+    (time, sensor_id) order, each count must equal the number of vehicle
+    ids on its row, and speeds and occupancies must be finite and
+    non-negative; anything else raises SensorError.  Each column
     parses each distinct text once: rows with the same id text share one
     tuple, and rows of one sensor one id string.  It keeps its own row
     loop instead of read_csv's: the raw table is the largest input, and a
@@ -364,10 +350,13 @@ def load_raw(path) -> RawDataset:
         raise SensorError(
             f"{path}: {len(times)} data rows, expected {horizon} seconds x "
             f"{n} sensors = {horizon * n}")
-    return RawDataset(horizon, sensor_ids,
-                      np.asarray(counts, dtype=np.int32),
-                      np.asarray(speeds, dtype=np.float64),
-                      np.asarray(occs, dtype=np.float64), vids)
+    try:
+        return RawDataset(horizon, sensor_ids,
+                          np.asarray(counts, dtype=np.int32),
+                          np.asarray(speeds, dtype=np.float64),
+                          np.asarray(occs, dtype=np.float64), vids)
+    except SensorError as exc:
+        raise SensorError(f"{path}: {exc}") from None
 
 
 def subset_sensors(dataset: RawDataset, sensor_ids) -> RawDataset:

@@ -98,10 +98,9 @@ def aggregate_bins(schedule: SpawnSchedule, bin_s: float) -> MacroCountSeries:
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise ValidationError(
             f"bin {bin_s} does not divide horizon {horizon}")
-    n_bins = int(round(n_bins))
-    counts = np.zeros(n_bins)
-    for ev in schedule.events:
-        counts[int(ev.time // bin_s)] += 1
+    times = np.array([ev.time for ev in schedule.events], dtype=np.float64)
+    counts = np.bincount((times // bin_s).astype(np.int64),
+                         minlength=int(round(n_bins)))
     return MacroCountSeries(bin_s, counts, 0.0)
 
 

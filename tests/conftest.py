@@ -6,7 +6,10 @@ Index:
   grid_net        bundled 4x4 signalized grid
   flat_params     constant-rate flow curve for quick schedules
   traced_run      microsim.run plus the per-second state of every vehicle
+  mutated_rows    a text file with one field of a row set to a bad value,
+                  each of BAD_VALUES in turn
 """
+import itertools
 import zlib
 
 import numpy as np
@@ -117,3 +120,19 @@ def traced_run(*args, **kwargs):
         return microsim.run(*args, **kwargs), trace
     finally:
         microsim.Simulation = original
+
+
+BAD_VALUES = ("", "nan", "inf", "-inf", "-1", "x", "1e400", "0", "2.5")
+
+
+def mutated_rows(lines, rows):
+    """The texts of `lines` with each comma-separated field of the first,
+    middle and last of `rows` (indices of data lines) set in turn to each
+    of BAD_VALUES."""
+    for i in sorted({rows[0], rows[len(rows) // 2], rows[-1]}
+                    if rows else ()):
+        fields = lines[i].split(",")
+        for j, value in itertools.product(range(len(fields)), BAD_VALUES):
+            cut = fields[:j] + [value] + fields[j + 1:]
+            yield "\n".join(lines[:i] + [",".join(cut)]
+                             + lines[i + 1:]) + "\n"

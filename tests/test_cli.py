@@ -10,10 +10,13 @@ Index:
               benchmark's tracers around simulate
   round trip  each of the nine files one pipeline run writes, read by its
               reader and written by its writer, gives back its own bytes;
+              a bad value in a field of the first, middle or last row of
+              its four CSVs loads finite or is refused naming the file;
               write_lines is the package's one writer
   errors      exit code 2 on module errors, bad --sensors lists,
               undecodable input files, malformed sub-models, a bin_seconds
-              other than the counts', incidents off the network, weights
+              other than the counts', incidents off the network, non-finite
+              readings, incidents and feature values, weights
               and sensors that name no usable node, event scoring of a
               multi-day table, an unbounded incident duration range, a
               model.json training config out of range, argparse usage
@@ -47,7 +50,7 @@ from trafficlab.roadnet import NetworkError, load_network, save_network
 from trafficlab.validate import (PASS_LEVEL, VALIDATION_HEADER,
                                  ValidationError, read_validation_report)
 
-from conftest import make_line_net
+from conftest import make_line_net, mutated_rows
 from test_models import gated_table
 
 DAY = 4800
@@ -732,6 +735,62 @@ def test_every_pipeline_file_reads_back_to_its_own_bytes(pipeline_run,
     assert dst.read_bytes() == src.read_bytes()
 
 
+def _feature_numbers(table, text):
+    """X and the window ends of a feature table, less the NaNs that stand
+    for an empty field of its text."""
+    empty = np.array([[field == "" for field in line.split(",")[1:-3]]
+                      for line in text.splitlines()[1:]])
+    return np.concatenate([table.X[~empty], table.window_end])
+
+
+# file name: (its path in the run, its reader, the error the reader raises,
+# the numbers it loaded from the file's text)
+PROBED = {
+    "raw.csv": ("runs/sweep/day_000/raw.csv", sensors.load_raw,
+                sensors.SensorError, lambda raw, _text: np.concatenate(
+                    [raw.count, raw.mean_speed, raw.occupancy])),
+    "incidents.csv": ("runs/sweep/day_000/incidents.csv",
+                      incidents.read_incident_log, incidents.IncidentError,
+                      lambda log, _text: [
+                          v for s in log for v in (s.id, s.onset, s.duration,
+                                                   s.offset, s.n_vehicles,
+                                                   s.radius)]),
+    "spawns.csv": ("runs/sweep/day_000/spawns.csv",
+                   lambda p: demand.read_schedule(p, DAY), demand.DemandError,
+                   lambda schedule, _text: [ev.time
+                                            for ev in schedule.events]),
+    "features.csv": ("features.csv", features.read_feature_table,
+                     features.FeatureError, _feature_numbers),
+}
+
+
+@pytest.mark.parametrize("name", list(PROBED))
+def test_mutated_csv_loads_finite_or_is_refused_naming_the_file(
+        pipeline_run, tmp_path, name):
+    """A bad value in a pipeline CSV either still loads to finite numbers
+    (NaN only for an empty feature field), or is refused by the file's
+    reader naming the file: NaN or infinite speeds, occupancies, incident
+    offsets and radii and feature values used to load."""
+    where, reader, error, numbers = PROBED[name]
+    text = (pipeline_run / where).read_text(encoding="utf-8")
+    # at most 1,200 data rows: raw.csv's first 600 s, itself a whole raw
+    # table, which loads in an eighth of the time of the 4,800 s day
+    lines = text.splitlines()[:1201]
+    assert len(lines) > 3, "the file needs a first, middle and last row"
+    path = tmp_path / name
+    count = 0
+    for text in mutated_rows(lines, range(1, len(lines))):
+        count += 1
+        path.write_text(text, encoding="utf-8")
+        try:
+            loaded = reader(path)
+        except error as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            continue
+        assert np.isfinite(numbers(loaded, text)).all(), text
+    assert count == 3 * len(lines[0].split(",")) * 9
+
+
 def _opens_to_write(node) -> bool:
     """Whether node is an open( call whose mode is not a read-only
     literal."""
@@ -1290,6 +1349,60 @@ def test_extract_features_rejects_an_incident_off_the_network(
         f"error: {log_path}: incident {fields[0]} is on segment "
         "'nosuchseg', which the network lacks\n")
     assert not out.exists()
+
+
+def _set_field(path, line, column, value):
+    """Sets one comma-separated field of a text file; returns the old
+    one."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[line].rstrip("\n").split(",")
+    old, fields[column] = fields[column], value
+    lines[line] = ",".join(fields) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return old
+
+
+def test_extract_features_refuses_non_finite_readings_and_incidents(
+        sim_run, tmp_path, capsys):
+    tmp, cfg_path, out_dir = sim_run
+    day = tmp_path / "nonfinite" / "day_000"
+    out = tmp_path / "f.csv"
+    args = ["extract-features", "--raw", str(day.parent), "--out", str(out),
+            "--config", cfg_path]
+    shutil.copytree(os.path.join(out_dir, "day_000"), day)
+    raw = day / "raw.csv"
+    speed = _set_field(raw, 2, 3, "inf")
+    occupancy = raw.read_text(encoding="utf-8").split("\n")[2].split(",")[4]
+    assert main(args) == 2
+    assert one_error_line(capsys) == (
+        f"error: {raw}: data row 2 has mean_speed_mps inf and occupancy "
+        f"{occupancy}: both must be finite and non-negative\n")
+
+    _set_field(raw, 2, 3, speed)
+    _set_field(day / "incidents.csv", 1, 6, "nan")
+    assert main(args) == 2
+    assert one_error_line(capsys) == (
+        f"error: {day / 'incidents.csv'}:2: incident offset must be "
+        f"non-negative and finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_feature_fields_must_be_empty_or_finite(small_model, tmp_path,
+                                                capsys, command):
+    feat, cfg, model = small_model
+    bad = tmp_path / "features.csv"
+    shutil.copy(feat, bad)
+    _set_field(bad, 1, 1, "1e400")
+    name = bad.read_text(encoding="utf-8").split(",", 2)[1]
+    out = str(tmp_path / "out")
+    args = {"train": ["train", "--features", str(bad), "--out", out],
+            "evaluate": ["evaluate", "--model", model, "--features",
+                         str(bad), "--out", out]}[command]
+    assert main(args + ["--config", cfg]) == 2
+    assert one_error_line(capsys) == (
+        f"error: {bad}:2: {name} is '1e400', expected a finite number or "
+        f"an empty field\n")
 
 
 @pytest.mark.parametrize("key, weights, fault", [

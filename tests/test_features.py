@@ -324,11 +324,20 @@ def test_table_read_rejects_malformed(tmp_path):
     header = "window_end_s,f1,label_incident,label_road,label_severity\n"
     for row, match in (("6x0,1.0,0,,", "invalid literal"),
                        ("600,zz,0,,", "could not convert"),
-                       ("600,1.0,yes,,", "label_incident 'yes'")):
+                       ("600,1.0,yes,,", "label_incident 'yes'"),
+                       ("600,inf,0,,", "f1 is 'inf', expected a finite "
+                                       "number or an empty field$"),
+                       ("600,-inf,0,,", "f1 is '-inf', expected"),
+                       ("600,1e400,0,,", "f1 is '1e400', expected"),
+                       ("600,nan,0,,", "f1 is 'nan', expected"),
+                       ("600,NaN,1,,", "f1 is 'NaN', expected")):
         p.write_text(header + "570,1.0,0,,\n" + row + "\n",
                      encoding="utf-8")
         with pytest.raises(FeatureError, match=rf"bad\.csv:3: {match}"):
             read_feature_table(p)
+    # an empty field is the missing marker
+    p.write_text(header + "570,,0,,\n", encoding="utf-8")
+    assert np.isnan(read_feature_table(p).X).tolist() == [[True]]
 
 
 def test_concat_tables_stacks_days():

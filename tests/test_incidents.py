@@ -7,6 +7,7 @@ Index:
   zones       hand-computed intervals and a shortest-path point oracle
 """
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,12 @@ def test_spec_validation():
         spec_of(duration=0)
     with pytest.raises(IncidentError, match="radius"):
         spec_of(radius=-1.0)
+    for name, value in itertools.product(("offset", "radius"),
+                                         (-1.0, math.nan, math.inf)):
+        with pytest.raises(IncidentError, match=f"^incident {name} must be "
+                                                f"non-negative and finite$"):
+            spec_of(**{name: value})
+    assert spec_of(offset=0.0, radius=0.0).offset == 0.0
     with pytest.raises(IncidentError, match="exactly one"):
         spec_of(n=2)
     with pytest.raises(IncidentError, match="at least two"):
@@ -112,7 +119,13 @@ def test_incident_log_errors_name_file_and_line(tmp_path):
             ("1,stalled_vehicle,minor,30,120,s1,zz,1,50.0", "could not"),
             ("1,stalled_vehicle,minor,30,0,s1,100.0,1,50.0", "duration"),
             ("1,multi_vehicle_crash,minor,30,120,s1,100.0,1,50.0",
-             "at least two")):
+             "at least two"),
+            ("1,stalled_vehicle,minor,30,120,s1,nan,1,50.0",
+             "incident offset must be non-negative and finite$"),
+            ("1,stalled_vehicle,minor,30,120,s1,100.0,1,inf",
+             "incident radius must be non-negative and finite$"),
+            ("1,stalled_vehicle,minor,30,120,s1,-0.5,1,1e400",
+             "incident offset must be non-negative and finite$")):
         path.write_text("id,type,severity,onset_s,duration_s,segment_id,"
                         f"offset_m,n_vehicles,radius_m\n{good}\n{row}\n",
                         encoding="utf-8")

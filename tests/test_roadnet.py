@@ -7,7 +7,6 @@ Index:
   routing      shortest routes against exhaustive path enumeration
 """
 import dataclasses
-import itertools
 import math
 import re
 
@@ -21,7 +20,8 @@ from trafficlab.roadnet import (NetworkError, Node, RoadNetwork, Segment,
 from trafficlab.demand import read_counts_csv
 from trafficlab.netgen import bundled_path
 
-from conftest import make_line_net, make_signal_line_net, rng_for
+from conftest import (make_line_net, make_signal_line_net, mutated_rows,
+                      rng_for)
 
 
 # -- io ------------------------------------------------------------------
@@ -94,24 +94,14 @@ def test_load_names_the_line_of_a_duplicate_id_or_section(tmp_path):
         load_network(p)
 
 
-BAD_VALUES = ("", "nan", "inf", "-inf", "-1", "x", "1e400", "0", "2.5")
-
-
 def _mutations(text):
-    """Each field of the first, middle and last data row of every section
-    of a network file's text, set in turn to each of BAD_VALUES."""
+    """mutated_rows over the data rows of every section of a network
+    file's text."""
     lines = text.splitlines()
     tags = [i for i, line in enumerate(lines) if line.startswith("[")]
     for start, end in zip(tags, tags[1:] + [len(lines)]):
-        rows = [i for i in range(start + 2, end) if lines[i]]
-        for i in sorted({rows[0], rows[len(rows) // 2], rows[-1]}
-                        if rows else ()):
-            fields = lines[i].split(",")
-            for j, value in itertools.product(range(len(fields)),
-                                              BAD_VALUES):
-                cut = fields[:j] + [value] + fields[j + 1:]
-                yield "\n".join(lines[:i] + [",".join(cut)]
-                                 + lines[i + 1:]) + "\n"
+        yield from mutated_rows(
+            lines, [i for i in range(start + 2, end) if lines[i]])
 
 
 @pytest.mark.parametrize("name", ["grid4x4.net", "highway8.net"])
@@ -291,6 +281,14 @@ def test_validate_rejects_an_empty_node_or_segment_id():
     with pytest.raises(NetworkError, match="^a segment has an empty id$"):
         validate_network(RoadNetwork(net.nodes, segments, {},
                                      net.entry_nodes, net.exit_nodes))
+
+
+@pytest.mark.parametrize("range_m", [0.0, -50.0, math.nan, math.inf])
+def test_placement_range_must_be_positive_and_finite(range_m):
+    """A NaN range would see no vehicle and give NaN occupancies."""
+    with pytest.raises(NetworkError,
+                       match="^sensor range must be positive and finite$"):
+        SensorPlacement(("a",), range_m)
 
 
 def test_validate_placement_unknown_sensor(grid_net):

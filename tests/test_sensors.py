@@ -8,6 +8,7 @@ Index:
              order and count errors
   subsetting column removal as counterfactual deployment
 """
+import re
 from collections import defaultdict, deque
 
 import numpy as np
@@ -281,6 +282,22 @@ def test_load_raw_rejects_malformed(tmp_path):
     with pytest.raises(SensorError, match=r"raw\.csv:3: invalid literal "
                                           r"for int.*'x'"):
         load_raw(p)
+    # speeds and occupancies must be finite and non-negative; the first bad
+    # data row is named.  -0.0 is no negative number, and an occupancy may
+    # exceed 1
+    good = ["0,a1,0,-0.0,-0.0,", "1,a1,1,2.0,1.5,7"]
+    p.write_text(raw_text(*good), encoding="utf-8")
+    assert load_raw(p).occupancy.tolist() == [-0.0, 1.5]
+    for speed, occ in (("inf", "0.1"), ("nan", "0.1"), ("1e400", "0.1"),
+                       ("-1.5", "0.1"), ("2.0", "nan"), ("2.0", "-0.2"),
+                       ("2.0", "inf")):
+        p.write_text(raw_text(*good, f"2,a1,1,{speed},{occ},7",
+                              f"3,a1,1,{speed},{occ},7"), encoding="utf-8")
+        fault = (f"{p}: data row 3 has mean_speed_mps {float(speed)!r} and "
+                 f"occupancy {float(occ)!r}: both must be finite and "
+                 f"non-negative")
+        with pytest.raises(SensorError, match=f"^{re.escape(fault)}$"):
+            load_raw(p)
 
 
 def test_load_raw_rejects_rows_out_of_order(tmp_path):
