@@ -80,6 +80,29 @@ def read_csv(path, error, header, parse, section=None):
     return cols, rows
 
 
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def kind_fault(value, default) -> str:
+    """"" when `value` is of the kind of `default`, else what it must be:
+    an integer (bools refused), a number, a string or a pair of numbers.
+    A default of any other kind sets no rule.  The experiment YAML and
+    model.json's training config share this one kind rule."""
+    if isinstance(default, int):
+        ok, what = is_number(value) and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, what = is_number(value), "a number"
+    elif isinstance(default, str):
+        ok, what = isinstance(value, str), "a string"
+    elif isinstance(default, tuple):
+        ok, what = (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(is_number, value))), "a pair of numbers"
+    else:
+        return ""
+    return "" if ok else what
+
+
 def read_key_values(path, error, parse) -> dict:
     """`{key: parse(key, value)}` over the `key=value` lines of `path`.
     Blank lines and `#` comments are skipped; a line without `=`, a key

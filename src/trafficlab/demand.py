@@ -33,8 +33,11 @@ class MacroCountSeries:
             raise DemandError("count series needs at least 8 bins")
         if not np.all(np.isfinite(self.counts)) or np.any(self.counts < 0):
             raise DemandError("counts must be finite and non-negative")
-        if self.bin_duration <= 0:
-            raise DemandError("bin duration must be positive")
+        if not 0 < self.bin_duration < math.inf:  # NaN included
+            raise DemandError(f"bin duration {self.bin_duration!r} must be "
+                              f"positive and finite")
+        if not math.isfinite(self.start_time):
+            raise DemandError(f"start time {self.start_time!r} is not finite")
 
     def times(self) -> np.ndarray:
         """Absolute bin-start times in seconds."""
@@ -116,10 +119,11 @@ def _count_series(recs) -> MacroCountSeries:
         raise DemandError(f"mixed bin durations {bins}")
     bin_s = bins.pop()
     starts = [r[0] for r in recs]
+    series = MacroCountSeries(bin_s, [r[2] for r in recs], starts[0])
     for i in range(1, len(starts)):
-        if abs(starts[i] - starts[i - 1] - bin_s) > 1e-9:
+        if not abs(starts[i] - starts[i - 1] - bin_s) <= 1e-9:  # NaN too
             raise DemandError(f"non-contiguous bins at t={starts[i]}")
-    return MacroCountSeries(bin_s, [r[2] for r in recs], starts[0])
+    return series
 
 
 def average_counts(series_list) -> MacroCountSeries:

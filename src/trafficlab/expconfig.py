@@ -26,7 +26,7 @@ from .features import WindowConfig
 from .incidents import IncidentPlanConfig
 from .microsim import SimConfig
 from .models import TreeEnsembleConfig
-from . import netgen, open_text, write_lines
+from . import is_number, kind_fault, netgen, open_text, write_lines
 
 
 class ConfigError(ValueError):
@@ -38,32 +38,13 @@ class ConfigError(ValueError):
 _DERIVED = {"sim": "seed", "model": "objective"}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _check_kinds(values: dict, cls, prefix: str = "") -> None:
-    """Each value must be of the kind of its field's default in `cls`: an
-    integer, a number, a string or a pair of numbers.  A field with no such
-    default (`sensors`, the weights, the sections) has its own check."""
+    """Each value must be of the kind of its field's default in `cls`
+    (`kind_fault`).  A field with no such default (`sensors`, the weights,
+    the sections) has its own check."""
     for key, value in values.items():
-        default = cls.__dataclass_fields__[key].default
-        if isinstance(default, int):
-            ok, what = _is_int(value), "an integer"
-        elif isinstance(default, float):
-            ok, what = _is_number(value), "a number"
-        elif isinstance(default, str):
-            ok, what = isinstance(value, str), "a string"
-        elif isinstance(default, tuple):
-            ok, what = (isinstance(value, (list, tuple)) and len(value) == 2
-                        and all(map(_is_number, value))), "a pair of numbers"
-        else:
-            continue
-        if not ok:
+        what = kind_fault(value, cls.__dataclass_fields__[key].default)
+        if what:
             raise ConfigError(f"{prefix}{key} must be {what}, not {value!r}")
 
 
@@ -102,7 +83,7 @@ class ExperimentConfig:
         for name in ("entry_weights", "exit_weights"):
             w = getattr(self, name)
             if not (isinstance(w, dict) and all(
-                    isinstance(k, str) and _is_number(v)
+                    isinstance(k, str) and is_number(v)
                     for k, v in w.items())):
                 raise ConfigError(f"{name} must be a mapping of node ids to "
                                   f"numbers, not {w!r}")

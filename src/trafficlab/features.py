@@ -3,7 +3,8 @@
 Three transforms: (1) re-identify vehicles across contiguous sensor pairs to
 get travel times, taking each raw row's (second, sensor) from its position
 in the table, (2) trailing-window means of every per-sensor per-second
-series and of per-pair travel times, recomputed every stride, (3) incident
+series and of per-pair travel times, recomputed every stride (a pair's
+means from exact integer prefix sums of its travel times), (3) incident
 labels from ground truth.  Missing values (a pair with no traversal in the
 window) stay missing; the tree learner routes them natively.
 """
@@ -201,13 +202,14 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
     for a, b in pairs:
         recs = sorted(by_pair[(a, b)], key=lambda r: (r.arrive, r.vehicle_id))
         arr = np.asarray([r.arrive for r in recs], dtype=np.int64)
-        tts = np.asarray([float(r.travel_time) for r in recs])
-        col = np.full(n, np.nan)
+        # a window's sum is a difference of exact integer prefix sums; every
+        # partial sum is an integer below 2**53, so each mean equals np.mean
+        # of the window's travel times as floats, bit for bit
+        cum = np.cumsum([0] + [r.travel_time for r in recs], dtype=np.int64)
         lo = np.searchsorted(arr, starts, side="left")
         hi = np.searchsorted(arr, ends, side="left")
-        for i in range(n):
-            if hi[i] > lo[i]:
-                col[i] = np.mean(tts[lo[i]:hi[i]])
+        col = np.full(n, np.nan)
+        np.divide(cum[hi] - cum[lo], hi - lo, out=col, where=hi > lo)
         names.append(f"tt_{a}__{b}")
         blocks.append(col)
 

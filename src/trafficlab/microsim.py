@@ -494,7 +494,10 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
         sim.step(report)
         if builder is not None:
             sim.rig.capture(st, builder)
-    raw = None if builder is None else builder.build(sim.horizon)
+    raw = None
+    if builder is not None:
+        sim.rig.finish(builder, sim.cfg.vehicle_length)
+        raw = builder.build(sim.horizon)
     return RunResult(raw=raw, incident_log=list(sim.incident_plan),
                      spawned=st.spawned, arrived=st.arrived,
                      deferred_at_end=st.deferred_count, audit=report)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, open_text, write_lines
+from . import kernels, kind_fault, open_text, write_lines
 
 
 class ModelError(ValueError):
@@ -49,6 +49,14 @@ class TreeEnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # load_config's kind rule: model.json can hold a bool, a fraction
+        # or NaN where an integer belongs and true where a number does; a
+        # NaN number fails its range check below
+        for name, f in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            what = kind_fault(value, f.default)
+            if what:
+                raise ModelError(f"{name} must be {what}, not {value!r}")
         if self.n_trees < 1:
             raise ModelError("need at least one tree")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -607,13 +615,19 @@ def _tree_fault(tree: _Tree, n_features: int, n_classes: int) -> str:
 def _ens_from_jsonable(d, role: Role, config: TreeEnsembleConfig,
                        feature_names: list, classes) -> TreeEnsemble | None:
     """The stored sub-model of role, checked against its class list (None
-    for the detector, which is always trained): no class repeats, a null
-    (constant) head lists one class, a trained binary head two and a
-    trained multiclass head at least two.  Its trees must be ones
-    _tree_predict can walk.  Faults are prefixed with the role's name."""
+    for the detector, which is always trained): a list of strings, as the
+    feature table's labels are, where no class repeats, a null (constant)
+    head lists one class, a trained binary head two and a trained
+    multiclass head at least two.  Its trees must be ones _tree_predict
+    can walk.  Faults are prefixed with the role's name."""
     try:
         if classes is not None:
-            key, n = f"{role.what}_classes", len(classes)
+            key = f"{role.what}_classes"
+            if not (isinstance(classes, list)
+                    and all(isinstance(c, str) for c in classes)):
+                raise ModelError(f"{key} is {json.dumps(classes)}, expected "
+                                 f"a list of strings")
+            n = len(classes)
             if len(set(classes)) != n:
                 raise ModelError(f"{key} {classes} repeat a class")
             want = (1 if d is None else 2 if role.objective == "binary"
@@ -633,6 +647,10 @@ def _ens_from_jsonable(d, role: Role, config: TreeEnsembleConfig,
         if ens.base_score.shape != (k,):
             raise ModelError(f"base_score has shape {ens.base_score.shape}, "
                              f"expected ({k},)")
+        bad = [x for x in d["base_score"] if not _is_finite(x)]
+        if bad:
+            raise ModelError(f"base_score holds {json.dumps(bad[0])}, "
+                             f"expected a list of finite numbers")
         for i, t in enumerate(d["trees"]):
             try:
                 tree = _Tree.from_jsonable(t)
@@ -690,7 +708,7 @@ def load_model(path) -> EnsembleModel:
         if doc["schema_hash"] != _schema_hash(names):
             raise ModelError("schema_hash does not match feature_names")
         config = TreeEnsembleConfig(**doc["config"])
-        classes = {h.what: list(doc[f"{h.what}_classes"]) for h in HEADS}
+        classes = {h.what: doc[f"{h.what}_classes"] for h in HEADS}
         subs = [_ens_from_jsonable(doc[r.name], r, config, names,
                                    classes.get(r.what)) for r in ROLES]
         threshold = float(doc["threshold"])

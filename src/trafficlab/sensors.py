@@ -8,11 +8,12 @@ included.  Capture resolves its plan once per run to one row per lane
 queue of each watched segment (the deque of vehicle slots in that lane).
 Each second it skips the empty queues, walks the others once, testing every
 vehicle against the sensor the segment approaches and the one it departs
-from, and appends each sensor's count, mean speed, occupancy and sorted
-vehicle ids straight to the raw table's columns.  A reading's mean speed is
-`exact_mean` of the seen vehicles' speeds in slot order: a running sum
-below 8 values and numpy's sum from 8 up, so it equals `float(np.mean(...))`
-bit for bit.
+from, and appends each sensor's sorted vehicle ids and those vehicles'
+speeds.  Count, mean speed and occupancy are derived once per run, in
+whole-column numpy passes (`SensorRig.finish`).  A reading's mean speed
+sums its speeds in slot order, from +0.0 below 8 values and by numpy's own
+sum from 8 up (`mean_speeds`), so it equals `float(np.mean(...))` bit for
+bit.
 
 The raw table holds one row per (second, sensor), time-major with sensors
 in sorted id order, and that row order is its only index: row i is second
@@ -25,6 +26,7 @@ and id text once; rows with the same id text share one tuple.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import NamedTuple
@@ -48,18 +50,24 @@ class SensorReading(NamedTuple):
     occupancy: float
 
 
-def exact_mean(xs: list) -> float:
-    """`float(np.mean(np.asarray(xs)))` for a non-empty list of floats,
-    bit for bit.  Below 8 values numpy keeps one running sum from +0.0 (so
-    an all -0.0 input sums to 0.0), and so does this, without building an
-    array; from 8 values up it is numpy's own pairwise sum."""
-    n = len(xs)
-    if n < 8:
-        s = 0.0
-        for x in xs:
-            s += x
-        return s / n
-    return float(np.add.reduce(xs)) / n
+def mean_speeds(count: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """Each row's mean speed, 0.0 where its count is 0: row i's `count[i]`
+    speeds follow row i - 1's in `speeds`.  Each mean equals
+    `float(np.mean(...))` of the row's speeds bit for bit.  numpy sums
+    fewer than 8 values with one running sum from +0.0, so rows of 1-7
+    speeds are summed in seven masked passes, the k-th adding each such
+    row's k-th speed; each row of 8 or more is numpy's own pairwise sum
+    of its slice."""
+    end = np.cumsum(count)
+    start = end - count
+    total = np.zeros(len(count))
+    rows = np.flatnonzero((count > 0) & (count < 8))
+    for k in range(7):
+        rows = rows[count[rows] > k]
+        total[rows] += speeds[start[rows] + k]
+    for i in np.flatnonzero(count >= 8).tolist():
+        total[i] = np.add.reduce(speeds[start[i]:end[i]])
+    return np.divide(total, count, out=np.zeros(len(count)), where=count > 0)
 
 
 class SensorRig:
@@ -110,8 +118,9 @@ class SensorRig:
         return self._lanes
 
     def capture(self, state, builder: RawDatasetBuilder) -> None:
-        """Append the state's current second to the builder's columns: one
-        row per sensor, in sensor_ids order."""
+        """Append the state's current second to the builder: one row per
+        sensor, in sensor_ids order, of its sorted vehicle ids, and those
+        vehicles' speeds in the same order.  `finish` derives the rest."""
         range_m = self.range_m
         pos = state.pos
         seen: list = [[] for _ in self.sensor_ids]
@@ -136,29 +145,38 @@ class SensorRig:
                         near_end.append(slot)
                     if p <= range_m:
                         near_start.append(slot)
-        speed = state.speed
-        vlen = state.cfg.vehicle_length
         for slots in seen:
             slots.sort()
-        builder.count.extend(map(len, seen))
-        builder.mean_speed.extend([
-            exact_mean([speed[slot] for slot in slots]) if slots else 0.0
-            for slots in seen])
-        builder.occupancy.extend([
-            len(slots) * vlen / monitored
-            for slots, monitored in zip(seen, self.monitored.values())])
         builder.vehicle_ids.extend(map(tuple, seen))
+        builder.speeds.extend(map(state.speed.__getitem__,
+                                  chain.from_iterable(seen)))
+
+    def finish(self, builder: RawDatasetBuilder,
+               vehicle_length: float) -> None:
+        """Derive the count, mean speed and occupancy of every row captured
+        since the last call, in whole-column numpy passes, and append them
+        to the builder as one block."""
+        ids = builder.vehicle_ids[builder.finished:]
+        count = np.fromiter(map(len, ids), dtype=np.int32, count=len(ids))
+        speeds = np.array(builder.speeds)
+        del builder.speeds[:]
+        monitored = np.fromiter(self.monitored.values(), dtype=np.float64)
+        occupancy = (count.reshape(-1, len(monitored))
+                     * float(vehicle_length) / monitored)
+        builder.add_block(count, mean_speeds(count, speeds),
+                          occupancy.ravel())
 
     def observe(self, state, t: int) -> list:
         """One SensorReading per sensor for the state's current second: the
-        row `capture` appends, as records."""
+        row `capture` and `finish` give, as records."""
         one = RawDatasetBuilder(self.sensor_ids)
         self.capture(state, one)
+        self.finish(one, state.cfg.vehicle_length)
+        count, speed, occupancy = (col.tolist() for col in one.blocks[-1])
         t = int(t)
-        return [SensorReading(sid, t, ids, count, speed, occupancy)
-                for sid, count, speed, occupancy, ids in zip(
-                    self.sensor_ids, one.count, one.mean_speed,
-                    one.occupancy, one.vehicle_ids)]
+        return [SensorReading(sid, t, ids, c, s, o)
+                for sid, ids, c, s, o in zip(self.sensor_ids, one.vehicle_ids,
+                                             count, speed, occupancy)]
 
 
 @dataclass
@@ -211,31 +229,42 @@ class RawDataset:
 
 
 class RawDatasetBuilder:
-    """The raw table's four columns as lists, one step at a time: each step
-    holds one row per sensor, in sensor_ids order.  `SensorRig.capture`
-    appends to the lists directly; `add_step` takes a step's
-    SensorReadings, as `SensorRig.observe` gives them."""
+    """The raw table, one step at a time: each step holds one row per
+    sensor, in sensor_ids order.  `SensorRig.capture` appends each row's
+    vehicle ids and the speeds of those vehicles, and `SensorRig.finish`
+    derives the rows' count, mean speed and occupancy as one block;
+    `add_step` takes a step's SensorReadings, as `SensorRig.observe` gives
+    them, as a block of its own."""
 
     def __init__(self, sensor_ids: tuple):
         self.sensor_ids = tuple(sensor_ids)
-        self.count: list = []
-        self.mean_speed: list = []
-        self.occupancy: list = []
         self.vehicle_ids: list = []
+        # the seen vehicles' speeds of the rows not yet finished, row by
+        # row; as raw doubles, so no float object outlives its second
+        self.speeds = array("d")
+        # (count, mean_speed, occupancy) arrays of the finished rows
+        self.blocks: list = [(np.empty(0, dtype=np.int32), np.empty(0),
+                              np.empty(0))]
+        self.finished = 0
+
+    def add_block(self, count, mean_speed, occupancy) -> None:
+        """The count, mean speed and occupancy of the next len(count) rows."""
+        self.blocks.append((np.asarray(count, dtype=np.int32),
+                            np.asarray(mean_speed, dtype=np.float64),
+                            np.asarray(occupancy, dtype=np.float64)))
+        self.finished += len(count)
 
     def add_step(self, readings) -> None:
-        for _sid, _t, ids, count, speed, occupancy in readings:
-            self.count.append(count)
-            self.mean_speed.append(speed)
-            self.occupancy.append(occupancy)
-            self.vehicle_ids.append(ids)
+        readings = list(readings)
+        self.vehicle_ids.extend(r.vehicle_ids for r in readings)
+        self.add_block([r.count for r in readings],
+                       [r.mean_speed for r in readings],
+                       [r.occupancy for r in readings])
 
     def build(self, horizon: int) -> RawDataset:
-        return RawDataset(horizon, self.sensor_ids,
-                          np.asarray(self.count, dtype=np.int32),
-                          np.asarray(self.mean_speed, dtype=np.float64),
-                          np.asarray(self.occupancy, dtype=np.float64),
-                          self.vehicle_ids)
+        count, mean_speed, occupancy = map(np.concatenate, zip(*self.blocks))
+        return RawDataset(horizon, self.sensor_ids, count, mean_speed,
+                          occupancy, self.vehicle_ids)
 
 
 RAW_HEADER = "time_s,sensor_id,count,mean_speed_mps,occupancy,vehicle_ids"

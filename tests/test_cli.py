@@ -19,17 +19,22 @@ Index:
               readings, incidents and feature values, weights
               and sensors that name no usable node, event scoring of a
               multi-day table, an unbounded incident duration range, a
-              model.json training config out of range, argparse usage
+              model.json training config out of range, a bad value in any
+              scalar of model.json, a NaN counts start, argparse usage
               failures; the exact option surface of every subcommand
 """
 import argparse
 import ast
 import contextlib
+import copy
 import dataclasses
+import functools
 import glob
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import shutil
@@ -925,6 +930,25 @@ def test_infinite_incident_duration_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "runs")
 
 
+def test_counts_with_a_nan_start_exit_2_naming_the_file_and_road(
+        tmp_path, capsys):
+    """A NaN start time used to load as the series' start and pass the
+    contiguity check, so the curve was fitted at NaN times."""
+    path = line_experiment(tmp_path)
+    counts = tmp_path / "counts.csv"
+    lines = counts.read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("r1,0,")
+    lines[1] = lines[1].replace("r1,0,", "r1,nan,")
+    counts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fault = (f"error: {counts}: road 'r1': start time nan is not "
+             "finite\n")
+    assert main(["fit-demand", "--counts", str(counts)]) == 2
+    assert one_error_line(capsys) == fault
+    assert main(["simulate", "--config", path]) == 2
+    assert one_error_line(capsys) == fault
+    assert not os.path.exists(tmp_path / "runs" / "day_000")
+
+
 def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("days: [1, 2\n", encoding="utf-8")
@@ -1099,6 +1123,75 @@ def test_evaluate_rejects_a_training_config_out_of_range(small_model,
                      "--out", str(tmp_path / "report.txt"),
                      "--config", cfg]) == 2
         assert one_error_line(capsys) == f"error: {bad}: {fault}\n"
+
+
+BAD_JSON = (math.nan, math.inf, -math.inf, True, None, "x", -1, 0, 2.5, [],
+            {})
+
+
+def json_leaves(node, path=()):
+    """The path of every scalar in a JSON document, through the first and
+    last entry of each list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i in sorted({0, len(node) - 1}) if node else ():
+            yield from json_leaves(node[i], path + (i,))
+    else:
+        yield path
+
+
+def _sound(model) -> bool:
+    """Whether a loaded model holds finite numbers, class labels that are
+    strings and settings of their defaults' kinds."""
+    subs = [e for e in (model.detector, model.localizer, model.severity)
+            if e is not None]
+    numbers = np.concatenate([[model.threshold]] + [
+        np.concatenate([e.base_score] + [t.threshold for t in e.trees]
+                       + [t.value.ravel() for t in e.trees]) for e in subs])
+    kinds = {int: (int,), float: (int, float), str: (str,)}
+    cfg = model.detector.config
+    return (bool(np.isfinite(numbers).all())
+            and all(isinstance(c, str)
+                    for c in model.road_classes + model.severity_classes)
+            and all(type(getattr(cfg, f.name)) in kinds[type(f.default)]
+                    for f in dataclasses.fields(cfg)))
+
+
+def test_mutated_model_loads_sound_or_is_refused_naming_the_file(
+        small_model, tmp_path):
+    """Each scalar of model.json, through the first and last entry of each
+    list, set to each bad JSON value: the model either still loads with
+    finite numbers, string labels and settings of the right kind, or is
+    refused naming the file.  The pinned cases used to load."""
+    with open(small_model[2], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    paths = list(json_leaves(doc))
+    assert len(paths) > 90
+    bad = tmp_path / "bad_model.json"
+    faults = {}
+    for path, value in itertools.product(paths, BAD_JSON):
+        mutant = copy.deepcopy(doc)
+        parent = functools.reduce(operator.getitem, path[:-1], mutant)
+        parent[path[-1]] = value
+        bad.write_text(json.dumps(mutant), encoding="utf-8")
+        try:
+            assert _sound(load_model(bad)), (path, value)
+        except ModelError as exc:
+            assert str(exc).startswith(f"{bad}: "), str(exc)
+            faults[path, json.dumps(value)] = str(exc)[len(f"{bad}: "):]
+    for key in ("n_trees", "max_depth", "min_samples_leaf", "seed"):
+        assert faults[("config", key), "NaN"] == (
+            f"{key} must be an integer, not nan")
+    assert faults[("config", "max_bins"), "2.5"] == (
+        "max_bins must be an integer, not 2.5")
+    assert faults[("config", "learning_rate"), "true"] == (
+        "learning_rate must be a number, not True")
+    assert faults[("detector", "base_score", 0), "NaN"] == (
+        "detector: base_score holds NaN, expected a list of finite numbers")
+    assert faults[("road_classes", 0), "null"].startswith(
+        "localizer: road_classes is [null, ")
 
 
 # (reader, its module's error, the lines before the undecodable one, the

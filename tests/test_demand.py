@@ -1,7 +1,8 @@
 """Demand model tests.
 
 Index:
-  series      count-series container and CSV ingest
+  series      count-series container and CSV ingest, a bad value in each
+              field of the bundled counts
   spectral    FFT initialization against constructed sinusoids
   refinement  damped least-squares fit quality and failure modes
   flow        curve evaluation with clamping
@@ -21,7 +22,7 @@ from trafficlab.demand import (DemandError, FlowModelParams,
 from trafficlab.netgen import bundled_path
 from trafficlab.roadnet import shortest_route
 
-from conftest import make_line_net, rng_for
+from conftest import make_line_net, mutated_rows, rng_for
 
 BIN = 900.0
 N_BINS = 96  # one day at 900 s
@@ -153,6 +154,46 @@ def test_bundled_city_counts_parse():
     for s in out.values():
         assert s.bin_duration == 900.0
         assert s.counts.size >= 8
+
+
+def test_series_refuses_a_nan_or_infinite_start_or_bin():
+    counts = np.arange(8.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DemandError, match=r"^start time .* not finite"):
+            MacroCountSeries(50.0, counts, bad)
+        with pytest.raises(DemandError,
+                           match=r"^bin duration .* positive and finite"):
+            MacroCountSeries(bad, counts)
+
+
+def test_mutated_counts_load_finite_or_are_refused_naming_the_file(
+        tmp_path):
+    """A bad value in the bundled counts either still loads to finite
+    series, or is refused naming the file: a NaN start time used to load
+    as the series' start."""
+    lines = bundled_path("city_counts.csv").read_text(
+        encoding="utf-8").splitlines()
+    path = tmp_path / "counts.csv"
+    n = 0
+    for text in mutated_rows(lines, range(1, len(lines))):
+        n += 1
+        path.write_text(text, encoding="utf-8")
+        try:
+            loaded = read_counts_csv(path)
+        except DemandError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            continue
+        for s in loaded.values():
+            assert np.isfinite([s.start_time, s.bin_duration]).all(), text
+            assert np.isfinite(s.counts).all(), text
+    assert n == 3 * 4 * 9
+    # the first row of the file is road_00's first bin
+    path.write_text("\n".join([lines[0], "road_00,nan,900,50"] + lines[2:]),
+                    encoding="utf-8")
+    with pytest.raises(DemandError, match=rf"^{re.escape(str(path))}: road "
+                                          r"'road_00': start time nan is not "
+                                          r"finite$"):
+        read_counts_csv(path)
 
 
 # -- spectral ----------------------------------------------------------------

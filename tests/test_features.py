@@ -3,7 +3,8 @@
 Index:
   reidentify  travel-time records from sightings, from a real run and
               against the replaced per-row loop
-  windows     rolling means bitwise-equal to slice means, tt averaging
+  windows     rolling means bitwise-equal to slice means, tt averaging,
+              tt columns bitwise-equal to per-window np.mean
   labels      interval overlap in both labeling modes, tie-breaking
   io          table round trip, concatenation
 """
@@ -227,6 +228,43 @@ def test_travel_time_column_nan_when_quiet():
     # the t=2 arrival lands in windows [0,4) and [2,6); nothing after
     assert col[0] == 1.0 and col[1] == 1.0
     assert np.isnan(col[2:]).all()
+
+
+def test_travel_time_columns_match_per_window_means_bitwise():
+    # a busy pair with a quiet stretch of empty windows, arrivals on window
+    # edges and in the last second, a pair with one record and one with none
+    rng = rng_for("tt-windows")
+    horizon, window, stride = 300, 60, 20
+    arrive = np.concatenate([rng.integers(1, 100, 200),
+                             rng.integers(200, 300, 200),
+                             [1, 59, 60, 80, 240, 299, 299]]).tolist()
+    tt = rng.integers(1, 1801, len(arrive)).tolist()
+    recs = [TravelTimeRecord(("p", "q"), v, a - t, a)
+            for v, (a, t) in enumerate(zip(arrive, tt))]
+    recs.append(TravelTimeRecord(("q", "r"), 0, 150, 170))
+    pairs = [("p", "q"), ("q", "r"), ("r", "p")]
+    raw = raw_from_sightings(("p", "q", "r"), horizon, {})
+    table = build_feature_rows(raw, recs, WindowConfig(window, stride), [],
+                               make_line_net(), pairs)
+    ends = table.window_end.tolist()
+    assert ends[-1] == horizon
+    for a, b in pairs:
+        # reference: the former per-window np.mean over the pair's records
+        # sorted by arrival, as float travel times
+        mine = sorted((r for r in recs if r.pair == (a, b)),
+                      key=lambda r: (r.arrive, r.vehicle_id))
+        want = []
+        for end in ends:
+            tts = [float(r.travel_time) for r in mine
+                   if end - window <= r.arrive < end]
+            want.append(float(np.mean(tts)) if tts else math.nan)
+        got = table.X[:, table.feature_names.index(f"tt_{a}__{b}")]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+    col = table.X[:, table.feature_names.index("tt_p__q")]
+    assert np.isnan(col).sum() == 3  # windows ending at 160, 180, 200
+    assert np.isfinite(table.X[:, table.feature_names.index("tt_q__r")]
+                       ).sum() == 3
+    assert np.isnan(table.X[:, table.feature_names.index("tt_r__p")]).all()
 
 
 def test_time_of_day_column_and_schema_order():

@@ -557,8 +557,11 @@ def test_capture_when_both_end_sensors_see_one_vehicle():
                         ("s2", 200.0, None, 1))
     empty = RawDatasetBuilder(rig.sensor_ids)
     rig.capture(st, empty)
-    assert list(zip(empty.count, empty.mean_speed, empty.occupancy,
-                    empty.vehicle_ids)) == [(0, 0.0, 0.0, ())] * 2
+    rig.finish(empty, st.cfg.vehicle_length)
+    raw = empty.build(1)
+    assert list(zip(raw.count.tolist(), raw.mean_speed.tolist(),
+                    raw.occupancy.tolist(),
+                    raw.vehicle_ids)) == [(0, 0.0, 0.0, ())] * 2
     assert rig.observe(st, 0) == loop_observe(rig, st, 0)
 
     place(sim, 0, seg=1, pos=100.0, speed=4.0)  # 100 m from a1 and a2

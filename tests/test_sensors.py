@@ -2,7 +2,7 @@
 
 Index:
   geometry   range gating, aggregation math on a stubbed state
-  mean       exact_mean bitwise against np.mean
+  mean       mean_speeds bitwise against np.mean
   dataset    row ordering, dense views, construction invariants
   io         emit/load round trip, the per-row reference writer, parse,
              order and count errors
@@ -19,8 +19,8 @@ from trafficlab.incidents import read_incident_log
 from trafficlab.microsim import SimConfig, run
 from trafficlab.roadnet import NetworkError, SensorPlacement
 from trafficlab.sensors import (RAW_HEADER, RawDataset, SensorError,
-                                SensorRig, exact_mean, load_raw,
-                                emit_raw, subset_sensors)
+                                SensorRig, load_raw, emit_raw,
+                                mean_speeds, subset_sensors)
 
 from conftest import make_line_net, rng_for
 from test_incidents import spec_of
@@ -123,16 +123,21 @@ def mean_cases(n, rng):
     yield rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
 
 
-def test_exact_mean_matches_numpy_bitwise():
+def test_mean_speeds_match_numpy_bitwise():
     # below 8 values one running sum, up to 128 eight partial sums, above
-    # that a recursive split: lengths 1-300 cover all three
+    # that a recursive split: lengths 1-300 cover all three; a reading of
+    # 0 vehicles sits before, between and after the others
     rng = rng_for("exact-mean")
-    for n in range(1, 301):
-        for arr in mean_cases(n, rng):
-            want = float(np.mean(arr))
-            got = exact_mean(arr.tolist())
-            assert type(got) is float
-            assert got.hex() == want.hex(), (n, arr[:4])
+    readings = [arr for n in range(1, 301) for arr in mean_cases(n, rng)]
+    count = np.zeros(2 * len(readings) + 1, dtype=np.int32)
+    count[1::2] = list(map(len, readings))
+    got = mean_speeds(count, np.concatenate(readings))
+    assert got.dtype == np.float64 and len(got) == len(count)
+    want = [0.0]
+    for arr in readings:
+        want += [float(np.mean(arr)), 0.0]
+    for i, (g, w) in enumerate(zip(got.tolist(), want)):
+        assert g.hex() == w.hex(), (i, int(count[i]))
 
 
 # -- dataset -------------------------------------------------------------------
