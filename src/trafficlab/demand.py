@@ -331,11 +331,7 @@ def _od_tables(network, entry_weights, exit_weights):
         if unknown:
             raise DemandError(f"{kind}_weights names {', '.join(unknown)}, "
                               f"not {kind} node(s) of the network")
-        for node, w in (weights or {}).items():
-            if not 0.0 <= float(w) < math.inf:  # NaN included
-                raise DemandError(f"{kind}_weights gives {node} the weight "
-                                  f"{w!r}; weights must be finite and "
-                                  "non-negative")
+        check_weights(f"{kind}_weights", weights or {})
     all_exits = list(network.exit_nodes)
     entries = []
     exits_per_entry = []
@@ -356,6 +352,15 @@ def _od_tables(network, entry_weights, exit_weights):
     if ew.sum() <= 0:
         raise DemandError("entry weights sum to zero")
     return entries, ew / ew.sum(), exits_per_entry
+
+
+def check_weights(name: str, weights: dict) -> None:
+    """Refuse a weight in the map `name` that is negative or not finite;
+    the experiment config checks its weights with this at load."""
+    for node, w in weights.items():
+        if not 0.0 <= float(w) < math.inf:  # NaN included
+            raise DemandError(f"{name} gives {node} the weight {w!r}; "
+                              "weights must be finite and non-negative")
 
 
 def _weight(weights, node_id: str) -> float:

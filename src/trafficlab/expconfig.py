@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .demand import check_weights
 from .features import WindowConfig
 from .incidents import IncidentPlanConfig
 from .microsim import SimConfig
@@ -87,6 +88,7 @@ class ExperimentConfig:
                     for k, v in w.items())):
                 raise ConfigError(f"{name} must be a mapping of node ids to "
                                   f"numbers, not {w!r}")
+            check_weights(name, w)
         if self.seed < 0:
             raise ConfigError("seed must not be negative")
         if self.days < 1:
@@ -164,7 +166,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         _check_keys(doc, set(ExperimentConfig.__dataclass_fields__), "config")
         doc.update(overrides or {})
         return ExperimentConfig(**doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

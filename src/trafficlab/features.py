@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import read_csv, write_lines
 from .roadnet import RoadNetwork
@@ -138,18 +139,6 @@ class FeatureTable:
         return len(self.window_end)
 
 
-def _window_means_exact(series_2d: np.ndarray, window: int,
-                        starts: np.ndarray) -> np.ndarray:
-    """Trailing-window means, each bitwise equal to np.mean of the slice.
-
-    series_2d is (n_series, horizon) C-contiguous, so each window is a
-    contiguous row slice, reduced with the same pairwise summation np.mean
-    uses on the slice directly; no (series x windows x window) copy is made.
-    """
-    return np.stack([series_2d[:, s:s + window].mean(axis=1)
-                     for s in starts.tolist()], axis=1)
-
-
 def incident_label_at(incident_log, network: RoadNetwork, we: int,
                       span: int):
     """(active, road_label, severity) for the interval (we - span, we];
@@ -188,9 +177,12 @@ def build_feature_rows(raw: RawDataset, records, cfg: WindowConfig,
     blocks: list = []
     for fieldname, tag in (("count", "cnt_mean"), ("mean_speed", "spd_mean"),
                            ("occupancy", "occ_mean")):
-        mat = np.ascontiguousarray(raw.sensor_matrix(fieldname).T
-                                   .astype(np.float64))
-        means = _window_means_exact(mat, cfg.window_s, starts)
+        # C-contiguous, one field at a time: each window is a contiguous
+        # row slice, so its mean is np.mean of the slice bit for bit
+        mat = np.ascontiguousarray(raw.sensor_matrix(fieldname).T,
+                                   dtype=np.float64)
+        means = sliding_window_view(mat, cfg.window_s, axis=1)[
+            :, ::cfg.stride_s].mean(axis=2)
         for k, sid in enumerate(raw.sensor_ids):
             names.append(f"{tag}_{sid}")
             blocks.append(means[k])

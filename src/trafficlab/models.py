@@ -496,11 +496,10 @@ class EnsembleModel:
     severity_classes: list
     threshold: float
     feature_names: list
-    schema_hash: str = ""
 
-    def __post_init__(self):
-        if not self.schema_hash:
-            self.schema_hash = _schema_hash(self.feature_names)
+    @property
+    def schema_hash(self) -> str:
+        return _schema_hash(self.feature_names)
 
 
 def _fit_head(X_pos, labels, cfg: TreeEnsembleConfig, feature_names,
@@ -708,6 +707,11 @@ def load_model(path) -> EnsembleModel:
         if doc["schema_hash"] != _schema_hash(names):
             raise ModelError("schema_hash does not match feature_names")
         config = TreeEnsembleConfig(**doc["config"])
+        # ** took a mapping; save_model writes no objective
+        if "objective" in doc["config"]:
+            raise ModelError("config.objective is not a setting of "
+                             "model.json; each sub-model takes its role's "
+                             "objective")
         classes = {h.what: doc[f"{h.what}_classes"] for h in HEADS}
         subs = [_ens_from_jsonable(doc[r.name], r, config, names,
                                    classes.get(r.what)) for r in ROLES]
@@ -715,7 +719,7 @@ def load_model(path) -> EnsembleModel:
         if not 0.0 < threshold < 1.0:  # NaN included
             raise ModelError(f"threshold {threshold!r} does not lie in (0, 1)")
         return EnsembleModel(*subs, classes["road"], classes["severity"],
-                             threshold, names, doc["schema_hash"])
+                             threshold, names)
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None
     except KeyError as exc:

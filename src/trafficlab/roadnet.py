@@ -75,7 +75,6 @@ class RoadNetwork:
     # derived adjacency, rebuilt on construction; excluded from equality
     out_segments: dict = field(default_factory=dict, compare=False, repr=False)
     in_segments: dict = field(default_factory=dict, compare=False, repr=False)
-    _route_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.entry_nodes = tuple(sorted(self.entry_nodes))
@@ -88,7 +87,6 @@ class RoadNetwork:
                 self.out_segments[seg.from_node].append(sid)
             if seg.to_node in self.in_segments:
                 self.in_segments[seg.to_node].append(sid)
-        self._route_cache = {}
 
     def outgoing(self, node_id: str) -> list:
         return self.out_segments[node_id]
@@ -376,12 +374,8 @@ def shortest_route(net: RoadNetwork, origin: str, destination: str) -> tuple:
     entries by (cost, route), so the first settlement of a node carries the
     lexicographically smallest route among minimal-cost ones.
     """
-    key = (origin, destination)
-    cached = net._route_cache.get(key)
-    if cached is not None:
-        return cached
     if origin not in net.nodes or destination not in net.nodes:
-        raise NetworkError(f"unknown route endpoint in {key}")
+        raise NetworkError(f"unknown route endpoint in {(origin, destination)}")
     heap = [(0.0, (), origin)]
     settled = set()
     while heap:
@@ -390,7 +384,6 @@ def shortest_route(net: RoadNetwork, origin: str, destination: str) -> tuple:
             continue
         settled.add(node)
         if node == destination:
-            net._route_cache[key] = route
             return route
         for sid in net.outgoing(node):
             seg = net.segments[sid]

@@ -1,9 +1,9 @@
 """Experiment config and command-line pipeline tests.
 
 Index:
-  expconfig   YAML parsing, defaults, key, kind and range rejection, echo
-              round trip, the pinned echo of an empty config, the README
-              example
+  expconfig   YAML parsing, defaults, key, kind and range rejection, a
+              bad value in any leaf of a full config, echo round trip,
+              the pinned echo of an empty config, the README example
   commands    fit-demand, simulate, extract-features, validate,
               train, evaluate, sweep-sparsity (on the line network and on
               highway8, where a level equals the staged commands); the
@@ -165,6 +165,9 @@ def test_config_rejections(tmp_path):
         "node ids to numbers, not ['n00']")
     bad({"exit_weights": {"n33": "x"}}, "exit_weights must be a mapping of "
         "node ids to numbers, not {'n33': 'x'}")
+    # a YAML integer past the float range, as the weight check reads it
+    bad({"entry_weights": {"n00": 10 ** 400}},
+        "int too large to convert to float")
     bad({"seed": "abc"}, "seed must be an integer, not 'abc'")
     bad({"seed": -1}, "seed must not be negative")
     # nested values are validated at load time
@@ -209,6 +212,62 @@ def test_config_rejections(tmp_path):
         p = tmp_path / "list.yaml"
         p.write_text("- 1\n- 2\n", encoding="utf-8")
         load_config(p)
+
+
+# the YAML spelling of each bad value; 1e400 has no dot, so YAML reads it
+# as a string
+BAD_YAML = ('""', ".nan", ".inf", "-.inf", "-1", "x", "1e400", "0", "2.5",
+            "null", "true", "[]", "{}")
+
+
+def _finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(map(_finite, node.values()))
+    if isinstance(node, list):
+        return all(map(_finite, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def test_mutated_config_loads_finite_or_is_refused_naming_the_file(
+        tmp_path):
+    """Every top-level key of a full config, a key of each section, both
+    ends of a duration range, a sensors entry and one weight of each map,
+    set to each bad YAML value: the config either loads holding finite
+    numbers or is refused naming the file.  An infinite staleness_s loads:
+    it sets no staleness limit.  The pinned weights used to load."""
+    full = ExperimentConfig(sensors=["n01", "n13"],
+                            entry_weights={"n00": 1.0},
+                            exit_weights={"n33": 2.0}).resolved_dict()
+    leaves = [(key,) for key in full] + [
+        ("window", "stride_s"), ("incidents", "p_incident"),
+        ("sim", "min_gap"), ("model", "learning_rate"),
+        ("incidents", "minor_duration_s", 0),
+        ("incidents", "minor_duration_s", 1), ("sensors", 0),
+        ("entry_weights", "n00"), ("exit_weights", "n33")]
+    bad = tmp_path / "bad.yaml"
+    faults, loads = {}, []
+    for path, text in itertools.product(leaves, BAD_YAML):
+        mutant = copy.deepcopy(full)
+        parent = functools.reduce(operator.getitem, path[:-1], mutant)
+        parent[path[-1]] = yaml.safe_load(text)
+        write_yaml(bad, mutant)
+        try:
+            cfg = load_config(bad)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{bad}: "), str(exc)
+            faults[path, text] = str(exc)[len(f"{bad}: "):]
+            continue
+        loads.append((path, text))
+        if (path, text) != (("staleness_s",), ".inf"):
+            assert _finite(cfg.resolved_dict()), (path, text)
+    assert (("staleness_s",), ".inf") in loads
+    for path, text, shown in ((("entry_weights", "n00"), ".nan", "nan"),
+                              (("entry_weights", "n00"), "-.inf", "-inf"),
+                              (("exit_weights", "n33"), ".inf", "inf"),
+                              (("exit_weights", "n33"), "-1", "-1")):
+        assert faults[path, text] == (
+            f"{path[0]} gives {path[1]} the weight {shown}; weights must be "
+            "finite and non-negative")
 
 
 def test_input_resolution(tmp_path):
@@ -1498,30 +1557,33 @@ def test_feature_fields_must_be_empty_or_finite(small_model, tmp_path,
         f"an empty field\n")
 
 
-@pytest.mark.parametrize("key, weights, fault", [
-    ("entry_weights", {"a0": 1.0, "typo_a1": 5.0},
+@pytest.mark.parametrize("key, weights, at_load, fault", [
+    ("entry_weights", {"a0": 1.0, "typo_a1": 5.0}, False,
      "entry_weights names typo_a1, not entry node(s) of the network"),
-    ("exit_weights", {"a0": 1.0, "a3": 1.0},
+    ("exit_weights", {"a0": 1.0, "a3": 1.0}, False,
      "exit_weights names a0, not exit node(s) of the network"),
-    ("entry_weights", {"a0": -1.0},
+    ("entry_weights", {"a0": -1.0}, True,
      "entry_weights gives a0 the weight -1.0; weights must be finite and "
      "non-negative"),
-    ("entry_weights", {"a0": float("nan")},
+    ("entry_weights", {"a0": float("nan")}, True,
      "entry_weights gives a0 the weight nan; weights must be finite and "
      "non-negative"),
-    ("exit_weights", {"a3": float("inf")},
+    ("exit_weights", {"a3": float("inf")}, True,
      "exit_weights gives a3 the weight inf; weights must be finite and "
      "non-negative")],
     ids=["entry", "exit", "negative", "nan", "inf"])
 def test_weights_for_nodes_that_are_not_entries_or_exits_exit_2(
-        tmp_path, capsys, key, weights, fault):
-    """A weight the draw would ignore (it gave 0 to an unknown name), or
-    one that is negative or not finite, is rejected by key and node before
-    any day is written."""
+        tmp_path, capsys, key, weights, at_load, fault):
+    """A weight the draw would ignore (it gave 0 to an unknown name) is
+    rejected by key and node before any day is written; one that is
+    negative or not finite is rejected when the config loads, naming the
+    file, before its echo is written."""
     cfg = line_experiment(tmp_path, **{key: weights})
     assert main(["simulate", "--config", cfg]) == 2
-    assert one_error_line(capsys) == f"error: {fault}\n"
+    where = f"{cfg}: " if at_load else ""
+    assert one_error_line(capsys) == f"error: {where}{fault}\n"
     assert not os.path.exists(tmp_path / "runs" / "day_000")
+    assert os.path.exists(tmp_path / "runs" / "config_used.yaml") != at_load
 
 
 def test_sensors_that_are_not_a_list_of_node_ids_exit_2(tmp_path, capsys):

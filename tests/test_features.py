@@ -3,7 +3,8 @@
 Index:
   reidentify  travel-time records from sightings, from a real run and
               against the replaced per-row loop
-  windows     rolling means bitwise-equal to slice means, tt averaging,
+  windows     rolling means bitwise-equal to slice means (also with 16
+              sensors at real size), tt averaging,
               tt columns bitwise-equal to per-window np.mean
   labels      interval overlap in both labeling modes, tie-breaking
   io          table round trip, concatenation
@@ -204,6 +205,33 @@ def test_window_means_equal_slice_means():
             want = [np.mean(dense[we - 4:we, k])
                     for we in (4, 6, 8, 10)]
             assert col.tolist() == want  # bitwise, not approx
+
+
+@pytest.mark.parametrize("horizon, stride", [(7200, 30), (1200, 1)])
+def test_sensor_window_means_equal_slice_means_at_real_size(horizon, stride):
+    """16 sensors and 600-s windows, at the pipeline's stride and at
+    stride 1, with speeds that include 0.0 and -0.0: each count, speed and
+    occupancy mean is np.mean of its sensor's window slice, bit for bit."""
+    rng = rng_for("window-means", horizon)
+    sids = tuple(f"s{k:02d}" for k in range(16))
+    n = horizon * len(sids)
+    speed = rng.uniform(0.0, 30.0, n)
+    speed[rng.random(n) < 0.3] = 0.0
+    speed[rng.random(n) < 0.1] = -0.0
+    raw = RawDataset(horizon, sids, rng.integers(0, 18, n, dtype=np.int32),
+                     speed, rng.uniform(0.0, 1.0, n), [()] * n)
+    table = build_feature_rows(raw, [], WindowConfig(600, stride), [],
+                               make_line_net(), [])
+    ends = table.window_end.tolist()
+    assert len(ends) == (horizon - 600) // stride + 1
+    for field, tag in (("count", "cnt_mean"), ("mean_speed", "spd_mean"),
+                       ("occupancy", "occ_mean")):
+        dense = raw.sensor_matrix(field).astype(np.float64)
+        for k, sid in enumerate(sids):
+            series = np.array(dense[:, k])
+            want = [float(np.mean(series[we - 600:we])) for we in ends]
+            got = table.X[:, table.feature_names.index(f"{tag}_{sid}")]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def test_travel_time_column_averages_window_arrivals():

@@ -10,8 +10,9 @@ Index:
   predict     tree-walk oracle with missing values, input checks
   training    learnability, loss monotonicity, determinism, base scores
   gating      stacked detector/localizer/severity behavior
-  io          JSON round trip, encoder output, format guard, malformed and
-              tampered files
+  io          JSON round trip, a hand-built model, encoder output, format
+              guard, malformed and tampered files, an objective in the
+              config
 """
 import copy
 import dataclasses
@@ -1002,6 +1003,30 @@ def test_saved_text_equals_pure_python_encoder(tmp_path):
     assert text == buf.getvalue()
 
 
+def test_hand_built_model_saves_and_loads_back(tmp_path):
+    """The schema hash is read off feature_names, so a model built by hand
+    carries no hash of its own to disagree with them: it saves, and loads
+    back with the same hash and predictions."""
+    rng = rng_for("hand-built", 0)
+    X = rng.normal(0.0, 1.0, (120, 3))
+    det = train_tree_ensemble(X, (X[:, 0] > 0).astype(int),
+                              small_cfg(n_trees=4), names(3))
+    model = EnsembleModel(det, None, None, ["a_rd"], ["minor"], 0.5,
+                          names(3))
+    with pytest.raises(TypeError):
+        EnsembleModel(det, None, None, ["a_rd"], ["minor"], 0.5, names(3),
+                      schema_hash="0" * 16)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.schema_hash == model.schema_hash
+    assert json.loads(path.read_text(encoding="utf-8"))["schema_hash"] == (
+        model.schema_hash)
+    ends = np.arange(len(X))
+    assert_same_predictions(infer_batch(back, X, ends),
+                            infer_batch(model, X, ends))
+
+
 def test_save_rejects_a_head_fitted_under_other_settings(tmp_path):
     """model.json states one training config, the detector's; a head
     fitted under other settings would load back with changed ones, so
@@ -1049,6 +1074,18 @@ def test_load_rejects_tampered_schema_hash(tmp_path):
     path.write_text(json.dumps(dict(doc, schema_hash="0" * 16)),
                     encoding="utf-8")
     with pytest.raises(ModelError, match="schema_hash"):
+        load_model(path)
+
+
+def test_load_rejects_an_objective_in_the_config(tmp_path):
+    """save_model writes no objective, as each sub-model takes its role's;
+    one written by hand would be ignored, so it is refused."""
+    path, doc = _saved_doc(tmp_path)
+    doc["config"]["objective"] = "multiclass"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelError, match="^" + re.escape(
+            f"{path}: config.objective is not a setting of model.json; each "
+            "sub-model takes its role's objective") + "$"):
         load_model(path)
 
 

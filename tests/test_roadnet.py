@@ -6,6 +6,7 @@ Index:
   sensor pairs contiguous-pair discovery against hand-drawn cases
   routing      shortest routes against exhaustive path enumeration
 """
+import copy
 import dataclasses
 import math
 import re
@@ -369,6 +370,14 @@ def test_shortest_route_matches_enumeration(grid_net):
                       if _route_time(grid_net, r) <= best_time + 1e-9)
         assert got == ties[0]
         assert _route_time(grid_net, got) == pytest.approx(best_time)
+
+
+def test_shortest_route_leaves_the_network_unchanged():
+    """The network is shared read-only: a search stores nothing in it."""
+    net = make_line_net()
+    before = copy.deepcopy(vars(net))
+    assert shortest_route(net, "a0", "a3") == ("s0", "s1", "s2")
+    assert vars(net) == before
 
 
 def test_shortest_route_unreachable_raises():
