@@ -1,14 +1,15 @@
 """Detection quality metrics.
 
-Window-level: confusion counts over feature-table rows, detection rate
-(recall on incident windows), false alarm rate (positives among quiet
-windows), precision, F1, and a rank-based AUC-ROC that gives tied scores
-half credit.  Event-level: per-incident detection outcomes and mean time to
-detect, measured from incident onset to the end of the first flagged
-window inside the incident's span plus a grace period.
+`evaluate_predictions` scores the columns of `models.Predictions` against a
+labeled feature table in one pass and fills one `EvalReport`.  Window
+level: confusion counts over table rows, detection rate (recall on incident
+windows), false alarm rate (positives among quiet windows), precision, F1,
+and a rank-based AUC-ROC that gives tied scores half credit.  Event level,
+given an incident log: each incident is detected by the first flagged
+window that ends inside (onset, end + grace], and the mean time to detect
+runs from onset to that window's end over the detected incidents.
 
-Both read the columns of `models.Predictions`.  `EvalReport` is one flat
-record whose fields, in order, are the keys of report.txt and the columns
+`EvalReport`'s fields, in order, are the keys of report.txt and the columns
 of the sweep summary.  Rates with an empty denominator are reported as None
 (written out as "undefined"), never silently as zero.
 """
@@ -25,53 +26,8 @@ class MetricsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion_from_rows(truth, predicted) -> ConfusionCounts:
-    t = np.asarray(truth, dtype=bool)
-    p = np.asarray(predicted, dtype=bool)
-    if t.shape != p.shape:
-        raise MetricsError("truth and prediction lengths differ")
-    return ConfusionCounts(tp=int(np.sum(t & p)),
-                           fp=int(np.sum(~t & p)),
-                           tn=int(np.sum(~t & ~p)),
-                           fn=int(np.sum(t & ~p)))
-
-
 def _ratio(num: int, den: int):
     return None if den == 0 else num / den
-
-
-def detection_rate(c: ConfusionCounts):
-    """Fraction of incident windows flagged (recall)."""
-    return _ratio(c.tp, c.tp + c.fn)
-
-
-def false_alarm_rate(c: ConfusionCounts):
-    """Fraction of quiet windows flagged; specificity is its complement."""
-    return _ratio(c.fp, c.fp + c.tn)
-
-
-def precision(c: ConfusionCounts):
-    return _ratio(c.tp, c.tp + c.fp)
-
-
-def f1_score(c: ConfusionCounts):
-    p = precision(c)
-    r = detection_rate(c)
-    if p is None or r is None or p + r == 0:
-        return None
-    return 2.0 * p * r / (p + r)
 
 
 def auc_roc(truth, scores):
@@ -93,45 +49,6 @@ def auc_roc(truth, scores):
     midranks = np.cumsum(ties) - ties + 0.5 * (ties - 1) + 1.0
     rank_sum = float(midranks[block][t].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-@dataclass(frozen=True)
-class EventOutcome:
-    incident_id: int
-    onset: int
-    detected: bool
-    first_alert: int | None   # window end of the first in-span flag
-    delay: float | None       # first_alert - onset, seconds
-
-    def __post_init__(self):
-        if self.detected and (self.first_alert is None or self.delay is None):
-            raise MetricsError("detected events need an alert time")
-
-
-def event_detections(predictions, incident_log, grace_s: float) -> list:
-    """Judge each incident independently: it counts as detected if any
-    flagged window ends inside (onset, end + grace_s]."""
-    if grace_s < 0:
-        raise MetricsError("grace period must be non-negative")
-    flagged_a = np.sort(
-        predictions.window_end[predictions.detected]).astype(np.float64)
-    out = []
-    for spec in incident_log:
-        lo = np.searchsorted(flagged_a, spec.onset, side="right")
-        if lo < flagged_a.size and flagged_a[lo] <= spec.end + grace_s:
-            we = int(flagged_a[lo])
-            out.append(EventOutcome(spec.id, spec.onset, True, we,
-                                    float(we - spec.onset)))
-        else:
-            out.append(EventOutcome(spec.id, spec.onset, False, None, None))
-    return out
-
-
-def mean_time_to_detect(outcomes):
-    delays = [o.delay for o in outcomes if o.detected]
-    if not delays:
-        return None
-    return float(np.mean(delays))
 
 
 @dataclass
@@ -163,10 +80,18 @@ def evaluate_predictions(table, predictions, incident_log=None,
     add event-level outcomes computed from the incident log."""
     if predictions.detected.shape != (table.n_rows,):
         raise MetricsError("one prediction per table row required")
-    truth = table.label_incident
-    cc = confusion_from_rows(truth, predictions.detected)
+    truth = np.asarray(table.label_incident, dtype=bool)
+    flag = predictions.detected
+    tp = int(np.sum(truth & flag))
+    fp = int(np.sum(~truth & flag))
+    tn = int(np.sum(~truth & ~flag))
+    fn = int(np.sum(truth & ~flag))
+    recall = _ratio(tp, tp + fn)
+    prec = _ratio(tp, tp + fp)
+    f1 = (None if prec is None or recall is None or prec + recall == 0
+          else 2.0 * prec * recall / (prec + recall))
 
-    tp_rows = np.flatnonzero(truth & predictions.detected)
+    tp_rows = np.flatnonzero(truth & flag)
     road_acc = None
     sev_acc = None
     if tp_rows.size:
@@ -175,8 +100,8 @@ def evaluate_predictions(table, predictions, incident_log=None,
         sev_acc = float(np.mean(predictions.severity[tp_rows] == np.asarray(
             table.label_severity, dtype=object)[tp_rows]))
 
-    rep = EvalReport(cc.total, cc.tp, cc.fp, cc.tn, cc.fn, detection_rate(cc),
-                     false_alarm_rate(cc), precision(cc), f1_score(cc),
+    rep = EvalReport(table.n_rows, tp, fp, tn, fn, recall,
+                     _ratio(fp, fp + tn), prec, f1,
                      auc_roc(truth, predictions.score), road_acc, sev_acc)
     if incident_log is not None:
         # an incident log covers one day; a table of several days repeats
@@ -184,11 +109,21 @@ def evaluate_predictions(table, predictions, incident_log=None,
         if np.any(np.diff(table.window_end) <= 0):
             raise MetricsError("event metrics need a one-day table, whose "
                                "window ends increase strictly")
-        outcomes = event_detections(predictions, incident_log, grace_s)
-        rep.n_events = len(outcomes)
-        rep.events_detected = sum(o.detected for o in outcomes)
+        if grace_s < 0:
+            raise MetricsError("grace period must be non-negative")
+        # each incident is judged on its own: the first flagged window end
+        # after its onset detects it if it falls by end + grace_s
+        flagged = np.sort(predictions.window_end[flag]).astype(np.float64)
+        onsets = np.array([s.onset for s in incident_log], dtype=np.float64)
+        ends = np.array([s.end for s in incident_log], dtype=np.float64)
+        first = np.searchsorted(flagged, onsets, side="right")
+        hit = first < flagged.size
+        alerts = flagged[first[hit]]
+        delays = (alerts - onsets[hit])[alerts <= ends[hit] + grace_s]
+        rep.n_events = len(incident_log)
+        rep.events_detected = int(delays.size)
         rep.event_detection_rate = _ratio(rep.events_detected, rep.n_events)
-        rep.mttd_s = mean_time_to_detect(outcomes)
+        rep.mttd_s = float(np.mean(delays)) if delays.size else None
     return rep
 
 

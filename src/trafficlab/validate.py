@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import read_csv, write_lines
-from .demand import MacroCountSeries, SpawnSchedule
+from .demand import SpawnSchedule
 
 PASS_LEVEL = 0.05
 _SMALL_SAMPLE = 30
@@ -88,9 +88,10 @@ def ks_two_sample(a, b) -> KsResult:
     return KsResult(d, p, n, m)
 
 
-def aggregate_bins(schedule: SpawnSchedule, bin_s: float) -> MacroCountSeries:
-    """Per-bin counts of vehicles entering the network: the schedule's
-    spawn times, bucketed."""
+def aggregate_bins(schedule: SpawnSchedule, bin_s: float) -> np.ndarray:
+    """Per-bin counts of vehicles entering the network, bin k starting at
+    k * bin_s: the schedule's spawn times, bucketed.  Any number of bins
+    is returned; the KS test sets its own floor of 5."""
     if bin_s <= 0:
         raise ValidationError("bin duration must be positive")
     horizon = float(schedule.horizon)
@@ -99,9 +100,8 @@ def aggregate_bins(schedule: SpawnSchedule, bin_s: float) -> MacroCountSeries:
         raise ValidationError(
             f"bin {bin_s} does not divide horizon {horizon}")
     times = np.array([ev.time for ev in schedule.events], dtype=np.float64)
-    counts = np.bincount((times // bin_s).astype(np.int64),
-                         minlength=int(round(n_bins)))
-    return MacroCountSeries(bin_s, counts, 0.0)
+    return np.bincount((times // bin_s).astype(np.int64),
+                       minlength=int(round(n_bins)))
 
 
 VALIDATION_HEADER = "day,ks_statistic,p_value,pass"

@@ -30,10 +30,7 @@ from trafficlab.features import (WindowConfig, build_feature_rows,
                                  reidentify_travel_times)
 from trafficlab.incidents import (IncidentPlanConfig, SeverityClass,
                                   compute_impact_zones, plan_incidents)
-from trafficlab.metrics import (auc_roc, confusion_from_rows, detection_rate,
-                                event_detections, f1_score, false_alarm_rate,
-                                mean_time_to_detect, precision, read_report,
-                                read_sweep)
+from trafficlab.metrics import auc_roc, read_report, read_sweep
 from trafficlab.microsim import SimConfig, run
 from trafficlab.models import (infer_batch, load_model, predict_margin,
                                predict_proba, save_model,
@@ -47,7 +44,7 @@ from trafficlab.validate import ks_two_sample
 from conftest import make_line_net, rng_for, traced_run
 from test_features import raw_from_sightings
 from test_incidents import spec_of
-from test_metrics import columns, hit, pairwise_auc
+from test_metrics import columns, events, flag_rows, hit, pairwise_auc
 from test_microsim import linear_trace
 from test_models import assert_same_predictions, exhaustive_best_split, \
     gated_table, names, populated, small_cfg, stump_data, walk, xor_data
@@ -338,14 +335,16 @@ def test_criterion_05_feature_oracles():
 def test_criterion_06_metrics_oracles():
     """Rate formulas reproduce hand values (49 TP / 1 FN -> 0.98), the AUC
     matches the pairwise-counting oracle on 500 scored rows, and the mean
-    detection delay of 180 s and 220 s events is exactly 200 s."""
-    c = confusion_from_rows([1] * 50 + [0] * 96,
-                            [1] * 49 + [0] + [1] * 6 + [0] * 90)
-    assert detection_rate(c) == 0.98
-    assert false_alarm_rate(c) == 0.0625
-    assert precision(c) == 49 / 55
-    assert f1_score(c) == pytest.approx(2 * (49 / 55) * 0.98
-                                        / (49 / 55 + 0.98), abs=1e-15)
+    detection delay of 180 s and 220 s events is exactly 200 s.  Rates and
+    delays are read off evaluate_predictions' report of a table with no
+    feature columns."""
+    rep = flag_rows([1] * 50 + [0] * 96,
+                    [1] * 49 + [0] + [1] * 6 + [0] * 90)
+    assert rep.detection_rate == 0.98
+    assert rep.false_alarm_rate == 0.0625
+    assert rep.precision == 49 / 55
+    assert rep.f1 == pytest.approx(2 * (49 / 55) * 0.98
+                                   / (49 / 55 + 0.98), abs=1e-15)
 
     rng = rng_for("accept-auc", 0)
     truth = rng.random(500) < 0.4
@@ -354,12 +353,12 @@ def test_criterion_06_metrics_oracles():
     assert auc_roc(truth, scores) == pytest.approx(
         pairwise_auc(truth, scores), abs=1e-12)
 
-    outcomes = event_detections(
-        columns(hit(1180, 0.9), hit(2220, 0.8)),
-        [spec_of(onset=1000, duration=400, sid=0),
-         spec_of(onset=2000, duration=400, sid=1)], grace_s=0.0)
-    assert [o.delay for o in outcomes] == [180.0, 220.0]
-    assert mean_time_to_detect(outcomes) == 200.0
+    preds = columns(hit(1180, 0.9), hit(2220, 0.8))
+    specs = [spec_of(onset=1000, duration=400, sid=0),
+             spec_of(onset=2000, duration=400, sid=1)]
+    assert [events(preds, [spec], grace_s=0.0).mttd_s
+            for spec in specs] == [180.0, 220.0]
+    assert events(preds, specs, grace_s=0.0).mttd_s == 200.0
 
 
 # -- criterion 07 --------------------------------------------------------------

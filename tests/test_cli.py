@@ -491,6 +491,29 @@ def test_validate_command(sim_run, capsys):
     assert "day 000: ks=" in text
 
 
+@pytest.mark.parametrize("bins", [6, 4])
+def test_validate_takes_a_day_shorter_than_a_demand_fit(tmp_path, capsys,
+                                                        bins):
+    """The 8-bin floor belongs to curve fitting, not to the KS test: a
+    6-bin day validates and writes its row, and a 4-bin day exits 2 with
+    the KS test's own floor of 5 samples."""
+    cfg_path = line_experiment(tmp_path, day_seconds=bins * BIN)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "validation.csv"
+    rc = main(["validate", "--raw", str(tmp_path / "runs"),
+               "--counts", str(tmp_path / "counts.csv"),
+               "--out", str(out), "--config", cfg_path])
+    if bins == 6:
+        assert rc == 0
+        assert [day for day, *_ in read_validation_report(out)] == [0]
+    else:
+        assert rc == 2
+        assert one_error_line(capsys) == (
+            "error: KS test needs at least 5 samples per side\n")
+        assert not out.exists()
+
+
 def test_train_and_evaluate_commands(tmp_path, capsys):
     table = gated_table(seed=6)
     feat = str(tmp_path / "features.csv")

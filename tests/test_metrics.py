@@ -1,9 +1,9 @@
 """Detection metric tests.
 
 Index:
-  confusion   counts, window rates, undefined denominators
+  confusion   counts, window rates, undefined denominators, F1 bits
   auc         midrank AUC against a pairwise-count oracle
-  events      per-incident outcomes, grace window, mean delay
+  events      per-incident detection, grace window, mean delay
   evaluate    end-to-end scoring of gated predictions
   io          report file round trip, sweep.csv rows
 """
@@ -13,12 +13,9 @@ import numpy as np
 import pytest
 
 from trafficlab.features import FeatureTable
-from trafficlab.metrics import (ConfusionCounts, EventOutcome, MetricsError,
-                                auc_roc, confusion_from_rows, detection_rate,
-                                event_detections, evaluate_predictions,
-                                f1_score, false_alarm_rate, format_metric,
-                                mean_time_to_detect, precision, read_report,
-                                read_sweep, write_report, write_sweep)
+from trafficlab.metrics import (MetricsError, auc_roc, evaluate_predictions,
+                                format_metric, read_report, read_sweep,
+                                write_report, write_sweep)
 from trafficlab.models import Predictions
 
 from conftest import rng_for
@@ -44,33 +41,62 @@ def columns(*rows) -> Predictions:
                        np.array(sev, dtype=object))
 
 
+def table_for(preds, truth=None) -> FeatureTable:
+    """A table with no feature columns, one row per prediction at its
+    window end, labeled `truth` (all quiet if omitted)."""
+    n = preds.detected.size
+    if truth is None:
+        truth = np.zeros(n, dtype=bool)
+    return FeatureTable([], np.zeros((n, 0)), preds.window_end,
+                        np.asarray(truth, dtype=bool), [None] * n, [None] * n)
+
+
+def flag_rows(truth, flagged):
+    """The report of per-row flags against per-row labels."""
+    preds = columns(*(hit(30 * (i + 1), 0.5) if f else miss(30 * (i + 1), 0.5)
+                      for i, f in enumerate(flagged)))
+    return evaluate_predictions(table_for(preds, truth), preds)
+
+
+def events(preds, specs, grace_s):
+    """The report of flags against an incident log alone."""
+    return evaluate_predictions(table_for(preds), preds, specs, grace_s)
+
+
 # -- confusion ---------------------------------------------------------------
 
 
 def test_confusion_hand_case():
     truth = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
     pred = [1, 1, 1, 0, 1, 0, 0, 0, 0, 0]
-    c = confusion_from_rows(truth, pred)
-    assert (c.tp, c.fp, c.tn, c.fn) == (3, 1, 5, 1)
-    assert c.total == 10
-    assert detection_rate(c) == 0.75
-    assert false_alarm_rate(c) == pytest.approx(1 / 6)
-    assert precision(c) == 0.75
-    assert f1_score(c) == pytest.approx(0.75)
-    with pytest.raises(MetricsError, match="lengths differ"):
-        confusion_from_rows([1, 0], [1])
+    rep = flag_rows(truth, pred)
+    assert (rep.tp, rep.fp, rep.tn, rep.fn) == (3, 1, 5, 1)
+    assert rep.windows == 10
+    assert rep.detection_rate == 0.75
+    assert rep.false_alarm_rate == pytest.approx(1 / 6)
+    assert rep.precision == 0.75
+    assert rep.f1 == pytest.approx(0.75)
 
 
 def test_rates_with_empty_denominators_are_none():
-    no_pos = confusion_from_rows([0, 0, 0], [0, 1, 0])
-    assert detection_rate(no_pos) is None
-    assert f1_score(no_pos) is None
-    no_neg = confusion_from_rows([1, 1], [1, 0])
-    assert false_alarm_rate(no_neg) is None
-    no_flag = confusion_from_rows([1, 0], [0, 0])
-    assert precision(no_flag) is None
-    zero_f1 = confusion_from_rows([1, 0], [0, 1])  # p and r both zero
-    assert f1_score(zero_f1) is None
+    no_pos = flag_rows([0, 0, 0], [0, 1, 0])
+    assert no_pos.detection_rate is None
+    assert no_pos.f1 is None
+    no_neg = flag_rows([1, 1], [1, 0])
+    assert no_neg.false_alarm_rate is None
+    no_flag = flag_rows([1, 0], [0, 0])
+    assert no_flag.precision is None
+    zero_f1 = flag_rows([1, 0], [0, 1])  # p and r both zero
+    assert zero_f1.f1 is None
+
+
+def test_f1_is_the_harmonic_mean_of_precision_and_recall_to_the_bit():
+    """F1 is 2pr / (p + r) of the two rounded rates, as report.txt has
+    always written it; 2tp / (2tp + fp + fn) would give 0x1.5555555555555p-2
+    for this case."""
+    rep = flag_rows([1, 1, 1, 1, 1], [1, 0, 0, 0, 0])
+    assert (rep.tp, rep.fp, rep.fn) == (1, 0, 4)
+    assert float.hex(rep.f1) == "0x1.5555555555556p-2"
 
 
 # -- auc ---------------------------------------------------------------------
@@ -125,17 +151,16 @@ def test_event_detection_hand_case():
     preds = columns(hit(90, 0.9), miss(110, 0.2), hit(130, 0.8),
                     hit(250, 0.7), hit(400, 0.9))
     spec = spec_of(onset=100, duration=200, sid=7)
-    out, = event_detections(preds, [spec], grace_s=60.0)
-    assert out == EventOutcome(7, 100, True, 130, 30.0)
+    rep = events(preds, [spec], grace_s=60.0)
+    assert (rep.n_events, rep.events_detected, rep.mttd_s) == (1, 1, 30.0)
 
     # flag exactly at onset does not count, exactly at end + grace does
-    at_onset, = event_detections(columns(hit(100, 0.9)), [spec], grace_s=60.0)
-    assert not at_onset.detected
-    assert at_onset.first_alert is None and at_onset.delay is None
-    at_edge, = event_detections(columns(hit(360, 0.9)), [spec], grace_s=60.0)
-    assert at_edge == EventOutcome(7, 100, True, 360, 260.0)
-    past_edge, = event_detections(columns(hit(361, 0.9)), [spec], grace_s=60.0)
-    assert not past_edge.detected
+    at_onset = events(columns(hit(100, 0.9)), [spec], grace_s=60.0)
+    assert at_onset.events_detected == 0 and at_onset.mttd_s is None
+    at_edge = events(columns(hit(360, 0.9)), [spec], grace_s=60.0)
+    assert (at_edge.events_detected, at_edge.mttd_s) == (1, 260.0)
+    past_edge = events(columns(hit(361, 0.9)), [spec], grace_s=60.0)
+    assert past_edge.events_detected == 0
 
 
 def test_event_detection_judges_incidents_independently():
@@ -143,19 +168,14 @@ def test_event_detection_judges_incidents_independently():
     specs = [spec_of(onset=100, duration=100, sid=0),
              spec_of(onset=600, duration=100, sid=1),
              spec_of(onset=900, duration=100, sid=2)]
-    out = event_detections(preds, specs, grace_s=0.0)
-    assert [o.detected for o in out] == [True, True, False]
-    assert [o.incident_id for o in out] == [0, 1, 2]
-    assert mean_time_to_detect(out) == pytest.approx((30 + 60) / 2)
-    assert mean_time_to_detect(out[2:]) is None
+    rep = events(preds, specs, grace_s=0.0)
+    assert (rep.n_events, rep.events_detected) == (3, 2)
+    assert rep.event_detection_rate == 2 / 3
+    assert rep.mttd_s == pytest.approx((30 + 60) / 2)
+    assert [events(preds, [spec], 0.0).mttd_s for spec in specs] == [
+        30.0, 60.0, None]
     with pytest.raises(MetricsError, match="grace"):
-        event_detections(preds, specs, grace_s=-1.0)
-
-
-def test_event_outcome_requires_alert_when_detected():
-    with pytest.raises(MetricsError, match="alert time"):
-        EventOutcome(0, 100, True, None, None)
-    EventOutcome(0, 100, False, None, None)
+        events(preds, specs, grace_s=-1.0)
 
 
 # -- evaluate ----------------------------------------------------------------

@@ -151,9 +151,11 @@ def test_shifted_process_is_rejected():
 def test_aggregate_bins_from_schedule():
     events = tuple(SpawnEvent(float(t), "a0", "a3")
                    for t in (0, 1, 99, 100, 250, 250, 250, 999))
-    series = aggregate_bins(SpawnSchedule(events, 1000.0), 100.0)
-    assert series.bin_duration == 100.0
-    assert series.counts.tolist() == [3, 1, 3, 0, 0, 0, 0, 0, 0, 1]
+    counts = aggregate_bins(SpawnSchedule(events, 1000.0), 100.0)
+    assert counts.tolist() == [3, 1, 3, 0, 0, 0, 0, 0, 0, 1]
+    # a day of fewer bins than a demand fit needs is still counted
+    assert aggregate_bins(SpawnSchedule(events[:4], 300.0),
+                          100.0).tolist() == [3, 1, 0]
 
 
 def test_aggregate_bins_validation():
