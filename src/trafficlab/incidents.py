@@ -5,10 +5,12 @@ severity-scaled duration; every other vehicle within the radius of impact
 (path distance along the driving direction, both upstream and downstream)
 is capped to a fraction of its segment's speed limit.
 
-Each incident designates its halted vehicles and resolves its impact zone
-once, on activation, into one row of (lane deque, lo, hi, cap) per lane
-queue of each zone interval; each second then skips the empty queues and
-walks only the vehicles queued in the others.
+Each incident designates its halted vehicles and computes its impact zone
+once, on activation.  The simulator resolves the active zones to one row
+per lane queue only when the active set changes (an onset or an end):
+the lane's limit, with the incident cap folded in where a zone covers the
+whole segment, and the intervals of the zones that cover part of it.  Its
+lane walk then caps each vehicle from its lane's row.
 """
 from __future__ import annotations
 
@@ -236,39 +238,54 @@ def compute_impact_zones(net: RoadNetwork, spec: IncidentSpec) -> list:
 
 class ActiveIncident(NamedTuple):
     spec: IncidentSpec
-    zone: tuple  # rows (lane deque, lo, hi, cap), one per lane per interval
+    zone: tuple  # rows (segment id, lo, hi, cap), one per zone interval
     halted: list  # the slots designated at onset, nearest first
 
 
 def activate(state, spec: IncidentSpec,
              cfg: IncidentPlanConfig) -> ActiveIncident:
-    """Designate the spec's halted vehicles and resolve its impact zone to
-    one row per lane queue of each zone interval."""
+    """Designate the spec's halted vehicles and compute its impact zone,
+    each interval with its segment's cap, slowdown_factor times the
+    segment's limit."""
     net = state.network
-    zone: list = []
-    for sid, lo, hi in compute_impact_zones(net, spec):
-        cap = float(cfg.slowdown_factor * net.segments[sid].speed_limit)
-        zone.extend((q, lo, hi, cap) for q in state.lane_queues[sid])
-    return ActiveIncident(spec, tuple(zone), designate_vehicles(state, spec))
+    zone = tuple((sid, lo, hi,
+                  float(cfg.slowdown_factor * net.segments[sid].speed_limit))
+                 for sid, lo, hi in compute_impact_zones(net, spec))
+    return ActiveIncident(spec, zone, designate_vehicles(state, spec))
 
 
-def apply_effects(state, active) -> dict:
-    """Speed caps by vehicle slot for the ActiveIncidents in `active`, a
-    slot without a cap absent: exactly 0.0 for each incident's halted
-    vehicles, and for any other vehicle inside an impact zone the lowest
-    slowdown_factor times its segment's limit over the zones holding it."""
-    pos = state.pos
-    caps: dict = {}
-    cap_of = caps.get
+def apply_effects(state, active) -> list:
+    """One row (limit, cap, zones) per lane queue, in queue order, for the
+    ActiveIncidents in `active`.
+
+    A run has one IncidentPlanConfig, so every zone interval on a segment
+    has the same cap, below or at the segment's limit.  Where a zone covers
+    the whole segment, [0, length], the lane's limit is that cap and its
+    zones are empty: every queued vehicle lies in [0, length].  Otherwise
+    the limit is the segment's and `zones` holds the sorted, merged, closed
+    (lo, hi) intervals that cover part of the lane, whose vehicles `cap`
+    holds (math.inf where there are none).  The halted vehicles are not in
+    the rows: the lane walk stops every vehicle whose `halted_by` is set.
+    """
+    spans: dict = {}
     for inc in active:
-        for q, lo, hi, cap in inc.zone:
-            if q:
-                for slot in q:
-                    if lo <= pos[slot] <= hi and cap < cap_of(slot, math.inf):
-                        caps[slot] = cap
-    for inc in active:
-        caps.update(dict.fromkeys(inc.halted, 0.0))
-    return caps
+        for sid, lo, hi, cap in inc.zone:
+            spans.setdefault(sid, []).append((lo, hi, cap))
+    rows: list = []
+    for sid, queues in state.lane_queues.items():
+        seg = state.network.segments[sid]
+        limit, cap = float(seg.speed_limit), math.inf
+        zones: list = []
+        for lo, hi, cap in sorted(spans.get(sid, ())):
+            if lo <= 0.0 and seg.length <= hi:
+                limit, zones = min(limit, cap), []
+                break
+            if zones and lo <= zones[-1][1]:
+                zones[-1] = (zones[-1][0], max(zones[-1][1], hi))
+            else:
+                zones.append((lo, hi))
+        rows.extend([(limit, cap, tuple(zones))] * len(queues))
+    return rows
 
 
 def designate_vehicles(state, spec: IncidentSpec) -> list:

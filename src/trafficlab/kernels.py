@@ -16,19 +16,21 @@ import numpy as np
 ACTIVE_BACKEND = "python"
 
 
-def follow_speeds(noise, lanes, speed_cap, pos, speed, accel, decel,
+def follow_speeds(noise, lanes, halted_by, pos, speed, accel, decel,
                   min_gap, vehicle_length, dt):
     """Move every queued vehicle one step: safe speed, then position.
 
-    ``lanes`` holds one ``(queue, head_free, head_lead_speed, limit)`` per
-    lane queue to move: the queue's vehicle slots front to back, its
-    head's free run and effective leader speed, and its segment's speed
-    limit.  ``noise`` holds one term per vehicle, in the same order.
-    Every follower brakes behind its leader's pre-step position and
-    speed.  The speed is capped by acceleration, the limit, the free run
-    per step and ``speed_cap.get(slot)`` (a dict of the capped slots
-    only), minus the noise, and clamped at zero; ``speed[slot]`` and
-    ``pos[slot]`` (lists of floats) are written in place.
+    ``lanes`` holds one ``(queue, head_free, head_lead_speed, limit, cap,
+    zones)`` per lane queue to move: the queue's vehicle slots front to
+    back, its head's free run and effective leader speed, its speed limit,
+    and the incident cap of the vehicles whose pre-step position lies in
+    one of the closed ``(lo, hi)`` intervals of ``zones``.  ``noise``
+    holds one term per vehicle, in the same order.  Every follower brakes
+    behind its leader's pre-step position and speed.  The speed is capped
+    by acceleration, the limit, the free run per step and the zone cap,
+    is 0.0 for a vehicle whose ``halted_by`` is set (>= 0), then loses
+    the noise and is clamped at zero; ``speed[slot]`` and ``pos[slot]``
+    (lists of floats) are written in place.
 
     Every comparison takes the second operand on a tie, as numpy's
     minimum and maximum do, so signed zeros come out as the vectorized
@@ -40,10 +42,8 @@ def follow_speeds(noise, lanes, speed_cap, pos, speed, accel, decel,
     neg_bt = -bt
     bt2 = bt * bt
     two_b = 2.0 * decel
-    inf = math.inf
-    cap_of = speed_cap.get
     k = 0
-    for q, fr, vl, lim in lanes:
+    for q, fr, vl, lim, cap, zones in lanes:
         back = None  # the leader's pre-step rear bumper
         for slot in q:
             p = pos[slot]
@@ -61,9 +61,14 @@ def follow_speeds(noise, lanes, speed_cap, pos, speed, accel, decel,
             x = fr / dt
             if x <= vn:
                 vn = x
-            x = cap_of(slot, inf)
-            if x <= vn:
-                vn = x
+            if zones:
+                for lo, hi in zones:
+                    if lo <= p <= hi:
+                        if cap <= vn:
+                            vn = cap
+                        break
+            if halted_by[slot] >= 0:
+                vn = 0.0
             vn = vn - noise[k]
             k += 1
             if vn <= 0.0:

@@ -18,11 +18,15 @@ against the live tail position at crossing time, so cross-segment moves
 preserve the invariant too.
 
 Vehicle state (per slot) and the network tables are Python lists, read and
-written one value at a time; incident caps come as a dict of the capped
-slots.  Every head's lookahead is taken first, on the pre-step state; then
-`kernels.follow_speeds` walks each lane queue once, front to back, and
-heads cross in queue order.  Driver noise is one draw per step in that
-canonical order.
+written one value at a time.  Incident effects are resolved only on a
+second when an incident activates or is released
+(`incidents.apply_effects`), to one row per lane queue: its limit, with
+the cap folded in where a zone covers the whole segment, and the
+intervals of the zones that cover part of it.  Every head's lookahead is
+taken first, on the pre-step state; then `kernels.follow_speeds` walks
+each lane queue once, front to back, capping each vehicle from its lane's
+row, and heads cross in queue order.  Driver noise is one draw per step
+in that canonical order.
 """
 from __future__ import annotations
 
@@ -162,7 +166,7 @@ class SimState:
         self.halted_by = [-1] * n
         tb = sim.tables
         self.queues = [deque() for _ in range(tb.n_queues)]
-        # the same deques grouped by segment id, lanes in order
+        # the same deques grouped by segment id, in queue order
         self.lane_queues = {
             sid: tuple(self.queues[tb.queue_base[i]:
                                    tb.queue_base[i] + tb.lanes[i]])
@@ -221,6 +225,8 @@ class Simulation:
 
         self.rng = np.random.default_rng(self.cfg.seed)
         self.state = SimState(self)
+        # (limit, cap, zones) per lane queue for the active incidents
+        self.lane_caps = apply_effects(self.state, ())
         self._next_event = 0
         self._next_incident = 0
 
@@ -319,37 +325,44 @@ class Simulation:
         cfg = self.cfg
         t = st.time
 
-        # incident activation/release at whole-second boundaries
+        # incident activation/release at whole-second boundaries; the lane
+        # caps are resolved again only when the active set changes
+        changed = False
         while (self._next_incident < len(self.incident_plan)
                and self.incident_plan[self._next_incident].onset <= t):
             spec = self.incident_plan[self._next_incident]
             st.active_incidents.append(
                 activate(st, spec, self.incident_cfg))
             self._next_incident += 1
+            changed = True
         still = []
         for inc in st.active_incidents:
             if inc.spec.end <= t:
                 release_vehicles(st, inc)
+                changed = True
             else:
                 still.append(inc)
         st.active_incidents = still
+        if changed:
+            self.lane_caps = apply_effects(st, st.active_incidents)
 
         self._insert_spawns()
 
         greens = tb.greens_at(t)
-        caps = (apply_effects(st, st.active_incidents)
-                if st.active_incidents else {})
 
         # canonical order: queues ascending, front to back; every head's
         # lookahead reads the pre-step state, before any vehicle moves
-        lanes: list = []  # (queue, head free run, head leader speed, limit)
+        lanes: list = []  # (queue, head free run, head leader speed,
+        #                    limit, cap, zones)
         heads: list = []  # (queue index, head slot)
+        rows = self.lane_caps
         n = 0
         for qi, q in enumerate(st.queues):
             if q:
                 head = q[0]
                 fr, vl = self._head_lookahead(head, greens)
-                lanes.append((q, fr, vl, tb.limit[tb.queue_seg[qi]]))
+                lim, cap, zones = rows[qi]
+                lanes.append((q, fr, vl, lim, cap, zones))
                 heads.append((qi, head))
                 n += len(q)
 
@@ -358,7 +371,7 @@ class Simulation:
                      * (cfg.driver_imperfection * cfg.accel * DT)).tolist()
             before = st.speed.copy() if audit is not None else None
             kernels.follow_speeds(
-                noise, lanes, caps, st.pos, st.speed, cfg.accel,
+                noise, lanes, st.halted_by, st.pos, st.speed, cfg.accel,
                 cfg.decel, cfg.min_gap, cfg.vehicle_length, DT)
             if audit is not None:
                 self._audit_speeds(t, lanes, before, audit)
@@ -426,13 +439,14 @@ class Simulation:
 
     def _audit_speeds(self, t: int, lanes, before, audit: AuditReport):
         """Flag every new speed below zero or above the lesser of its
-        segment limit and the pre-step speed plus one step of
+        lane's limit and the pre-step speed plus one step of
         acceleration."""
-        # the bound uses the limit of the segment governing the decision;
-        # crossings may land on a slower segment afterwards
+        # the bound uses the limit of the lane governing the decision (the
+        # incident cap where a zone covers it whole); crossings may land on
+        # a slower segment afterwards
         gain = self.cfg.accel * DT
         speed = self.state.speed
-        for q, _fr, _vl, lim in lanes:
+        for q, _fr, _vl, lim, _cap, _zones in lanes:
             for slot in q:
                 v = speed[slot]
                 if v < 0 or v > min(lim, before[slot] + gain) + 1e-9:
@@ -460,7 +474,7 @@ class Simulation:
                                f"{st.queue_of[slot]}, cur_seg "
                                f"{st.cur_seg[slot]}")
                 pos = st.pos[slot]
-                if not 0.0 <= pos <= tb.length[seg] + 1e-9:
+                if not 0.0 <= pos <= tb.length[seg]:
                     audit.flag(t, "offset-bounds",
                                f"vehicle {slot} pos {pos}")
                 if prev is not None:

@@ -46,7 +46,9 @@ def vector_follow_speeds(pos, speed, leader, head_free, head_lead_speed,
 
 def _random_follow_case(rng, n_slots):
     """Lane queues over a random permutation of n_slots vehicle slots,
-    each queue front to back; one lookahead and limit per queue."""
+    each queue front to back; one lookahead, limit, cap and up to two
+    sorted disjoint zone intervals per queue, their ends drawn partly
+    from the queue's own positions; about one vehicle in ten halted."""
     slots = rng.permutation(n_slots).tolist()
     cuts = np.sort(rng.choice(np.arange(1, n_slots),
                               size=min(n_slots - 1, int(rng.integers(0, 8))),
@@ -55,20 +57,37 @@ def _random_follow_case(rng, n_slots):
     pos = np.zeros(n_slots)
     for q in queues:
         pos[q] = np.sort(rng.uniform(0, 500, len(q)))[::-1]
-    lanes = [(q, float(rng.uniform(-5, 400)), float(rng.uniform(0, 15)),
-              float(rng.uniform(5, 20))) for q in queues]
-    caps = np.where(rng.random(n_slots) < 0.2, rng.uniform(0, 5, n_slots),
-                    np.inf)
-    caps = {slot: c for slot, c in enumerate(caps.tolist()) if c != math.inf}
+    lanes = []
+    for q in queues:
+        ends = np.concatenate([pos[q], rng.uniform(0, 500, 4)])
+        k = min(int(rng.integers(0, 3)), len(ends) // 2)
+        ends = np.sort(rng.choice(ends, size=2 * k, replace=False)).tolist()
+        lanes.append((q, float(rng.uniform(-5, 400)),
+                      float(rng.uniform(0, 15)), float(rng.uniform(5, 20)),
+                      float(rng.uniform(0, 5)),
+                      tuple(zip(ends[::2], ends[1::2]))))
+    halted_by = np.where(rng.random(n_slots) < 0.1, 0, -1).tolist()
     return dict(lanes=lanes, pos=pos, speed=rng.uniform(0, 15, n_slots),
-                speed_cap=caps, noise=rng.uniform(0, 0.26, n_slots).tolist())
+                halted_by=halted_by,
+                noise=rng.uniform(0, 0.26, n_slots).tolist())
+
+
+def vehicle_cap(case, lane, slot):
+    """A vehicle's incident cap as its lane row gives it: 0.0 when halted,
+    the lane's cap when its position lies in one of the lane's zones
+    (ends included), else none (inf)."""
+    _q, _fr, _vl, _lim, cap, zones = lane
+    if case["halted_by"][slot] >= 0:
+        return 0.0
+    p = case["pos"][slot]
+    return cap if any(lo <= p <= hi for lo, hi in zones) else math.inf
 
 
 def run_kernel(case):
     """(speed, pos) as arrays after kernels.follow_speeds, which writes
     them into lists as the simulator does."""
     pos, speed = case["pos"].tolist(), case["speed"].tolist()
-    kernels.follow_speeds(case["noise"], case["lanes"], case["speed_cap"],
+    kernels.follow_speeds(case["noise"], case["lanes"], case["halted_by"],
                           pos, speed, **PARAMS)
     return np.asarray(speed), np.asarray(pos)
 
@@ -76,17 +95,18 @@ def run_kernel(case):
 def run_vector(case):
     """(speed, pos) from the vectorized form, gathered in canonical order
     and scattered back by slot."""
-    order, leader, head_free, head_lead, limit = [], [], [], [], []
-    for q, fr, vl, lim in case["lanes"]:
+    order, leader, head_free, head_lead, limit, caps = [], [], [], [], [], []
+    for lane in case["lanes"]:
+        q, fr, vl, lim = lane[:4]
         for j, slot in enumerate(q):
             leader.append(-1 if j == 0 else len(order) - 1)
             head_free.append(fr if j == 0 else 0.0)
             head_lead.append(vl if j == 0 else 0.0)
             limit.append(lim)
+            caps.append(vehicle_cap(case, lane, slot))
             order.append(slot)
     order = np.asarray(order, dtype=np.intp)
     n = len(order)
-    caps = [case["speed_cap"].get(slot, math.inf) for slot in order]
     pos, speed = case["pos"].copy(), case["speed"].copy()
     pos_a, speed_a = pos[order], speed[order]
     v_new = np.empty(n)
@@ -106,7 +126,8 @@ def _scalar_follow(case):
     expect = case["speed"].copy()
     b, dt = PARAMS["decel"], PARAMS["dt"]
     k = 0
-    for q, head_free, head_lead, limit in case["lanes"]:
+    for lane in case["lanes"]:
+        q, head_free, head_lead, limit = lane[:4]
         for j, slot in enumerate(q):
             if j:
                 ahead = q[j - 1]
@@ -118,7 +139,7 @@ def _scalar_follow(case):
             fr = max(fr, 0.0)
             bt = b * dt
             vsafe = -bt + math.sqrt(bt * bt + vl * vl + 2.0 * b * fr)
-            cap = case["speed_cap"].get(slot, math.inf)
+            cap = vehicle_cap(case, lane, slot)
             vdes = min(case["speed"][slot] + PARAMS["accel"] * dt, limit,
                        vsafe, fr / dt, cap)
             expect[slot] = max(vdes - case["noise"][k], 0.0)
@@ -132,8 +153,10 @@ def test_follow_speeds_matches_scalar_oracle():
     for k in range(40):
         rng = rng_for("follow-scalar", k)
         case = _random_follow_case(rng, int(rng.integers(1, 60)))
-        if k % 4 == 0:
-            case["speed_cap"] = {}
+        if k % 4 == 0:  # no incident: no zones, nobody halted
+            case["lanes"] = [lane[:4] + (math.inf, ())
+                             for lane in case["lanes"]]
+            case["halted_by"] = [-1] * len(case["halted_by"])
         got_speed, got_pos = run_kernel(case)
         assert np.array_equal(got_speed, _scalar_follow(case))
         want_speed, want_pos = run_vector(case)
@@ -149,19 +172,24 @@ def test_follow_speeds_pins_numpy_edge_semantics():
     # slot 0 and 1: a head and its follower standing exactly min_gap
     # behind it (free run exactly +0.0); slots 2-3: a head with a free run
     # of -0.0; slot 4: an arriving head (infinite free run); slot 5: a
-    # halted vehicle (cap 0.0) on a lane whose head was slot 4; slot 6: a
-    # head with negative free run; slots 7-8: signed-zero limit and cap
+    # halted vehicle on a lane whose head was slot 4; slot 6: a head with
+    # negative free run; slot 7: a signed-zero limit; slot 8: a -0.0 zone
+    # cap on a zone whose ends are both its position
     pos = np.array([107.5, 100.0, 50.0, 40.0, 190.0, 20.0, 60.0, 10.0,
                     0.0])
     speed = np.array([0.0, 3.0, 0.0, -0.0, 12.0, 4.0, 1.0, 0.0, -0.0])
-    caps = {5: 0.0, 8: -0.0}
-    lanes = [([0, 1], 0.0, 0.0, 10.0), ([2, 3], -0.0, 0.0, 10.0),
-             ([4, 5], inf, 0.0, 14.0), ([6], -3.0, 0.0, 10.0),
-             ([7], 0.0, 0.0, -0.0), ([8], 5.0, 0.0, 10.0)]
+    halted = [-1, -1, -1, -1, -1, 0, -1, -1, -1]
+    lanes = [([0, 1], 0.0, 0.0, 10.0, inf, ()),
+             ([2, 3], -0.0, 0.0, 10.0, inf, ()),
+             ([4, 5], inf, 0.0, 14.0, inf, ()),
+             ([6], -3.0, 0.0, 10.0, inf, ()),
+             ([7], 0.0, 0.0, -0.0, inf, ()),
+             ([8], 5.0, 0.0, 10.0, -0.0, ((0.0, 0.0),))]
+    bare = [lane[:4] + (inf, ()) for lane in lanes]
     for noise in ([0.0] * 9, [0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]):
-        for cap_arr in (caps, {}):
-            case = dict(lanes=lanes, pos=pos, speed=speed,
-                        speed_cap=cap_arr, noise=noise)
+        for halted_by, rows in ((halted, lanes), ([-1] * 9, bare)):
+            case = dict(lanes=rows, pos=pos, speed=speed,
+                        halted_by=halted_by, noise=noise)
             got_speed, got_pos = run_kernel(case)
             want_speed, want_pos = run_vector(case)
             assert got_speed.tobytes() == want_speed.tobytes(), (
@@ -170,8 +198,9 @@ def test_follow_speeds_pins_numpy_edge_semantics():
             assert not np.signbit(got_speed).any()
             # the arriving head is free: accelerate to the limit at most
             assert got_speed[4] == min(12.0 + 2.6, 14.0) - noise[4]
-            if cap_arr:
+            if rows is lanes:
                 assert got_speed[5] == 0.0 and got_pos[5] == 20.0
+                assert got_speed[8] == 0.0 and got_pos[8] == 0.0
             # exactly min_gap behind a leader: no free run, no move
             assert got_speed[1] == 0.0 and got_pos[1] == 100.0
 

@@ -6,8 +6,9 @@ Index:
   signals      red-line holds and per-phase release
   bookkeeping  determinism, conservation, spawn backpressure, audits
   incidents    designated halts and impact-zone speed caps in motion
-  tables       signal table, lane-queue capture and once-per-incident
-               zones against the per-second loops they replace
+  tables       signal table, lane-queue capture and the lane caps resolved
+               per change of the active incidents against the per-second
+               loops they replace
   step         the fused per-queue step against the vectorized step it
                replaced, state bitwise equal after every second
 """
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab import microsim
+from trafficlab import kernels, microsim
 from trafficlab.demand import (FlowModelParams, SpawnEvent, SpawnSchedule,
                                spawn_schedule)
 from trafficlab.incidents import (IncidentSpec, IncidentType,
@@ -427,6 +428,58 @@ def cap_bits(caps):
     return sorted((slot, float.hex(cap)) for slot, cap in caps.items())
 
 
+def lane_table_caps(sim, lanes):
+    """Each queued vehicle's cap as the kernel's lane rows give it, by
+    slot, a vehicle without a cap absent: 0.0 when halted, the lane's cap
+    inside one of its zones, and the lane's limit where a zone over the
+    whole segment brought it below the segment's limit."""
+    st, tb = sim.state, sim.tables
+    caps = {}
+    for q, _fr, _vl, lim, cap, zones in lanes:
+        for slot in q:
+            p = st.pos[slot]
+            if st.halted_by[slot] >= 0:
+                caps[slot] = 0.0
+            elif any(lo <= p <= hi for lo, hi in zones):
+                caps[slot] = cap
+            elif lim != tb.limit[st.cur_seg[slot]]:
+                caps[slot] = lim
+    return caps
+
+
+def check_lane_caps(monkeypatch, sim, icfg):
+    """Make every kernel call of `sim` first check the cap its lane rows
+    give each queued vehicle, on the pre-step state, against
+    loop_apply_effects; returns the counters it fills: calls, capped and
+    halted vehicle-seconds, and whole-lane caps (folded into a limit)."""
+    seen = {"calls": 0, "capped": 0, "halted": 0, "folded": 0}
+    move = kernels.follow_speeds
+
+    def checked(noise, lanes, *args):
+        st = sim.state
+        got = lane_table_caps(sim, lanes)
+        want = loop_apply_effects(st, [a.spec for a in st.active_incidents],
+                                  icfg, sim.tables.seg_ids)
+        assert cap_bits(got) == cap_bits(want), st.time
+        seen["calls"] += 1
+        seen["capped"] += sum(cap > 0 for cap in want.values())
+        seen["halted"] += sum(cap == 0.0 for cap in want.values())
+        seen["folded"] += sum(len(lane[0]) for lane in lanes
+                              if lane[3] != sim.tables.limit[
+                                  st.cur_seg[lane[0][0]]])
+        return move(noise, lanes, *args)
+
+    monkeypatch.setattr(kernels, "follow_speeds", checked)
+    return seen
+
+
+def change_seconds(plan, horizon):
+    """The seconds on which the active incident set changes: every onset
+    and every end inside the horizon."""
+    return ({s.onset for s in plan}
+            | {s.end for s in plan if s.end < horizon})
+
+
 def test_signal_table_matches_per_second_lookup(grid_net):
     # non-integer durations: phase edges fall between whole seconds
     line = make_signal_line_net(green_s=17.3, red_s=12.9)
@@ -451,11 +504,14 @@ def test_zone_caps_include_interval_edges():
     st = sim.state
     active = [activate(st, spec, icfg)]
     assert active[0].halted == [2] and st.halted_by == [-1, -1, 0, -1, -1]
-    # one row per lane queue: s1's single lane, its deque itself
-    (row,) = active[0].zone
-    assert row[1:] == (60.0, 140.0, 5.0)
-    assert row[0] is st.lane_queues["s1"][0]
-    caps = apply_effects(st, active)
+    # one row per zone interval, with its segment's cap
+    assert active[0].zone == (("s1", 60.0, 140.0, 5.0),)
+    # one row per lane queue (s0, s1, s2): s1's limit, cap and interval
+    rows = apply_effects(st, active)
+    assert rows == [(10.0, math.inf, ()), (10.0, 5.0, ((60.0, 140.0),)),
+                    (10.0, math.inf, ())]
+    lanes = [(q, 0.0, 0.0) + row for q, row in zip(st.queues, rows) if q]
+    caps = lane_table_caps(sim, lanes)
     # both interval ends are inside; the designated vehicle stops
     assert caps == {1: 5.0, 2: 0.0, 3: 5.0}
     assert cap_bits(caps) == cap_bits(loop_apply_effects(
@@ -479,26 +535,24 @@ def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
     sim = Simulation(grid_net, sched, plan, SensorPlacement(sites, 60.0),
                      SimConfig(seed=4), icfg)
 
-    seen = {"calls": 0, "capped": 0, "halted": 0}
+    seen = check_lane_caps(monkeypatch, sim, icfg)
+    resolved = []
 
-    def checked_apply_effects(state, active):
-        caps = apply_effects(state, active)
-        want = loop_apply_effects(state, [a.spec for a in active], icfg,
-                                  sim.tables.seg_ids)
-        assert cap_bits(caps) == cap_bits(want), state.time
-        seen["calls"] += 1
-        seen["capped"] += sum(cap > 0 for cap in want.values())
-        seen["halted"] += sum(cap == 0.0 for cap in want.values())
-        return caps
+    def counted_apply_effects(state, active):
+        resolved.append(state.time)
+        return apply_effects(state, active)
 
-    monkeypatch.setattr(microsim, "apply_effects", checked_apply_effects)
+    monkeypatch.setattr(microsim, "apply_effects", counted_apply_effects)
     sightings = 0
     for t in range(sim.horizon):
         sim.step()
         got = sim.rig.observe(sim.state, t)
         assert got == loop_observe(sim.rig, sim.state, t), t
         sightings += sum(r.count for r in got)
-    assert seen["calls"] > 300
+    # the lane caps are resolved once per change of the active set, and
+    # every second checks them
+    assert resolved == sorted(change_seconds(plan, sim.horizon))
+    assert seen["calls"] > 1000
     assert seen["capped"] > 100 and seen["halted"] > 100
     assert sightings > 1000
 
@@ -818,3 +872,52 @@ def test_step_matches_vector_step_on_a_highway_day():
     sim, moved, halted = assert_steps_match_vector_step(lambda: Simulation(
         net, sched, plan, None, SimConfig(seed=7), icfg))
     assert moved > 100000 and halted > 1000 and sim.state.arrived > 1000
+
+
+def test_step_matches_vector_step_on_a_line_with_partial_and_whole_zones(
+        monkeypatch):
+    """Two lanes per segment; two zones that leave a gap on s1, a third
+    that covers all of s2 and reaches back onto s1's end; the first
+    incident is released partway through.  The two stalls block both of
+    s1's lanes, so the crash finds s2 empty and only caps."""
+    net = make_line_net(lanes=2)  # s0 -> s1 -> s2, 200 m, limit 10
+    icfg = IncidentPlanConfig(slowdown_factor=0.3)
+    plan = [IncidentSpec(0, IncidentType.STALLED_VEHICLE,
+                         SeverityClass.MINOR, 60, 120, "s1", 50.0, 1, 30.0),
+            IncidentSpec(1, IncidentType.STALLED_VEHICLE,
+                         SeverityClass.MINOR, 90, 300, "s1", 160.0, 1, 20.0),
+            IncidentSpec(2, IncidentType.MULTI_VEHICLE_CRASH,
+                         SeverityClass.SEVERE, 100, 280, "s2", 100.0, 2,
+                         120.0)]
+    sched = SpawnSchedule(tuple(SpawnEvent(float(t), "a0", "a3")
+                                for t in range(0, 330, 3)), 420.0)
+
+    def make():
+        return Simulation(net, sched, plan, None, SimConfig(seed=3), icfg)
+
+    sim = make()
+    seen = check_lane_caps(monkeypatch, sim, icfg)
+    free = (10.0, math.inf, ())
+    cap = 0.3 * 10.0
+    rows_at = {}
+    gap = 0
+    for t in range(sim.horizon):
+        sim.step()
+        rows_at[t] = sim.lane_caps
+        st = sim.state
+        gap += sum(80.0 < st.pos[s] < 140.0 for q in st.queues[2:4]
+                   for s in q)
+    # queues 0-1 on s0, 2-3 on s1, 4-5 on s2; [180, 200] on s1 touches
+    # the second zone and merges with it
+    assert rows_at[59] == [free] * 6
+    assert rows_at[150] == ([free] * 2
+                            + [(10.0, cap, ((20.0, 80.0), (140.0, 200.0)))] * 2
+                            + [(cap, cap, ())] * 2)
+    assert rows_at[180][2:4] == [(10.0, cap, ((140.0, 200.0),))] * 2
+    assert rows_at[390] == [free] * 6
+    assert seen["capped"] > 500 and seen["halted"] > 200
+    assert seen["folded"] > 100 and gap > 100
+
+    monkeypatch.undo()
+    fused, moved, halted = assert_steps_match_vector_step(make)
+    assert moved > 2000 and halted > 200 and fused.state.arrived > 50
