@@ -1,10 +1,11 @@
-"""The two hot loops: the per-step car-following move and the
-boosted-tree histogram accumulation.
+"""The two hot loops: the 1 Hz car-following move and the boosted-tree
+histogram accumulation.
 
 `follow_speeds` walks the lane queues on Python floats, one vehicle at a
-time; `hist_build` is three numpy bincounts.  Callers reach them as
-``kernels.follow_speeds`` and ``kernels.hist_build`` so that a tracer can
-wrap the module attributes from outside.
+time, and moves each by one step of the simulator's fixed 1 s: a speed in
+m/s is the step's move in m.  `hist_build` is three numpy bincounts.
+Callers reach them as ``kernels.follow_speeds`` and ``kernels.hist_build``
+so that a tracer can wrap the module attributes from outside.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ ACTIVE_BACKEND = "python"
 
 
 def follow_speeds(noise, lanes, halted_by, pos, speed, accel, decel,
-                  min_gap, vehicle_length, dt):
-    """Move every queued vehicle one step: safe speed, then position.
+                  min_gap, vehicle_length):
+    """Move every queued vehicle one 1 s step: safe speed, then position.
 
     ``lanes`` holds one ``(queue, head_free, head_lead_speed, limit, cap,
     zones)`` per lane queue to move: the queue's vehicle slots front to
@@ -27,40 +28,40 @@ def follow_speeds(noise, lanes, halted_by, pos, speed, accel, decel,
     one of the closed ``(lo, hi)`` intervals of ``zones``.  ``noise``
     holds one term per vehicle, in the same order.  Every follower brakes
     behind its leader's pre-step position and speed.  The speed is capped
-    by acceleration, the limit, the free run per step and the zone cap,
-    is 0.0 for a vehicle whose ``halted_by`` is set (>= 0), then loses
-    the noise and is clamped at zero; ``speed[slot]`` and ``pos[slot]``
-    (lists of floats) are written in place.
+    by acceleration, the limit, the free run (the whole step's move) and
+    the zone cap, is 0.0 for a vehicle whose ``halted_by`` is set (>= 0),
+    then loses the noise and is clamped at zero; the position advances by
+    the speed.  ``speed[slot]`` and ``pos[slot]`` (lists of floats) are
+    written in place.
 
     Every comparison takes the second operand on a tie, as numpy's
     minimum and maximum do, so signed zeros come out as the vectorized
     form gives them.
     """
     sqrt = math.sqrt
-    adt = accel * dt
-    bt = decel * dt
-    neg_bt = -bt
-    bt2 = bt * bt
+    neg_b = -decel
+    b2 = decel * decel
     two_b = 2.0 * decel
     k = 0
     for q, fr, vl, lim, cap, zones in lanes:
+        if fr <= 0.0:
+            fr = 0.0
         back = None  # the leader's pre-step rear bumper
         for slot in q:
             p = pos[slot]
             v = speed[slot]
             if back is not None:
                 fr = back - p - min_gap
-            if fr <= 0.0:
-                fr = 0.0
-            vn = v + adt
+                if fr <= 0.0:
+                    fr = 0.0
+            vn = v + accel
             if lim <= vn:
                 vn = lim
-            x = neg_bt + sqrt(bt2 + vl * vl + two_b * fr)
+            x = neg_b + sqrt(b2 + vl * vl + two_b * fr)
             if x <= vn:
                 vn = x
-            x = fr / dt
-            if x <= vn:
-                vn = x
+            if fr <= vn:
+                vn = fr
             if zones:
                 for lo, hi in zones:
                     if lo <= p <= hi:
@@ -74,7 +75,7 @@ def follow_speeds(noise, lanes, halted_by, pos, speed, accel, decel,
             if vn <= 0.0:
                 vn = 0.0
             speed[slot] = vn
-            pos[slot] = p + vn * dt
+            pos[slot] = p + vn
             back = p - vehicle_length
             vl = v
 

@@ -18,15 +18,20 @@ against the live tail position at crossing time, so cross-segment moves
 preserve the invariant too.
 
 Vehicle state (per slot) and the network tables are Python lists, read and
-written one value at a time.  Incident effects are resolved only on a
-second when an incident activates or is released
-(`incidents.apply_effects`), to one row per lane queue: its limit, with
-the cap folded in where a zone covers the whole segment, and the
-intervals of the zones that cover part of it.  Every head's lookahead is
-taken first, on the pre-step state; then `kernels.follow_speeds` walks
-each lane queue once, front to back, capping each vehicle from its lane's
-row, and heads cross in queue order.  Driver noise is one draw per step
-in that canonical order.
+written one value at a time.  A step does its bookkeeping only when some is
+due.  Incidents are activated and released only on a second when the
+active set can change (the next onset, or the earliest end among the
+active ones); their effects are then resolved (`incidents.apply_effects`)
+to one row per lane queue: its limit, with the cap folded in where a zone
+covers the whole segment, and the intervals of the zones that cover part
+of it.  The entry nodes are walked only while a spawn is pending.  Every
+head's lookahead is taken first, on the pre-step state; a head too far
+from its segment end for anything beyond it to matter this second takes
+that distance as its free run, with no route walk, and cannot cross.  Then
+`kernels.follow_speeds` moves each lane queue once, front to back, by one
+1 s step, capping each vehicle from its lane's row, and the heads that
+may cross do so in queue order.  Driver noise is one draw per step in
+that canonical order.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from .roadnet import RoadNetwork, shortest_route
 from .sensors import RawDatasetBuilder, SensorRig
 
 
-DT = 1.0  # s per step; the capture cadence and model are built around 1 Hz
+DT = 1.0  # s per step; capture, the model and kernels.follow_speeds are 1 Hz
 
 
 class SimError(ValueError):
@@ -229,6 +234,9 @@ class Simulation:
         self.lane_caps = apply_effects(self.state, ())
         self._next_event = 0
         self._next_incident = 0
+        # the next second on which the active incident set can change; the
+        # first step sets it from the plan
+        self._next_change = 0
 
     # -- spawn / crossing helpers -------------------------------------------
 
@@ -260,6 +268,8 @@ class Simulation:
             st.pending[ev.entry].append(self._next_event)
             self._next_event += 1
             st.due += 1
+        if st.due == st.spawned:
+            return  # no vehicle waits at any entry
         vlen = float(self.cfg.vehicle_length)
         need = vlen + self.cfg.min_gap
         for entry in self.network.entry_nodes:
@@ -279,21 +289,17 @@ class Simulation:
                 st.queues[qi].append(slot)
                 st.spawned += 1
 
-    def _head_lookahead(self, slot: int, greens: tuple):
+    def _head_lookahead(self, slot: int, greens: tuple, dist: float,
+                        need: float):
         """Free run (m the front may advance) and effective leader speed for
-        a queue head, walking its route until a blocker or far enough."""
+        a queue head ``dist`` m from its segment end, walking its route
+        until a blocker or until ``need`` m, beyond which nothing can
+        constrain this step's choice (the step has found ``dist < need``)."""
         tb = self.tables
         cfg = self.cfg
         st = self.state
         pos = st.pos
-        v_next = st.speed[slot] + cfg.accel * DT
-        # distance beyond which a wall cannot constrain this step's choice
-        need = v_next * DT + (v_next * v_next) / (2.0 * cfg.decel) \
-            + cfg.min_gap + 1.0
         seg = st.cur_seg[slot]
-        dist = tb.length[seg] - pos[slot]
-        if dist >= need:
-            return dist, 0.0
         route = self.routes[slot]
         step = st.route_step[slot]
         while True:
@@ -317,70 +323,94 @@ class Simulation:
     # -- the step ------------------------------------------------------------
 
     def step(self, audit: AuditReport | None = None):
-        """Advance one dt: incident activation, spawning, one move of every
-        queued vehicle (kernels.follow_speeds), segment crossings and
-        arrivals."""
+        """Advance one DT: incident activation on change seconds, spawning
+        while any is pending, one move of every queued vehicle
+        (kernels.follow_speeds), segment crossings and arrivals."""
         st = self.state
         tb = self.tables
         cfg = self.cfg
         t = st.time
 
-        # incident activation/release at whole-second boundaries; the lane
-        # caps are resolved again only when the active set changes
-        changed = False
-        while (self._next_incident < len(self.incident_plan)
-               and self.incident_plan[self._next_incident].onset <= t):
-            spec = self.incident_plan[self._next_incident]
-            st.active_incidents.append(
-                activate(st, spec, self.incident_cfg))
-            self._next_incident += 1
-            changed = True
-        still = []
-        for inc in st.active_incidents:
-            if inc.spec.end <= t:
-                release_vehicles(st, inc)
+        # incident activation/release at whole-second boundaries, on the
+        # seconds the active set can change: the next onset or the earliest
+        # end among the active incidents; the lane caps are resolved again
+        # only when the set does change
+        if t >= self._next_change:
+            plan = self.incident_plan
+            changed = False
+            while (self._next_incident < len(plan)
+                   and plan[self._next_incident].onset <= t):
+                spec = plan[self._next_incident]
+                st.active_incidents.append(
+                    activate(st, spec, self.incident_cfg))
+                self._next_incident += 1
                 changed = True
-            else:
-                still.append(inc)
-        st.active_incidents = still
-        if changed:
-            self.lane_caps = apply_effects(st, st.active_incidents)
+            still = []
+            for inc in st.active_incidents:
+                if inc.spec.end <= t:
+                    release_vehicles(st, inc)
+                    changed = True
+                else:
+                    still.append(inc)
+            st.active_incidents = still
+            if changed:
+                self.lane_caps = apply_effects(st, still)
+            upcoming = [inc.spec.end for inc in still]
+            if self._next_incident < len(plan):
+                upcoming.append(plan[self._next_incident].onset)
+            self._next_change = min(upcoming, default=math.inf)
 
         self._insert_spawns()
 
         greens = tb.greens_at(t)
 
         # canonical order: queues ascending, front to back; every head's
-        # lookahead reads the pre-step state, before any vehicle moves
+        # lookahead reads the pre-step state, before any vehicle moves.  A
+        # head at least `need` m from its segment end is free up to it: no
+        # wall beyond can constrain its choice, and its move, at most
+        # v + accel*DT, stops min_gap + 1 m short of the end, so it cannot
+        # cross this second.
         lanes: list = []  # (queue, head free run, head leader speed,
         #                    limit, cap, zones)
-        heads: list = []  # (queue index, head slot)
+        near: list = []  # (queue index, slot) of heads that may cross
         rows = self.lane_caps
+        length = tb.length
+        cur_seg = st.cur_seg
+        pos = st.pos
+        speed = st.speed
+        gain = cfg.accel * DT
+        two_b = 2.0 * cfg.decel
+        min_gap = cfg.min_gap
         n = 0
         for qi, q in enumerate(st.queues):
             if q:
                 head = q[0]
-                fr, vl = self._head_lookahead(head, greens)
+                v_next = speed[head] + gain
+                need = v_next * DT + (v_next * v_next) / two_b \
+                    + min_gap + 1.0
+                dist = length[cur_seg[head]] - pos[head]
+                if dist >= need:
+                    fr, vl = dist, 0.0
+                else:
+                    fr, vl = self._head_lookahead(head, greens, dist, need)
+                    near.append((qi, head))
                 lim, cap, zones = rows[qi]
                 lanes.append((q, fr, vl, lim, cap, zones))
-                heads.append((qi, head))
                 n += len(q)
 
         if n:
             noise = (self.rng.random(n)
                      * (cfg.driver_imperfection * cfg.accel * DT)).tolist()
-            before = st.speed.copy() if audit is not None else None
+            before = speed.copy() if audit is not None else None
             kernels.follow_speeds(
-                noise, lanes, st.halted_by, st.pos, st.speed, cfg.accel,
-                cfg.decel, cfg.min_gap, cfg.vehicle_length, DT)
+                noise, lanes, st.halted_by, pos, speed, cfg.accel,
+                cfg.decel, cfg.min_gap, cfg.vehicle_length)
             if audit is not None:
                 self._audit_speeds(t, lanes, before, audit)
-            # heads cross in queue order; one still inside its segment
+            # near heads cross in queue order; one still inside its segment
             # has nothing to resolve
-            pos = st.pos
-            cur_seg = st.cur_seg
-            for qi, head in heads:
-                if pos[head] > tb.length[cur_seg[head]]:
+            for qi, head in near:
+                if pos[head] > length[cur_seg[head]]:
                     self._advance_head(qi, head, greens, audit)
 
         st.time = t + 1

@@ -17,6 +17,8 @@ from trafficlab import kernels
 from conftest import rng_for
 
 PARAMS = dict(accel=2.6, decel=4.5, min_gap=2.5, vehicle_length=5.0, dt=1.0)
+# the kernel moves one 1 s step and takes no dt
+KERNEL_PARAMS = {k: v for k, v in PARAMS.items() if k != "dt"}
 
 
 def vector_follow_speeds(pos, speed, leader, head_free, head_lead_speed,
@@ -88,7 +90,7 @@ def run_kernel(case):
     them into lists as the simulator does."""
     pos, speed = case["pos"].tolist(), case["speed"].tolist()
     kernels.follow_speeds(case["noise"], case["lanes"], case["halted_by"],
-                          pos, speed, **PARAMS)
+                          pos, speed, **KERNEL_PARAMS)
     return np.asarray(speed), np.asarray(pos)
 
 

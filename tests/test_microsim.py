@@ -10,7 +10,9 @@ Index:
                per change of the active incidents against the per-second
                loops they replace
   step         the fused per-queue step against the vectorized step it
-               replaced, state bitwise equal after every second
+               replaced, state bitwise equal after every second, also with
+               a spawn backlog and across incident change seconds; far
+               heads skip the lookahead and the crossing check
 """
 import math
 
@@ -921,3 +923,150 @@ def test_step_matches_vector_step_on_a_line_with_partial_and_whole_zones(
     monkeypatch.undo()
     fused, moved, halted = assert_steps_match_vector_step(make)
     assert moved > 2000 and halted > 200 and fused.state.arrived > 50
+
+
+def head_is_far(sim, slot):
+    """The lookahead's far test on the current state: the head is at least
+    one step's move plus its braking distance, min_gap and 1 m short of
+    its segment end."""
+    st, cfg = sim.state, sim.cfg
+    v_next = st.speed[slot] + cfg.accel * microsim.DT
+    need = v_next * microsim.DT + (v_next * v_next) / (2.0 * cfg.decel) \
+        + cfg.min_gap + 1.0
+    return sim.tables.length[st.cur_seg[slot]] - st.pos[slot] >= need
+
+
+def test_far_heads_skip_the_lookahead_and_the_crossing(grid_net):
+    """On an audited grid run with incidents, only heads that fail the far
+    test on the state the queue walk reads (after spawning) take the
+    lookahead or reach _advance_head; every head that skips them ends its
+    second on its segment, inside it."""
+    busy = FlowModelParams(a1=0.0, b1=1.0, c1=0.0, a2=0.0, b2=2.0, c2=0.0,
+                           d=20.0, alpha_sigma=0.0)
+    sched = spawn_schedule(busy, grid_net, 3600.0, seed=4,
+                           bin_duration=100.0)
+    icfg = IncidentPlanConfig(p_incident=0.03, p_severe=0.5,
+                              minor_duration_s=(200.0, 400.0),
+                              severe_duration_s=(400.0, 800.0),
+                              base_radius_m=150.0, slowdown_factor=0.2)
+    plan = plan_incidents(sched, icfg, grid_net, seed=4)
+    assert len(plan) >= 3
+    sim = Simulation(grid_net, sched, plan, None, SimConfig(seed=4), icfg)
+    st, tb = sim.state, sim.tables
+    far, near, looked, advanced = {}, set(), [], []
+    insert, lookahead, advance = (sim._insert_spawns, sim._head_lookahead,
+                                  sim._advance_head)
+
+    def classify_after_spawns():
+        insert()
+        far.clear()
+        near.clear()
+        for q in st.queues:
+            if q:
+                if head_is_far(sim, q[0]):
+                    far[q[0]] = st.cur_seg[q[0]]
+                else:
+                    near.add(q[0])
+
+    def counted_lookahead(slot, *args):
+        looked.append(slot)
+        return lookahead(slot, *args)
+
+    def counted_advance(qi, slot, *args):
+        advanced.append(slot)
+        return advance(qi, slot, *args)
+
+    sim._insert_spawns = classify_after_spawns
+    sim._head_lookahead = counted_lookahead
+    sim._advance_head = counted_advance
+    report = AuditReport()
+    far_seconds = head_seconds = crossings = 0
+    for _ in range(sim.horizon):
+        looked.clear()
+        advanced.clear()
+        sim.step(report)
+        assert sorted(looked) == sorted(near), st.time
+        assert set(advanced) <= near, st.time
+        for slot, seg in far.items():
+            assert st.cur_seg[slot] == seg, (st.time, slot)
+            assert st.pos[slot] <= tb.length[seg], (st.time, slot)
+        far_seconds += len(far)
+        head_seconds += len(far) + len(near)
+        crossings += len(advanced)
+    assert report.ok, report.violations[:5]
+    assert far_seconds > head_seconds / 2
+    assert crossings > 1000 and st.arrived > 100
+
+
+def test_step_matches_vector_step_with_a_spawn_backlog():
+    """The oversaturated single-lane entry of
+    test_oversaturated_entry_defers_spawns: a backlog on every second
+    after the first, so every step walks the entry."""
+    net = make_line_net()
+    events = tuple(SpawnEvent(float(t // 2), "a0", "a3") for t in range(600))
+    sched = SpawnSchedule(events, 300.0)
+    sims, backlog = [], []
+
+    def make():
+        sim = Simulation(net, sched, cfg=SimConfig(**NO_NOISE))
+        if not sims:
+            insert = sim._insert_spawns
+
+            def recorded():
+                insert()
+                backlog.append(sim.state.due - sim.state.spawned)
+
+            sim._insert_spawns = recorded
+        sims.append(sim)
+        return sim
+
+    fused, moved, _halted = assert_steps_match_vector_step(make)
+    assert len(backlog) == fused.horizon and max(backlog) > 0
+    assert fused.state.deferred_count == sims[1].state.deferred_count > 0
+    assert moved > 1000
+
+
+def test_step_matches_vector_step_on_incident_change_seconds(monkeypatch):
+    """Incidents start at t = 0, one ends on the second another starts and
+    one ends at the horizon (never released): the activation and release
+    block does its work on the change seconds alone."""
+    net = make_line_net(lanes=2)  # s0 -> s1 -> s2, 200 m, limit 10
+    icfg = IncidentPlanConfig(slowdown_factor=0.3)
+    horizon = 420
+    plan = [IncidentSpec(0, IncidentType.STALLED_VEHICLE,
+                         SeverityClass.MINOR, 0, 100, "s1", 50.0, 1, 30.0),
+            IncidentSpec(1, IncidentType.STALLED_VEHICLE,
+                         SeverityClass.MINOR, 100, 150, "s1", 160.0, 1, 20.0),
+            IncidentSpec(2, IncidentType.MULTI_VEHICLE_CRASH,
+                         SeverityClass.SEVERE, 180, horizon - 180, "s2",
+                         100.0, 2, 60.0)]
+    sched = SpawnSchedule(tuple(SpawnEvent(float(t), "a0", "a3")
+                                for t in range(0, 330, 3)), float(horizon))
+    calls = []
+
+    def wrap(name, fn):
+        def recorded(state, *args):
+            calls.append((state.time, name))
+            return fn(state, *args)
+        return recorded
+
+    for name in ("activate", "release_vehicles", "apply_effects"):
+        monkeypatch.setattr(microsim, name, wrap(name, getattr(microsim,
+                                                               name)))
+
+    fused, moved, halted = assert_steps_match_vector_step(
+        lambda: Simulation(net, sched, plan, None, SimConfig(seed=3), icfg))
+    changes = change_seconds(plan, horizon)
+    assert changes == {0, 100, 180, 250}
+    # two simulations were built, each resolving the empty set once
+    assert [c for c in calls if c[1] == "apply_effects"][:2] == [
+        (0, "apply_effects")] * 2
+    calls = calls[2:]
+    assert {t for t, _name in calls} == changes
+    assert sorted(t for t, name in calls if name == "activate") == [
+        s.onset for s in plan]
+    assert sorted(t for t, name in calls if name == "release_vehicles") == [
+        100, 250]
+    assert sorted(t for t, name in calls if name == "apply_effects") == (
+        sorted(changes))
+    assert halted > 100 and moved > 2000 and fused.state.arrived > 20
