@@ -12,7 +12,8 @@ Index:
               reader and written by its writer, gives back its own bytes;
               a bad value in a field of the first, middle or last row of
               its four CSVs loads finite or is refused naming the file;
-              write_lines is the package's one writer
+              write_lines is the package's one writer; the sha256 of eight
+              of those files and of one 2-h grid day is pinned
   errors      exit code 2 on module errors, bad --sensors lists,
               undecodable input files, malformed sub-models, a bin_seconds
               other than the counts', incidents off the network, non-finite
@@ -30,6 +31,7 @@ import copy
 import dataclasses
 import functools
 import glob
+import hashlib
 import io
 import itertools
 import json
@@ -820,6 +822,71 @@ def test_every_pipeline_file_reads_back_to_its_own_bytes(pipeline_run,
     src, dst = pipeline_run / where, tmp_path / name
     read_then_write(str(src), str(dst))
     assert dst.read_bytes() == src.read_bytes()
+
+
+# sha256 of the files the pipeline writes.  They pin every float path,
+# numpy's included, so a change that alters output bytes on purpose
+# updates them and says in CHANGES.md which files changed and why.
+PIPELINE_DIGESTS = {
+    "raw.csv":
+        "73ddaf44a8223ba6b7ea6d8cc6d8a28b3b8e2203b4882e0f2778e904e885cdbe",
+    "incidents.csv":
+        "5f114c2fc44be4d59dcae00fb3a0d2e9d227cf2f26ee3a917aecf12e272d55d6",
+    "spawns.csv":
+        "924f5bf3c8de3907656f4868c9f71a75d7209dc93f6fb425fd291daa267c4a86",
+    "features.csv":
+        "6454244d5a3d51837ed1c96efaecdb2c075403651654355e3e5e4bee32a643d5",
+    "model.json":
+        "17983e9c4f5fdc01b30ae919e84a58b0279d163b63304c2edad33bdb8ae3bda6",
+    "report.txt":
+        "8859b08c8c11f5922fb8fbe0256c96e7aa4fcf0356959a6bc44809445eeedd11",
+    "validation.csv":
+        "9d251326b2ba2956680093ff1e2808c1daf0e4ba035c6db7518013a804036e72",
+    "sweep.csv":
+        "c2b0381553feccdbccdcfb77638ed6a54664aaabe7100313c629bd42e6d7dcab",
+}
+GRID_DAY_DIGESTS = {
+    "raw.csv":
+        "a3a5a1c9765aa5b3675b26156d83002d51da75a70b3f116ed0b97f6a06002c71",
+    "incidents.csv":
+        "c37e4a63e5400716e437e690eba9a133d54c04957b86605cdb9730194f06e838",
+    "spawns.csv":
+        "0ab2a1d8b8e21a7c392d1b779fb6685569ef55340c05e979a0360ac7e92f9ccc",
+}
+
+
+def changed_digests(root, paths, digests) -> list:
+    """A line for each file under root whose sha256 is not its digest."""
+    changed = []
+    for name, want in digests.items():
+        got = hashlib.sha256((root / paths[name]).read_bytes()).hexdigest()
+        if got != want:
+            changed.append(f"{name}: sha256 {got}, pinned {want}")
+    return changed
+
+
+@pytest.fixture(scope="module")
+def grid_day(tmp_path_factory):
+    """One 2-h day on the signalized grid with the desk incidents and its
+    4 sensors."""
+    from test_acceptance import desk_config
+
+    tmp = tmp_path_factory.mktemp("grid_day")
+    cfg = desk_config(str(tmp), days=1, day_seconds=7200)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", cfg]) == 0
+    return tmp / "days" / "day_000"
+
+
+def test_pipeline_files_keep_their_bytes(pipeline_run, grid_day):
+    changed = changed_digests(
+        pipeline_run, {name: where for name, (where, _rw)
+                       in ROUND_TRIPS.items()}, PIPELINE_DIGESTS)
+    changed += [f"grid day {line}" for line in changed_digests(
+        grid_day, {name: name for name in GRID_DAY_DIGESTS},
+        GRID_DAY_DIGESTS)]
+    assert not changed, (f"under numpy {np.__version__}: "
+                         + "; ".join(changed))
 
 
 def _feature_numbers(table, text):
