@@ -155,11 +155,11 @@ class _Binner:
     1..j+1 left, so ``code <= j + 1`` is exactly ``x <= cuts[j]`` (exact
     midpoints when the unique values fit in the bin budget, quantiles
     beyond).  ``cells`` holds each row's histogram cell per feature, its
-    code plus the feature times ``width``.  The split candidates are flat
-    arrays in (feature, missing side, cut) order, each feature with its own
-    cuts only.  A feature gets missing-left candidates only when it has a
-    NaN in X: without one, missing-left ties missing-right, which comes
-    first, so it can never win.
+    code plus the feature times ``width``.  The split candidates come in
+    runs, one per (feature, missing side) in that order, each holding its
+    feature's own cuts, ascending.  A feature gets a missing-left run only
+    when it has a NaN in X: without one, missing-left ties missing-right,
+    which comes first, so it can never win.
     """
 
     def __init__(self, X: np.ndarray, max_bins: int):
@@ -195,33 +195,30 @@ class _Binner:
 
         # candidate runs, one per (feature, missing side) with cuts
         nan_cols = np.isnan(X).any(axis=0)
-        runs = []
-        for f in np.flatnonzero(self.n_cuts):
-            runs.append((f, False))
-            if nan_cols[f]:
-                runs.append((f, True))
-        sizes = np.array([self.n_cuts[f] for f, _ in runs], dtype=np.intp)
-        self.run_sizes = sizes
-        self.run_starts = np.cumsum(sizes) - sizes
-        feat = np.repeat([f for f, _ in runs], sizes).astype(np.intp)
-        self.cand_feature = feat
-        self.cand_missing_left = np.repeat([s for _, s in runs],
-                                           sizes).astype(bool)
-        self.cand_cut = (np.arange(feat.size)
-                         - np.repeat(self.run_starts, sizes))
-        # gather indices into the (g/h/n, feature, cut) prefix sums, and
-        # into the missing sums, whose last column is the zero a
-        # missing-right candidate adds
+        runs = [(f, side) for f in np.flatnonzero(self.n_cuts)
+                for side in ((False, True) if nan_cols[f] else (False,))]
+        feat = np.array([f for f, _ in runs], dtype=np.intp)
+        self.run_feature = feat
+        self.run_missing_left = np.array([s for _, s in runs], dtype=bool)
+        # where a run's cuts sit in the flat (feature, code) count sums:
+        # cut j of feature f is code j + 1, and the missing code 0 sits
+        # just before cut 0
+        self.run_first = feat * self.width + 1
+        self.run_stop = self.run_first + self.n_cuts[feat]
+        # and in the (g/h, feature, cut) prefix sums, and the missing sums,
+        # whose last column is the zero a missing-right run adds
         stride = self.max_cuts + 1
-        self.cand_prefix = feat * stride + self.cand_cut
-        self.cand_missing = np.where(self.cand_missing_left, feat, n_feat)
+        self.run_prefix = feat * stride
+        self.run_missing = np.where(self.run_missing_left, feat, n_feat)
         self.total_at = np.arange(n_feat) * stride + self.n_cuts
-        # scratch the split search fills in place at every node
-        self.prefix = np.empty((3, n_feat, stride))
-        self.missing = np.zeros((3, n_feat + 1))
-        self.sums = np.empty((2, 3, feat.size))
-        self.added = np.empty((3, feat.size))
-        self.gains = np.empty(feat.size)
+        # scratch the split search fills in place at every node; the kept
+        # candidates fill the front of sums and gains
+        n_cand = int(self.n_cuts[feat].sum())
+        self.prefix = np.empty((2, n_feat, stride))
+        self.missing = np.zeros((2, n_feat + 1))
+        self.run_sums = np.empty((5, feat.size))
+        self.sums = np.empty(4 * n_cand)
+        self.gains = np.empty(n_cand)
 
 
 def _best_split(hist_g, hist_h, hist_n, binner: _Binner,
@@ -230,59 +227,96 @@ def _best_split(hist_g, hist_h, hist_n, binner: _Binner,
     None.
 
     The histograms are (feature, bin), flat or 2-d, at least
-    ``binner.width`` bins per feature; bins past a feature's own are never
-    gathered.  Prefix sums run over each feature's value bins, the binner's
-    candidates are gathered from them, and all are scored in one flat
-    array.  The first strict maximum in (feature, missing side, cut) order
-    wins: exact ties go to the lower feature, then to missing-right before
-    missing-left, then to the lower cut.  A (feature, missing side) run
-    holding a NaN gain is skipped whole.
+    ``binner.width`` bins per feature, and the count histogram holds each
+    of the node's rows once per feature; bins past the widest feature's are
+    never read.  A candidate is kept only when it leaves at least
+    ``min_samples_leaf`` rows on each side, which the counts decide before
+    any gradient is summed.  The kept candidates' gradient and hessian sums
+    are gathered from per-feature prefix sums and scored in one flat
+    array.  The first strict maximum in
+    (feature, missing side, cut) order wins: exact ties go to the lower
+    feature, then to missing-right before missing-left, then to the lower
+    cut.  A (feature, missing side) run holding a NaN gain among its kept
+    candidates is skipped whole.
     """
-    if binner.cand_feature.size == 0:
+    if binner.run_feature.size == 0:
         return None
-    lam = cfg.reg_lambda
-    msl = cfg.min_samples_leaf
     n_feat = binner.n_cuts.size
-    prefix, miss, sums = binner.prefix, binner.missing, binner.sums
+    top = binner.max_cuts + 2
+    hist_g = hist_g.reshape(n_feat, -1)[:, :top]
+    hist_h = hist_h.reshape(n_feat, -1)[:, :top]
+    hist_n = hist_n.reshape(n_feat, -1)[:, :top]
+    # The running count over the flat (feature, code) grid never falls, so
+    # the cuts of a run that leave msl rows on each side are one stretch of
+    # it, found by two binary searches.  The rows left of a cut are those
+    # counted past `before`, the running count through the run's missing
+    # code (missing-right) or up to it (missing-left).
+    count = hist_n.cumsum()
+    rows = count[top - 1]
+    msl = cfg.min_samples_leaf
+    before = count.take(binner.run_first - 1)
+    before -= hist_n[:, 0].take(binner.run_feature) * binner.run_missing_left
+    start = count.searchsorted(before + msl)
+    stop = count.searchsorted(before + (rows - msl), side="right")
+    np.maximum(start, binner.run_first, out=start)
+    np.minimum(stop, binner.run_stop, out=stop)
+    kept = np.maximum(stop - start, 0)
+    ends = kept.cumsum()
+    m = int(ends[-1])
+    if m == 0:
+        return None
     # value codes run 1..k+1; cut j splits code <= j+1 from above.  Prefix
     # sums run bin by bin, so a feature's sums over its own bins do not
     # depend on the bins behind them.
-    for k, hist in enumerate((hist_g, hist_h, hist_n)):
-        hist = hist.reshape(n_feat, -1)
-        np.cumsum(hist[:, 1:binner.max_cuts + 2], axis=1, out=prefix[k])
-        miss[k, :n_feat] = hist[:, 0]
-    flat = prefix.reshape(3, -1)
+    prefix, miss = binner.prefix, binner.missing
+    hist_g[:, 1:].cumsum(axis=1, out=prefix[0])
+    hist_h[:, 1:].cumsum(axis=1, out=prefix[1])
+    miss[0, :n_feat] = hist_g[:, 0]
+    miss[1, :n_feat] = hist_h[:, 0]
+    flat = prefix.reshape(2, -1)
     total = flat.take(binner.total_at, axis=1)
     total += miss[:, :n_feat]
-    # sums[side of the cut, g/h/n, candidate]
-    np.take(flat, binner.cand_prefix, axis=1, out=sums[0])
-    np.take(miss, binner.cand_missing, axis=1, out=binner.added)
-    sums[0] += binner.added
-    np.take(total, binner.cand_feature, axis=1, out=sums[1])
-    sums[1] -= sums[0]
-    g, h, n = sums[:, 0], sums[:, 1], sums[:, 2]
-    gains = binner.gains
+    lam = cfg.reg_lambda
+    # per run: the (g, h) its missing rows add on the left, its feature's
+    # (g, h) totals and parent score; then the same per kept candidate
+    per_run = binner.run_sums
+    miss.take(binner.run_missing, axis=1, out=per_run[:2])
+    total.take(binner.run_feature, axis=1, out=per_run[2:4])
+    # a kept candidate's prefix index: its run's cut 0 plus its cut
+    at = (binner.run_prefix + start - binner.run_first - ends
+          + kept).repeat(kept)
+    at += np.arange(m)
+    # sums[side of the cut, g/h, kept candidate]
+    sums = binner.sums[:4 * m].reshape(2, 2, m)
+    flat.take(at, axis=1, out=sums[0])
+    g, h = sums[:, 0], sums[:, 1]
+    gains = binner.gains[:m]
     with np.errstate(divide="ignore", invalid="ignore"):
-        parent = total[0] * total[0] / (total[1] + lam)
+        (total[0] * total[0] / (total[1] + lam)).take(binner.run_feature,
+                                                       out=per_run[4])
+        per_cand = per_run.repeat(kept, axis=1)
+        sums[0] += per_cand[:2]
+        np.subtract(per_cand[2:4], sums[0], out=sums[1])
         h += lam
         g *= g
         g /= h
         np.add(g[0], g[1], out=gains)
-        gains -= parent.take(binner.cand_feature)
+        gains -= per_cand[4]
         gains *= 0.5
-    masked = n[0] < msl
-    masked |= n[1] < msl
-    np.putmask(gains, masked, -np.inf)
-    i = int(np.argmax(gains))
+    i = int(gains.argmax())
     if np.isnan(gains[i]):  # argmax stops at the first NaN
-        bad = np.logical_or.reduceat(np.isnan(gains), binner.run_starts)
-        gains[np.repeat(bad, binner.run_sizes)] = -np.inf
-        i = int(np.argmax(gains))
+        run = np.arange(kept.size).repeat(kept)
+        bad = np.zeros(kept.size, dtype=bool)
+        bad[run[np.isnan(gains)]] = True
+        gains[bad[run]] = -np.inf
+        i = int(gains.argmax())
     best = float(gains[i])
     if not best > 0.0:
         return None
-    return (best, int(binner.cand_feature[i]), int(binner.cand_cut[i]),
-            bool(binner.cand_missing_left[i]))
+    r = int(ends.searchsorted(i, side="right"))
+    cut = start[r] - binner.run_first[r] + i - (ends[r] - kept[r])
+    return (best, int(binner.run_feature[r]), int(cut),
+            bool(binner.run_missing_left[r]))
 
 
 def _grow_tree(binner: _Binner, rows, grad, hess,
@@ -297,7 +331,8 @@ def _grow_tree(binner: _Binner, rows, grad, hess,
     rows are routed down the same splits on their codes, which is exactly
     the float routing of ``_tree_predict``.
     """
-    top = int(np.argmax(np.square(grad[rows]).sum(axis=0)))
+    top = (0 if grad.shape[1] == 1
+           else int(np.argmax(np.square(grad[rows]).sum(axis=0))))
     codes = binner.codes
     size = codes.shape[1] * binner.width
     leaf_of = np.empty(codes.shape[0], dtype=np.intp)
@@ -326,7 +361,11 @@ def _grow_tree(binner: _Binner, rows, grad, hess,
             go_left &= code_col != 0
         return rows_part[go_left], rows_part[~go_left]
 
-    def build(rows_node, oob_node, depth: int, node: int):
+    # (in-bag rows, out-of-bag rows, depth, node) still to grow, popped
+    # left subtree first; a split numbers both children at once
+    stack = [(rows, np.flatnonzero(outside), 0, new_node())]
+    while stack:
+        rows_node, oob_node, depth, node = stack.pop()
         found = None
         if depth < cfg.max_depth \
                 and rows_node.size >= 2 * cfg.min_samples_leaf:
@@ -338,21 +377,17 @@ def _grow_tree(binner: _Binner, rows, grad, hess,
                            / (hess[rows_node].sum(axis=0) + cfg.reg_lambda))
             leaf_of[rows_node] = node
             leaf_of[oob_node] = node
-            return
+            continue
         _gain, f, j, miss_left = found
         feature[node] = f
         threshold[node] = float(binner.cuts[f][j])
         missing_left[node] = miss_left
         rows_l, rows_r = split(rows_node, f, j, miss_left)
         oob_l, oob_r = split(oob_node, f, j, miss_left)
-        nl = new_node()
-        nr = new_node()
-        left[node] = nl
-        right[node] = nr
-        build(rows_l, oob_l, depth + 1, nl)
-        build(rows_r, oob_r, depth + 1, nr)
-
-    build(rows, np.flatnonzero(outside), 0, new_node())
+        left[node] = new_node()
+        right[node] = new_node()
+        stack.append((rows_r, oob_r, depth + 1, right[node]))
+        stack.append((rows_l, oob_l, depth + 1, left[node]))
     tree = _Tree(np.asarray(feature, dtype=np.int32),
                  np.asarray(threshold),
                  np.asarray(missing_left, dtype=bool),

@@ -20,6 +20,7 @@ from .demand import SpawnSchedule
 PASS_LEVEL = 0.05
 _SMALL_SAMPLE = 30
 _PERMUTATIONS = 2000
+_BLOCK_CELLS = 1 << 20
 
 
 class ValidationError(ValueError):
@@ -60,6 +61,43 @@ def _kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, total))
 
 
+def _permutation_p(a: np.ndarray, b: np.ndarray, d: float) -> float:
+    """(hits + 1) / (permutations + 1), a hit being a relabeling whose
+    statistic reaches d - 1e-12.  Permutation k takes the first a.size
+    members of the pooled sample after k in-place shuffles by
+    default_rng(0); the shuffles move an index vector, whose draws depend
+    only on its length, so they are the pooled sample's own.  Each
+    permutation's statistic comes from its count of first members at or
+    below each pooled value: a running count in pooled-rank order, read at
+    the last of each group of ties.  Permutations go in blocks of at most
+    _BLOCK_CELLS pooled entries."""
+    n = a.size
+    pooled = np.concatenate([a, b])
+    size = pooled.size
+    order = np.argsort(pooled, kind="stable")
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    ranked = pooled[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    at_or_below = last + 1
+    rng = np.random.default_rng(0)
+    perm = np.arange(size)
+    block = max(1, _BLOCK_CELLS // size)
+    hits = 0
+    for done in range(0, _PERMUTATIONS, block):
+        first = np.empty((min(block, _PERMUTATIONS - done), n),
+                         dtype=np.intp)
+        for row in first:
+            rng.shuffle(perm)
+            row[:] = perm[:n]
+        member = np.zeros((first.shape[0], size), dtype=np.intp)
+        np.put_along_axis(member, rank[first], 1, axis=1)
+        in_a = member.cumsum(axis=1)[:, last]
+        stat = np.abs(in_a / n - (at_or_below - in_a) / (size - n))
+        hits += int(np.count_nonzero(stat.max(axis=1) >= d - 1e-12))
+    return (hits + 1) / (_PERMUTATIONS + 1)
+
+
 def ks_two_sample(a, b) -> KsResult:
     """Two-sample KS test.
 
@@ -74,14 +112,7 @@ def ks_two_sample(a, b) -> KsResult:
     d = _ks_statistic(a, b)
     n, m = a.size, b.size
     if min(n, m) < _SMALL_SAMPLE:
-        rng = np.random.default_rng(0)
-        pooled = np.concatenate([a, b])
-        hits = 0
-        for _ in range(_PERMUTATIONS):
-            rng.shuffle(pooled)
-            if _ks_statistic(pooled[:n], pooled[n:]) >= d - 1e-12:
-                hits += 1
-        p = (hits + 1) / (_PERMUTATIONS + 1)
+        p = _permutation_p(a, b, d)
     else:
         lam = math.sqrt(n * m / (n + m)) * d
         p = _kolmogorov_sf(lam)

@@ -3,10 +3,11 @@
 Index:
   config      hyperparameter validation
   splits      root split against exhaustive enumeration, leaf closed form,
-              split search over the real candidates and whole fits against
-              loop and padded references, code routing, the hist_build
-              call contract, a multiclass round as a binary tree on its
-              top gradient column
+              split search over the real candidates (ties, NaN gains, cuts
+              that fail min_samples_leaf) and whole fits against loop and
+              padded references, no reference cycle from a fit, code
+              routing, the hist_build call contract, a multiclass round as
+              a binary tree on its top gradient column
   predict     tree-walk oracle with missing values, input checks
   training    learnability, loss monotonicity, determinism, base scores
   gating      stacked detector/localizer/severity behavior
@@ -16,6 +17,7 @@ Index:
 """
 import copy
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -315,6 +317,17 @@ def test_vectorized_split_equals_loop_on_degenerate_gains():
     g[x == 0.0] = 2.0
     best = split_case(X, g, h, min_samples_leaf=1, reg_lambda=0.0)
     assert best[:4] == (math.inf, 0, 0, False)
+    # feature 0's only NaN gain is at cut 0, whose left side holds one row:
+    # with two rows a leaf that cut is never scored, and cut 1 of the same
+    # run stays in play; with one row a leaf the NaN rules the run out
+    x = np.repeat(np.arange(4.0), [1, 5, 6, 6])
+    X = np.column_stack([x, rng.permutation(x)])
+    g = np.where(x == 0.0, 0.0, np.where(x == 1.0, 1.0, -1.0))
+    h = np.where(x == 0.0, 0.0, 1.0)
+    assert split_case(X, g, h, min_samples_leaf=2,
+                      reg_lambda=0.0)[1:] == (0, 1, False)
+    best = split_case(X, g, h, min_samples_leaf=1, reg_lambda=0.0)
+    assert best is None or best[1] == 1
 
 
 def test_vectorized_split_equals_loop_on_padded_features():
@@ -349,6 +362,20 @@ def test_vectorized_split_equals_loop_on_padded_features():
     split_case(X, g, np.ones(60), min_samples_leaf=5)
     X = np.full((30, 2), np.nan)
     assert split_case(X, np.ones(30), np.ones(30)) is None
+    # features that keep no cut: nearly constant, or values on too few
+    # rows, while the last feature keeps its cuts
+    for trial in range(20):
+        rng = rng_for("split-no-viable-cut", trial)
+        n = int(rng.integers(30, 120))
+        msl = int(rng.integers(3, 8))
+        odd = rng.choice(n, msl - 1, replace=False)
+        X = np.column_stack([np.zeros(n), np.full(n, np.nan),
+                             rng.normal(0.0, 1.0, n)])
+        X[odd, 0] = rng.normal(0.0, 1.0, msl - 1)
+        X[odd, 1] = rng.normal(0.0, 1.0, msl - 1)
+        g = rng.normal(0.0, 1.0, n)
+        best = split_case(X, g, np.full(n, 0.25), min_samples_leaf=msl)
+        assert best is None or best[1] == 2
 
 
 def test_vectorized_split_none_when_leaves_too_small():
@@ -359,6 +386,14 @@ def test_vectorized_split_none_when_leaves_too_small():
     h = np.full(40, 0.25)
     assert split_case(X, g, h, min_samples_leaf=20) is not None
     assert split_case(X, g, h, min_samples_leaf=21) is None
+    # the best cut leaves exactly min_samples_leaf rows on one side
+    x = np.arange(12.0)[:, None]
+    g = np.where(x[:, 0] < 3.0, -1.0, 1.0)
+    for side, grad, cut in (("left", g, 2), ("right", -g[::-1], 8)):
+        assert split_case(x, grad, np.ones(12),
+                          min_samples_leaf=3)[1:] == (0, cut, False), side
+        assert split_case(x, grad, np.ones(12),
+                          min_samples_leaf=4)[2] != cut, side
 
 
 def test_fit_equals_loop_reference_fit(tmp_path, monkeypatch):
@@ -451,6 +486,25 @@ def test_quantile_multiclass_fit_equals_padded_reference(tmp_path,
         save_model(model, path)
         texts.append(path.read_text(encoding="utf-8"))
     assert texts[0] == texts[1]
+
+
+def test_fit_leaves_no_reference_cycle():
+    """Growing a tree makes no reference cycle, so a fit leaves nothing for
+    the cycle collector to free.  A first fit runs before the count, as
+    numpy imports numpy.ma lazily and that import leaves cycles."""
+    X, y = xor_data(240, 0)
+    cfg = small_cfg(n_trees=6, max_depth=4, subsample=0.8)
+    train_tree_ensemble(X, y, cfg, names(3))
+    gc.collect()
+    gc.disable()
+    try:
+        ens = train_tree_ensemble(X, y, cfg, names(3))
+        model = train_incident_ensemble(gated_table(), cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert min(t.feature.size for t in ens.trees) > 3  # not stumps
+    assert model.localizer is not None
 
 
 def test_code_routing_equals_float_routing():

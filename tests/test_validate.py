@@ -2,7 +2,8 @@
 
 Index:
   statistic   exact sup-CDF-difference against a brute-force oracle
-  p-values    asymptotic series anchors and the permutation fallback
+  p-values    asymptotic series anchors and the permutation fallback,
+              whose one-pass null equals the per-permutation loop
   behavior    pass rates under same/different generating processes
   binning     entry-count aggregation from spawn schedules
   report      per-day summary formatting
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from trafficlab import validate
 from trafficlab.demand import SpawnEvent, SpawnSchedule
 from trafficlab.validate import (KsResult, PASS_LEVEL, ValidationError,
                                  _kolmogorov_sf, aggregate_bins,
@@ -120,6 +122,44 @@ def test_permutation_fallback_is_seeded_and_sane():
     lam = math.sqrt(12 * 18 / 30.0) * r1.statistic
     assert _kolmogorov_sf(lam) == pytest.approx(kolmogorov_series(lam),
                                                 abs=1e-9)
+
+
+def loop_permutation_p(a, b, d):
+    """Reference permutation null: shuffle the pooled sample in place with
+    default_rng(0) and score its first a.size values against the rest, one
+    permutation at a time."""
+    n = a.size
+    rng = np.random.default_rng(0)
+    pooled = np.concatenate([a, b])
+    hits = 0
+    for _ in range(validate._PERMUTATIONS):
+        rng.shuffle(pooled)
+        if validate._ks_statistic(pooled[:n], pooled[n:]) >= d - 1e-12:
+            hits += 1
+    return (hits + 1) / (validate._PERMUTATIONS + 1)
+
+
+def test_permutation_null_equals_the_loop(monkeypatch):
+    """The one-pass null gives the loop's p-value bit for bit: on tied
+    integer samples, continuous ones, a sample tied with itself, and in
+    blocks that do not divide the permutation count."""
+    cases = []
+    for trial in range(5):
+        rng = rng_for("ks-null", trial)
+        n = int(rng.integers(5, 30))
+        m = int(rng.integers(5, 120))
+        cases.append((rng.integers(0, 6, n).astype(float),
+                      rng.integers(0, 6, m) + float(trial % 3)))
+        cases.append((rng.normal(0.0, 1.0, n), rng.normal(0.3, 1.0, m)))
+    same = np.array([3.0, 1.0, 3.0, 2.0, 2.0, 5.0])
+    cases.append((same, same.copy()))
+    for block in (1 << 20, 7 * 41):
+        monkeypatch.setattr(validate, "_BLOCK_CELLS", block)
+        for a, b in cases[::1 if block > 1000 else 4]:
+            d = validate._ks_statistic(a, b)
+            got = validate._permutation_p(a, b, d)
+            assert got.hex() == loop_permutation_p(a, b, d).hex()
+            assert ks_two_sample(a, b).p_value == got
 
 
 # -- behavior ----------------------------------------------------------------
