@@ -490,8 +490,8 @@ def test_quantile_multiclass_fit_equals_padded_reference(tmp_path,
 
 def test_fit_leaves_no_reference_cycle():
     """Growing a tree makes no reference cycle, so a fit leaves nothing for
-    the cycle collector to free.  A first fit runs before the count, as
-    numpy imports numpy.ma lazily and that import leaves cycles."""
+    the cycle collector to free.  A first fit runs before the count: the
+    first np.unique call imports numpy.ma, and that import leaves cycles."""
     X, y = xor_data(240, 0)
     cfg = small_cfg(n_trees=6, max_depth=4, subsample=0.8)
     train_tree_ensemble(X, y, cfg, names(3))
