@@ -3,14 +3,14 @@
 An incident halts one or more designated vehicles at a planned point for a
 severity-scaled duration; every other vehicle within the radius of impact
 (path distance along the driving direction, both upstream and downstream)
-is capped to a fraction of its segment's speed limit.
+is capped to slowdown_factor times its segment's speed limit.
 
 Each incident designates its halted vehicles and computes its impact zone
 once, on activation.  The simulator resolves the active zones to one row
-per lane queue only when the active set changes (an onset or an end):
-the lane's limit, with the incident cap folded in where a zone covers the
-whole segment, and the intervals of the zones that cover part of it.  Its
-lane walk then caps each vehicle from its lane's row.
+per lane queue on each second an incident starts or ends: the lane's
+limit, which is the cap where a zone covers the whole segment, and the
+intervals of the zones that cover part of it.  Its lane walk then caps
+each vehicle from its lane's row.
 """
 from __future__ import annotations
 
@@ -52,6 +52,8 @@ class IncidentSpec:
     radius: float
 
     def __post_init__(self):
+        if self.onset < 0:
+            raise IncidentError("incident onset must not be negative")
         if self.duration <= 0:
             raise IncidentError("incident duration must be positive")
         for name in ("offset", "radius"):
@@ -238,47 +240,43 @@ def compute_impact_zones(net: RoadNetwork, spec: IncidentSpec) -> list:
 
 class ActiveIncident(NamedTuple):
     spec: IncidentSpec
-    zone: tuple  # rows (segment id, lo, hi, cap), one per zone interval
+    zone: tuple  # the (segment id, lo, hi) rows of compute_impact_zones
     halted: list  # the slots designated at onset, nearest first
 
 
-def activate(state, spec: IncidentSpec,
-             cfg: IncidentPlanConfig) -> ActiveIncident:
-    """Designate the spec's halted vehicles and compute its impact zone,
-    each interval with its segment's cap, slowdown_factor times the
-    segment's limit."""
-    net = state.network
-    zone = tuple((sid, lo, hi,
-                  float(cfg.slowdown_factor * net.segments[sid].speed_limit))
-                 for sid, lo, hi in compute_impact_zones(net, spec))
-    return ActiveIncident(spec, zone, designate_vehicles(state, spec))
+def activate(state, spec: IncidentSpec) -> ActiveIncident:
+    """Designate the spec's halted vehicles and compute its impact zone."""
+    return ActiveIncident(spec,
+                          tuple(compute_impact_zones(state.network, spec)),
+                          designate_vehicles(state, spec))
 
 
-def apply_effects(state, active) -> list:
+def apply_effects(state, active, slowdown: float) -> list:
     """One row (limit, cap, zones) per lane queue, in queue order, for the
     ActiveIncidents in `active`.
 
-    A run has one IncidentPlanConfig, so every zone interval on a segment
-    has the same cap, below or at the segment's limit.  Where a zone covers
-    the whole segment, [0, length], the lane's limit is that cap and its
-    zones are empty: every queued vehicle lies in [0, length].  Otherwise
-    the limit is the segment's and `zones` holds the sorted, merged, closed
-    (lo, hi) intervals that cover part of the lane, whose vehicles `cap`
-    holds (math.inf where there are none).  The halted vehicles are not in
-    the rows: the lane walk stops every vehicle whose `halted_by` is set.
+    A segment that some zone interval touches has the cap slowdown times
+    its limit, at or below the limit; the others have math.inf.  Where a
+    zone covers the whole segment, [0, length], the lane's limit is that
+    cap and its zones are empty: every queued vehicle lies in [0, length].
+    Otherwise the limit is the segment's and `zones` holds the sorted,
+    merged, closed (lo, hi) intervals that cover part of the lane, whose
+    vehicles `cap` holds.  The halted vehicles are not in the rows: the
+    lane walk stops every vehicle whose `halted_by` is set.
     """
     spans: dict = {}
     for inc in active:
-        for sid, lo, hi, cap in inc.zone:
-            spans.setdefault(sid, []).append((lo, hi, cap))
+        for sid, lo, hi in inc.zone:
+            spans.setdefault(sid, []).append((lo, hi))
     rows: list = []
     for sid, queues in state.lane_queues.items():
         seg = state.network.segments[sid]
-        limit, cap = float(seg.speed_limit), math.inf
+        limit = float(seg.speed_limit)
+        cap = float(slowdown * seg.speed_limit) if sid in spans else math.inf
         zones: list = []
-        for lo, hi, cap in sorted(spans.get(sid, ())):
+        for lo, hi in sorted(spans.get(sid, ())):
             if lo <= 0.0 and seg.length <= hi:
-                limit, zones = min(limit, cap), []
+                limit, zones = cap, []
                 break
             if zones and lo <= zones[-1][1]:
                 zones[-1] = (zones[-1][0], max(zones[-1][1], hi))

@@ -19,19 +19,19 @@ preserve the invariant too.
 
 Vehicle state (per slot) and the network tables are Python lists, read and
 written one value at a time.  A step does its bookkeeping only when some is
-due.  Incidents are activated and released only on a second when the
-active set can change (the next onset, or the earliest end among the
-active ones); their effects are then resolved (`incidents.apply_effects`)
-to one row per lane queue: its limit, with the cap folded in where a zone
-covers the whole segment, and the intervals of the zones that cover part
-of it.  The entry nodes are walked only while a spawn is pending.  Every
-head's lookahead is taken first, on the pre-step state; a head too far
-from its segment end for anything beyond it to matter this second takes
-that distance as its free run, with no route walk, and cannot cross.  Then
-`kernels.follow_speeds` moves each lane queue once, front to back, by one
-1 s step, capping each vehicle from its lane's row, and the heads that
-may cross do so in queue order.  Driver noise is one draw per step in
-that canonical order.
+due.  Incidents start and end on the seconds of one set, the plan's onsets
+and ends, built once per run.  On such a second the step activates the
+onsets in plan order, releases the ended incidents and resolves the
+active zones (`incidents.apply_effects`) to one row per lane queue: its
+limit, which is the cap where a zone covers the whole segment, and the
+intervals of the zones that cover part of it.  The entry nodes are walked
+only while a spawn is pending.  Every head's lookahead is taken first, on
+the pre-step state; a head too far from its segment end for anything
+beyond it to matter this second takes that distance as its free run, with
+no route walk, and cannot cross.  Then `kernels.follow_speeds` moves each
+lane queue once, front to back, by one 1 s step, capping each vehicle from
+its lane's row, and the heads that may cross do so in queue order.  Driver
+noise is one draw per step in that canonical order.
 """
 from __future__ import annotations
 
@@ -231,12 +231,13 @@ class Simulation:
         self.rng = np.random.default_rng(self.cfg.seed)
         self.state = SimState(self)
         # (limit, cap, zones) per lane queue for the active incidents
-        self.lane_caps = apply_effects(self.state, ())
+        self.lane_caps = apply_effects(self.state, (),
+                                       self.incident_cfg.slowdown_factor)
         self._next_event = 0
         self._next_incident = 0
-        # the next second on which the active incident set can change; the
-        # first step sets it from the plan
-        self._next_change = 0
+        # the seconds on which the active incident set changes
+        self._changes = frozenset(
+            t for spec in self.incident_plan for t in (spec.onset, spec.end))
 
     # -- spawn / crossing helpers -------------------------------------------
 
@@ -323,7 +324,7 @@ class Simulation:
     # -- the step ------------------------------------------------------------
 
     def step(self, audit: AuditReport | None = None):
-        """Advance one DT: incident activation on change seconds, spawning
+        """Advance one DT: incident changes on their seconds, spawning
         while any is pending, one move of every queued vehicle
         (kernels.follow_speeds), segment crossings and arrivals."""
         st = self.state
@@ -331,34 +332,24 @@ class Simulation:
         cfg = self.cfg
         t = st.time
 
-        # incident activation/release at whole-second boundaries, on the
-        # seconds the active set can change: the next onset or the earliest
-        # end among the active incidents; the lane caps are resolved again
-        # only when the set does change
-        if t >= self._next_change:
+        # on an onset or end second: activate the onsets in plan order,
+        # then release the ended incidents (so no onset designates a
+        # vehicle that an incident ending this second still holds), then
+        # resolve the lane caps again
+        if t in self._changes:
             plan = self.incident_plan
-            changed = False
             while (self._next_incident < len(plan)
                    and plan[self._next_incident].onset <= t):
-                spec = plan[self._next_incident]
                 st.active_incidents.append(
-                    activate(st, spec, self.incident_cfg))
+                    activate(st, plan[self._next_incident]))
                 self._next_incident += 1
-                changed = True
-            still = []
             for inc in st.active_incidents:
                 if inc.spec.end <= t:
                     release_vehicles(st, inc)
-                    changed = True
-                else:
-                    still.append(inc)
-            st.active_incidents = still
-            if changed:
-                self.lane_caps = apply_effects(st, still)
-            upcoming = [inc.spec.end for inc in still]
-            if self._next_incident < len(plan):
-                upcoming.append(plan[self._next_incident].onset)
-            self._next_change = min(upcoming, default=math.inf)
+            st.active_incidents = [inc for inc in st.active_incidents
+                                   if inc.spec.end > t]
+            self.lane_caps = apply_effects(
+                st, st.active_incidents, self.incident_cfg.slowdown_factor)
 
         self._insert_spawns()
 

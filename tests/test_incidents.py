@@ -39,6 +39,9 @@ def spec_of(seg="s1", offset=100.0, onset=30, duration=120, radius=50.0,
 def test_spec_validation():
     with pytest.raises(IncidentError, match="duration"):
         spec_of(duration=0)
+    with pytest.raises(IncidentError,
+                       match="^incident onset must not be negative$"):
+        spec_of(onset=-5)
     with pytest.raises(IncidentError, match="radius"):
         spec_of(radius=-1.0)
     for name, value in itertools.product(("offset", "radius"),
@@ -117,6 +120,8 @@ def test_incident_log_errors_name_file_and_line(tmp_path):
             ("1,stalled_vehicle,mild,30,120,s1,100.0,1,50.0",
              "SeverityClass"),
             ("1,stalled_vehicle,minor,30,120,s1,zz,1,50.0", "could not"),
+            ("1,stalled_vehicle,minor,-1,120,s1,100.0,1,50.0",
+             "incident onset must not be negative$"),
             ("1,stalled_vehicle,minor,30,0,s1,100.0,1,50.0", "duration"),
             ("1,multi_vehicle_crash,minor,30,120,s1,100.0,1,50.0",
              "at least two"),

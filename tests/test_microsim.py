@@ -11,8 +11,9 @@ Index:
                loops they replace
   step         the fused per-queue step against the vectorized step it
                replaced, state bitwise equal after every second, also with
-               a spawn backlog and across incident change seconds; far
-               heads skip the lookahead and the crossing check
+               a spawn backlog, across incident change seconds and on 24
+               generated small scenarios; far heads skip the lookahead and
+               the crossing check
 """
 import math
 
@@ -504,12 +505,12 @@ def test_zone_caps_include_interval_edges():
     for slot, pos in enumerate((150.0, 140.0, 100.0, 60.0, 50.0)):
         place(sim, slot, seg=1, pos=pos, speed=5.0)
     st = sim.state
-    active = [activate(st, spec, icfg)]
+    active = [activate(st, spec)]
     assert active[0].halted == [2] and st.halted_by == [-1, -1, 0, -1, -1]
-    # one row per zone interval, with its segment's cap
-    assert active[0].zone == (("s1", 60.0, 140.0, 5.0),)
+    # one row per zone interval
+    assert active[0].zone == (("s1", 60.0, 140.0),)
     # one row per lane queue (s0, s1, s2): s1's limit, cap and interval
-    rows = apply_effects(st, active)
+    rows = apply_effects(st, active, icfg.slowdown_factor)
     assert rows == [(10.0, math.inf, ()), (10.0, 5.0, ((60.0, 140.0),)),
                     (10.0, math.inf, ())]
     lanes = [(q, 0.0, 0.0) + row for q, row in zip(st.queues, rows) if q]
@@ -540,9 +541,9 @@ def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
     seen = check_lane_caps(monkeypatch, sim, icfg)
     resolved = []
 
-    def counted_apply_effects(state, active):
+    def counted_apply_effects(state, active, slowdown):
         resolved.append(state.time)
-        return apply_effects(state, active)
+        return apply_effects(state, active, slowdown)
 
     monkeypatch.setattr(microsim, "apply_effects", counted_apply_effects)
     sightings = 0
@@ -748,7 +749,7 @@ def vector_step(sim, audit):
     while (sim._next_incident < len(sim.incident_plan)
            and sim.incident_plan[sim._next_incident].onset <= t):
         spec = sim.incident_plan[sim._next_incident]
-        st.active_incidents.append(activate(st, spec, sim.incident_cfg))
+        st.active_incidents.append(activate(st, spec))
         sim._next_incident += 1
     still = []
     for inc in st.active_incidents:
@@ -1070,3 +1071,119 @@ def test_step_matches_vector_step_on_incident_change_seconds(monkeypatch):
     assert sorted(t for t, name in calls if name == "apply_effects") == (
         sorted(changes))
     assert halted > 100 and moved > 2000 and fused.state.arrived > 20
+
+
+INCIDENT_PATTERNS = ("none", "onset_at_zero", "back_to_back", "same_onset",
+                     "end_at_horizon", "three_random")
+
+
+def generated_incident(rng, iid, net, onset, duration, point=None):
+    """A stall or a crash at `point` (segment id, offset), by default a
+    random point of a random segment, whose zone covers that whole segment
+    or a part of it."""
+    sid, offset = point or (
+        sorted(net.segments)[rng.integers(len(net.segments))], None)
+    seg = net.segments[sid]
+    if offset is None:
+        offset = float(rng.uniform(0.0, seg.length))
+    if rng.random() < 0.5:  # reaches past both ends of its segment
+        radius = max(offset, seg.length - offset) + float(rng.uniform(0, 80))
+    else:
+        radius = float(rng.uniform(5.0, 60.0))
+    n = int(rng.integers(1, 4))
+    itype = (IncidentType.STALLED_VEHICLE if n == 1
+             else IncidentType.MULTI_VEHICLE_CRASH)
+    return IncidentSpec(iid, itype, SeverityClass.MINOR, int(onset),
+                        int(duration), seg.id, offset, n, radius)
+
+
+def generated_scenario(rng, pattern, signals, saturated):
+    """(network, schedule, plan) of one small seeded scenario: the
+    signalized line or a line of 2-4 segments with 1-3 lanes; a spawn
+    every second at one entry, or a few spread over the first half of
+    the horizon at every entry; incidents of the given pattern, each on a
+    random segment except the second of a back-to-back pair."""
+    net = (make_signal_line_net() if signals else make_line_net(
+        int(rng.integers(2, 5)), lanes=int(rng.integers(1, 4))))
+    horizon = int(rng.integers(120, 200))
+    exit_ = net.exit_nodes[0]
+    if saturated:
+        events = [SpawnEvent(float(t), net.entry_nodes[0], exit_)
+                  for t in range(horizon)]
+    else:
+        events = sorted(
+            (SpawnEvent(float(rng.uniform(0, horizon / 2)), entry, exit_)
+             for entry in net.entry_nodes
+             for _ in range(int(rng.integers(5, 20)))),
+            key=lambda ev: ev.time)
+    sched = SpawnSchedule(tuple(events), float(horizon))
+
+    def span(lo, hi):  # an onset in [lo, hi) and a duration that fits
+        onset = int(rng.integers(lo, hi))
+        return onset, int(rng.integers(1, horizon - onset + 1))
+
+    if pattern == "none":
+        windows = []
+    elif pattern == "onset_at_zero":
+        windows = [(0, int(rng.integers(10, horizon // 2)))]
+    elif pattern == "back_to_back":
+        first = (int(rng.integers(horizon // 4, horizon // 2)),
+                 int(rng.integers(1, horizon // 4)))
+        end = sum(first)
+        windows = [first, (end, int(rng.integers(1, horizon - end)))]
+    elif pattern == "same_onset":
+        onset = int(rng.integers(0, horizon // 2))
+        windows = [(onset, int(rng.integers(1, horizon - onset)))
+                   for _ in range(2)]
+    elif pattern == "end_at_horizon":
+        onset = int(rng.integers(0, horizon - 30))
+        windows = [span(0, horizon // 2), (onset, horizon - onset)]
+    else:
+        windows = [span(0, horizon - 1) for _ in range(3)]
+    plan = []
+    for i, (onset, duration) in enumerate(windows):
+        # back to back on the same point: the second incident's nearest
+        # vehicle is the one the first still halts
+        point = ((plan[0].segment_id, plan[0].offset)
+                 if pattern == "back_to_back" and i else None)
+        plan.append(generated_incident(rng, i, net, onset, duration, point))
+    return net, sched, plan
+
+
+def test_step_matches_vector_step_on_generated_scenarios(monkeypatch):
+    """24 seeded small scenarios, each incident pattern on the signalized
+    line and on three random lines, one in four with an oversaturated
+    entry: the step matches vector_step, and apply_effects runs on the
+    change seconds alone."""
+    rng = np.random.default_rng(2024)
+    resolved = []
+
+    def recorded(state, active, slowdown):
+        rows = apply_effects(state, active, slowdown)
+        resolved.append((state.time, rows))
+        return rows
+
+    monkeypatch.setattr(microsim, "apply_effects", recorded)
+    rows_seen, halted_total, backlog = [], 0, 0
+    for i in range(24):
+        net, sched, plan = generated_scenario(
+            rng, INCIDENT_PATTERNS[i % 6], signals=i < 6,
+            saturated=i % 4 == 0)
+
+        def make():
+            sim = Simulation(net, sched, plan, None, SimConfig(seed=i),
+                             IncidentPlanConfig(slowdown_factor=0.3))
+            resolved.clear()  # the resolve of the empty set on building
+            return sim
+
+        fused, _moved, halted = assert_steps_match_vector_step(make)
+        assert [t for t, _rows in resolved] == sorted(
+            change_seconds(plan, fused.horizon)), i
+        rows_seen += [row for _t, rows in resolved for row in rows]
+        halted_total += halted
+        backlog += fused.state.deferred_count
+    # whole-segment caps folded into the limit, partly zoned lanes, halted
+    # vehicles and a spawn backlog all occur
+    assert any(cap != math.inf and lim == cap for lim, cap, _z in rows_seen)
+    assert any(zones for _lim, _cap, zones in rows_seen)
+    assert halted_total > 100 and backlog > 0
