@@ -30,7 +30,11 @@ the pre-step state; a head too far from its segment end for anything
 beyond it to matter this second takes that distance as its free run, with
 no route walk, and cannot cross.  Then `kernels.follow_speeds` moves each
 lane queue once, front to back, by one 1 s step, capping each vehicle from
-its lane's row, and the heads that may cross do so in queue order.  Driver
+its lane's row and sighting it for the sensors from the same row, which
+carries the lane's watch (`SensorRig.watch`, joined to the caps once per
+resolve).  The heads that may cross do so in queue order; each is taken
+off the lists its old lane sighted it for and sighted again where it
+stops.  `run` closes each second's sightings into the raw table.  Driver
 noise is one draw per step in that canonical order.
 """
 from __future__ import annotations
@@ -46,7 +50,7 @@ from . import kernels
 from .incidents import (IncidentPlanConfig, activate, apply_effects,
                         release_vehicles)
 from .roadnet import RoadNetwork, shortest_route
-from .sensors import RawDatasetBuilder, SensorRig
+from .sensors import RawDatasetBuilder, SensorRig, watching
 
 
 DT = 1.0  # s per step; capture, the model and kernels.follow_speeds are 1 Hz
@@ -230,14 +234,29 @@ class Simulation:
 
         self.rng = np.random.default_rng(self.cfg.seed)
         self.state = SimState(self)
-        # (limit, cap, zones) per lane queue for the active incidents
-        self.lane_caps = apply_effects(self.state, (),
-                                       self.incident_cfg.slowdown_factor)
+        # (segment length, approached sensor's slot list, departed sensor's
+        # slot list) per lane queue, None where no sensor watches that end
+        tb = self.tables
+        watch = self.rig.watch if self.rig is not None else {}
+        self.range_m = self.rig.range_m if self.rig is not None else 0.0
+        self.watch = [watch.get(tb.seg_ids[i], (tb.length[i], None, None))
+                      for i in tb.queue_seg]
+        self._resolve_caps()
         self._next_event = 0
         self._next_incident = 0
         # the seconds on which the active incident set changes
         self._changes = frozenset(
             t for spec in self.incident_plan for t in (spec.onset, spec.end))
+
+    def _resolve_caps(self):
+        """Resolve the active incidents to `lane_caps`, one (limit, cap,
+        zones) row per lane queue, and join each to its queue's watch row
+        in `lane_rows`."""
+        self.lane_caps = apply_effects(self.state,
+                                       self.state.active_incidents,
+                                       self.incident_cfg.slowdown_factor)
+        self.lane_rows = [caps + watch for caps, watch
+                          in zip(self.lane_caps, self.watch)]
 
     # -- spawn / crossing helpers -------------------------------------------
 
@@ -326,7 +345,9 @@ class Simulation:
     def step(self, audit: AuditReport | None = None):
         """Advance one DT: incident changes on their seconds, spawning
         while any is pending, one move of every queued vehicle
-        (kernels.follow_speeds), segment crossings and arrivals."""
+        (kernels.follow_speeds), segment crossings and arrivals.  With a
+        sensor rig, the second's sightings stay in the rig's lists until
+        `SensorRig.close_second` takes them, as `run` does each second."""
         st = self.state
         tb = self.tables
         cfg = self.cfg
@@ -348,8 +369,7 @@ class Simulation:
                     release_vehicles(st, inc)
             st.active_incidents = [inc for inc in st.active_incidents
                                    if inc.spec.end > t]
-            self.lane_caps = apply_effects(
-                st, st.active_incidents, self.incident_cfg.slowdown_factor)
+            self._resolve_caps()
 
         self._insert_spawns()
 
@@ -361,10 +381,9 @@ class Simulation:
         # wall beyond can constrain its choice, and its move, at most
         # v + accel*DT, stops min_gap + 1 m short of the end, so it cannot
         # cross this second.
-        lanes: list = []  # (queue, head free run, head leader speed,
-        #                    limit, cap, zones)
+        lanes: list = []  # (queue, head free run, head leader speed, row)
         near: list = []  # (queue index, slot) of heads that may cross
-        rows = self.lane_caps
+        rows = self.lane_rows
         length = tb.length
         cur_seg = st.cur_seg
         pos = st.pos
@@ -385,8 +404,7 @@ class Simulation:
                 else:
                     fr, vl = self._head_lookahead(head, greens, dist, need)
                     near.append((qi, head))
-                lim, cap, zones = rows[qi]
-                lanes.append((q, fr, vl, lim, cap, zones))
+                lanes.append((q, fr, vl, rows[qi]))
                 n += len(q)
 
         if n:
@@ -395,7 +413,7 @@ class Simulation:
             before = speed.copy() if audit is not None else None
             kernels.follow_speeds(
                 noise, lanes, st.halted_by, pos, speed, cfg.accel,
-                cfg.decel, cfg.min_gap, cfg.vehicle_length)
+                cfg.decel, cfg.min_gap, cfg.vehicle_length, self.range_m)
             if audit is not None:
                 self._audit_speeds(t, lanes, before, audit)
             # near heads cross in queue order; one still inside its segment
@@ -412,13 +430,17 @@ class Simulation:
                       audit: AuditReport | None):
         """Resolve segment crossings for one queue head after the position
         update; followers can never reach their segment end (their step is
-        capped by the head's pre-step position)."""
+        capped by the head's pre-step position).  The head leaves the
+        sensor lists its old lane put it on and joins those that see it
+        where it stops, unless it arrived."""
         st = self.state
         tb = self.tables
         queues = st.queues
         seg = st.cur_seg[slot]
         hpos = st.pos[slot]
         route = self.routes[slot]
+        for slots in watching(self.watch[qi], self.range_m, hpos):
+            slots.remove(slot)
         while hpos > tb.length[seg]:
             step = st.route_step[slot]
             if step + 1 >= len(route):
@@ -457,6 +479,8 @@ class Simulation:
             if hpos < over:
                 break  # clamped by the new lane's tail
         st.pos[slot] = hpos
+        for slots in watching(self.watch[qi], self.range_m, hpos):
+            slots.append(slot)
 
     def _audit_speeds(self, t: int, lanes, before, audit: AuditReport):
         """Flag every new speed below zero or above the lesser of its
@@ -467,7 +491,7 @@ class Simulation:
         # a slower segment afterwards
         gain = self.cfg.accel * DT
         speed = self.state.speed
-        for q, _fr, _vl, lim, _cap, _zones in lanes:
+        for q, _fr, _vl, (lim, *_) in lanes:
             for slot in q:
                 v = speed[slot]
                 if v < 0 or v > min(lim, before[slot] + gain) + 1e-9:
@@ -512,7 +536,8 @@ class Simulation:
 def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
         cfg: SimConfig | None = None, incident_cfg=None,
         audit: bool = False) -> RunResult:
-    """Simulate the full horizon, capturing sensor readings each second.
+    """Simulate the full horizon, closing each second's sensor sightings
+    into the raw table.
 
     Returns the per-second raw dataset (None when placement is None) and
     the ground-truth incident log, plus bookkeeping counters and, with
@@ -528,7 +553,7 @@ def run(network: RoadNetwork, schedule, incident_plan=None, placement=None,
     for _ in range(sim.horizon):
         sim.step(report)
         if builder is not None:
-            sim.rig.capture(st, builder)
+            sim.rig.close_second(builder, st.speed)
     raw = None
     if builder is not None:
         sim.rig.finish(builder, sim.cfg.vehicle_length)

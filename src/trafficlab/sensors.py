@@ -4,16 +4,19 @@ A sensor at a node observes every vehicle whose along-road distance to the
 node is at most the capture range, on any segment incident to that node
 (approaching vehicles by distance-to-go, departing ones by distance-from).
 Each (sensor, second) yields exactly one reading, zero-count seconds
-included.  Capture resolves its plan once per run to one row per lane
-queue of each watched segment (the deque of vehicle slots in that lane).
-Each second it skips the empty queues, walks the others once, testing every
-vehicle against the sensor the segment approaches and the one it departs
-from, and appends each sensor's sorted vehicle ids and those vehicles'
-speeds.  Count, mean speed and occupancy are derived once per run, in
-whole-column numpy passes (`SensorRig.finish`).  A reading's mean speed
-sums its speeds in slot order, from +0.0 below 8 values and by numpy's own
-sum from 8 up (`mean_speeds`), so it equals `float(np.mean(...))` bit for
-bit.
+included.  Capture has no walk of its own: each sensor keeps one list of
+the slots it sees, and each watched segment one watch row (its length, the
+list of the sensor it approaches and that of the one it departs from).  The
+simulator hands every lane queue its segment's row, and
+`kernels.follow_speeds` appends each vehicle it moves to the lists whose
+range holds the new position; a head that crosses a segment end is taken
+off its old lists and sighted again where it stops (`watching`).  After
+each second `SensorRig.close_second` appends each sensor's sorted vehicle
+ids and those vehicles' speeds and empties the lists.  Count, mean speed
+and occupancy are derived once per run, in whole-column numpy passes
+(`SensorRig.finish`).  A reading's mean speed sums its speeds in slot
+order, from +0.0 below 8 values and by numpy's own sum from 8 up
+(`mean_speeds`), so it equals `float(np.mean(...))` bit for bit.
 
 The raw table holds one row per (second, sensor), time-major with sensors
 in sorted id order, and that row order is its only index: row i is second
@@ -50,6 +53,22 @@ class SensorReading(NamedTuple):
     occupancy: float
 
 
+def watching(watch, range_m: float, p: float) -> list:
+    """The slot lists of a watch row ``(seg_len, ahead, behind)`` whose
+    sensor sees a vehicle at position p of that segment: ``ahead`` when
+    ``seg_len - p <= range_m``, ``behind`` when ``p <= range_m``, each
+    only where it is not None.  These are the tests `kernels.follow_speeds`
+    applies to every vehicle it moves; this form serves the few vehicles
+    sighted outside it."""
+    seg_len, ahead, behind = watch
+    lists = []
+    if ahead is not None and seg_len - p <= range_m:
+        lists.append(ahead)
+    if behind is not None and p <= range_m:
+        lists.append(behind)
+    return lists
+
+
 def mean_speeds(count: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     """Each row's mean speed, 0.0 where its count is 0: row i's `count[i]`
     speeds follow row i - 1's in `speeds`.  Each mean equals
@@ -76,10 +95,12 @@ class SensorRig:
     `plan` lists each watched segment once, as (segment id, length, column
     of the sensor it approaches, column of the sensor it departs from),
     None where no sensor watches that end; a column is the sensor's index
-    in `sensor_ids`.  So a segment between two sensors is walked once per
-    second, not once per sensor, as SUMO attaches lane-area detectors to
-    lanes (Lopez et al., ITSC 2018).  `capture` walks the plan resolved to
-    the state's lane queues, one row per lane."""
+    in `sensor_ids`.  `watch` maps each watched segment id to its watch
+    row, (length, slot list of the approached sensor, slot list of the
+    departed one), the lists being those of `seen`, one per sensor.  So
+    the lanes of a segment between two sensors carry both, as SUMO
+    attaches lane-area detectors to lanes (Lopez et al., ITSC 2018), and
+    the simulator's move fills the lists (`kernels.follow_speeds`)."""
 
     def __init__(self, network: RoadNetwork, placement: SensorPlacement):
         validate_placement(network, placement)
@@ -103,53 +124,26 @@ class SensorRig:
         self.plan = tuple((seg_id, network.segments[seg_id].length, ahead,
                            behind)
                           for seg_id, (ahead, behind) in ends.items())
-        self._queues = None  # the lane_queues `_lanes` was resolved against
-        self._lanes: tuple = ()
+        # per sensor, the slots it sees in the second being closed
+        self.seen = tuple([] for _ in self.sensor_ids)
+        self.watch = {seg_id: (seg_len,
+                               None if ahead is None else self.seen[ahead],
+                               None if behind is None else self.seen[behind])
+                      for seg_id, seg_len, ahead, behind in self.plan}
 
-    def _lane_plan(self, lane_queues) -> tuple:
-        """`plan` resolved to one (lane deque, length, approached column,
-        departed column) row per lane queue of each watched segment.  The
-        deques live as long as the state, so this runs once per run."""
-        if lane_queues is not self._queues:
-            self._queues = lane_queues
-            self._lanes = tuple((q, seg_len, ahead, behind)
-                                for seg_id, seg_len, ahead, behind in self.plan
-                                for q in lane_queues[seg_id])
-        return self._lanes
-
-    def capture(self, state, builder: RawDatasetBuilder) -> None:
-        """Append the state's current second to the builder: one row per
-        sensor, in sensor_ids order, of its sorted vehicle ids, and those
-        vehicles' speeds in the same order.  `finish` derives the rest."""
-        range_m = self.range_m
-        pos = state.pos
-        seen: list = [[] for _ in self.sensor_ids]
-        for q, seg_len, ahead, behind in self._lane_plan(state.lane_queues):
-            if not q:
-                continue
-            if behind is None:
-                near_end = seen[ahead]
-                for slot in q:
-                    if seg_len - pos[slot] <= range_m:
-                        near_end.append(slot)
-            elif ahead is None:
-                near_start = seen[behind]
-                for slot in q:
-                    if pos[slot] <= range_m:
-                        near_start.append(slot)
-            else:
-                near_end, near_start = seen[ahead], seen[behind]
-                for slot in q:
-                    p = pos[slot]
-                    if seg_len - p <= range_m:
-                        near_end.append(slot)
-                    if p <= range_m:
-                        near_start.append(slot)
+    def close_second(self, builder: RawDatasetBuilder, speed) -> None:
+        """Append the second the `seen` lists hold to the builder: one row
+        per sensor, in sensor_ids order, of its sorted vehicle ids, and
+        those vehicles' speeds (read from ``speed``) in the same order;
+        then empty the lists.  `finish` derives the rest."""
+        seen = self.seen
         for slots in seen:
             slots.sort()
         builder.vehicle_ids.extend(map(tuple, seen))
-        builder.speeds.extend(map(state.speed.__getitem__,
+        builder.speeds.extend(map(speed.__getitem__,
                                   chain.from_iterable(seen)))
+        for slots in seen:
+            slots.clear()
 
     def finish(self, builder: RawDatasetBuilder,
                vehicle_length: float) -> None:
@@ -168,9 +162,20 @@ class SensorRig:
 
     def observe(self, state, t: int) -> list:
         """One SensorReading per sensor for the state's current second: the
-        row `capture` and `finish` give, as records."""
+        row `close_second` and `finish` give, as records, with every queued
+        vehicle of a watched segment sighted where it stands.  What the
+        `seen` lists held before is dropped."""
+        range_m = self.range_m
+        pos = state.pos
+        for slots in self.seen:
+            slots.clear()
+        for seg_id, watch in self.watch.items():
+            for q in state.lane_queues[seg_id]:
+                for slot in q:
+                    for slots in watching(watch, range_m, pos[slot]):
+                        slots.append(slot)
         one = RawDatasetBuilder(self.sensor_ids)
-        self.capture(state, one)
+        self.close_second(one, state.speed)
         self.finish(one, state.cfg.vehicle_length)
         count, speed, occupancy = (col.tolist() for col in one.blocks[-1])
         t = int(t)
@@ -230,11 +235,11 @@ class RawDataset:
 
 class RawDatasetBuilder:
     """The raw table, one step at a time: each step holds one row per
-    sensor, in sensor_ids order.  `SensorRig.capture` appends each row's
-    vehicle ids and the speeds of those vehicles, and `SensorRig.finish`
-    derives the rows' count, mean speed and occupancy as one block;
-    `add_step` takes a step's SensorReadings, as `SensorRig.observe` gives
-    them, as a block of its own."""
+    sensor, in sensor_ids order.  `SensorRig.close_second` appends each
+    row's vehicle ids and the speeds of those vehicles, and
+    `SensorRig.finish` derives the rows' count, mean speed and occupancy
+    as one block; `add_step` takes a step's SensorReadings, as
+    `SensorRig.observe` gives them, as a block of its own."""
 
     def __init__(self, sensor_ids: tuple):
         self.sensor_ids = tuple(sensor_ids)

@@ -3,6 +3,7 @@
 Index:
   line_net        three-segment open line, no signals
   signal_line_net line with one signalized middle junction
+  small_grid_net  2x3 two-way grid, signals where three roads meet
   grid_net        bundled 4x4 signalized grid
   flat_params     constant-rate flow curve for quick schedules
   traced_run      microsim.run plus the per-second state of every vehicle
@@ -63,6 +64,38 @@ def make_signal_line_net(green_s: float = 30.0, red_s: float = 30.0,
     plans = {"a1": (SignalPhase(frozenset({"s0"}), green_s),
                     SignalPhase(frozenset({"x0"}), red_s))}
     net = RoadNetwork(nodes, segments, plans, ("a0", "b0"), ("a2",))
+    validate_network(net)
+    return net
+
+
+def make_small_grid_net(length: float = 200.0, speed_limit: float = 10.0,
+                        lanes=(1,)) -> RoadNetwork:
+    """Two-way 2x3 grid g00..g12 (row, column), every node a sensor site;
+    the two middle nodes, where three roads arrive, are signalized with
+    the row's roads green in one phase and the column's in the other.
+    Entries are the left corners, the exit the lower right one.  Segment
+    i of the sorted ids has ``lanes[i % len(lanes)]`` lanes."""
+    nodes = {f"g{r}{c}": Node(f"g{r}{c}", c * length, r * length,
+                              signalized=c == 1, sensor_site=True)
+             for r in range(2) for c in range(3)}
+    ends = sorted({(a, b) for a in nodes for b in nodes
+                   if abs(int(a[1]) - int(b[1])) + abs(int(a[2]) - int(b[2]))
+                   == 1})
+    segments = {}
+    for i, (a, b) in enumerate(ends):
+        sid = f"e_{a}_{b}"
+        label = f"row_{a[1]}" if a[1] == b[1] else f"col_{a[2]}"
+        segments[sid] = Segment(sid, a, b, length, lanes[i % len(lanes)],
+                                speed_limit, road_label=label)
+    plans = {}
+    for nid in ("g01", "g11"):
+        arriving = [s for s in segments.values() if s.to_node == nid]
+        plans[nid] = tuple(
+            SignalPhase(frozenset(s.id for s in arriving
+                                  if (s.from_node[1] == nid[1]) == along),
+                        duration)
+            for along, duration in ((True, 20.0), (False, 15.0)))
+    net = RoadNetwork(nodes, segments, plans, ("g00", "g10"), ("g12",))
     validate_network(net)
     return net
 

@@ -3,7 +3,9 @@
 Index:
   semantics        the per-vehicle move matches a scalar re-derivation and
                    the vectorized numpy form it replaced, bit for bit,
-                   signed zeros included; histograms match direct sums
+                   signed zeros included; its sightings match a brute-force
+                   pass over the moved vehicles; histograms match direct
+                   sums
   reference        flat-cell histograms equal the per-feature bincount form
                    and the zero-filled one-pass form they replaced
 """
@@ -50,7 +52,8 @@ def _random_follow_case(rng, n_slots):
     """Lane queues over a random permutation of n_slots vehicle slots,
     each queue front to back; one lookahead, limit, cap and up to two
     sorted disjoint zone intervals per queue, their ends drawn partly
-    from the queue's own positions; about one vehicle in ten halted."""
+    from the queue's own positions; about one vehicle in ten halted.  No
+    lane is watched yet (`add_watch`)."""
     slots = rng.permutation(n_slots).tolist()
     cuts = np.sort(rng.choice(np.arange(1, n_slots),
                               size=min(n_slots - 1, int(rng.integers(0, 8))),
@@ -67,18 +70,69 @@ def _random_follow_case(rng, n_slots):
         lanes.append((q, float(rng.uniform(-5, 400)),
                       float(rng.uniform(0, 15)), float(rng.uniform(5, 20)),
                       float(rng.uniform(0, 5)),
-                      tuple(zip(ends[::2], ends[1::2]))))
+                      tuple(zip(ends[::2], ends[1::2])), 500.0, None, None))
     halted_by = np.where(rng.random(n_slots) < 0.1, 0, -1).tolist()
     return dict(lanes=lanes, pos=pos, speed=rng.uniform(0, 15, n_slots),
                 halted_by=halted_by,
-                noise=rng.uniform(0, 0.26, n_slots).tolist())
+                noise=rng.uniform(0, 0.26, n_slots).tolist(),
+                sensors=0, range_m=0.0)
+
+
+# the lanes a watch row may watch: at neither end, the approached end
+# only, the departed end only, both ends
+WATCH_KINDS = ((False, False), (True, False), (False, True), (True, True))
+
+
+def add_watch(case, rng, n_sensors=3):
+    """The case with a watch on its lanes, the kinds of WATCH_KINDS in
+    turn from a random start, each end's sensor a random one of
+    n_sensors (distinct at the two ends).  The range is the moved
+    position of a random vehicle, and half the lanes take a segment
+    length that puts one of their moved vehicles exactly the range short
+    of the end, so both inclusive tests meet their edge."""
+    _speed, moved, _seen = run_kernel(case)
+    range_m = float(moved[rng.integers(len(moved))])
+    first = int(rng.integers(4))
+    lanes = []
+    for i, lane in enumerate(case["lanes"]):
+        ahead, behind = WATCH_KINDS[(first + i) % 4]
+        a, b = rng.choice(n_sensors, size=2, replace=False).tolist()
+        if rng.random() < 0.5:
+            seg_len = float(moved[lane[0][rng.integers(len(lane[0]))]]
+                            + range_m)
+        else:
+            seg_len = float(rng.uniform(0, 600))
+        lanes.append(lane[:6] + (seg_len, a if ahead else None,
+                                 b if behind else None))
+    return dict(case, lanes=lanes, sensors=n_sensors, range_m=range_m)
+
+
+def sighting_oracle(case, moved):
+    """Reference: per sensor, the sorted slots of every vehicle whose lane
+    approaches that sensor and whose moved position is at most the range
+    short of the segment end, or whose lane departs from it and whose
+    moved position is at most the range past the start.  Also the number
+    of sightings exactly at range."""
+    r = case["range_m"]
+    seen = [[] for _ in range(case["sensors"])]
+    edges = 0
+    for col in range(case["sensors"]):
+        for q, *_row, seg_len, ahead, behind in case["lanes"]:
+            for slot in q:
+                p = float(moved[slot])
+                for dist in ((seg_len - p,) if ahead == col else ()) + (
+                        (p,) if behind == col else ()):
+                    if dist <= r:
+                        seen[col].append(slot)
+                        edges += dist == r
+    return [sorted(slots) for slots in seen], edges
 
 
 def vehicle_cap(case, lane, slot):
     """A vehicle's incident cap as its lane row gives it: 0.0 when halted,
     the lane's cap when its position lies in one of the lane's zones
     (ends included), else none (inf)."""
-    _q, _fr, _vl, _lim, cap, zones = lane
+    cap, zones = lane[4:6]
     if case["halted_by"][slot] >= 0:
         return 0.0
     p = case["pos"][slot]
@@ -86,12 +140,20 @@ def vehicle_cap(case, lane, slot):
 
 
 def run_kernel(case):
-    """(speed, pos) as arrays after kernels.follow_speeds, which writes
-    them into lists as the simulator does."""
+    """(speed, pos, seen) after kernels.follow_speeds, which writes speed
+    and pos into lists as the simulator does: speed and pos as arrays, and
+    each sensor's sightings, sorted.  A case's lane is flat, (queue, head
+    free run, head leader speed, limit, cap, zones, seg_len, ahead,
+    behind), with ahead and behind naming sensors by index; the kernel
+    gets the last six as the lane's row, and each run fresh slot lists."""
     pos, speed = case["pos"].tolist(), case["speed"].tolist()
-    kernels.follow_speeds(case["noise"], case["lanes"], case["halted_by"],
-                          pos, speed, **KERNEL_PARAMS)
-    return np.asarray(speed), np.asarray(pos)
+    seen = [[] for _ in range(case["sensors"])]
+    lanes = [lane[:3] + (lane[3:7] + tuple(None if c is None else seen[c]
+                                           for c in lane[7:]),)
+             for lane in case["lanes"]]
+    kernels.follow_speeds(case["noise"], lanes, case["halted_by"], pos,
+                          speed, range_m=case["range_m"], **KERNEL_PARAMS)
+    return np.asarray(speed), np.asarray(pos), [sorted(s) for s in seen]
 
 
 def run_vector(case):
@@ -151,19 +213,28 @@ def _scalar_follow(case):
 
 def test_follow_speeds_matches_scalar_oracle():
     """The walk over lane queues equals the scalar formula, and equals the
-    vectorized form bit for bit, speeds and positions."""
+    vectorized form bit for bit, speeds and positions; the vehicles it
+    sights are the brute-force oracle's, on lanes watched at neither,
+    either or both ends, with moved positions exactly at range."""
+    edges = sightings = 0
     for k in range(40):
         rng = rng_for("follow-scalar", k)
         case = _random_follow_case(rng, int(rng.integers(1, 60)))
         if k % 4 == 0:  # no incident: no zones, nobody halted
-            case["lanes"] = [lane[:4] + (math.inf, ())
+            case["lanes"] = [lane[:4] + (math.inf, ()) + lane[6:]
                              for lane in case["lanes"]]
             case["halted_by"] = [-1] * len(case["halted_by"])
-        got_speed, got_pos = run_kernel(case)
+        case = add_watch(case, rng)
+        got_speed, got_pos, got_seen = run_kernel(case)
         assert np.array_equal(got_speed, _scalar_follow(case))
         want_speed, want_pos = run_vector(case)
         assert got_speed.tobytes() == want_speed.tobytes()
         assert got_pos.tobytes() == want_pos.tobytes()
+        want_seen, at_range = sighting_oracle(case, want_pos)
+        assert got_seen == want_seen, k
+        edges += at_range
+        sightings += sum(map(len, want_seen))
+    assert edges > 20 and sightings > 200
 
 
 def test_follow_speeds_pins_numpy_edge_semantics():
@@ -187,13 +258,23 @@ def test_follow_speeds_pins_numpy_edge_semantics():
              ([6], -3.0, 0.0, 10.0, inf, ()),
              ([7], 0.0, 0.0, -0.0, inf, ()),
              ([8], 5.0, 0.0, 10.0, -0.0, ((0.0, 0.0),))]
-    bare = [lane[:4] + (inf, ()) for lane in lanes]
+    # watched at the approached end (sensor 0), both ends, neither and
+    # the departed end (sensor 1) in turn; with a 60 m range, slot 1 ends
+    # exactly 60 m short of its 160 m segment's end and slot 6 exactly 60 m
+    # past its segment's start
+    watch = [(160.0, 0, None), (200.0, 0, 1), (200.0, None, None),
+             (300.0, None, 1), (200.0, 0, 1), (200.0, None, None)]
+    lanes = [lane + w for lane, w in zip(lanes, watch)]
+    bare = [lane[:4] + (inf, ()) + lane[6:] for lane in lanes]
     for noise in ([0.0] * 9, [0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]):
         for halted_by, rows in ((halted, lanes), ([-1] * 9, bare)):
             case = dict(lanes=rows, pos=pos, speed=speed,
-                        halted_by=halted_by, noise=noise)
-            got_speed, got_pos = run_kernel(case)
+                        halted_by=halted_by, noise=noise, sensors=2,
+                        range_m=60.0)
+            got_speed, got_pos, got_seen = run_kernel(case)
             want_speed, want_pos = run_vector(case)
+            assert got_seen == sighting_oracle(case, want_pos)[0]
+            assert 1 in got_seen[0] and 6 in got_seen[1]
             assert got_speed.tobytes() == want_speed.tobytes(), (
                 got_speed, want_speed)
             assert got_pos.tobytes() == want_pos.tobytes()

@@ -6,14 +6,15 @@ Index:
   signals      red-line holds and per-phase release
   bookkeeping  determinism, conservation, spawn backpressure, audits
   incidents    designated halts and impact-zone speed caps in motion
-  tables       signal table, lane-queue capture and the lane caps resolved
-               per change of the active incidents against the per-second
-               loops they replace
+  tables       signal table, the sightings made as vehicles move and the
+               lane caps resolved per change of the active incidents
+               against the per-second loops they replace
   step         the fused per-queue step against the vectorized step it
                replaced, state bitwise equal after every second, also with
                a spawn backlog, across incident change seconds and on 24
-               generated small scenarios; far heads skip the lookahead and
-               the crossing check
+               generated small scenarios, whose raw tables also match the
+               per-second loop; far heads skip the lookahead and the
+               crossing check
 """
 import math
 
@@ -35,7 +36,8 @@ from trafficlab.roadnet import SensorPlacement, load_network
 from trafficlab.sensors import (RawDataset, RawDatasetBuilder,
                                 SensorReading, SensorRig)
 
-from conftest import make_line_net, make_signal_line_net, traced_run
+from conftest import (make_line_net, make_signal_line_net,
+                      make_small_grid_net, traced_run)
 from test_kernels import vector_follow_speeds
 
 NO_NOISE = dict(driver_imperfection=0.0)
@@ -438,7 +440,7 @@ def lane_table_caps(sim, lanes):
     whole segment brought it below the segment's limit."""
     st, tb = sim.state, sim.tables
     caps = {}
-    for q, _fr, _vl, lim, cap, zones in lanes:
+    for q, _fr, _vl, (lim, cap, zones, *_watch) in lanes:
         for slot in q:
             p = st.pos[slot]
             if st.halted_by[slot] >= 0:
@@ -468,7 +470,7 @@ def check_lane_caps(monkeypatch, sim, icfg):
         seen["capped"] += sum(cap > 0 for cap in want.values())
         seen["halted"] += sum(cap == 0.0 for cap in want.values())
         seen["folded"] += sum(len(lane[0]) for lane in lanes
-                              if lane[3] != sim.tables.limit[
+                              if lane[3][0] != sim.tables.limit[
                                   st.cur_seg[lane[0][0]]])
         return move(noise, lanes, *args)
 
@@ -513,7 +515,7 @@ def test_zone_caps_include_interval_edges():
     rows = apply_effects(st, active, icfg.slowdown_factor)
     assert rows == [(10.0, math.inf, ()), (10.0, 5.0, ((60.0, 140.0),)),
                     (10.0, math.inf, ())]
-    lanes = [(q, 0.0, 0.0) + row for q, row in zip(st.queues, rows) if q]
+    lanes = [(q, 0.0, 0.0, row) for q, row in zip(st.queues, rows) if q]
     caps = lane_table_caps(sim, lanes)
     # both interval ends are inside; the designated vehicle stops
     assert caps == {1: 5.0, 2: 0.0, 3: 5.0}
@@ -562,8 +564,9 @@ def test_capture_and_caps_match_per_second_loops(grid_net, monkeypatch):
 
 def test_run_builds_its_table_without_observe_or_add_step(grid_net,
                                                          monkeypatch):
-    # run writes the raw columns through SensorRig.capture alone; its table
-    # equals one stacked from the per-second reference readings
+    # run writes the raw columns through the step's sightings and
+    # SensorRig.close_second alone; its table equals one stacked from the
+    # per-second reference readings
     sites = tuple(sorted(n for n, node in grid_net.nodes.items()
                          if node.sensor_site))
     assert len(sites) == 16
@@ -612,14 +615,10 @@ def test_capture_when_both_end_sensors_see_one_vehicle():
     # each watched segment once: (id, length, approached, departed column)
     assert rig.plan == (("s0", 200.0, 0, None), ("s1", 200.0, 1, 0),
                         ("s2", 200.0, None, 1))
-    empty = RawDatasetBuilder(rig.sensor_ids)
-    rig.capture(st, empty)
-    rig.finish(empty, st.cfg.vehicle_length)
-    raw = empty.build(1)
-    assert list(zip(raw.count.tolist(), raw.mean_speed.tolist(),
-                    raw.occupancy.tolist(),
-                    raw.vehicle_ids)) == [(0, 0.0, 0.0, ())] * 2
-    assert rig.observe(st, 0) == loop_observe(rig, st, 0)
+    got = rig.observe(st, 0)
+    assert [(r.count, r.mean_speed, r.occupancy, r.vehicle_ids)
+            for r in got] == [(0, 0.0, 0.0, ())] * 2
+    assert got == loop_observe(rig, st, 0)
 
     place(sim, 0, seg=1, pos=100.0, speed=4.0)  # 100 m from a1 and a2
     place(sim, 1, seg=0, pos=110.0, speed=6.0)  # 90 m before a1
@@ -1097,14 +1096,27 @@ def generated_incident(rng, iid, net, onset, duration, point=None):
                         int(duration), seg.id, offset, n, radius)
 
 
-def generated_scenario(rng, pattern, signals, saturated):
-    """(network, schedule, plan) of one small seeded scenario: the
-    signalized line or a line of 2-4 segments with 1-3 lanes; a spawn
-    every second at one entry, or a few spread over the first half of
-    the horizon at every entry; incidents of the given pattern, each on a
-    random segment except the second of a back-to-back pair."""
-    net = (make_signal_line_net() if signals else make_line_net(
-        int(rng.integers(2, 5)), lanes=int(rng.integers(1, 4))))
+NETWORK_KINDS = ("signal_line", "small_grid", "line", "line")
+
+
+def generated_scenario(rng, pattern, network, saturated):
+    """(network, schedule, plan, placement) of one small seeded scenario:
+    the signalized line, the small grid with 1-3 lanes per segment, or a
+    line of 2-4 segments with 1-3 lanes; a spawn every second at one
+    entry, or a few spread over the first half of the horizon at every
+    entry; incidents of the given pattern, each on a random segment
+    except the second of a back-to-back pair; sensors at the exit, which
+    its vehicles reach inside their range, and at a random subset of the
+    other sites, with a range below one 200 m segment or up to a metre
+    beyond one."""
+    if network == "signal_line":
+        net = make_signal_line_net()
+    elif network == "small_grid":
+        net = make_small_grid_net(
+            lanes=tuple(rng.integers(1, 4, size=3).tolist()))
+    else:
+        net = make_line_net(int(rng.integers(2, 5)),
+                            lanes=int(rng.integers(1, 4)))
     horizon = int(rng.integers(120, 200))
     exit_ = net.exit_nodes[0]
     if saturated:
@@ -1147,14 +1159,22 @@ def generated_scenario(rng, pattern, signals, saturated):
         point = ((plan[0].segment_id, plan[0].offset)
                  if pattern == "back_to_back" and i else None)
         plan.append(generated_incident(rng, i, net, onset, duration, point))
-    return net, sched, plan
+    others = [n for n, node in sorted(net.nodes.items())
+              if node.sensor_site and n != exit_]
+    sites = [n for n in others if rng.random() < 0.5] + [exit_]
+    # a head clamped at its 200 m segment's end, mostly behind a saturated
+    # entry, is inside a range of 200-201 m that its moved position was not
+    long = saturated or rng.random() < 0.5
+    range_m = float(rng.uniform(200.0, 201.0) if long
+                    else rng.uniform(20.0, 150.0))
+    return net, sched, plan, SensorPlacement(tuple(sites), range_m)
 
 
 def test_step_matches_vector_step_on_generated_scenarios(monkeypatch):
-    """24 seeded small scenarios, each incident pattern on the signalized
-    line and on three random lines, one in four with an oversaturated
-    entry: the step matches vector_step, and apply_effects runs on the
-    change seconds alone."""
+    """24 seeded small scenarios with sensors, each incident pattern on
+    the signalized line, the small grid and two random lines, one in four
+    with an oversaturated entry: the step matches vector_step, and
+    apply_effects runs on the change seconds alone."""
     rng = np.random.default_rng(2024)
     resolved = []
 
@@ -1166,12 +1186,12 @@ def test_step_matches_vector_step_on_generated_scenarios(monkeypatch):
     monkeypatch.setattr(microsim, "apply_effects", recorded)
     rows_seen, halted_total, backlog = [], 0, 0
     for i in range(24):
-        net, sched, plan = generated_scenario(
-            rng, INCIDENT_PATTERNS[i % 6], signals=i < 6,
+        net, sched, plan, placement = generated_scenario(
+            rng, INCIDENT_PATTERNS[i % 6], NETWORK_KINDS[i // 6],
             saturated=i % 4 == 0)
 
         def make():
-            sim = Simulation(net, sched, plan, None, SimConfig(seed=i),
+            sim = Simulation(net, sched, plan, placement, SimConfig(seed=i),
                              IncidentPlanConfig(slowdown_factor=0.3))
             resolved.clear()  # the resolve of the empty set on building
             return sim
@@ -1187,3 +1207,62 @@ def test_step_matches_vector_step_on_generated_scenarios(monkeypatch):
     assert any(cap != math.inf and lim == cap for lim, cap, _z in rows_seen)
     assert any(zones for _lim, _cap, zones in rows_seen)
     assert halted_total > 100 and backlog > 0
+
+
+def count_watch_edges(sim):
+    """Make `sim._advance_head` count the crossings at the edges of the
+    sighting rule: a head clamped at its segment end whose moved position
+    lay beyond the range of the sensor its lane departs from, which the
+    clamp brings back inside it, and an arrival on a lane whose end a
+    sensor watches.  Returns the counters."""
+    counts = {"flips": 0, "arrivals": 0}
+    advance = sim._advance_head
+
+    def counted(qi, slot, *args):
+        st = sim.state
+        seg, moved = st.cur_seg[slot], st.pos[slot]
+        length = sim.tables.length[seg]
+        _seg_len, ahead, behind = sim.watch[qi]
+        advance(qi, slot, *args)
+        if st.queue_of[slot] < 0:
+            counts["arrivals"] += ahead is not None
+        elif (st.cur_seg[slot] == seg and st.pos[slot] == length
+              and behind is not None and length <= sim.range_m < moved):
+            counts["flips"] += 1
+
+    sim._advance_head = counted
+    return counts
+
+
+def test_run_table_matches_per_second_observe_on_generated_scenarios():
+    """On 24 generated scenarios, run's raw table equals the rows that
+    loop_observe gives for the same scenario stepped one second at a
+    time, with heads clamped at a segment end inside the departed
+    sensor's range and vehicles arriving at a watched exit."""
+    rng = np.random.default_rng(2028)  # 65 heads end clamped at a segment end
+    edges = {"flips": 0, "arrivals": 0}
+    sightings = 0
+    for i in range(24):
+        net, sched, plan, placement = generated_scenario(
+            rng, INCIDENT_PATTERNS[i % 6], NETWORK_KINDS[i // 6],
+            saturated=i % 4 == 0)
+        cfg, icfg = SimConfig(seed=i), IncidentPlanConfig(slowdown_factor=0.3)
+        sim = Simulation(net, sched, plan, placement, cfg, icfg)
+        counts = count_watch_edges(sim)
+        rows = []
+        for t in range(sim.horizon):
+            sim.step()
+            rows += loop_observe(sim.rig, sim.state, t)
+        want = RawDataset(
+            sim.horizon, placement.sensor_ids,
+            np.asarray([r.count for r in rows], dtype=np.int32),
+            np.asarray([r.mean_speed for r in rows]),
+            np.asarray([r.occupancy for r in rows]),
+            [r.vehicle_ids for r in rows])
+        raw = run(net, sched, plan, placement, cfg, icfg).raw
+        assert raw.data_equal(want), i
+        for key in edges:
+            edges[key] += counts[key]
+        sightings += int(want.count.sum())
+    assert edges["flips"] > 20 and edges["arrivals"] > 100, edges
+    assert sightings > 10000
